@@ -30,7 +30,6 @@ from .gallery import (
 )
 from .hilbert import (
     FactorizationError,
-    PowerIterationError,
     adjoint,
     apply_operator,
     inner,

@@ -203,29 +203,6 @@ def _renorm_jacobian(c: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     return J
 
 
-def _bootstrap_renorm(n: int, tol: float = 1e-13, max_iter: int = 200) -> np.ndarray:
-    """Damped Newton for the collocation coefficients, from c1 = -1.5."""
-    nodes = _chebyshev_nodes(n)
-    c = np.zeros(n)
-    c[0] = -1.5
-    for _ in range(max_iter):
-        r = _renorm_residual(c, nodes)
-        if np.linalg.norm(r) <= tol:
-            return c
-        delta = np.linalg.solve(_renorm_jacobian(c, nodes), -r)
-        alpha = 1.0
-        base = np.linalg.norm(r)
-        while alpha > 1e-10:
-            trial = c + alpha * delta
-            if np.linalg.norm(_renorm_residual(trial, nodes)) < base:
-                c = trial
-                break
-            alpha *= 0.5
-        else:
-            raise RuntimeError("renormalization bootstrap stalled")
-    raise RuntimeError(f"renormalization bootstrap did not converge for n={n}")
-
-
 def _load_reference(name: str) -> np.ndarray:
     text = (
         importlib.resources.files("gnflow")

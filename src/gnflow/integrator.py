@@ -164,7 +164,7 @@ def integrate(
         try:
             records.append((st, diagnostics(p, s, st, xhat)))
             return True
-        except (FloatingPointError, ValueError, hilbert.PowerIterationError):
+        except (FloatingPointError, ValueError):
             return False
 
     st = st0

@@ -2,8 +2,12 @@ import numpy as np
 import pytest
 
 from gnflow import gallery
+from gnflow.hilbert import op_norm
 from gnflow.problem import (
+    BOUND_INFLATION,
+    N2_FLOOR,
     NonlinearProblem,
+    _ball_points,
     estimate_bounds,
     eval_F,
     fd_jacobian,
@@ -190,6 +194,45 @@ class TestEstimateBounds:
         assert b.N1 == pytest.approx(2.0, rel=1e-9)
         with pytest.raises(ValueError, match="inflation"):
             estimate_bounds(p, xhat, radius=0.5, samples=8, inflation=0.5)
+
+
+def _reference_bounds(p, center, radius, samples, seed):
+    """N1, N2 from one jacobian and one op_norm per matrix, sample by sample."""
+    rng = np.random.default_rng(seed)
+    points = _ball_points(center, radius, samples, rng)
+    dirs = rng.standard_normal((samples, p.dim))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    delta = 1e-4 * radius
+    n1 = n2 = 0.0
+    for x, d in zip(points, dirs):
+        J = jacobian(p, x)
+        n1 = max(n1, op_norm(J))
+        n2 = max(n2, op_norm((jacobian(p, x + delta * d) - J) / delta))
+    return BOUND_INFLATION * n1, max(BOUND_INFLATION * n2, N2_FLOOR)
+
+
+def _batching_problem(kind):
+    """(problem, radius) for the batching oracle."""
+    rng = np.random.default_rng(21)
+    if kind == "affine":
+        return affine_problem(rng.standard_normal((5, 5)), np.zeros(5)), 0.7
+    if kind == "quadratic":
+        Q = rng.standard_normal((4, 4))
+        return NonlinearProblem(dim=4, f=lambda x: Q @ x + 0.3 * x**2,
+                                jac=lambda x: Q + 0.6 * np.diag(x)), 1.0
+    return gallery.make_autoconvolution(8).problem, 0.5
+
+
+@pytest.mark.parametrize("seed", [0, 17])
+@pytest.mark.parametrize("jac_mode", ["analytic", "fd"])
+@pytest.mark.parametrize("kind", ["affine", "quadratic", "autoconv"])
+def test_batched_norms_match_per_sample_loop(kind, jac_mode, seed):
+    p, radius = _batching_problem(kind)
+    if jac_mode == "fd":
+        p = NonlinearProblem(dim=p.dim, f=p.f)
+    center = np.linspace(-0.2, 0.3, p.dim)
+    bounds = estimate_bounds(p, center, radius, samples=24, seed=seed)
+    assert (bounds.N1, bounds.N2) == _reference_bounds(p, center, radius, 24, seed)
 
 
 class TestKnownSolutionValidation:
