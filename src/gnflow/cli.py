@@ -203,6 +203,8 @@ def _build_run(cfg: RunConfig):
         x0 = entry.default_x0
     if cfg.ball_radius is not None and xhat is None:
         raise ConfigError("ball_radius requires a problem with a known solution")
+    if cfg.ball_radius is not None and not cfg.ball_radius > 0:
+        raise ConfigError(f"ball_radius must be positive, got {cfg.ball_radius}")
 
     B0 = None
     if cfg.method == "coupled":

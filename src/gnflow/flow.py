@@ -80,14 +80,8 @@ def direct_rhs(p: NonlinearProblem, s, x0, x, t: float) -> np.ndarray:
     return -hilbert.solve_regularized(J.T @ J, eps, grad)
 
 
-def coupled_rhs(
-    p: NonlinearProblem, s, x0, st: SolverState, gain: float = 1.0
-) -> tuple[np.ndarray, np.ndarray]:
-    """(x', B') of the inverse-tracking flow at state ``st``.
-
-    ``gain`` scales the B-update for experiments; the convergence
-    certificate assumes the default 1.0.
-    """
+def coupled_rhs(p: NonlinearProblem, s, x0, st: SolverState) -> tuple[np.ndarray, np.ndarray]:
+    """(x', B') of the inverse-tracking flow at state ``st``."""
     if st.B is None:
         raise ValueError("coupled flow needs a state with the inverse track B")
     x0 = hilbert.as_vector(x0, dim=p.dim)
@@ -95,8 +89,9 @@ def coupled_rhs(
     J = jacobian(p, st.x)
     grad = J.T @ eval_F(p, st.x) + eps * (st.x - x0)
     x_dot = -st.B @ grad
-    M = J.T @ J + eps * np.eye(p.dim)
-    B_dot = -gain * (M @ st.B - np.eye(p.dim))
+    I = hilbert.identity(p.dim)
+    M = J.T @ J + eps * I
+    B_dot = -(M @ st.B - I)
     return x_dot, B_dot
 
 
@@ -136,7 +131,7 @@ def diagnostics(
 
     lambda_norm is evaluated at the fixed solution point, not at the
     current iterate; inverse_residual uses the current iterate (it equals
-    ||B'|| for unit gain).
+    ||B'||).
     """
     eps = s.eps(st.t)
     residual = float(np.linalg.norm(eval_F(p, st.x)))

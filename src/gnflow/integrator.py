@@ -1,7 +1,10 @@
 """Fixed-step explicit integration of the flows, with event monitors.
 
 The pair (x, B) is advanced jointly in a single stage loop; B is just a
-flat block of extra state. Monitors watch for the ball-exit event
+flat block of extra state. Every stage goes through the validated flow
+right-hand sides, and every step through the public ``step``. One RK4
+implementation, ``_advance``, serves ``step`` and the Gronwall lemma
+check in ``theory``. Monitors watch for the ball-exit event
 ||x - xhat|| >= R * eps(t) and for divergence.
 """
 
@@ -69,15 +72,17 @@ def _stage(x, B, xd, Bd, h):
     return xs, Bs
 
 
-def step(rhs: RhsFn, st: SolverState, t: float, h: float, method: str) -> SolverState:
-    """One explicit Euler or classical RK4 step over the product state.
+def _advance(rhs: RhsFn, x: np.ndarray, B: Optional[np.ndarray], t: float, h: float,
+             method: str) -> tuple:
+    """One explicit Euler or classical RK4 step of the pair (x, B).
 
-    The schedule inside ``rhs`` is evaluated at the stage times t, t+h/2
-    and t+h.
+    Works on bare arrays and checks none of its inputs; ``B`` is None when
+    the flow carries no inverse track. The schedule inside ``rhs`` is
+    evaluated at the stage times t, t+h/2 and t+h. Returns the new pair.
+
+    Raises:
+        FloatingPointError: the new pair has a non-finite entry.
     """
-    if not h > 0:
-        raise ValueError(f"h must be positive, got {h}")
-    x, B = st.x, st.B
     if method == "euler":
         k1x, k1B = rhs(t, x, B)
         xn = x + h * k1x
@@ -96,8 +101,20 @@ def step(rhs: RhsFn, st: SolverState, t: float, h: float, method: str) -> Solver
             Bn = B + (h / 6.0) * (k1B + 2.0 * k2B + 2.0 * k3B + k4B)
     else:
         raise ValueError(f"unknown method {method!r}")
-    if not np.all(np.isfinite(xn)) or (Bn is not None and not np.all(np.isfinite(Bn))):
+    if not hilbert.all_finite(xn) or (Bn is not None and not hilbert.all_finite(Bn)):
         raise FloatingPointError("non-finite state after step")
+    return xn, Bn
+
+
+def step(rhs: RhsFn, st: SolverState, t: float, h: float, method: str) -> SolverState:
+    """One explicit Euler or classical RK4 step over the product state.
+
+    The schedule inside ``rhs`` is evaluated at the stage times t, t+h/2
+    and t+h.
+    """
+    if not h > 0:
+        raise ValueError(f"h must be positive, got {h}")
+    xn, Bn = _advance(rhs, st.x, st.B, t, h, method)
     return SolverState(t=t + h, x=xn, B=Bn)
 
 
@@ -122,10 +139,12 @@ def integrate(
 
     The horizon is truncated to a whole number of steps. Monitors are
     checked after every step; a trigger appends a final record at the
-    triggering time and returns with the matching termination tag. The
-    initial state must be measurable (diagnostics at t=0 may raise);
-    mid-run states whose diagnostics overflow terminate the trajectory
-    as a numerical error instead.
+    triggering time and returns with the matching termination tag. A step
+    that fails (a non-finite state or evaluation, or a regularized normal
+    operator that cannot be factorized) ends the run as a numerical
+    error, as does a mid-run state whose diagnostics overflow; the last
+    finite record stands. The initial state must be measurable
+    (diagnostics at t=0 may raise).
     """
     if st0.x.size != p.dim:
         raise ValueError(f"state dimension {st0.x.size} != problem dimension {p.dim}")
@@ -135,6 +154,8 @@ def integrate(
         raise ValueError("ball monitor needs both xhat and R")
     if xhat is not None:
         xhat = hilbert.as_vector(xhat, dim=p.dim)
+    if R is not None and not R > 0:
+        raise ValueError(f"R must be positive, got {R}")
 
     rhs = _flow_rhs(p, s, st0.x)
     n_steps = int(math.floor(cfg.horizon_T / cfg.step_h + 1e-9))
@@ -172,11 +193,12 @@ def integrate(
         t = (k - 1) * cfg.step_h
         try:
             st = step(rhs, st, t, cfg.step_h, cfg.method)
-        except (FloatingPointError, ValueError):
+        except (FloatingPointError, ValueError, hilbert.FactorizationError):
             try_record(st)
             return Trajectory(records, "numerical_error", cfg)
-        # Keep record times exactly on the k*h grid.
-        st = SolverState(t=k * cfg.step_h, x=st.x, B=st.B)
+        # Keep record times exactly on the k*h grid; the fresh state is
+        # ours, so its time is set in place rather than re-validated.
+        st.t = k * cfg.step_h
         if ball_exit(st):
             try_record(st)
             return Trajectory(records, "ball_exit", cfg)

@@ -81,13 +81,19 @@ class BallBounds:
     samples: int
 
 
-def eval_F(p: NonlinearProblem, x) -> np.ndarray:
-    """Evaluate F(x), rejecting non-finite inputs and outputs."""
-    x = hilbert.as_vector(x, dim=p.dim)
+def _shaped_F(p: NonlinearProblem, x: np.ndarray) -> np.ndarray:
+    """F(x) as a float vector of the problem's size; finiteness unchecked."""
     y = np.asarray(p.f(x), dtype=float)
     if y.shape != (p.dim,):
         raise ValueError(f"F returned shape {y.shape}, expected ({p.dim},)")
-    if not np.all(np.isfinite(y)):
+    return y
+
+
+def eval_F(p: NonlinearProblem, x) -> np.ndarray:
+    """Evaluate F(x), rejecting non-finite inputs and outputs."""
+    x = hilbert.as_vector(x, dim=p.dim)
+    y = _shaped_F(p, x)
+    if not hilbert.all_finite(y):
         bad = int(np.flatnonzero(~np.isfinite(y))[0])
         raise ValueError(f"F(x) has non-finite component at index {bad}")
     return y
@@ -97,6 +103,9 @@ def fd_jacobian(p: NonlinearProblem, x, h: float = FD_DEFAULT_STEP) -> np.ndarra
     """Central-difference Jacobian, column by column.
 
     Column j is (F(x + h e_j) - F(x - h e_j)) / (2h); exact for affine F.
+    The 2n evaluations of F are shape-checked one by one, but checked for
+    finiteness once, on the finished matrix: a non-finite value of F
+    leaves a non-finite entry in its column.
     """
     if not h > 0:
         raise ValueError(f"h must be positive, got {h}")
@@ -105,7 +114,9 @@ def fd_jacobian(p: NonlinearProblem, x, h: float = FD_DEFAULT_STEP) -> np.ndarra
     for j in range(p.dim):
         step = np.zeros(p.dim)
         step[j] = h
-        J[:, j] = (eval_F(p, x + step) - eval_F(p, x - step)) / (2.0 * h)
+        J[:, j] = (_shaped_F(p, x + step) - _shaped_F(p, x - step)) / (2.0 * h)
+    if not hilbert.all_finite(J):
+        raise ValueError("finite-difference jacobian has non-finite entries")
     return J
 
 
@@ -117,7 +128,7 @@ def jacobian(p: NonlinearProblem, x) -> np.ndarray:
     J = np.asarray(p.jac(x), dtype=float)
     if J.shape != (p.dim, p.dim):
         raise ValueError(f"jacobian returned shape {J.shape}, expected square of dim {p.dim}")
-    if not np.all(np.isfinite(J)):
+    if not hilbert.all_finite(J):
         raise ValueError("jacobian has non-finite entries")
     return J
 
@@ -169,7 +180,7 @@ def estimate_bounds(
     for i, (x, d) in enumerate(zip(points, dirs)):
         jacs[i] = jacobian(p, x)
         diffs[i] = (jacobian(p, x + delta * d) - jacs[i]) / delta
-    if not np.all(np.isfinite(diffs)):
+    if not hilbert.all_finite(diffs):
         raise ValueError("differenced Jacobian has non-finite entries")
     n1 = float(np.max(np.linalg.svd(jacs, compute_uv=False)[:, 0]))
     n2 = float(np.max(np.linalg.svd(diffs, compute_uv=False)[:, 0]))

@@ -75,6 +75,16 @@ class TestRun:
         ])
         assert code == 1
 
+    @pytest.mark.parametrize("radius", ["0", "-1.0"])
+    def test_non_positive_ball_radius_is_config_error(self, tmp_path, capsys, radius):
+        code = run_cli([
+            "run", "--problem", "identity-8", "--ball-radius", radius,
+            "--out-trajectory", str(tmp_path / "t.csv"),
+            "--out-summary", str(tmp_path / "s.txt"),
+        ])
+        assert code == 1
+        assert "ball_radius must be positive" in capsys.readouterr().err
+
     def test_unwritable_path_is_config_error(self, tmp_path):
         code = run_cli([
             "run", "--problem", "identity-8",

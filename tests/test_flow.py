@@ -132,14 +132,6 @@ class TestCoupledRhs:
         with pytest.raises(ValueError, match="inverse track"):
             coupled_rhs(p, s, xhat, SolverState(t=0.0, x=xhat, B=None))
 
-    def test_gain_scales_inverse_update(self):
-        p, xhat = identity_problem()
-        s = PowerSchedule(c0=0.1, c1=1.0, a=1.0)
-        st = SolverState(t=0.0, x=xhat, B=np.eye(3))
-        _, full = coupled_rhs(p, s, xhat, st, gain=1.0)
-        _, half = coupled_rhs(p, s, xhat, st, gain=0.5)
-        assert np.allclose(half, 0.5 * full)
-
 
 class TestInitialInverse:
     def test_matches_dense_inverse(self):

@@ -1,9 +1,14 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
 from gnflow import gallery
-from gnflow.flow import SolverState, initial_inverse
+from gnflow.flow import SolverState, coupled_rhs, diagnostics, direct_rhs, initial_inverse
+from gnflow.hilbert import FactorizationError
 from gnflow.integrator import (
+    DIVERGENCE_LIMIT,
     TERMINATION_TAGS,
     IntegratorConfig,
     convergence_order,
@@ -212,6 +217,185 @@ class TestIntegrate:
         cfg = IntegratorConfig(monitors=frozenset({"ball"}))
         with pytest.raises(ValueError, match="ball"):
             integrate(p, s, SolverState(t=0.0, x=np.ones(2)), cfg)
+
+    def test_non_positive_radius_rejected(self):
+        p = affine_problem(np.eye(2), np.zeros(2))
+        s = PowerSchedule(c0=0.1, c1=1.0, a=1.0)
+        cfg = IntegratorConfig(monitors=frozenset({"ball"}))
+        with pytest.raises(ValueError, match="R must be positive"):
+            integrate(p, s, SolverState(t=0.0, x=np.ones(2)), cfg, xhat=np.zeros(2), R=0.0)
+
+
+def reference_integrate(p, s, st0, cfg, xhat=None, R=None):
+    """Reference for ``integrate``: a plain loop of the public ``step``
+    over the validated right-hand sides, with a SolverState rebuilt for
+    every stage and step. Any leaner path through ``integrate`` must
+    record these states bit for bit.
+
+    Returns the recorded (t, x, B) triples and the termination tag.
+    """
+    x0 = st0.x
+
+    def rhs(t, x, B):
+        if B is None:
+            return direct_rhs(p, s, x0, x, t), None
+        return coupled_rhs(p, s, x0, SolverState(t=t, x=x, B=B))
+
+    def ball_exit(st):
+        return "ball" in cfg.monitors and np.linalg.norm(st.x - xhat) >= R * s.eps(st.t)
+
+    def diverged(st):
+        if "divergence" not in cfg.monitors:
+            return False
+        if np.linalg.norm(st.x) > DIVERGENCE_LIMIT:
+            return True
+        return st.B is not None and np.linalg.norm(st.B) > DIVERGENCE_LIMIT
+
+    records = [st0]
+    diagnostics(p, s, st0, xhat)
+
+    def result(tag):
+        return [(st.t, st.x, st.B) for st in records], tag
+
+    if ball_exit(st0):
+        return result("ball_exit")
+    if diverged(st0):
+        return result("divergence")
+
+    def try_record(st):
+        if records[-1].t >= st.t:
+            return True
+        try:
+            diagnostics(p, s, st, xhat)
+        except (FloatingPointError, ValueError):
+            return False
+        records.append(st)
+        return True
+
+    n_steps = int(math.floor(cfg.horizon_T / cfg.step_h + 1e-9))
+    st = st0
+    for k in range(1, n_steps + 1):
+        try:
+            st = step(rhs, st, (k - 1) * cfg.step_h, cfg.step_h, cfg.method)
+        except (FloatingPointError, ValueError, FactorizationError):
+            try_record(st)
+            return result("numerical_error")
+        st = SolverState(t=k * cfg.step_h, x=st.x, B=st.B)
+        if ball_exit(st):
+            try_record(st)
+            return result("ball_exit")
+        if diverged(st):
+            try_record(st)
+            return result("divergence")
+        if k % cfg.record_every == 0 or k == n_steps:
+            if not try_record(st):
+                return result("numerical_error")
+    return result("horizon_reached")
+
+
+def assert_same_run(p, s, st0, cfg, xhat=None, R=None):
+    """``integrate`` records the reference's states bit for bit; returns the tag."""
+    traj = integrate(p, s, st0, cfg, xhat=xhat, R=R)
+    ref, tag = reference_integrate(p, s, st0, cfg, xhat=xhat, R=R)
+    assert traj.termination == tag
+    assert len(traj.records) == len(ref)
+    for (st, _), (t, x, B) in zip(traj.records, ref):
+        assert st.t == t
+        assert np.array_equal(st.x, x)
+        assert (st.B is None) == (B is None)
+        if B is not None:
+            assert np.array_equal(st.B, B)
+    return tag
+
+
+def _without_jacobian(p):
+    return NonlinearProblem(dim=p.dim, f=p.f, jac=None, known_solution=p.known_solution,
+                            validate_solution=False)
+
+
+class TestMatchesStepByStepReference:
+    @pytest.mark.parametrize("record_every", [1, 10])
+    def test_coupled_certified_with_ball_monitor(self, record_every):
+        entry, sched, B0, R = next((e, s, B0, R) for label, e, s, B0, R
+                                   in gallery.compliant_suite()
+                                   if label == "compliant-affine-8")
+        st0 = SolverState(t=0.0, x=entry.default_x0, B=B0)
+        cfg = IntegratorConfig(method="rk4", step_h=0.01, horizon_T=0.5,
+                               record_every=record_every,
+                               monitors=frozenset({"ball", "divergence"}))
+        tag = assert_same_run(entry.problem, sched, st0, cfg, xhat=entry.xhat, R=R)
+        assert tag == "horizon_reached"
+
+    @pytest.mark.parametrize("record_every", [1, 10])
+    @pytest.mark.parametrize("analytic", [True, False], ids=["analytic", "fd"])
+    def test_direct_autoconvolution(self, record_every, analytic):
+        entry = gallery.get_entry("autoconv-16")
+        p = entry.problem if analytic else _without_jacobian(entry.problem)
+        x0 = entry.default_x0 + 0.02 * np.random.default_rng(0).standard_normal(16)
+        cfg = IntegratorConfig(method="rk4", step_h=0.01, horizon_T=0.3,
+                               record_every=record_every)
+        tag = assert_same_run(p, PowerSchedule(c0=0.1, c1=1.0), SolverState(t=0.0, x=x0),
+                              cfg, xhat=entry.xhat)
+        assert tag == "horizon_reached"
+
+    @pytest.mark.parametrize("record_every", [1, 10])
+    @pytest.mark.parametrize("coupled", [False, True], ids=["direct", "coupled"])
+    def test_feigenbaum(self, record_every, coupled):
+        entry = gallery.get_entry("feigenbaum-6")
+        s = PowerSchedule(c0=0.1, c1=1.0)
+        B0 = initial_inverse(entry.problem, entry.default_x0, s.eps(0.0)) if coupled else None
+        st0 = SolverState(t=0.0, x=entry.default_x0, B=B0)
+        cfg = IntegratorConfig(method="rk4", step_h=0.01, horizon_T=0.3,
+                               record_every=record_every)
+        tag = assert_same_run(entry.problem, s, st0, cfg, xhat=entry.xhat)
+        assert tag == "horizon_reached"
+
+    @pytest.mark.parametrize("coupled", [False, True], ids=["direct", "coupled"])
+    def test_forward_map_turning_infinite_mid_run(self, coupled):
+        # F is finite at x0 and turns infinite once the iterate has moved
+        # a few steps towards the root
+        xhat = np.zeros(2)
+
+        def f(x):
+            y = x - xhat
+            if x[0] < 0.8:
+                y[0] = np.inf
+            return y
+
+        p = NonlinearProblem(dim=2, f=f, jac=lambda x: np.eye(2))
+        s = PowerSchedule(c0=0.1, c1=1.0)
+        x0 = np.ones(2)
+        B0 = initial_inverse(p, x0, s.eps(0.0)) if coupled else None
+        cfg = IntegratorConfig(method="rk4", step_h=0.05, horizon_T=2.0, record_every=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            tag = assert_same_run(p, s, SolverState(t=0.0, x=x0, B=B0), cfg, xhat=xhat)
+            traj = integrate(p, s, SolverState(t=0.0, x=x0, B=B0), cfg, xhat=xhat)
+        assert tag == "numerical_error"
+        assert len(traj.records) > 2
+        assert traj.final_state.x[0] >= 0.8
+
+
+class TestFactorizationFailure:
+    def test_ends_in_numerical_error_with_initial_record(self):
+        # singular values 1e9, 1e9, 1e-9, 0: the shifted Gram operator
+        # J*J + 1e-3 I is positive definite in exact arithmetic but not
+        # in floating point, so the first Cholesky factorization fails
+        rng = np.random.default_rng(0)
+        U, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+        V, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+        A = U @ np.diag([1e9, 1e9, 1e-9, 0.0]) @ V.T
+        p = NonlinearProblem(dim=4, f=lambda x: A @ x, jac=lambda x: A)
+        s = PowerSchedule(c0=1e-3, c1=1.0)
+        st0 = SolverState(t=0.0, x=np.ones(4))
+        cfg = IntegratorConfig(method="rk4", step_h=0.01, horizon_T=0.1)
+        with pytest.raises(FactorizationError):
+            direct_rhs(p, s, st0.x, st0.x, 0.0)
+        tag = assert_same_run(p, s, st0, cfg)
+        assert tag == "numerical_error"
+        traj = integrate(p, s, st0, cfg)
+        assert len(traj.records) == 1
+        assert traj.final_state is st0
 
 
 class TestConvergenceOrder:

@@ -130,6 +130,18 @@ class TestFdJacobian:
         with pytest.raises(ValueError):
             fd_jacobian(p, np.array([1.0]), h=0.0)
 
+    def test_non_finite_evaluation_rejected(self):
+        # F is infinite on one side of x only; its column turns non-finite
+        p = NonlinearProblem(dim=2, f=lambda x: np.where(x > 1.0, np.inf, x))
+        with pytest.raises(ValueError, match="non-finite"):
+            fd_jacobian(p, np.array([0.5, 1.0]), h=1e-3)
+
+    def test_wrong_shape_evaluation_rejected(self):
+        # a scalar F would broadcast into every column unnoticed
+        p = NonlinearProblem(dim=2, f=lambda x: float(x @ x))
+        with pytest.raises(ValueError, match="F returned shape"):
+            fd_jacobian(p, np.ones(2))
+
 
 class TestEstimateBounds:
     def test_affine_second_derivative_vanishes(self):

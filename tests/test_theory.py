@@ -330,6 +330,24 @@ class TestGronwall:
         )
         assert viol == 0.0
 
+    def test_coefficients_evaluated_once_per_time(self):
+        # RK4's two mid-stages share a time, and a step's end is the next
+        # step's start and its coercivity check
+        times = {"A": [], "G": [], "gamma": []}
+
+        def record(name, value):
+            def path(t):
+                times[name].append(t)
+                return value
+            return path
+
+        theory.gronwall_check(
+            record("A", 1.3 * np.eye(3)), record("G", 0.1 * np.eye(3)), np.eye(3),
+            gamma=record("gamma", 1.3), T=1.0, h=0.1)
+        for name, seen in times.items():
+            assert len(seen) == len(set(seen)), name
+            assert len(seen) <= 3 * 10 + 1, name
+
     def test_coercivity_failure_names_time(self):
         A_path = lambda t: (1.0 - t) * np.eye(2)  # loses coercivity past t=0.5
         with pytest.raises(ValueError, match=r"t=0\.6"):
