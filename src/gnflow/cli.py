@@ -1,27 +1,32 @@
-"""Command-line entry point: run flows, compare methods, verify, sweep.
+"""Command-line entry point: argparse and file output for run, compare, verify, sweep.
 
-Configuration is a flat ``key = value`` file with dotted keys plus flag
-overrides (flags win). Trajectories go to CSV with 17 significant digits
-so repeated runs with the same config and seed are bit-identical;
-summaries are stable-name ``key = value`` text files.
+How a run is configured and built lives in ``gnflow.run``, sweeps in
+``gnflow.harness``. This module turns the command line into a
+``RunConfig`` (one flag per field, overriding a ``--config`` file),
+writes trajectories to CSV with 17 significant digits so repeated runs
+with the same config and seed are bit-identical, writes summaries as
+stable-name ``key = value`` text files, and runs the verification
+batteries.
 
-Exit codes: 0 horizon reached, 1 configuration error, 2 ball exit,
-3 divergence or numerical blow-up, 4 verification battery failure.
+Exit codes: 0 horizon reached, 1 configuration or usage error, 2 ball
+exit, 3 divergence or numerical blow-up, 4 verification battery failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, fields, replace
-from pathlib import Path
+from dataclasses import fields, replace
 from typing import Optional
 
 import numpy as np
 
 from . import gallery, theory
-from .flow import SolverState, initial_inverse, scaled_identity_inverse
+from .flow import SolverState, initial_inverse
+from .harness import SweepSpec, sweep, write_sweep_csv
 from .integrator import IntegratorConfig, Trajectory, convergence_order, integrate
+from .run import (CHOICES, CONFIG_KEYS, PARSERS, ConfigError, RunConfig, execute_run, fmt,
+                  load_config, write_lines)
 from .schedule import PowerSchedule
 
 EXIT_OK = 0
@@ -49,129 +54,33 @@ TRAJECTORY_COLUMNS = (
 )
 
 
-class ConfigError(Exception):
-    pass
-
-
-@dataclass
-class RunConfig:
-    problem: str = "compliant-affine-8"
-    method: str = "coupled"  # "direct" or "coupled"
-    schedule_c0: float = 0.1
-    schedule_c1: float = 1.0
-    schedule_a: float = 1.0
-    integrator_method: str = "rk4"
-    step_h: float = 0.01
-    horizon_T: float = 10.0
-    record_every: int = 10
-    b0_mode: str = "exact_inverse"  # or "scaled_identity"
-    x0_scale: float = 1.0
-    ball_radius: Optional[float] = None
-    certify: bool = False
-    noise: float = 0.0
-    seed: int = 0
-    out_trajectory: str = "trajectory.csv"
-    out_summary: str = "summary.txt"
-
-
-#: config-file / summary key for each RunConfig field.
-_CONFIG_KEYS = {
-    "problem": "problem",
-    "method": "method",
-    "schedule_c0": "schedule.c0",
-    "schedule_c1": "schedule.c1",
-    "schedule_a": "schedule.a",
-    "integrator_method": "integrator.method",
-    "step_h": "integrator.step_h",
-    "horizon_T": "integrator.horizon_T",
-    "record_every": "integrator.record_every",
-    "b0_mode": "b0_mode",
-    "x0_scale": "x0_scale",
-    "ball_radius": "ball_radius",
-    "certify": "certify",
-    "noise": "noise",
-    "seed": "seed",
-    "out_trajectory": "out.trajectory",
-    "out_summary": "out.summary",
-}
-_KEY_TO_FIELD = {v: k for k, v in _CONFIG_KEYS.items()}
-
-
-def _coerce(field_name: str, raw: str):
-    kind = {f.name: f.type for f in fields(RunConfig)}[field_name]
-    if field_name == "ball_radius":
-        return None if raw.lower() in ("", "none") else float(raw)
-    if field_name == "certify":
-        return raw.lower() in ("1", "true", "yes", "on")
-    if kind == "int" or field_name in ("record_every", "seed"):
-        return int(raw)
-    if field_name in ("problem", "method", "integrator_method", "b0_mode",
-                      "out_trajectory", "out_summary"):
-        return raw
-    return float(raw)
-
-
-def parse_config_file(path: str) -> dict:
-    """Read ``key = value`` lines; '#' starts a comment."""
-    out = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        stripped = line.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        if "=" not in stripped:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-        key, _, raw = stripped.partition("=")
-        key = key.strip()
-        if key not in _KEY_TO_FIELD:
-            raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-        out[_KEY_TO_FIELD[key]] = _coerce(_KEY_TO_FIELD[key], raw.strip())
-    return out
-
-
-def load_config(config_path: Optional[str], overrides: dict) -> RunConfig:
-    """Defaults, then config file, then flag overrides."""
-    cfg = RunConfig()
-    if config_path:
-        cfg = replace(cfg, **parse_config_file(config_path))
-    fixed = {k: v for k, v in overrides.items() if v is not None}
-    return replace(cfg, **fixed)
-
-
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return f"{value:.17g}"
-    return str(value)
-
-
 def write_trajectory_csv(path: str, traj: Trajectory) -> None:
     lines = [",".join(TRAJECTORY_COLUMNS)]
     for st, d in traj.records:
         row = (st.t, d.eps, d.residual_norm, d.err_norm, d.B_norm,
                d.lambda_norm, d.inverse_residual, d.D_norm)
-        lines.append(",".join(_fmt(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+        lines.append(",".join(fmt(v) for v in row))
+    write_lines(path, lines)
 
 
 def _config_echo(cfg: RunConfig) -> list:
-    return [f"config.{_CONFIG_KEYS[f.name]} = {_fmt(getattr(cfg, f.name))}"
+    return [f"config.{CONFIG_KEYS[f.name]} = {fmt(getattr(cfg, f.name))}"
             for f in fields(RunConfig)]
 
 
 def _certificate_lines(cert: theory.Certificate) -> list:
     lines = [
-        f"certificate.N1 = {_fmt(cert.N1)}",
-        f"certificate.N2 = {_fmt(cert.N2)}",
-        f"certificate.b = {_fmt(cert.b)}",
-        f"certificate.eps0 = {_fmt(cert.eps0)}",
-        f"certificate.B0_norm = {_fmt(cert.B0_norm)}",
-        f"certificate.Lambda0_norm = {_fmt(cert.Lambda0_norm)}",
-        f"certificate.k = {_fmt(cert.k)}",
-        f"certificate.R = {_fmt(cert.R)}",
-        f"certificate.lambda = {_fmt(cert.lam)}",
-        f"certificate.w_norm = {_fmt(cert.w_norm)}",
-        f"certificate.source_residual = {_fmt(cert.source_residual)}",
+        f"certificate.N1 = {fmt(cert.N1)}",
+        f"certificate.N2 = {fmt(cert.N2)}",
+        f"certificate.b = {fmt(cert.b)}",
+        f"certificate.eps0 = {fmt(cert.eps0)}",
+        f"certificate.B0_norm = {fmt(cert.B0_norm)}",
+        f"certificate.Lambda0_norm = {fmt(cert.Lambda0_norm)}",
+        f"certificate.k = {fmt(cert.k)}",
+        f"certificate.R = {fmt(cert.R)}",
+        f"certificate.lambda = {fmt(cert.lam)}",
+        f"certificate.w_norm = {fmt(cert.w_norm)}",
+        f"certificate.source_residual = {fmt(cert.source_residual)}",
     ]
     for name in theory.CHECK_NAMES:
         lines.append(f"certificate.check.{name} = {str(cert.checks[name]).lower()}")
@@ -181,75 +90,9 @@ def _certificate_lines(cert: theory.Certificate) -> list:
     return lines
 
 
-def _build_run(cfg: RunConfig):
-    """Resolve config into (entry, schedule, x0, B0-or-None, xhat)."""
-    if cfg.method not in ("direct", "coupled"):
-        raise ConfigError(f"unknown method {cfg.method!r}")
-    if cfg.b0_mode not in ("exact_inverse", "scaled_identity"):
-        raise ConfigError(f"unknown b0_mode {cfg.b0_mode!r}")
-    try:
-        entry = gallery.get_entry(cfg.problem, noise=cfg.noise, noise_seed=cfg.seed)
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
-    try:
-        sched = PowerSchedule(c0=cfg.schedule_c0, c1=cfg.schedule_c1, a=cfg.schedule_a)
-    except ValueError as exc:
-        raise ConfigError(f"bad schedule: {exc}") from exc
-
-    xhat = entry.problem.known_solution
-    if xhat is not None:
-        x0 = xhat + cfg.x0_scale * (entry.default_x0 - xhat)
-    else:
-        x0 = entry.default_x0
-    if cfg.ball_radius is not None and xhat is None:
-        raise ConfigError("ball_radius requires a problem with a known solution")
-    if cfg.ball_radius is not None and not cfg.ball_radius > 0:
-        raise ConfigError(f"ball_radius must be positive, got {cfg.ball_radius}")
-
-    B0 = None
-    if cfg.method == "coupled":
-        eps0 = sched.eps(0.0)
-        if cfg.b0_mode == "exact_inverse":
-            B0 = initial_inverse(entry.problem, x0, eps0)
-        else:
-            B0 = scaled_identity_inverse(entry.problem, x0, eps0)
-    return entry, sched, x0, B0, xhat
-
-
-def _integrator_config(cfg: RunConfig, ball: bool) -> IntegratorConfig:
-    monitors = {"divergence"}
-    if ball:
-        monitors.add("ball")
-    return IntegratorConfig(
-        method=cfg.integrator_method,
-        step_h=cfg.step_h,
-        horizon_T=cfg.horizon_T,
-        record_every=cfg.record_every,
-        monitors=frozenset(monitors),
-    )
-
-
-def execute_run(cfg: RunConfig) -> tuple:
-    """Run one configuration; returns (trajectory, entry, schedule, xhat)."""
-    entry, sched, x0, B0, xhat = _build_run(cfg)
-    icfg = _integrator_config(cfg, ball=cfg.ball_radius is not None)
-    st0 = SolverState(t=0.0, x=x0, B=B0)
-    traj = integrate(entry.problem, sched, st0, icfg, xhat=xhat, R=cfg.ball_radius)
-    return traj, entry, sched, xhat
-
-
 def cmd_run(cfg: RunConfig) -> int:
-    try:
-        traj, entry, sched, xhat = execute_run(cfg)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    try:
-        write_trajectory_csv(cfg.out_trajectory, traj)
-    except OSError as exc:
-        print(f"error: cannot write {cfg.out_trajectory}: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    traj, (entry, sched, x0, B0, xhat) = execute_run(cfg)
+    write_trajectory_csv(cfg.out_trajectory, traj)
 
     exit_code = _TERMINATION_EXIT[traj.termination]
     final_st, final_d = traj.records[-1]
@@ -257,32 +100,27 @@ def cmd_run(cfg: RunConfig) -> int:
         f"termination = {traj.termination}",
         f"exit_code = {exit_code}",
         f"records = {len(traj.records)}",
-        f"final.t = {_fmt(final_st.t)}",
-        f"final.eps = {_fmt(final_d.eps)}",
-        f"final.residual_norm = {_fmt(final_d.residual_norm)}",
-        f"final.err_norm = {_fmt(final_d.err_norm)}",
-        f"final.B_norm = {_fmt(final_d.B_norm)}",
+        f"final.t = {fmt(final_st.t)}",
+        f"final.eps = {fmt(final_d.eps)}",
+        f"final.residual_norm = {fmt(final_d.residual_norm)}",
+        f"final.err_norm = {fmt(final_d.err_norm)}",
+        f"final.B_norm = {fmt(final_d.B_norm)}",
     ]
     lines.extend(_config_echo(cfg))
     if cfg.certify:
         if xhat is None:
             lines.append("certificate.error = problem has no known solution")
         else:
-            entry2, sched2, x0, B0, _ = _build_run(cfg)
-            if B0 is None:
-                B0 = initial_inverse(entry2.problem, x0, sched2.eps(0.0))
+            if B0 is None:  # the direct method tracks no inverse
+                B0 = initial_inverse(entry.problem, x0, sched.eps(0.0))
             try:
                 cert, _ = theory.certify_with_canonical_R(
-                    entry2.problem, xhat, x0, sched2, B0, seed=cfg.seed
+                    entry.problem, xhat, x0, sched, B0, seed=cfg.seed
                 )
                 lines.extend(_certificate_lines(cert))
             except ValueError as exc:
                 lines.append(f"certificate.error = {exc}")
-    try:
-        Path(cfg.out_summary).write_text("\n".join(lines) + "\n")
-    except OSError as exc:
-        print(f"error: cannot write {cfg.out_summary}: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    write_lines(cfg.out_summary, lines)
     print(f"{cfg.problem}: {traj.termination} after {len(traj.records)} records "
           f"-> {cfg.out_trajectory}")
     return exit_code
@@ -300,29 +138,19 @@ def cmd_compare(cfg_a: RunConfig, cfg_b: Optional[RunConfig], out: str, out_summ
         and cfg_a.schedule_a == cfg_b.schedule_a
     )
     if not same:
-        print("error: compare needs the same problem and schedule on both sides",
-              file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        traj_d, *_ = execute_run(cfg_a)
-        traj_c, *_ = execute_run(cfg_b)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError("compare needs the same problem and schedule on both sides")
+    traj_d, _ = execute_run(cfg_a)
+    traj_c, _ = execute_run(cfg_b)
 
     rows = min(len(traj_d.records), len(traj_c.records))
     lines = ["t,err_direct,err_coupled,resid_direct,resid_coupled"]
     for i in range(rows):
         st_d, d_d = traj_d.records[i]
         _, d_c = traj_c.records[i]
-        lines.append(",".join(_fmt(v) for v in (
+        lines.append(",".join(fmt(v) for v in (
             st_d.t, d_d.err_norm, d_c.err_norm, d_d.residual_norm, d_c.residual_norm
         )))
-    try:
-        Path(out).write_text("\n".join(lines) + "\n")
-    except OSError as exc:
-        print(f"error: cannot write {out}: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    write_lines(out, lines)
 
     fin_d = traj_d.records[-1][1]
     fin_c = traj_c.records[-1][1]
@@ -332,18 +160,14 @@ def cmd_compare(cfg_a: RunConfig, cfg_b: Optional[RunConfig], out: str, out_summ
     summary = [
         f"termination.direct = {traj_d.termination}",
         f"termination.coupled = {traj_c.termination}",
-        f"final.err_direct = {_fmt(fin_d.err_norm)}",
-        f"final.err_coupled = {_fmt(fin_c.err_norm)}",
-        f"final.err_ratio_coupled_over_direct = {_fmt(ratio)}",
-        f"final.resid_direct = {_fmt(fin_d.residual_norm)}",
-        f"final.resid_coupled = {_fmt(fin_c.residual_norm)}",
+        f"final.err_direct = {fmt(fin_d.err_norm)}",
+        f"final.err_coupled = {fmt(fin_c.err_norm)}",
+        f"final.err_ratio_coupled_over_direct = {fmt(ratio)}",
+        f"final.resid_direct = {fmt(fin_d.residual_norm)}",
+        f"final.resid_coupled = {fmt(fin_c.residual_norm)}",
     ]
     summary.extend(_config_echo(cfg_b))
-    try:
-        Path(out_summary).write_text("\n".join(summary) + "\n")
-    except OSError as exc:
-        print(f"error: cannot write {out_summary}: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    write_lines(out_summary, summary)
     code_d = _TERMINATION_EXIT[traj_d.termination]
     code_c = _TERMINATION_EXIT[traj_c.termination]
     print(f"compare {cfg_b.problem}: direct={traj_d.termination} "
@@ -444,17 +268,16 @@ def _verify_order() -> list:
     return results
 
 
+#: The verification batteries, by ``verify --suite`` name.
+_BATTERIES = {
+    "lemmas": _verify_lemmas,
+    "certificate": _verify_certificate,
+    "order": _verify_order,
+}
+
+
 def cmd_verify(suite: str) -> int:
-    batteries = {
-        "lemmas": _verify_lemmas,
-        "certificate": _verify_certificate,
-        "order": _verify_order,
-    }
-    if suite not in batteries:
-        print(f"error: unknown suite {suite!r}; choose from {sorted(batteries)}",
-              file=sys.stderr)
-        return EXIT_CONFIG
-    results = batteries[suite]()
+    results = _BATTERIES[suite]()
     width = max(len(name) for name, _, _ in results)
     all_ok = True
     for name, ok, detail in results:
@@ -466,55 +289,51 @@ def cmd_verify(suite: str) -> int:
 
 
 def cmd_sweep(cfg: RunConfig, param: str, values: list, seeds: list, out: str) -> int:
-    from .harness import SweepSpec, sweep, write_sweep_csv
-
-    spec = SweepSpec(base=cfg, param=param, values=values, seeds=seeds)
-    rows = sweep(spec)
-    try:
-        write_sweep_csv(out, rows)
-    except OSError as exc:
-        print(f"error: cannot write {out}: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    rows = sweep(SweepSpec(base=cfg, param=param, values=values, seeds=seeds))
+    write_sweep_csv(out, rows)
     for row in rows:
-        print(f"{param}={_fmt(row['param_value'])} seed={row['seed']}: "
-              f"{row['termination']} final_err={_fmt(row['final_err'])}")
+        print(f"{param}={fmt(row['param_value'])} seed={row['seed']}: "
+              f"{row['termination']} final_err={fmt(row['final_err'])}")
     print(f"sweep: {len(rows)} rows -> {out}")
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit with EXIT_CONFIG: argparse's own 2 is the ball-exit code here."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
+def _list_of(kind):
+    """argparse type: a comma-separated list of ``kind`` values."""
+    def parse(text: str) -> list:
+        return [kind(v) for v in text.split(",")]
+    parse.__name__ = f"{kind.__name__} list"  # argparse names it in its error message
+    return parse
+
+
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:
+    """--config plus one flag per RunConfig field: ``--`` + its name with '-' for '_'."""
     parser.add_argument("--config", help="key = value config file")
-    parser.add_argument("--problem")
-    parser.add_argument("--method", choices=["direct", "coupled"])
-    parser.add_argument("--schedule-c0", type=float, dest="schedule_c0")
-    parser.add_argument("--schedule-c1", type=float, dest="schedule_c1")
-    parser.add_argument("--schedule-a", type=float, dest="schedule_a")
-    parser.add_argument("--integrator-method", choices=["euler", "rk4"],
-                        dest="integrator_method")
-    parser.add_argument("--step-h", type=float, dest="step_h")
-    parser.add_argument("--horizon-T", type=float, dest="horizon_T")
-    parser.add_argument("--record-every", type=int, dest="record_every")
-    parser.add_argument("--b0-mode", choices=["exact_inverse", "scaled_identity"],
-                        dest="b0_mode")
-    parser.add_argument("--x0-scale", type=float, dest="x0_scale")
-    parser.add_argument("--ball-radius", type=float, dest="ball_radius")
-    parser.add_argument("--certify", action="store_const", const=True, default=None)
-    parser.add_argument("--noise", type=float)
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--out-trajectory", dest="out_trajectory")
-    parser.add_argument("--out-summary", dest="out_summary")
-
-
-_RUN_FIELDS = [f.name for f in fields(RunConfig)]
+    for f in fields(RunConfig):
+        flag = "--" + f.name.replace("_", "-")
+        if f.type == "bool":
+            parser.add_argument(flag, dest=f.name, action="store_const", const=True,
+                                default=None)
+        else:
+            parser.add_argument(flag, dest=f.name, type=PARSERS[f.type],
+                                choices=CHOICES.get(f.name))
 
 
 def _config_from_args(args) -> RunConfig:
-    overrides = {name: getattr(args, name, None) for name in _RUN_FIELDS}
+    overrides = {f.name: getattr(args, f.name) for f in fields(RunConfig)}
     return load_config(args.config, overrides)
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+def _parser() -> argparse.ArgumentParser:
+    parser = _Parser(
         prog="gnflow",
         description="Continuously regularized Gauss-Newton flows with "
                     "inverse-operator tracking.",
@@ -531,48 +350,40 @@ def main(argv=None) -> int:
     p_cmp.add_argument("--out", default="compare.csv")
 
     p_ver = sub.add_parser("verify", help="run a verification battery")
-    p_ver.add_argument("--suite", required=True,
-                       choices=["lemmas", "certificate", "order"])
+    p_ver.add_argument("--suite", required=True, choices=list(_BATTERIES))
 
     p_swp = sub.add_parser("sweep", help="parameter sweep, one CSV row per run")
     _add_run_flags(p_swp)
     p_swp.add_argument("--param", default="eps0")
-    p_swp.add_argument("--values", help="comma-separated values")
-    p_swp.add_argument("--seeds", default="0", help="comma-separated seeds")
+    p_swp.add_argument("--values", type=_list_of(float), help="comma-separated values")
+    p_swp.add_argument("--seeds", type=_list_of(int), default="0",
+                       help="comma-separated seeds")
     p_swp.add_argument("--preset", choices=["eps0-range"],
                        help="eps0-range: the documented sensitivity range")
     p_swp.add_argument("--out", default="sweep.csv")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
+    if args.command == "verify":
+        return cmd_verify(args.suite)
     try:
+        cfg = _config_from_args(args)
         if args.command == "run":
-            return cmd_run(_config_from_args(args))
+            return cmd_run(cfg)
         if args.command == "compare":
-            cfg_a = _config_from_args(args)
-            cfg_b = None
-            if args.config_b:
-                cfg_b = load_config(args.config_b, {})
-            return cmd_compare(cfg_a, cfg_b, args.out,
-                               cfg_a.out_summary)
-        if args.command == "verify":
-            return cmd_verify(args.suite)
-        if args.command == "sweep":
-            cfg = _config_from_args(args)
-            param = args.param
-            if args.preset == "eps0-range":
-                param = "eps0"
-                values = [0.001, 0.01, 0.1]
-            elif args.values:
-                values = [float(v) for v in args.values.split(",")]
-            else:
-                print("error: sweep needs --values or --preset", file=sys.stderr)
-                return EXIT_CONFIG
-            seeds = [int(s) for s in args.seeds.split(",")]
-            return cmd_sweep(cfg, param, values, seeds, args.out)
+            cfg_b = load_config(args.config_b, {}) if args.config_b else None
+            return cmd_compare(cfg, cfg_b, args.out, cfg.out_summary)
+        param, values = args.param, args.values
+        if args.preset == "eps0-range":
+            param, values = "eps0", [0.001, 0.01, 0.1]
+        elif not values:
+            raise ConfigError("sweep needs --values or --preset")
+        return cmd_sweep(cfg, param, values, args.seeds, args.out)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ import scipy.linalg
 
 from . import hilbert, theory
 from .flow import initial_inverse
-from .problem import NonlinearProblem
+from .problem import NonlinearProblem, jacobian
 from .schedule import PowerSchedule
 
 #: Decay constant used for certificate-compliant schedules. The popular
@@ -330,8 +330,6 @@ def compliant_instance(
     p = entry.problem
     xhat = entry.xhat
 
-    from .problem import jacobian  # local import to avoid cycle at module load
-
     Jh = jacobian(p, xhat)
     M = Jh.T @ Jh
     Mw_dir = M @ w_dir
@@ -389,52 +387,47 @@ _COMPLIANT_SPECS = {
 _cache: dict = {}
 
 
+def _compliant(label: str) -> tuple:
+    """The certified instance behind a compliant label, built once per process."""
+    if label not in _cache:
+        _cache[label] = compliant_instance(*_COMPLIANT_SPECS[label])
+    return _cache[label]
+
+
 def compliant_suite() -> list:
     """The certified instances used by the verification batteries.
 
     Returns a list of (label, GalleryEntry, PowerSchedule, B0, R).
     """
-    out = []
-    for label, (n, seed, kind) in _COMPLIANT_SPECS.items():
-        key = ("compliant", label)
-        if key not in _cache:
-            _cache[key] = compliant_instance(n, seed, kind)
-        entry, sched, B0, R = _cache[key]
-        out.append((label, entry, sched, B0, R))
-    return out
+    return [(label, *_compliant(label)) for label in _COMPLIANT_SPECS]
+
+
+def _feigenbaum_6(noise: float, noise_seed: int) -> GalleryEntry:
+    if noise > 0.0:
+        raise ValueError("feigenbaum-6 does not support noise injection")
+    return make_feigenbaum_like(6)
+
+
+#: Builder of each fixed-size entry by label, called with noise= and noise_seed=.
+_ENTRIES = {
+    "identity-8": lambda **noise: make_affine(8, "identity", **noise),
+    "hilbert-8": lambda **noise: make_affine(8, "hilbert_matrix", **noise),
+    "rank-deficient-8": lambda **noise: make_affine(8, "rank_deficient", **noise),
+    "autoconv-16": lambda **noise: make_autoconvolution(16, **noise),
+    "feigenbaum-6": _feigenbaum_6,
+}
 
 
 def available_labels() -> list:
-    return [
-        "identity-8",
-        "hilbert-8",
-        "rank-deficient-8",
-        "autoconv-16",
-        "feigenbaum-6",
-        *_COMPLIANT_SPECS.keys(),
-    ]
+    return [*_ENTRIES, *_COMPLIANT_SPECS]
 
 
 def get_entry(label: str, noise: float = 0.0, noise_seed: int = 0) -> GalleryEntry:
     """Look up a gallery entry by label, optionally with data noise."""
-    if label == "identity-8":
-        return make_affine(8, "identity", noise=noise, noise_seed=noise_seed)
-    if label == "hilbert-8":
-        return make_affine(8, "hilbert_matrix", noise=noise, noise_seed=noise_seed)
-    if label == "rank-deficient-8":
-        return make_affine(8, "rank_deficient", noise=noise, noise_seed=noise_seed)
-    if label == "autoconv-16":
-        return make_autoconvolution(16, noise=noise, noise_seed=noise_seed)
-    if label == "feigenbaum-6":
-        if noise > 0.0:
-            raise ValueError("feigenbaum-6 does not support noise injection")
-        return make_feigenbaum_like(6)
+    if label in _ENTRIES:
+        return _ENTRIES[label](noise=noise, noise_seed=noise_seed)
     if label in _COMPLIANT_SPECS:
-        n, seed, kind = _COMPLIANT_SPECS[label]
-        key = ("compliant", label)
-        if key not in _cache:
-            _cache[key] = compliant_instance(n, seed, kind)
-        entry = _cache[key][0]
+        entry = _compliant(label)[0]
         if noise == 0.0:
             return entry
         rng = np.random.default_rng(noise_seed)

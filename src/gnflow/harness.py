@@ -1,31 +1,25 @@
 """Experiment batteries: parameter sweeps with optional data noise.
 
-Each sweep row is one independent run (value x seed); failures are
-recorded in the row's termination tag and never abort the sweep. Noise
-is a fixed, seed-deterministic perturbation of the problem's data vector
-applied once at problem construction, not re-sampled per evaluation.
+Each sweep row is one independent run (value x seed), configured and
+built by ``gnflow.run``; failures are recorded in the row's termination
+tag and never abort the sweep. Noise is a fixed, seed-deterministic
+perturbation of the problem's data vector applied once at problem
+construction, not re-sampled per evaluation.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 
-from .cli import ConfigError, RunConfig, execute_run
+from .run import KEY_TO_FIELD, ConfigError, RunConfig, execute_run, fmt, write_lines
 
 SWEEP_COLUMNS = ("param_value", "seed", "final_err", "final_residual",
                  "termination", "wall_ms")
 
-_PARAM_FIELDS = {
-    "noise": "noise",
-    "schedule.c0": "schedule_c0",
-    "schedule.c1": "schedule_c1",
-    "schedule.a": "schedule_a",
-    "integrator.step_h": "step_h",
-    "integrator.horizon_T": "horizon_T",
-    "x0_scale": "x0_scale",
-}
+#: Dotted config keys a sweep may set directly.
+SWEEP_KEYS = ("noise", "schedule.c0", "schedule.c1", "schedule.a",
+              "integrator.step_h", "integrator.horizon_T", "x0_scale")
 
 
 @dataclass
@@ -34,7 +28,7 @@ class SweepSpec:
 
     ``param`` is "eps0" (sets eps(0) through the schedule's c0), "noise"
     (data perturbation level), or a dotted config key from
-    ``_PARAM_FIELDS``. Rows are produced for every value x seed pair.
+    ``SWEEP_KEYS``. Rows are produced for every value x seed pair.
     """
 
     base: RunConfig
@@ -45,10 +39,10 @@ class SweepSpec:
     def __post_init__(self):
         if not self.values:
             raise ConfigError("sweep needs a nonempty value list")
-        if self.param != "eps0" and self.param not in _PARAM_FIELDS:
+        if self.param != "eps0" and self.param not in SWEEP_KEYS:
             raise ConfigError(
                 f"unknown sweep parameter {self.param!r}; "
-                f"choose eps0 or one of {sorted(_PARAM_FIELDS)}"
+                f"choose eps0 or one of {sorted(SWEEP_KEYS)}"
             )
         if self.param == "noise" and any(v < 0 for v in self.values):
             raise ConfigError("noise levels must be nonnegative")
@@ -58,7 +52,7 @@ def _apply_param(cfg: RunConfig, param: str, value: float) -> RunConfig:
     if param == "eps0":
         # eps(0) = c0 * c1**(-a); move c0 so eps(0) hits the target.
         return replace(cfg, schedule_c0=value * cfg.schedule_c1**cfg.schedule_a)
-    return replace(cfg, **{_PARAM_FIELDS[param]: value})
+    return replace(cfg, **{KEY_TO_FIELD[param]: value})
 
 
 def sweep(spec: SweepSpec) -> list:
@@ -69,37 +63,19 @@ def sweep(spec: SweepSpec) -> list:
             cfg = _apply_param(replace(spec.base, seed=seed), spec.param, value)
             start = time.perf_counter()
             try:
-                traj, _, _, _ = execute_run(cfg)
+                traj, _ = execute_run(cfg)
                 final = traj.records[-1][1]
-                rows.append({
-                    "param_value": value,
-                    "seed": seed,
-                    "final_err": final.err_norm,
-                    "final_residual": final.residual_norm,
-                    "termination": traj.termination,
-                    "wall_ms": 1000.0 * (time.perf_counter() - start),
-                })
+                outcome = (final.err_norm, final.residual_norm, traj.termination)
             except Exception as exc:  # record, never abort the sweep
-                rows.append({
-                    "param_value": value,
-                    "seed": seed,
-                    "final_err": None,
-                    "final_residual": None,
-                    "termination": f"error:{type(exc).__name__}",
-                    "wall_ms": 1000.0 * (time.perf_counter() - start),
-                })
+                outcome = (None, None, f"error:{type(exc).__name__}")
+            wall_ms = 1000.0 * (time.perf_counter() - start)
+            rows.append(dict(zip(SWEEP_COLUMNS, (value, seed, *outcome, wall_ms))))
     return rows
 
 
 def write_sweep_csv(path: str, rows: list) -> None:
-    def fmt(v):
-        if v is None:
-            return ""
-        if isinstance(v, float):
-            return f"{v:.17g}"
-        return str(v)
-
+    """One header line, then one line per row; raises ConfigError if unwritable."""
     lines = [",".join(SWEEP_COLUMNS)]
     for row in rows:
         lines.append(",".join(fmt(row[c]) for c in SWEEP_COLUMNS))
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_lines(path, lines)

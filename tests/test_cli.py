@@ -1,6 +1,9 @@
+import re
+import sys
+
 import pytest
 
-from gnflow import cli
+from gnflow import cli, flow, gallery
 
 
 def run_cli(argv):
@@ -265,3 +268,100 @@ class TestSweep:
                           "termination", "wall_ms"]
         assert len(rows) == 2
         assert all(r[4] == "horizon_reached" for r in rows)
+
+
+class TestUsageErrors:
+    # argparse's own exit code 2 is the documented ball-exit code
+    @pytest.mark.parametrize("argv", [
+        ["run", "--step-h", "abc"],
+        ["run", "--method", "foo"],
+        ["sweep", "--values", "a"],
+        ["sweep", "--preset", "eps0-range", "--seeds", "x"],
+    ])
+    def test_usage_error_is_config_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(argv)
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: gnflow ") and f"gnflow {argv[0]}: error:" in err
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["run", "--help"])
+        assert exc.value.code == 0
+
+
+class TestBadValues:
+    @pytest.mark.parametrize("flags, config, message", [
+        (["--step-h", "0"], None, "step_h must be positive"),
+        (["--record-every", "0"], None, "record_every must be >= 1"),
+        (["--step-h", "0.5", "--horizon-T", "0.1"], None, "horizon_T must be at least one step"),
+        ([], "integrator.method = foo\n", "unknown method 'foo'"),
+        ([], "problem = identity-8\nseed = abc\n", "run.cfg:2: bad value for 'seed'"),
+        (["--config", "missing.cfg"], None, "cannot read missing.cfg"),
+    ])
+    def test_reported_as_config_error(self, tmp_path, monkeypatch, capsys, flags, config,
+                                      message):
+        monkeypatch.chdir(tmp_path)
+        if config is not None:
+            (tmp_path / "run.cfg").write_text(config)
+            flags = flags + ["--config", "run.cfg"]
+        code = run_cli(["run", "--problem", "identity-8", *flags])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
+
+def count_calls(monkeypatch, fn):
+    """Count calls of ``fn`` through every gnflow module global bound to it."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return fn(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "gnflow" or name.startswith("gnflow."):
+            for attr, val in list(vars(mod).items()):
+                if val is fn:
+                    monkeypatch.setattr(mod, attr, counted)
+    return calls
+
+
+class TestBuildOnce:
+    def test_certify_reuses_built_run(self, tmp_path, monkeypatch):
+        gallery.get_entry("compliant-affine-4")  # build the cached instance beforehand
+        entries = count_calls(monkeypatch, gallery.get_entry)
+        inverses = count_calls(monkeypatch, flow.initial_inverse)
+        code = run_cli([
+            "run", "--problem", "compliant-affine-4", "--method", "coupled", "--certify",
+            "--schedule-c0", "20", "--schedule-c1", "200",
+            "--out-trajectory", str(tmp_path / "t.csv"),
+            "--out-summary", str(tmp_path / "s.txt"),
+        ])
+        assert code == 0
+        assert read_summary(tmp_path / "s.txt")["certificate.overall"] == "true"
+        assert (len(entries), len(inverses)) == (1, 1)
+
+
+#: One flag per RunConfig field, plus --config and --help.
+RUN_FLAGS = {
+    "-h", "--help", "--config", "--problem", "--method", "--schedule-c0", "--schedule-c1",
+    "--schedule-a", "--integrator-method", "--step-h", "--horizon-T", "--record-every",
+    "--b0-mode", "--x0-scale", "--ball-radius", "--certify", "--noise", "--seed",
+    "--out-trajectory", "--out-summary",
+}
+
+
+class TestFlags:
+    @pytest.mark.parametrize("command, extra", [
+        ("run", set()),
+        ("compare", {"--config-b", "--out"}),
+        ("sweep", {"--param", "--values", "--seeds", "--preset", "--out"}),
+    ])
+    def test_option_strings_unchanged(self, capsys, command, extra):
+        with pytest.raises(SystemExit) as exc:
+            run_cli([command, "--help"])
+        assert exc.value.code == 0
+        flags = set(re.findall(r"(?<![\w-])--?[A-Za-z][\w-]*", capsys.readouterr().out))
+        assert flags == RUN_FLAGS | extra

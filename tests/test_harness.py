@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gnflow.cli import ConfigError, RunConfig
+from gnflow.run import ConfigError, RunConfig
 from gnflow.harness import SweepSpec, sweep, write_sweep_csv
 
 

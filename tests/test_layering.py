@@ -1,0 +1,63 @@
+"""Imports inside the package run one way: down the layer order below."""
+
+import ast
+from pathlib import Path
+
+import gnflow
+
+#: Each module may import only modules listed before it.
+LAYERS = ("hilbert", "schedule", "problem", "flow", "integrator", "theory", "gallery",
+          "run", "harness", "cli")
+
+PACKAGE_DIR = Path(gnflow.__file__).parent
+
+
+def package_imports(source: str) -> set:
+    """The gnflow modules a source imports, at any depth, function-local ones included."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name == "gnflow" or alias.name.startswith("gnflow."):
+                    found.add(alias.name.partition(".")[2] or "gnflow")
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0:
+                if module != "gnflow" and not module.startswith("gnflow."):
+                    continue
+                module = module.partition(".")[2]
+            if module:
+                found.add(module.split(".")[0])
+            else:  # from . import a, b
+                found.update(alias.name for alias in node.names)
+    return found
+
+
+def test_parser_sees_every_import_form():
+    source = (
+        "import numpy\n"
+        "from . import hilbert, theory\n"
+        "from .flow import SolverState\n"
+        "def f():\n"
+        "    from .cli import main\n"
+        "    import gnflow.run\n"
+        "    from gnflow import gallery\n"
+        "    from gnflow.harness import sweep\n"
+    )
+    assert package_imports(source) == {"hilbert", "theory", "flow", "cli", "run", "gallery",
+                                       "harness"}
+
+
+def layered_modules() -> dict:
+    return {p.stem: p for p in PACKAGE_DIR.glob("*.py") if p.stem not in ("__init__", "__main__")}
+
+
+def test_every_module_is_layered():
+    assert set(layered_modules()) == set(LAYERS)
+
+
+def test_imports_point_down_the_layers():
+    for name, path in sorted(layered_modules().items()):
+        if name in LAYERS:  # an unlisted module fails the test above
+            upward = package_imports(path.read_text()) - set(LAYERS[:LAYERS.index(name)])
+            assert not upward, f"{name} imports {sorted(upward)}, which are not below it"
