@@ -66,7 +66,7 @@ def gauss_newton_operator(p: NonlinearProblem, x, eps: float) -> np.ndarray:
         raise ValueError(f"eps must be positive, got {eps}")
     J = jacobian(p, x)
     M = J.T @ J
-    M = 0.5 * (M + M.T) + eps * np.eye(p.dim)
+    M = 0.5 * (M + M.T) + eps * hilbert.identity(p.dim)
     return M
 
 
@@ -101,27 +101,26 @@ def mismatch_operator(p: NonlinearProblem, xhat, B, eps: float) -> np.ndarray:
     xhat = hilbert.as_vector(xhat, dim=p.dim)
     B = hilbert.as_operator(B, dim=p.dim)
     Jh = jacobian(p, xhat)
-    return np.eye(p.dim) - B @ (Jh.T @ Jh + eps * np.eye(p.dim))
+    I = hilbert.identity(p.dim)
+    return I - B @ (Jh.T @ Jh + eps * I)
 
 
 def initial_inverse(p: NonlinearProblem, x0, eps0: float) -> np.ndarray:
     """Exact regularized inverse at the initial iterate.
 
-    Built column-by-column with the SPD solver; the standard start for
-    the coupled flow.
+    One factorization of F'(x0)* F'(x0) + eps0 I, solved for the columns
+    of the identity; the standard start for the coupled flow.
     """
     x0 = hilbert.as_vector(x0, dim=p.dim)
     J = jacobian(p, x0)
-    G = J.T @ J
-    cols = [hilbert.solve_regularized(G, eps0, e) for e in np.eye(p.dim)]
-    return np.column_stack(cols)
+    return hilbert.solve_regularized(J.T @ J, eps0, hilbert.identity(p.dim))
 
 
 def scaled_identity_inverse(p: NonlinearProblem, x0, eps0: float) -> np.ndarray:
     """I / (||F'(x0)||^2 + eps0), the no-initial-inversion start."""
     x0 = hilbert.as_vector(x0, dim=p.dim)
     n1 = hilbert.op_norm(jacobian(p, x0))
-    return np.eye(p.dim) / (n1**2 + eps0)
+    return hilbert.identity(p.dim) / (n1**2 + eps0)
 
 
 def diagnostics(
@@ -131,7 +130,7 @@ def diagnostics(
 
     lambda_norm is evaluated at the fixed solution point, not at the
     current iterate; inverse_residual uses the current iterate (it equals
-    ||B'||).
+    ||B'||). The operator norms come from one batched norm call.
     """
     eps = s.eps(st.t)
     residual = float(np.linalg.norm(eval_F(p, st.x)))
@@ -140,14 +139,15 @@ def diagnostics(
         xhat = hilbert.as_vector(xhat, dim=p.dim)
         out.err_norm = float(np.linalg.norm(st.x - xhat))
     if st.B is not None:
-        out.B_norm = hilbert.op_norm(st.B)
+        I = hilbert.identity(p.dim)
         M = gauss_newton_operator(p, st.x, eps)
-        out.inverse_residual = hilbert.op_norm(M @ st.B - np.eye(p.dim))
+        ops = [st.B, M @ st.B - I]
         if xhat is not None:
             Jh = jacobian(p, xhat)
             Gh = Jh.T @ Jh
-            out.lambda_norm = hilbert.op_norm(
-                np.eye(p.dim) - st.B @ (Gh + eps * np.eye(p.dim))
-            )
-            out.D_norm = hilbert.op_norm(st.B @ Gh)
+            ops += [I - st.B @ (Gh + eps * I), st.B @ Gh]
+        norms = [float(v) for v in hilbert.op_norms(ops)]
+        out.B_norm, out.inverse_residual = norms[:2]
+        if xhat is not None:
+            out.lambda_norm, out.D_norm = norms[2:]
     return out

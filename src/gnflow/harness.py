@@ -1,14 +1,16 @@
 """Experiment batteries: parameter sweeps with optional data noise.
 
 Each sweep row is one independent run (value x seed), configured and
-built by ``gnflow.run``; failures are recorded in the row's termination
-tag and never abort the sweep. Noise is a fixed, seed-deterministic
-perturbation of the problem's data vector applied once at problem
-construction, not re-sampled per evaluation.
+built by ``gnflow.run``; failures are recorded, with their message, in
+the row's termination tag and never abort the sweep. Noise is a fixed,
+seed-deterministic perturbation of the problem's data vector applied
+once at problem construction, not re-sampled per evaluation.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import time
 from dataclasses import dataclass, field, replace
 
@@ -67,15 +69,26 @@ def sweep(spec: SweepSpec) -> list:
                 final = traj.records[-1][1]
                 outcome = (final.err_norm, final.residual_norm, traj.termination)
             except Exception as exc:  # record, never abort the sweep
-                outcome = (None, None, f"error:{type(exc).__name__}")
+                outcome = (None, None, f"error:{type(exc).__name__}: {exc}")
             wall_ms = 1000.0 * (time.perf_counter() - start)
             rows.append(dict(zip(SWEEP_COLUMNS, (value, seed, *outcome, wall_ms))))
     return rows
 
 
+def _csv_line(cells) -> str:
+    """One CSV record; a cell holding a comma, quote or line break is quoted."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(cells)
+    return buf.getvalue().removesuffix("\n")
+
+
 def write_sweep_csv(path: str, rows: list) -> None:
-    """One header line, then one line per row; raises ConfigError if unwritable."""
+    """One header line, then one line per row; raises ConfigError if unwritable.
+
+    A failed row's termination tag carries the error message, which is
+    quoted when it holds a comma, quote or line break.
+    """
     lines = [",".join(SWEEP_COLUMNS)]
     for row in rows:
-        lines.append(",".join(fmt(row[c]) for c in SWEEP_COLUMNS))
+        lines.append(_csv_line(fmt(row[c]) for c in SWEEP_COLUMNS))
     write_lines(path, lines)

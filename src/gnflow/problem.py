@@ -26,9 +26,15 @@ BOUND_INFLATION = 1.1
 N2_FLOOR = 1e-8
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class NonlinearProblem:
     """F: R^n -> R^n with optional Jacobian and known solution.
+
+    Problems are immutable: assigning to a field raises
+    ``dataclasses.FrozenInstanceError``. Equality and hashing are by
+    identity, so a problem can key caches of what depends only on it;
+    ``theory.certify_with_canonical_R`` reuses its sampled ball bounds
+    that way.
 
     Args:
         dim: ambient dimension n.
@@ -54,10 +60,11 @@ class NonlinearProblem:
         if self.dim < 1:
             raise ValueError(f"dim must be >= 1, got {self.dim}")
         if self.known_solution is not None:
-            self.known_solution = hilbert.as_vector(self.known_solution, dim=self.dim)
+            xhat = hilbert.as_vector(self.known_solution, dim=self.dim)
+            object.__setattr__(self, "known_solution", xhat)
             if self.validate_solution:
-                res = np.linalg.norm(self.f(self.known_solution))
-                bound = 1e-8 * (1.0 + np.linalg.norm(self.known_solution))
+                res = np.linalg.norm(self.f(xhat))
+                bound = 1e-8 * (1.0 + np.linalg.norm(xhat))
                 if res > bound:
                     raise ValueError(
                         f"known_solution is not a root: ||F(xhat)|| = {res:.3e} "
@@ -158,8 +165,9 @@ def estimate_bounds(
     Deterministic per seed.
 
     The Jacobians are evaluated sample by sample, in order; their norms
-    are then taken in two batched LAPACK SVD calls, one over the stacked
-    Jacobians and one over the stacked differences. Each batched norm
+    are then taken by :func:`hilbert.op_norms` in two batched calls, one
+    over the stacked Jacobians and one over the stacked differences (a
+    non-finite difference raises ValueError there). Each batched norm
     equals :func:`hilbert.op_norm` of the same matrix exactly.
     """
     center = hilbert.as_vector(center, dim=p.dim)
@@ -180,10 +188,8 @@ def estimate_bounds(
     for i, (x, d) in enumerate(zip(points, dirs)):
         jacs[i] = jacobian(p, x)
         diffs[i] = (jacobian(p, x + delta * d) - jacs[i]) / delta
-    if not hilbert.all_finite(diffs):
-        raise ValueError("differenced Jacobian has non-finite entries")
-    n1 = float(np.max(np.linalg.svd(jacs, compute_uv=False)[:, 0]))
-    n2 = float(np.max(np.linalg.svd(diffs, compute_uv=False)[:, 0]))
+    n1 = float(np.max(hilbert.op_norms(jacs)))
+    n2 = float(np.max(hilbert.op_norms(diffs)))
     return BallBounds(
         center=center,
         radius=float(radius),

@@ -79,8 +79,16 @@ CHOICES = {
 }
 
 
+_BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
+               "0": False, "false": False, "no": False, "off": False}
+
+
 def _on(raw: str) -> bool:
-    return raw.lower() in ("1", "true", "yes", "on")
+    """A boolean from 1/true/yes/on or 0/false/no/off, in any case."""
+    try:
+        return _BOOL_WORDS[raw.lower()]
+    except KeyError:
+        raise ValueError(f"expected 1/true/yes/on or 0/false/no/off, got {raw!r}") from None
 
 
 #: Parser of a value, by the declared type of its RunConfig field (a string:
@@ -137,7 +145,8 @@ def _build_run(cfg: RunConfig) -> tuple:
     try:
         entry = gallery.get_entry(cfg.problem, noise=cfg.noise, noise_seed=cfg.seed)
     except (KeyError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+        # args[0], not str(): str of a KeyError is the repr of its message
+        raise ConfigError(exc.args[0]) from exc
     try:
         sched = PowerSchedule(c0=cfg.schedule_c0, c1=cfg.schedule_c1, a=cfg.schedule_a)
     except ValueError as exc:

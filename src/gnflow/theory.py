@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
+import weakref
 from dataclasses import dataclass
 from typing import Callable
 
@@ -40,6 +41,11 @@ CHECK_NAMES = (
     "initial_offset",    # lambda < eps0 / ||x0 - xhat||
     "source_residual",   # ||F'*F' w - (xhat-x0)|| <= tol * ||xhat-x0||
 )
+
+#: Sampled ball bounds per problem, keyed by (center bytes, radius,
+#: samples, seed): the bounds depend on nothing else, and problems are
+#: immutable. An entry lives as long as its problem.
+_BALL_BOUNDS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 @dataclass
@@ -206,6 +212,22 @@ def certify(
     )
 
 
+def _ball_bounds(p: NonlinearProblem, xhat: np.ndarray, radius: float, samples: int,
+                 seed: int) -> BallBounds:
+    """``estimate_bounds`` on U(xhat, radius), sampled once per problem and key.
+
+    Every caller gets the same bounds object, so its center is a
+    read-only copy of ``xhat``.
+    """
+    memo = _BALL_BOUNDS.setdefault(p, {})
+    key = (xhat.tobytes(), radius, samples, seed)
+    if key not in memo:
+        center = xhat.copy()
+        center.flags.writeable = False
+        memo[key] = estimate_bounds(p, center, radius, samples=samples, seed=seed)
+    return memo[key]
+
+
 def certify_with_canonical_R(
     p: NonlinearProblem,
     xhat,
@@ -223,6 +245,13 @@ def certify_with_canonical_R(
     sharp radius inequality holds strictly in floating point (a larger R
     keeps the certificate valid).
 
+    The sampled bounds depend only on the problem, ``xhat``, the sampling
+    radius, ``samples`` and ``seed``, and problems are immutable, so they
+    are sampled once per problem and key and reused by later calls: the
+    halvings of ``gallery.compliant_instance`` change eps(0) and x0, which
+    mostly leaves the sampling radius at its starting value. The result
+    is the same as sampling afresh.
+
     Raises ValueError when no positive canonical radius exists or the
     radius iteration does not close.
     """
@@ -237,7 +266,7 @@ def certify_with_canonical_R(
 
     radius = max(1.0, 2.0 * float(np.linalg.norm(x0 - xhat)))
     for _ in range(8):
-        bounds = estimate_bounds(p, xhat, radius, samples=samples, seed=seed)
+        bounds = _ball_bounds(p, xhat, radius, samples, seed)
         R = canonical_R(bounds.N1, bounds.N2, b, eps0, b0_norm, lambda0_norm)
         R_used = R * (1.0 + R_INFLATION)
         if R_used * eps0 <= radius:
@@ -325,15 +354,19 @@ def gronwall_check(
         return dqr, dV
 
     # (q, r) rides as the vector block of the integrator's state, V as its
-    # matrix block.
+    # matrix block. Each step's V is kept for one batched norm call.
     qr, V = np.zeros(2), V0
     v0_norm = hilbert.op_norm(V0)
     check_coercive(0.0)
-    max_violation = hilbert.op_norm(V) - v0_norm  # zero at t = 0
+    Vs = np.empty((n_steps, n, n))
+    bounds = []
     for k in range(1, n_steps + 1):
         qr, V = _advance(rhs, qr, V, (k - 1) * h, h, "rk4")
-        tk = k * h
-        check_coercive(tk)
-        bound = math.exp(-qr[0]) * (qr[1] + v0_norm)
-        max_violation = max(max_violation, hilbert.op_norm(V) - bound)
+        check_coercive(k * h)
+        Vs[k - 1] = V
+        bounds.append(math.exp(-qr[0]) * (qr[1] + v0_norm))
+    norms = hilbert.op_norms(Vs)
+    max_violation = 0.0  # ||V0|| - bound(0)
+    for v_norm, bound in zip(norms, bounds):
+        max_violation = max(max_violation, float(v_norm) - bound)
     return float(max_violation)

@@ -1,3 +1,4 @@
+import csv
 import re
 import sys
 
@@ -70,13 +71,16 @@ class TestRun:
         header, rows = read_csv(traj)
         assert len(rows) >= 1  # final record present
 
-    def test_unknown_problem_is_config_error(self, tmp_path):
+    def test_unknown_problem_is_config_error(self, tmp_path, capsys):
         code = run_cli([
             "run", "--problem", "not-a-problem",
             "--out-trajectory", str(tmp_path / "t.csv"),
             "--out-summary", str(tmp_path / "s.txt"),
         ])
         assert code == 1
+        # the message itself, not the repr of a KeyError
+        assert capsys.readouterr().err.startswith(
+            "error: unknown problem label 'not-a-problem'; available: ")
 
     @pytest.mark.parametrize("radius", ["0", "-1.0"])
     def test_non_positive_ball_radius_is_config_error(self, tmp_path, capsys, radius):
@@ -140,6 +144,30 @@ class TestConfigFile:
         cfg.write_text("no_such_key = 1\n")
         with pytest.raises(cli.ConfigError, match="unknown config key"):
             cli.load_config(str(cfg), {})
+
+    @pytest.mark.parametrize("raw, value", [
+        ("1", True), ("TRUE", True), ("Yes", True), ("on", True),
+        ("0", False), ("False", False), ("NO", False), ("off", False),
+    ])
+    def test_boolean_words(self, tmp_path, raw, value):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"certify = {raw}\n")
+        assert cli.load_config(str(cfg), {}).certify is value
+
+    def test_misspelt_boolean_is_config_error(self, tmp_path, monkeypatch, capsys):
+        # it used to read as false: the run went ahead without a certificate
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "run.cfg").write_text("problem = identity-8\ncertify = ture\n")
+        assert run_cli(["run", "--config", "run.cfg"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: run.cfg:2: bad value for 'certify'") and "'ture'" in err
+
+    def test_boolean_flag_takes_no_value(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["run", "--problem", "identity-8", "--certify=ture"])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert "argument --certify" in err and "'ture'" in err
 
     def test_malformed_line_rejected(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -268,6 +296,22 @@ class TestSweep:
                           "termination", "wall_ms"]
         assert len(rows) == 2
         assert all(r[4] == "horizon_reached" for r in rows)
+
+    def test_failed_row_keeps_its_reason(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        code = run_cli([
+            "sweep", "--problem", "identity-8", "--param", "integrator.step_h",
+            "--values", "0,0.1", "--horizon-T", "1.0", "--out", str(out),
+        ])
+        assert code == 0
+        with out.open(newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        termination = header.index("termination")
+        assert len(rows) == 2 and all(len(r) == len(header) for r in rows)
+        assert rows[0][termination].startswith("error:ConfigError: ")
+        assert "step_h must be positive" in rows[0][termination]
+        assert rows[1][termination] == "horizon_reached"
+        assert "step_h must be positive" in capsys.readouterr().out
 
 
 class TestUsageErrors:

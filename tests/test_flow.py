@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gnflow import gallery
+from gnflow import gallery, hilbert
 from gnflow.flow import (
     SolverState,
     coupled_rhs,
@@ -13,7 +13,7 @@ from gnflow.flow import (
     scaled_identity_inverse,
 )
 from gnflow.integrator import IntegratorConfig, integrate
-from gnflow.problem import NonlinearProblem
+from gnflow.problem import NonlinearProblem, jacobian
 from gnflow.schedule import PowerSchedule, frozen
 
 
@@ -141,6 +141,17 @@ class TestInitialInverse:
         B0 = initial_inverse(p, np.zeros(5), 0.1)
         oracle = np.linalg.inv(A.T @ A + 0.1 * np.eye(5))
         assert np.allclose(B0, oracle, atol=1e-10)
+
+    @pytest.mark.parametrize("label", gallery.available_labels())
+    def test_one_factorization_matches_column_by_column(self, label):
+        entry = gallery.get_entry(label)
+        p, x0 = entry.problem, entry.default_x0
+        J = jacobian(p, x0)
+        G = J.T @ J
+        for eps0 in (1e-3, 0.1):
+            reference = np.column_stack(
+                [hilbert.solve_regularized(G, eps0, e) for e in np.eye(p.dim)])
+            assert np.array_equal(initial_inverse(p, x0, eps0), reference), label
 
     def test_scaled_identity_mode(self):
         p, xhat = identity_problem()

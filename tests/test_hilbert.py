@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from gnflow import hilbert
 
@@ -119,6 +120,35 @@ class TestSolveRegularized:
         with pytest.raises(ValueError):
             hilbert.solve_regularized(np.eye(2), 0.0, np.ones(2))
 
+    @pytest.mark.parametrize("n", [1, 2, 4, 8, 16])
+    def test_matches_cho_factor_reference(self, n):
+        # scipy's cho_factor/cho_solve with the same refinement pass: the
+        # LAPACK calls behind them are the same, so results agree bit for bit
+        def reference(G, eps, b):
+            M = G + eps * np.eye(n)
+            M = 0.5 * (M + M.T)
+            chol = scipy.linalg.cho_factor(M, lower=True, check_finite=False)
+            y = scipy.linalg.cho_solve(chol, b, check_finite=False)
+            return y + scipy.linalg.cho_solve(chol, b - M @ y, check_finite=False)
+
+        rng = np.random.default_rng(n)
+        for eps in (1e-6, 1e-3, 0.1, 1.0):
+            J = rng.standard_normal((n, n))
+            G = J.T @ J
+            rhs = rng.standard_normal((n, 3))
+            for j in range(3):
+                y = hilbert.solve_regularized(G, eps, rhs[:, j])
+                assert np.array_equal(y, reference(G, eps, rhs[:, j]))
+            # a matrix right-hand side: one factorization, every column as alone
+            Y = hilbert.solve_regularized(G, eps, rhs)
+            assert np.array_equal(Y, np.column_stack([reference(G, eps, b) for b in rhs.T]))
+
+    def test_matrix_rhs_validated(self):
+        with pytest.raises(ValueError, match="2 rows"):
+            hilbert.solve_regularized(np.eye(2), 1.0, np.ones((3, 2)))
+        with pytest.raises(ValueError, match="finite"):
+            hilbert.solve_regularized(np.eye(2), 1.0, np.array([[1.0, np.inf], [0.0, 1.0]]))
+
 
 class TestOpNorm:
     def test_identity(self):
@@ -170,3 +200,20 @@ class TestOpNorm:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError, match="non-finite"):
             hilbert.op_norm(np.array([[1.0, np.nan], [0.0, 1.0]]))
+
+
+class TestOpNorms:
+    def test_each_equals_op_norm(self):
+        rng = np.random.default_rng(11)
+        for n in (1, 3, 8, 16):
+            stack = rng.standard_normal((5, n, n))
+            norms = hilbert.op_norms(stack)
+            assert [float(v) for v in norms] == [hilbert.op_norm(A) for A in stack]
+
+    def test_rejects_non_finite(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            hilbert.op_norms([np.eye(2), np.array([[1.0, np.nan], [0.0, 1.0]])])
+
+    def test_rejects_non_square(self):
+        with pytest.raises(ValueError, match="square"):
+            hilbert.op_norms(np.ones((2, 3, 4)))

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -258,3 +260,18 @@ class TestKnownSolutionValidation:
     def test_validation_can_be_disabled(self):
         NonlinearProblem(dim=2, f=lambda x: x - 1.0, known_solution=np.zeros(2),
                          validate_solution=False)
+
+
+class TestImmutable:
+    def test_fields_cannot_be_assigned(self, identity_problem):
+        p, _ = identity_problem
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            p.known_solution = np.zeros(p.dim)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            p.f = lambda x: x
+
+    def test_hash_and_equality_by_identity(self):
+        a = NonlinearProblem(dim=2, f=lambda x: x - 1.0, known_solution=np.ones(2))
+        b = NonlinearProblem(dim=2, f=a.f, known_solution=np.ones(2))
+        assert a == a and a != b
+        assert len({a, b}) == 2

@@ -1,9 +1,14 @@
+import gc
+import math
+import weakref
+
 import numpy as np
 import pytest
 
 from gnflow import gallery, theory
 from gnflow.flow import SolverState, initial_inverse
-from gnflow.integrator import IntegratorConfig, integrate
+from gnflow.hilbert import op_norm
+from gnflow.integrator import IntegratorConfig, _advance, integrate
 from gnflow.problem import NonlinearProblem, estimate_bounds
 from gnflow.schedule import PowerSchedule
 
@@ -275,6 +280,43 @@ class TestRiccatiEnvelope:
         assert theory.riccati_envelope_check(samples, lambda t: cert.lam / sched.eps(t))
 
 
+def lemma_battery_path(i):
+    """Path i of the lemma battery (``verify --suite lemmas``): 0 is the
+    constant-coefficient case, 1..20 the randomized SPD paths (seeds
+    0..19), and 21 the scalar path with positive forcing.
+    Returns (A_path, G_path, V0, gamma, T)."""
+    if i == 0:
+        return (lambda t: 1.3 * np.eye(3), lambda t: np.zeros((3, 3)), np.eye(3),
+                lambda t: 1.3, 2.0)
+    if i == 21:
+        return (lambda t: np.array([[0.8]]), lambda t: np.array([[0.5 + 0.1 * np.sin(t)]]),
+                np.array([[1.0]]), lambda t: 0.8, 2.0)
+    rng = np.random.default_rng(i - 1)
+    n = int(rng.integers(2, 9))
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    base = Q @ np.diag(rng.uniform(0.5, 2.0, size=n)) @ Q.T
+    S = rng.standard_normal((n, n))
+    S = 0.2 * (S + S.T) / 2.0
+    A_path = lambda t: base + np.sin(t) * S
+    gamma = lambda t: float(np.min(np.linalg.eigvalsh(0.5 * (A_path(t) + A_path(t).T))))
+    return A_path, lambda t: np.zeros((n, n)), rng.standard_normal((n, n)), gamma, 1.5
+
+
+def gronwall_reference(A_path, G_path, V0, gamma, T, h):
+    """The Gronwall violation with one op_norm per step, in step order."""
+    def rhs(t, qr, V):
+        A, G = A_path(t), G_path(t)
+        return np.array([gamma(t), op_norm(G) * math.exp(qr[0])]), G - A @ V
+
+    qr, V = np.zeros(2), V0
+    v0_norm = op_norm(V0)
+    worst = 0.0
+    for k in range(1, int(math.floor(T / h + 1e-9)) + 1):
+        qr, V = _advance(rhs, qr, V, (k - 1) * h, h, "rk4")
+        worst = max(worst, op_norm(V) - math.exp(-qr[0]) * (qr[1] + v0_norm))
+    return worst
+
+
 class TestGronwall:
     def test_constant_coefficients_saturate(self):
         # A = gamma*I, G = 0: ||V(t)|| = e^{-gamma t} ||V0|| meets the
@@ -348,6 +390,12 @@ class TestGronwall:
             assert len(seen) == len(set(seen)), name
             assert len(seen) <= 3 * 10 + 1, name
 
+    @pytest.mark.parametrize("path", range(22))
+    def test_matches_per_step_norm_reference(self, path):
+        A_path, G_path, V0, gamma, T = lemma_battery_path(path)
+        expected = gronwall_reference(A_path, G_path, V0, gamma, T, h=0.01)
+        assert theory.gronwall_check(A_path, G_path, V0, gamma, T=T, h=0.01) == expected
+
     def test_coercivity_failure_names_time(self):
         A_path = lambda t: (1.0 - t) * np.eye(2)  # loses coercivity past t=0.5
         with pytest.raises(ValueError, match=r"t=0\.6"):
@@ -375,3 +423,46 @@ class TestCertifyWithCanonicalR:
         B0 = initial_inverse(p, xhat, s.eps(0.0))
         with pytest.raises(ValueError):
             theory.certify_with_canonical_R(p, xhat, xhat, s, B0)
+
+
+class TestMemoizedBounds:
+    @pytest.mark.parametrize("kind, n", [("rank_deficient", 4), ("hilbert_matrix", 8)])
+    def test_exhaustion_samples_each_radius_once(self, monkeypatch, kind, n):
+        radii, attempts = [], []
+        sample, attempt = theory.estimate_bounds, theory.certify_with_canonical_R
+
+        def counted_sample(p, center, radius, **kw):
+            radii.append(radius)
+            return sample(p, center, radius, **kw)
+
+        def counted_attempt(*args, **kw):
+            attempts.append(1)
+            return attempt(*args, **kw)
+
+        monkeypatch.setattr(theory, "estimate_bounds", counted_sample)
+        monkeypatch.setattr(theory, "certify_with_canonical_R", counted_attempt)
+        with pytest.raises(ValueError, match="no compliant configuration"):
+            gallery.compliant_instance(n, seed=0, kind=kind, samples=16)
+        assert len(radii) == len(set(radii))
+        assert len(radii) < len(attempts)
+
+    def test_reused_bounds_equal_fresh_sampling(self):
+        label, entry, sched, B0, R = gallery.compliant_suite()[3]
+        args = (entry.problem, entry.xhat, entry.default_x0, sched, B0)
+        cert1, bounds1 = theory.certify_with_canonical_R(*args, samples=24, seed=5)
+        cert2, bounds2 = theory.certify_with_canonical_R(*args, samples=24, seed=5)
+        assert bounds2 is bounds1 and cert2.R == cert1.R
+        fresh = estimate_bounds(entry.problem, entry.xhat, bounds1.radius, samples=24, seed=5)
+        assert (bounds1.N1, bounds1.N2, bounds1.radius, bounds1.samples) == (
+            fresh.N1, fresh.N2, fresh.radius, fresh.samples)
+        assert np.array_equal(bounds1.center, fresh.center)
+        assert not bounds1.center.flags.writeable
+
+    def test_bounds_do_not_keep_the_problem_alive(self):
+        p, xhat = identity_problem()
+        s = PowerSchedule(c0=20.0, c1=200.0, a=1.0)
+        theory.certify_with_canonical_R(p, xhat, xhat, s, initial_inverse(p, xhat, s.eps(0.0)))
+        alive = weakref.ref(p)
+        del p
+        gc.collect()
+        assert alive() is None
