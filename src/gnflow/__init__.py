@@ -44,7 +44,6 @@ from .theory import (
     canonical_R,
     certify,
     certify_with_canonical_R,
-    compute_k,
     gronwall_check,
     riccati_envelope_check,
     solve_source,

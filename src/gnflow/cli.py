@@ -82,8 +82,8 @@ def _certificate_lines(cert: theory.Certificate) -> list:
         f"certificate.w_norm = {fmt(cert.w_norm)}",
         f"certificate.source_residual = {fmt(cert.source_residual)}",
     ]
-    for name in theory.CHECK_NAMES:
-        lines.append(f"certificate.check.{name} = {str(cert.checks[name]).lower()}")
+    for name, ok in cert.checks.items():
+        lines.append(f"certificate.check.{name} = {str(ok).lower()}")
     lines.append(f"certificate.overall = {str(cert.overall).lower()}")
     if cert.notes:
         lines.append(f"certificate.notes = {cert.notes}")

@@ -369,9 +369,6 @@ def compliant_instance(
             eps0 *= 0.5
         if offset_side:
             w = 0.5 * w
-        if not contraction_side and not offset_side:
-            eps0 *= 0.5
-            w = 0.5 * w
     raise ValueError(f"no compliant configuration at this dimension/seed (n={n}, seed={seed})")
 
 

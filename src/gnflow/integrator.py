@@ -17,7 +17,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import hilbert
-from .flow import FlowDiagnostics, SolverState, coupled_rhs, diagnostics, direct_rhs
+from .flow import SolverState, coupled_rhs, diagnostics, direct_rhs
 from .problem import NonlinearProblem
 
 DIVERGENCE_LIMIT = 1e12
@@ -60,10 +60,6 @@ class Trajectory:
     @property
     def final_state(self) -> SolverState:
         return self.records[-1][0]
-
-    @property
-    def final_diagnostics(self) -> FlowDiagnostics:
-        return self.records[-1][1]
 
 
 def _stage(x, B, xd, Bd, h):

@@ -4,9 +4,11 @@
 that guarantees the coupled flow stays inside the shrinking ball
 ||x(t) - xhat|| < R*eps(t): derivative bounds on a ball, the schedule
 decay constant, the initial inverse quality, the contraction constant k,
-the rate constant lambda, and the source-type condition. The two
-``*_check`` functions numerically verify the estimates that argument
-rests on: a Riccati-type envelope and an operator Gronwall bound.
+the rate constant lambda, and the source-type condition. Each instance
+constant is computed once per call, and each inequality is defined once,
+in ``_evaluate``. The two ``*_check`` functions numerically verify the
+estimates that argument rests on: a Riccati-type envelope and an
+operator Gronwall bound.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import functools
 import math
 import weakref
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -24,23 +26,16 @@ from .flow import mismatch_operator
 from .integrator import _advance
 from .problem import BallBounds, NonlinearProblem, estimate_bounds, jacobian
 
-#: Relative spectral cutoff for the source-condition pseudo-inverse. The
-#: range of F'(xhat)*F'(xhat) is generally not closed, so membership is
-#: reported as a thresholded residual rather than decided exactly.
+#: Relative spectral cutoff for the source-condition pseudo-inverse, and
+#: the relative residual that decides the source check. The range of
+#: F'(xhat)*F'(xhat) is generally not closed, so membership is reported
+#: as a thresholded residual rather than decided exactly.
 SOURCE_TOL = 1e-8
 
 #: Safety factor applied on top of the canonical ball radius; the radius
 #: inequality holds with equality at the canonical choice, so a bare
 #: float comparison there would be a coin flip.
 R_INFLATION = 1e-6
-
-CHECK_NAMES = (
-    "contraction",       # k + b*eps0 < 1
-    "radius",            # 1/R <= lambda
-    "source_norm",       # lambda < (1-k-b*eps0) / (2*(k+2+eps0*||B0||)*||w||)
-    "initial_offset",    # lambda < eps0 / ||x0 - xhat||
-    "source_residual",   # ||F'*F' w - (xhat-x0)|| <= tol * ||xhat-x0||
-)
 
 #: Sampled ball bounds per problem, keyed by (center bytes, radius,
 #: samples, seed): the bounds depend on nothing else, and problems are
@@ -65,23 +60,12 @@ class Certificate:
     w_norm: float
     source_residual: float
     checks: dict
-    overall: bool
     notes: str = ""
 
-
-def compute_k(N1, N2, R, b, eps0, B0, p: NonlinearProblem, xhat):
-    """Contraction constant k and the initial mismatch norm.
-
-    k = 2*N1*N2*R + b + eps0*||B0|| + ||I - B0 (F'(xhat)*F'(xhat) + eps0 I)||
-    """
-    for name, val in (("N1", N1), ("N2", N2), ("R", R), ("b", b), ("eps0", eps0)):
-        if not val > 0:
-            raise ValueError(f"{name} must be positive, got {val}")
-    B0 = hilbert.as_operator(B0, dim=p.dim)
-    lambda0_norm = hilbert.op_norm(mismatch_operator(p, xhat, B0, eps0))
-    b0_norm = hilbert.op_norm(B0)
-    k = 2.0 * N1 * N2 * R + b + eps0 * b0_norm + lambda0_norm
-    return k, lambda0_norm
+    @property
+    def overall(self) -> bool:
+        """True iff every check passed."""
+        return all(self.checks.values())
 
 
 def canonical_R(N1, N2, b, eps0, B0_norm, Lambda0_norm) -> float:
@@ -105,15 +89,13 @@ def canonical_R(N1, N2, b, eps0, B0_norm, Lambda0_norm) -> float:
     return numerator / ((5.0 + 3.0 * eps0 * B0_norm) * N1 * N2)
 
 
-def solve_source(
-    p: NonlinearProblem, xhat, x0, tol: float = SOURCE_TOL
-) -> tuple[np.ndarray, float]:
+def solve_source(p: NonlinearProblem, xhat, x0) -> tuple[np.ndarray, float]:
     """Minimum-norm w with F'(xhat)*F'(xhat) w ~= xhat - x0.
 
-    Spectral pseudo-inverse with relative cutoff ``tol``; returns the
-    candidate w and the residual ||F'*F' w - (xhat - x0)||. The source
-    condition is taken to hold when the residual is below
-    tol * ||xhat - x0||.
+    Spectral pseudo-inverse with relative cutoff :data:`SOURCE_TOL`;
+    returns the candidate w and the residual ||F'*F' w - (xhat - x0)||.
+    The source condition is taken to hold when the residual is below
+    SOURCE_TOL * ||xhat - x0||.
     """
     xhat = hilbert.as_vector(xhat, dim=p.dim)
     x0 = hilbert.as_vector(x0, dim=p.dim)
@@ -124,12 +106,98 @@ def solve_source(
     M = Jh.T @ Jh
     M = 0.5 * (M + M.T)
     evals, evecs = np.linalg.eigh(M)
-    cutoff = tol * max(float(evals[-1]), 0.0)
+    cutoff = SOURCE_TOL * max(float(evals[-1]), 0.0)
     coeff = evecs.T @ rhs
     inv = np.where(evals > cutoff, coeff / np.where(evals > cutoff, evals, 1.0), 0.0)
     w = evecs @ inv
     residual = float(np.linalg.norm(M @ w - rhs))
     return w, residual
+
+
+class _InstanceConstants(NamedTuple):
+    """The validated instance and the constants its radius search needs."""
+
+    xhat: np.ndarray
+    x0: np.ndarray
+    eps0: float
+    b: float
+    B0_norm: float
+    Lambda0_norm: float
+    offset: float  # ||x0 - xhat||
+
+
+def _instance_constants(p: NonlinearProblem, xhat, x0, s, B0) -> _InstanceConstants:
+    """Validate the instance and compute its constants, each once."""
+    xhat = hilbert.as_vector(xhat, dim=p.dim)
+    x0 = hilbert.as_vector(x0, dim=p.dim)
+    B0 = hilbert.as_operator(B0, dim=p.dim)
+    eps0 = s.eps(0.0)
+    b0_norm, lambda0_norm = hilbert.op_norms(
+        np.stack([B0, mismatch_operator(p, xhat, B0, eps0)]))
+    return _InstanceConstants(
+        xhat=xhat,
+        x0=x0,
+        eps0=eps0,
+        b=s.b_constant(),
+        B0_norm=float(b0_norm),
+        Lambda0_norm=float(lambda0_norm),
+        offset=float(np.linalg.norm(x0 - xhat)),
+    )
+
+
+def _evaluate(p: NonlinearProblem, c: _InstanceConstants, bounds: BallBounds,
+              R: float) -> Certificate:
+    """The certificate of instance ``c`` on ``bounds`` at ball radius R."""
+    N1, N2, eps0, b = bounds.N1, bounds.N2, c.eps0, c.b
+    for name, val in (("N1", N1), ("N2", N2), ("R", R), ("b", b), ("eps0", eps0)):
+        if not val > 0:
+            raise ValueError(f"{name} must be positive, got {val}")
+    k = 2.0 * N1 * N2 * R + b + eps0 * c.B0_norm + c.Lambda0_norm
+    # Solved here, not with the other constants, so a failed radius search skips it.
+    w, source_residual = solve_source(p, c.xhat, c.x0)
+    w_norm = float(np.linalg.norm(w))
+    # Without a contraction margin lambda is undefined, recorded as inf, and
+    # every lambda-based check fails.
+    margin = 1.0 - k - b * eps0
+    has_margin = margin > 0
+    lam = 3.0 * N1 * N2 * (1.0 + eps0 * c.B0_norm) / margin if has_margin else math.inf
+    checks = {
+        # k + b*eps0 < 1
+        "contraction": k + b * eps0 < 1.0,
+        # 1/R <= lambda
+        "radius": has_margin and 1.0 / R <= lam,
+        # lambda < (1 - k - b*eps0) / (2*(k + 2 + eps0*||B0||)*||w||),
+        # vacuous at w = 0
+        "source_norm": has_margin and (
+            w_norm == 0.0
+            or lam < margin / (2.0 * (k + 2.0 + eps0 * c.B0_norm) * w_norm)
+        ),
+        # lambda < eps0 / ||x0 - xhat||, vacuous at x0 = xhat
+        "initial_offset": has_margin and (c.offset == 0.0 or lam < eps0 / c.offset),
+        # ||F'*F' w - (xhat - x0)|| <= SOURCE_TOL * ||xhat - x0||
+        "source_residual": c.offset == 0.0 or source_residual <= SOURCE_TOL * c.offset,
+    }
+
+    notes = ""
+    if w_norm > 0.0 and source_residual > 0.0:
+        notes = "w is the minimum-norm candidate from a spectral cutoff pseudo-inverse"
+
+    return Certificate(
+        N1=N1,
+        N2=N2,
+        b=b,
+        eps0=eps0,
+        B0_norm=c.B0_norm,
+        Lambda0_norm=c.Lambda0_norm,
+        k=k,
+        R=R,
+        lam=lam,
+        w=w,
+        w_norm=w_norm,
+        source_residual=source_residual,
+        checks=checks,
+        notes=notes,
+    )
 
 
 def certify(
@@ -149,67 +217,12 @@ def certify(
     When ||w|| = 0 the source-norm bound is vacuous and counts as a pass;
     when the contraction margin 1 - k - b*eps0 is nonpositive, lambda is
     undefined (recorded as inf) and the lambda-based checks fail.
+    Shares its constants pass and inequality code with
+    :func:`certify_with_canonical_R`, so the two agree exactly at its
+    ``bounds`` and R. Raises ValueError when N1, N2, R, b or eps0 is not
+    positive.
     """
-    xhat = hilbert.as_vector(xhat, dim=p.dim)
-    x0 = hilbert.as_vector(x0, dim=p.dim)
-    B0 = hilbert.as_operator(B0, dim=p.dim)
-    if not R > 0:
-        raise ValueError(f"R must be positive, got {R}")
-
-    eps0 = s.eps(0.0)
-    b = s.b_constant()
-    b0_norm = hilbert.op_norm(B0)
-    k, lambda0_norm = compute_k(bounds.N1, bounds.N2, R, b, eps0, B0, p, xhat)
-    w, source_residual = solve_source(p, xhat, x0)
-    w_norm = float(np.linalg.norm(w))
-    offset = float(np.linalg.norm(x0 - xhat))
-
-    margin = 1.0 - k - b * eps0
-    lam = math.inf
-    if margin > 0:
-        lam = 3.0 * bounds.N1 * bounds.N2 * (1.0 + eps0 * b0_norm) / margin
-
-    checks = {}
-    checks["contraction"] = k + b * eps0 < 1.0
-    if margin > 0:
-        checks["radius"] = 1.0 / R <= lam
-        if w_norm == 0.0:
-            checks["source_norm"] = True
-        else:
-            checks["source_norm"] = lam < margin / (
-                2.0 * (k + 2.0 + eps0 * b0_norm) * w_norm
-            )
-        checks["initial_offset"] = True if offset == 0.0 else lam < eps0 / offset
-    else:
-        checks["radius"] = False
-        checks["source_norm"] = False
-        checks["initial_offset"] = False
-    if offset == 0.0:
-        checks["source_residual"] = True
-    else:
-        checks["source_residual"] = source_residual <= SOURCE_TOL * offset
-
-    notes = ""
-    if w_norm > 0.0 and source_residual > 0.0:
-        notes = "w is the minimum-norm candidate from a spectral cutoff pseudo-inverse"
-
-    return Certificate(
-        N1=bounds.N1,
-        N2=bounds.N2,
-        b=b,
-        eps0=eps0,
-        B0_norm=b0_norm,
-        Lambda0_norm=lambda0_norm,
-        k=k,
-        R=R,
-        lam=lam,
-        w=w,
-        w_norm=w_norm,
-        source_residual=source_residual,
-        checks=checks,
-        overall=all(checks.values()),
-        notes=notes,
-    )
+    return _evaluate(p, _instance_constants(p, xhat, x0, s, B0), bounds, R)
 
 
 def _ball_bounds(p: NonlinearProblem, xhat: np.ndarray, radius: float, samples: int,
@@ -245,7 +258,8 @@ def certify_with_canonical_R(
     sharp radius inequality holds strictly in floating point (a larger R
     keeps the certificate valid).
 
-    The sampled bounds depend only on the problem, ``xhat``, the sampling
+    The instance constants are computed once, before the radius loop. The
+    sampled bounds depend only on the problem, ``xhat``, the sampling
     radius, ``samples`` and ``seed``, and problems are immutable, so they
     are sampled once per problem and key and reused by later calls: the
     halvings of ``gallery.compliant_instance`` change eps(0) and x0, which
@@ -255,23 +269,15 @@ def certify_with_canonical_R(
     Raises ValueError when no positive canonical radius exists or the
     radius iteration does not close.
     """
-    xhat = hilbert.as_vector(xhat, dim=p.dim)
-    x0 = hilbert.as_vector(x0, dim=p.dim)
-    B0 = hilbert.as_operator(B0, dim=p.dim)
-
-    eps0 = s.eps(0.0)
-    b = s.b_constant()
-    b0_norm = hilbert.op_norm(B0)
-    lambda0_norm = hilbert.op_norm(mismatch_operator(p, xhat, B0, eps0))
-
-    radius = max(1.0, 2.0 * float(np.linalg.norm(x0 - xhat)))
+    c = _instance_constants(p, xhat, x0, s, B0)
+    radius = max(1.0, 2.0 * c.offset)
     for _ in range(8):
-        bounds = _ball_bounds(p, xhat, radius, samples, seed)
-        R = canonical_R(bounds.N1, bounds.N2, b, eps0, b0_norm, lambda0_norm)
+        bounds = _ball_bounds(p, c.xhat, radius, samples, seed)
+        R = canonical_R(bounds.N1, bounds.N2, c.b, c.eps0, c.B0_norm, c.Lambda0_norm)
         R_used = R * (1.0 + R_INFLATION)
-        if R_used * eps0 <= radius:
-            return certify(p, xhat, x0, s, B0, bounds, R_used), bounds
-        radius = 1.1 * R_used * eps0
+        if R_used * c.eps0 <= radius:
+            return _evaluate(p, c, bounds, R_used), bounds
+        radius = 1.1 * R_used * c.eps0
     raise ValueError("ball radius iteration did not close after 8 passes")
 
 

@@ -124,6 +124,25 @@ class TestRun:
         assert summary["certificate.overall"] == "true"
         assert "certificate.k" in summary
 
+    def test_certificate_keys_in_order(self, tmp_path):
+        summ = tmp_path / "s.txt"
+        assert run_cli([
+            "run", "--problem", "compliant-affine-4", "--certify",
+            "--schedule-c0", "20", "--schedule-c1", "200",
+            "--out-trajectory", str(tmp_path / "t.csv"),
+            "--out-summary", str(summ),
+        ]) == 0
+        keys = [line.partition(" = ")[0] for line in summ.read_text().splitlines()]
+        assert [k for k in keys if k.startswith("certificate.")] == [
+            "certificate." + k for k in (
+                "N1", "N2", "b", "eps0", "B0_norm", "Lambda0_norm", "k", "R",
+                "lambda", "w_norm", "source_residual",
+                "check.contraction", "check.radius", "check.source_norm",
+                "check.initial_offset", "check.source_residual",
+                "overall", "notes",
+            )
+        ]
+
 
 class TestConfigFile:
     def test_file_plus_flag_override(self, tmp_path):

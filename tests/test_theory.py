@@ -1,16 +1,18 @@
+import dataclasses
 import gc
 import math
+import types
 import weakref
 
 import numpy as np
 import pytest
 
 from gnflow import gallery, theory
-from gnflow.flow import SolverState, initial_inverse
+from gnflow.flow import SolverState, initial_inverse, mismatch_operator
 from gnflow.hilbert import op_norm
 from gnflow.integrator import IntegratorConfig, _advance, integrate
-from gnflow.problem import NonlinearProblem, estimate_bounds
-from gnflow.schedule import PowerSchedule
+from gnflow.problem import BallBounds, NonlinearProblem, estimate_bounds
+from gnflow.schedule import PowerSchedule, frozen
 
 
 def affine_problem(A, xhat):
@@ -28,35 +30,50 @@ def identity_problem(n=3):
     return affine_problem(np.eye(n), xhat), xhat
 
 
-class TestComputeK:
+def hand_bounds(xhat, N1, N2):
+    return BallBounds(center=xhat, radius=1.0, N1=N1, N2=N2, samples=0)
+
+
+class TestCertifyConstants:
+    # PowerSchedule(c0=20, c1=200): eps0 = 0.1, b = 0.05
+    schedule = PowerSchedule(c0=20.0, c1=200.0)
+
     def test_identity_with_exact_inverse(self):
         p, xhat = identity_problem()
         eps0 = 0.1
         B0 = np.eye(3) / (1.0 + eps0)
         N1, N2, R, b = 1.1, 0.5, 0.2, 0.05
-        k, lam0 = theory.compute_k(N1, N2, R, b, eps0, B0, p, xhat)
-        assert lam0 == pytest.approx(0.0, abs=1e-12)
+        cert = theory.certify(p, xhat, xhat, self.schedule, B0, hand_bounds(xhat, N1, N2), R)
+        assert cert.Lambda0_norm == pytest.approx(0.0, abs=1e-12)
         expected = 2 * N1 * N2 * R + b + eps0 / (1.0 + eps0)
-        assert k == pytest.approx(expected, abs=1e-10)
+        assert cert.k == pytest.approx(expected, abs=1e-10)
 
     def test_zero_inverse_gives_unit_mismatch(self):
         p, xhat = identity_problem()
-        _, lam0 = theory.compute_k(1.0, 1.0, 1.0, 0.1, 0.1, np.zeros((3, 3)), p, xhat)
-        assert lam0 == pytest.approx(1.0, rel=1e-9)
+        cert = theory.certify(p, xhat, xhat, self.schedule, np.zeros((3, 3)),
+                              hand_bounds(xhat, 1.0, 1.0), 1.0)
+        assert cert.Lambda0_norm == pytest.approx(1.0, rel=1e-9)
 
     def test_formula_recomputation(self):
         rng = np.random.default_rng(0)
         A = rng.standard_normal((4, 4))
         xhat = rng.standard_normal(4)
         p = affine_problem(A, xhat)
-        B0 = initial_inverse(p, xhat, 0.2)
-        from gnflow.hilbert import op_norm
-        from gnflow.flow import mismatch_operator
-        N1, N2, R, b, eps0 = 2.0, 0.3, 0.5, 0.07, 0.2
-        k, lam0 = theory.compute_k(N1, N2, R, b, eps0, B0, p, xhat)
-        expected = 2.0 * N1 * N2 * R + b + eps0 * op_norm(B0) + lam0
-        assert k == pytest.approx(expected, abs=1e-12)
-        assert lam0 == pytest.approx(op_norm(mismatch_operator(p, xhat, B0, eps0)))
+        eps0 = self.schedule.eps(0.0)
+        B0 = initial_inverse(p, xhat, eps0)
+        N1, N2, R, b = 2.0, 0.3, 0.5, 0.05
+        cert = theory.certify(p, xhat, xhat, self.schedule, B0, hand_bounds(xhat, N1, N2), R)
+        assert cert.B0_norm == op_norm(B0)
+        assert cert.Lambda0_norm == op_norm(mismatch_operator(p, xhat, B0, eps0))
+        expected = 2.0 * N1 * N2 * R + b + eps0 * op_norm(B0) + cert.Lambda0_norm
+        assert cert.k == pytest.approx(expected, abs=1e-12)
+
+    def test_zero_decay_constant_rejected(self):
+        p, xhat = identity_problem()
+        s = frozen(0.1)  # b = 0
+        B0 = initial_inverse(p, xhat, 0.1)
+        with pytest.raises(ValueError, match="b must be positive"):
+            theory.certify(p, xhat, xhat, s, B0, hand_bounds(xhat, 1.0, 1.0), 1.0)
 
 
 class TestCanonicalR:
@@ -423,6 +440,43 @@ class TestCertifyWithCanonicalR:
         B0 = initial_inverse(p, xhat, s.eps(0.0))
         with pytest.raises(ValueError):
             theory.certify_with_canonical_R(p, xhat, xhat, s, B0)
+
+
+class TestSinglePass:
+    def test_constants_computed_once(self, monkeypatch):
+        label, entry, sched, B0, R = gallery.compliant_suite()[2]
+        calls = {"op_norm": 0, "op_norms": 0, "mismatch_operator": 0, "solve_source": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kw):
+                calls[name] += 1
+                return fn(*args, **kw)
+            return wrapper
+
+        counting = types.SimpleNamespace(**vars(theory.hilbert))
+        counting.op_norm = counted("op_norm", theory.hilbert.op_norm)
+        counting.op_norms = counted("op_norms", theory.hilbert.op_norms)
+        monkeypatch.setattr(theory, "hilbert", counting)
+        monkeypatch.setattr(theory, "mismatch_operator",
+                            counted("mismatch_operator", theory.mismatch_operator))
+        monkeypatch.setattr(theory, "solve_source", counted("solve_source", theory.solve_source))
+        theory.certify_with_canonical_R(entry.problem, entry.xhat, entry.default_x0, sched, B0)
+        assert calls == {"op_norm": 0, "op_norms": 1, "mismatch_operator": 1, "solve_source": 1}
+
+    def test_certify_at_canonical_R_matches_field_for_field(self):
+        for label, entry, sched, B0, R in gallery.compliant_suite():
+            args = (entry.problem, entry.xhat, entry.default_x0, sched, B0)
+            cert, bounds = theory.certify_with_canonical_R(*args)
+            again = theory.certify(*args, bounds, cert.R)
+            for f in dataclasses.fields(theory.Certificate):
+                a, b = getattr(cert, f.name), getattr(again, f.name)
+                if f.name == "w":
+                    assert np.array_equal(a, b), label
+                elif f.name == "checks":
+                    assert list(a.items()) == list(b.items()), label
+                else:
+                    assert a == b, (label, f.name)
+            assert again.overall == cert.overall
 
 
 class TestMemoizedBounds:
