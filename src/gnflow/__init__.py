@@ -28,17 +28,10 @@ from .gallery import (
     make_autoconvolution,
     make_feigenbaum_like,
 )
-from .hilbert import (
-    FactorizationError,
-    adjoint,
-    apply_operator,
-    inner,
-    op_norm,
-    solve_regularized,
-)
+from .hilbert import FactorizationError, op_norm, solve_regularized
 from .integrator import IntegratorConfig, Trajectory, convergence_order, integrate, step
 from .problem import BallBounds, NonlinearProblem, estimate_bounds, eval_F, fd_jacobian, jacobian
-from .schedule import CustomSchedule, PowerSchedule, default_schedule, frozen
+from .schedule import PowerSchedule, default_schedule, frozen
 from .theory import (
     Certificate,
     canonical_R,

@@ -22,11 +22,11 @@ from typing import Optional
 import numpy as np
 
 from . import gallery, theory
-from .flow import SolverState, initial_inverse
+from .flow import FlowDiagnostics, SolverState, initial_inverse
 from .harness import SweepSpec, sweep, write_sweep_csv
 from .integrator import IntegratorConfig, Trajectory, convergence_order, integrate
 from .run import (CHOICES, CONFIG_KEYS, PARSERS, ConfigError, RunConfig, execute_run, fmt,
-                  load_config, write_lines)
+                  load_config, write_csv, write_lines)
 from .schedule import PowerSchedule
 
 EXIT_OK = 0
@@ -42,25 +42,18 @@ _TERMINATION_EXIT = {
     "numerical_error": EXIT_DIVERGENCE,
 }
 
-TRAJECTORY_COLUMNS = (
-    "t",
-    "eps",
-    "residual_norm",
-    "err_norm",
-    "B_norm",
-    "lambda_norm",
-    "inverse_residual",
-    "D_norm",
-)
+_DIAGNOSTIC_FIELDS = tuple(f.name for f in fields(FlowDiagnostics))
+
+#: Flow time, then one column per ``FlowDiagnostics`` field in its order.
+TRAJECTORY_COLUMNS = ("t", *_DIAGNOSTIC_FIELDS)
+
+COMPARE_COLUMNS = ("t", "err_direct", "err_coupled", "resid_direct", "resid_coupled")
 
 
 def write_trajectory_csv(path: str, traj: Trajectory) -> None:
-    lines = [",".join(TRAJECTORY_COLUMNS)]
-    for st, d in traj.records:
-        row = (st.t, d.eps, d.residual_norm, d.err_norm, d.B_norm,
-               d.lambda_norm, d.inverse_residual, d.D_norm)
-        lines.append(",".join(fmt(v) for v in row))
-    write_lines(path, lines)
+    write_csv(path, TRAJECTORY_COLUMNS,
+              ((st.t, *(getattr(d, name) for name in _DIAGNOSTIC_FIELDS))
+               for st, d in traj.records))
 
 
 def _config_echo(cfg: RunConfig) -> list:
@@ -126,6 +119,12 @@ def cmd_run(cfg: RunConfig) -> int:
     return exit_code
 
 
+def _reject_certify(command: str, *cfgs: RunConfig) -> None:
+    """Only ``run`` certifies; a command that would drop ``certify`` refuses it."""
+    if any(cfg.certify for cfg in cfgs):
+        raise ConfigError(f"{command} does not certify; certify is only for run")
+
+
 def cmd_compare(cfg_a: RunConfig, cfg_b: Optional[RunConfig], out: str, out_summary: str) -> int:
     if cfg_b is None:
         cfg_b = replace(cfg_a)
@@ -139,18 +138,14 @@ def cmd_compare(cfg_a: RunConfig, cfg_b: Optional[RunConfig], out: str, out_summ
     )
     if not same:
         raise ConfigError("compare needs the same problem and schedule on both sides")
+    _reject_certify("compare", cfg_a, cfg_b)
     traj_d, _ = execute_run(cfg_a)
     traj_c, _ = execute_run(cfg_b)
 
-    rows = min(len(traj_d.records), len(traj_c.records))
-    lines = ["t,err_direct,err_coupled,resid_direct,resid_coupled"]
-    for i in range(rows):
-        st_d, d_d = traj_d.records[i]
-        _, d_c = traj_c.records[i]
-        lines.append(",".join(fmt(v) for v in (
-            st_d.t, d_d.err_norm, d_c.err_norm, d_d.residual_norm, d_c.residual_norm
-        )))
-    write_lines(out, lines)
+    # zip stops at the shorter trajectory
+    write_csv(out, COMPARE_COLUMNS,
+              ((st_d.t, d_d.err_norm, d_c.err_norm, d_d.residual_norm, d_c.residual_norm)
+               for (st_d, d_d), (_, d_c) in zip(traj_d.records, traj_c.records)))
 
     fin_d = traj_d.records[-1][1]
     fin_c = traj_c.records[-1][1]
@@ -289,6 +284,7 @@ def cmd_verify(suite: str) -> int:
 
 
 def cmd_sweep(cfg: RunConfig, param: str, values: list, seeds: list, out: str) -> int:
+    _reject_certify("sweep", cfg)
     rows = sweep(SweepSpec(base=cfg, param=param, values=values, seeds=seeds))
     write_sweep_csv(out, rows)
     for row in rows:

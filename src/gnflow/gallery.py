@@ -5,14 +5,16 @@ Spans trivially well-posed (identity) through classically ill-conditioned
 autoconvolution equation and a renormalization-type fixed-point
 collocation. The nonlinear entries are standard benchmark reconstructions
 with stored reference solutions produced offline by a damped Newton
-bootstrap; they are labeled as analogues in their notes, not as
-reproductions of any particular published experiment.
+bootstrap; they are analogues, not reproductions of any particular
+published experiment.
 """
 
 from __future__ import annotations
 
 import importlib.resources
+import math
 from dataclasses import dataclass
+
 import numpy as np
 import scipy.linalg
 
@@ -36,10 +38,14 @@ MAX_HALVINGS = 60
 
 @dataclass
 class GalleryEntry:
+    """A problem with a known solution, and the start point its runs use."""
+
     problem: NonlinearProblem
-    xhat: np.ndarray
     default_x0: np.ndarray
-    notes: str = ""
+
+    @property
+    def xhat(self) -> np.ndarray:
+        return self.problem.known_solution
 
 
 def _default_xhat(n: int) -> np.ndarray:
@@ -56,8 +62,10 @@ def make_affine(
 ) -> GalleryEntry:
     """F(x) = A (x - xhat) with constant Jacobian A.
 
-    Kinds: "identity"; "hilbert_matrix" (A_ij = 1/(i+j-1), the classic
-    ill-conditioned test matrix); "rank_deficient" (diag(1,...,1,0)).
+    Kinds: "identity" (well-posed sanity instance); "hilbert_matrix"
+    (A_ij = 1/(i+j-1), the classic ill-conditioned test matrix; the
+    default x0 satisfies the source condition); "rank_deficient"
+    (diag(1,...,1,0); the default offset lies outside range(A*A)).
     ``noise`` shifts the anchor by a fixed Gaussian perturbation while
     keeping the clean solution for error reporting.
     """
@@ -67,18 +75,15 @@ def make_affine(
     if kind == "identity":
         A = np.eye(n)
         offset = 0.1 * np.ones(n) / np.sqrt(n)
-        notes = "well-posed affine sanity instance"
     elif kind == "hilbert_matrix":
         A = scipy.linalg.hilbert(n)
         M = A @ A
         evals, evecs = np.linalg.eigh(M)
         w = 0.1 * evecs[:, -1]  # leading eigenvector: in-range offset
         offset = -M @ w
-        notes = f"Hilbert matrix, condition ~{np.linalg.cond(A):.2e}; default x0 satisfies the source condition"
     elif kind == "rank_deficient":
         A = np.diag(np.r_[np.ones(n - 1), 0.0])
         offset = 0.1 * np.eye(n)[-1]  # null-space direction: source fails
-        notes = "rank-deficient diagonal; default offset is outside range(A*A)"
     else:
         raise ValueError(f"unknown affine kind {kind!r}")
 
@@ -86,7 +91,6 @@ def make_affine(
     if noise > 0.0:
         rng = np.random.default_rng(noise_seed)
         anchor = anchor + noise * rng.standard_normal(n)
-        notes += f"; anchor noise {noise:g} (seed {noise_seed})"
 
     A_ = A.copy()
 
@@ -98,11 +102,14 @@ def make_affine(
         label=f"affine-{kind}-{n}",
         validate_solution=(noise == 0.0),
     )
-    return GalleryEntry(problem=problem, xhat=xhat, default_x0=xhat + offset, notes=notes)
+    return GalleryEntry(problem=problem, default_x0=xhat + offset)
 
 
 def make_autoconvolution(n: int, noise: float = 0.0, noise_seed: int = 0) -> GalleryEntry:
     """Discrete autoconvolution F(x)_i = ds * sum_{j<=i} x_j x_{i-j+1} - y_i.
+
+    The first-kind autoconvolution benchmark: F is bilinear, so its
+    second derivative is constant.
 
     Uniform grid s_i = i/n on [0, 1], ds = 1/n; the data y is generated
     from the smooth solution xhat(s) = 1 + s, so F(xhat) = 0 exactly.
@@ -134,15 +141,7 @@ def make_autoconvolution(n: int, noise: float = 0.0, noise_seed: int = 0) -> Gal
         label=f"autoconv-{n}",
         validate_solution=(noise == 0.0),
     )
-    notes = "first-kind autoconvolution benchmark; bilinear F, constant second derivative"
-    if noise > 0.0:
-        notes += f"; data noise {noise:g} (seed {noise_seed})"
-    return GalleryEntry(
-        problem=problem,
-        xhat=xhat,
-        default_x0=np.ones(n),
-        notes=notes,
-    )
+    return GalleryEntry(problem=problem, default_x0=np.ones(n))
 
 
 # --- renormalization fixed-point collocation -------------------------------
@@ -216,6 +215,9 @@ def _load_reference(name: str) -> np.ndarray:
 def make_feigenbaum_like(n: int) -> GalleryEntry:
     """Collocation of the renormalization fixed point lam*g + g(g(lam*s)) = 0.
 
+    An analogue of a renormalization-type functional equation, not a
+    reproduction of a published computation.
+
     The trial function g(s) = 1 + sum_j c_j s^(2j) is an even polynomial
     (g(0) = 1 built in), collocated at n Chebyshev points in (0, 1), with
     lam = -g(1) treated through the coefficients. Reference coefficient
@@ -240,15 +242,7 @@ def make_feigenbaum_like(n: int) -> GalleryEntry:
         label=f"feigenbaum-{n}",
     )
     sign = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
-    return GalleryEntry(
-        problem=problem,
-        xhat=xhat,
-        default_x0=xhat + 0.01 * sign / np.sqrt(n),
-        notes=(
-            "renormalization-type functional equation, collocation analogue; "
-            "reference coefficients from an offline Newton bootstrap"
-        ),
-    )
+    return GalleryEntry(problem=problem, default_x0=xhat + 0.01 * sign / np.sqrt(n))
 
 
 # --- certificate-compliant instances ---------------------------------------
@@ -270,7 +264,7 @@ def _base_instance(n: int, kind: str, rng) -> tuple[GalleryEntry, np.ndarray]:
             known_solution=xhat,
             label=f"affine-spd-{n}",
         )
-        entry = GalleryEntry(problem, xhat, xhat.copy(), "random well-conditioned SPD affine")
+        entry = GalleryEntry(problem, xhat.copy())
         w_dir = rng.standard_normal(n)
     elif kind == "quadratic":
         Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
@@ -283,7 +277,7 @@ def _base_instance(n: int, kind: str, rng) -> tuple[GalleryEntry, np.ndarray]:
             known_solution=xhat,
             label=f"quadratic-{n}",
         )
-        entry = GalleryEntry(problem, xhat, xhat.copy(), "mildly nonlinear diagonal-quadratic perturbation")
+        entry = GalleryEntry(problem, xhat.copy())
         w_dir = rng.standard_normal(n)
     elif kind == "hilbert_matrix":
         entry = make_affine(n, "hilbert_matrix", xhat=xhat)
@@ -354,13 +348,7 @@ def compliant_instance(
             eps0 *= 0.5  # constants too large or factorization lost: eps-side
             continue
         if cert.overall:
-            out = GalleryEntry(
-                problem=p,
-                xhat=xhat,
-                default_x0=x0,
-                notes=entry.notes + f"; certified with eps0={eps0:g}, b={COMPLIANT_B:g}",
-            )
-            return out, sched, B0, cert.R
+            return GalleryEntry(problem=p, default_x0=x0), sched, B0, cert.R
         contraction_side = not (cert.checks["contraction"] and cert.checks["radius"])
         offset_side = not (cert.checks["source_norm"]
                            and cert.checks["initial_offset"]
@@ -420,7 +408,14 @@ def available_labels() -> list:
 
 
 def get_entry(label: str, noise: float = 0.0, noise_seed: int = 0) -> GalleryEntry:
-    """Look up a gallery entry by label, optionally with data noise."""
+    """Look up a gallery entry by label, optionally with data noise.
+
+    Raises:
+        ValueError: ``noise`` is negative or not finite.
+        KeyError: unknown label.
+    """
+    if not 0.0 <= noise < math.inf:
+        raise ValueError(f"noise must be finite and nonnegative, got {noise}")
     if label in _ENTRIES:
         return _ENTRIES[label](noise=noise, noise_seed=noise_seed)
     if label in _COMPLIANT_SPECS:
@@ -438,12 +433,7 @@ def get_entry(label: str, noise: float = 0.0, noise_seed: int = 0) -> GalleryEnt
             label=entry.problem.label + "-noisy",
             validate_solution=False,
         )
-        return GalleryEntry(
-            problem=noisy,
-            xhat=entry.xhat,
-            default_x0=entry.default_x0,
-            notes=entry.notes + f"; data noise {noise:g} (seed {noise_seed})",
-        )
+        return GalleryEntry(problem=noisy, default_x0=entry.default_x0)
     raise KeyError(
         f"unknown problem label {label!r}; available: {', '.join(available_labels())}"
     )

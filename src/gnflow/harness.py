@@ -9,12 +9,10 @@ once at problem construction, not re-sampled per evaluation.
 
 from __future__ import annotations
 
-import csv
-import io
 import time
 from dataclasses import dataclass, field, replace
 
-from .run import KEY_TO_FIELD, ConfigError, RunConfig, execute_run, fmt, write_lines
+from .run import KEY_TO_FIELD, ConfigError, RunConfig, execute_run, write_csv
 
 SWEEP_COLUMNS = ("param_value", "seed", "final_err", "final_residual",
                  "termination", "wall_ms")
@@ -75,20 +73,10 @@ def sweep(spec: SweepSpec) -> list:
     return rows
 
 
-def _csv_line(cells) -> str:
-    """One CSV record; a cell holding a comma, quote or line break is quoted."""
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow(cells)
-    return buf.getvalue().removesuffix("\n")
-
-
 def write_sweep_csv(path: str, rows: list) -> None:
     """One header line, then one line per row; raises ConfigError if unwritable.
 
     A failed row's termination tag carries the error message, which is
     quoted when it holds a comma, quote or line break.
     """
-    lines = [",".join(SWEEP_COLUMNS)]
-    for row in rows:
-        lines.append(_csv_line(fmt(row[c]) for c in SWEEP_COLUMNS))
-    write_lines(path, lines)
+    write_csv(path, SWEEP_COLUMNS, ([row[c] for c in SWEEP_COLUMNS] for row in rows))

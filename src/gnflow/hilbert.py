@@ -78,30 +78,6 @@ def identity(n: int) -> np.ndarray:
     return eye
 
 
-def inner(u, v) -> float:
-    """Euclidean inner product of two vectors of equal length."""
-    u = as_vector(u)
-    v = as_vector(v, dim=u.size)
-    return float(np.dot(u, v))
-
-
-def norm(v) -> float:
-    """Norm induced by :func:`inner`."""
-    return float(np.linalg.norm(as_vector(v)))
-
-
-def apply_operator(A, v) -> np.ndarray:
-    """Matrix-vector product A v."""
-    A = as_operator(A)
-    v = as_vector(v, dim=A.shape[0])
-    return A @ v
-
-
-def adjoint(A) -> np.ndarray:
-    """Adjoint of a dense operator; the transpose in Euclidean coordinates."""
-    return as_operator(A).T.copy()
-
-
 #: LAPACK Cholesky factorization and triangular solves, fetched once:
 #: scipy's cho_factor/cho_solve wrap the same two routines in per-call
 #: dispatch that, at n <= 16, costs about as much as the solve itself.

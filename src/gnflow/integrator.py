@@ -40,8 +40,10 @@ class IntegratorConfig:
     def __post_init__(self):
         if self.method not in ("euler", "rk4"):
             raise ValueError(f"unknown method {self.method!r}")
-        if not self.step_h > 0:
-            raise ValueError(f"step_h must be positive, got {self.step_h}")
+        if not 0 < self.step_h < math.inf:
+            raise ValueError(f"step_h must be positive and finite, got {self.step_h}")
+        if not math.isfinite(self.horizon_T):
+            raise ValueError(f"horizon_T must be finite, got {self.horizon_T}")
         if self.horizon_T < self.step_h:
             raise ValueError("horizon_T must be at least one step")
         if self.record_every < 1:
@@ -55,7 +57,6 @@ class IntegratorConfig:
 class Trajectory:
     records: list  # of (SolverState, FlowDiagnostics)
     termination: str
-    config: IntegratorConfig
 
     @property
     def final_state(self) -> SolverState:
@@ -169,9 +170,9 @@ def integrate(
 
     records = [(st0, diagnostics(p, s, st0, xhat))]
     if ball_exit(st0):
-        return Trajectory(records, "ball_exit", cfg)
+        return Trajectory(records, "ball_exit")
     if diverged(st0):
-        return Trajectory(records, "divergence", cfg)
+        return Trajectory(records, "divergence")
 
     def try_record(st: SolverState) -> bool:
         # avoid duplicating a just-recorded time; a state too extreme to
@@ -191,20 +192,20 @@ def integrate(
             st = step(rhs, st, t, cfg.step_h, cfg.method)
         except (FloatingPointError, ValueError, hilbert.FactorizationError):
             try_record(st)
-            return Trajectory(records, "numerical_error", cfg)
+            return Trajectory(records, "numerical_error")
         # Keep record times exactly on the k*h grid; the fresh state is
         # ours, so its time is set in place rather than re-validated.
         st.t = k * cfg.step_h
         if ball_exit(st):
             try_record(st)
-            return Trajectory(records, "ball_exit", cfg)
+            return Trajectory(records, "ball_exit")
         if diverged(st):
             try_record(st)
-            return Trajectory(records, "divergence", cfg)
+            return Trajectory(records, "divergence")
         if k % cfg.record_every == 0 or k == n_steps:
             if not try_record(st):
-                return Trajectory(records, "numerical_error", cfg)
-    return Trajectory(records, "horizon_reached", cfg)
+                return Trajectory(records, "numerical_error")
+    return Trajectory(records, "horizon_reached")
 
 
 def convergence_order(

@@ -155,13 +155,12 @@ def estimate_bounds(
     radius: float,
     samples: int = 64,
     seed: int = 0,
-    inflation: float = BOUND_INFLATION,
 ) -> BallBounds:
     """Sample derivative norms over the ball U(center, radius).
 
     N1 is the largest sampled ||F'(x)||; N2 differences the Jacobian
     along sampled unit directions with step 1e-4 * radius. Both are
-    inflated by ``inflation`` (default 10%) against sampling optimism.
+    inflated by :data:`BOUND_INFLATION` (10%) against sampling optimism.
     Deterministic per seed.
 
     The Jacobians are evaluated sample by sample, in order; their norms
@@ -175,8 +174,6 @@ def estimate_bounds(
         raise ValueError(f"radius must be positive, got {radius}")
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
-    if inflation < 1.0:
-        raise ValueError(f"inflation must be >= 1, got {inflation}")
     rng = np.random.default_rng(seed)
     points = _ball_points(center, radius, samples, rng)
     dirs = rng.standard_normal((samples, p.dim))
@@ -193,7 +190,7 @@ def estimate_bounds(
     return BallBounds(
         center=center,
         radius=float(radius),
-        N1=inflation * n1,
-        N2=max(inflation * n2, N2_FLOOR),
+        N1=BOUND_INFLATION * n1,
+        N2=max(BOUND_INFLATION * n2, N2_FLOOR),
         samples=samples,
     )

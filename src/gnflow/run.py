@@ -9,11 +9,14 @@ integrates it. Every configuration it cannot use raises ``ConfigError``.
 
 It also holds the output format shared by ``cli`` and ``harness``:
 numbers with 17 significant digits, so repeated runs with the same
-config and seed write bit-identical files.
+config and seed write bit-identical files, and the one CSV writer.
 """
 
 from __future__ import annotations
 
+import csv
+import io
+import math
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Optional
@@ -152,6 +155,8 @@ def _build_run(cfg: RunConfig) -> tuple:
     except ValueError as exc:
         raise ConfigError(f"bad schedule: {exc}") from exc
 
+    if not math.isfinite(cfg.x0_scale):
+        raise ConfigError(f"x0_scale must be finite, got {cfg.x0_scale}")
     xhat = entry.problem.known_solution
     if xhat is not None:
         x0 = xhat + cfg.x0_scale * (entry.default_x0 - xhat)
@@ -217,3 +222,16 @@ def write_lines(path, lines: list) -> None:
         Path(path).write_text("\n".join(lines) + "\n")
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+
+def write_csv(path, header, rows) -> None:
+    """Write a header line, then one line per row of values formatted by ``fmt``.
+
+    A cell holding a comma, quote or line break is quoted. An unwritable
+    path is a ConfigError.
+    """
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([fmt(v) for v in row] for row in rows)
+    write_lines(path, [buf.getvalue().removesuffix("\n")])

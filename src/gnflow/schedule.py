@@ -2,16 +2,13 @@
 
 The built-in family is the power law eps(t) = c0*(c1+t)**(-a) with
 0 < a <= 1; its decay constant b = sup |eps'(t)| / eps(t)^2 is analytic.
-A generic hook accepts user (eps, eps_dot, b) triples and validates the
-claimed constant on a grid.
+``frozen`` gives a constant schedule for fixed-regularization tests.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable
-
-import numpy as np
 
 
 @dataclass(frozen=True)
@@ -23,10 +20,10 @@ class PowerSchedule:
     a: float = 1.0
 
     def __post_init__(self):
-        if not self.c0 > 0:
-            raise ValueError(f"c0 must be positive, got {self.c0}")
-        if not self.c1 > 0:
-            raise ValueError(f"c1 must be positive, got {self.c1}")
+        if not 0 < self.c0 < math.inf:
+            raise ValueError(f"c0 must be positive and finite, got {self.c0}")
+        if not 0 < self.c1 < math.inf:
+            raise ValueError(f"c1 must be positive and finite, got {self.c1}")
         if not 0 < self.a <= 1:
             raise ValueError(f"a must lie in (0, 1], got {self.a}")
 
@@ -50,60 +47,31 @@ class PowerSchedule:
         return (self.a / self.c0) * self.c1 ** (self.a - 1.0)
 
 
-class CustomSchedule:
-    """User-supplied (eps, eps_dot, b) triple, grid-validated on creation.
+@dataclass(frozen=True)
+class _Frozen:
+    """eps(t) == eps0: no decay, so b = 0 and no certificate applies."""
 
-    Accepts constant eps (eps_dot == 0) for frozen-regularization test
-    modes; the validation therefore requires eps positive and
-    nonincreasing rather than strictly decreasing.
-    """
-
-    def __init__(
-        self,
-        eps: Callable[[float], float],
-        eps_dot: Callable[[float], float],
-        b: float,
-        grid_max: float = 1e4,
-        grid_points: int = 1000,
-    ):
-        if b < 0:
-            raise ValueError(f"b must be nonnegative, got {b}")
-        ts = np.linspace(0.0, grid_max, grid_points)
-        vals = np.array([eps(float(t)) for t in ts])
-        dots = np.array([eps_dot(float(t)) for t in ts])
-        if not np.all(vals > 0):
-            raise ValueError("eps(t) must be positive on the validation grid")
-        if np.any(np.diff(vals) > 1e-14):
-            raise ValueError("eps(t) must be nonincreasing on the validation grid")
-        if np.any(np.abs(dots) > b * vals**2 + 1e-14):
-            worst = float(np.max(np.abs(dots) - b * vals**2))
-            raise ValueError(
-                f"claimed decay constant b={b} violated on the grid "
-                f"(worst excess {worst:.3e})"
-            )
-        self._eps = eps
-        self._eps_dot = eps_dot
-        self._b = float(b)
+    eps0: float
 
     def eps(self, t: float) -> float:
         if t < 0:
             raise ValueError(f"t must be nonnegative, got {t}")
-        return float(self._eps(t))
+        return self.eps0
 
     def eps_dot(self, t: float) -> float:
         if t < 0:
             raise ValueError(f"t must be nonnegative, got {t}")
-        return float(self._eps_dot(t))
+        return 0.0
 
     def b_constant(self) -> float:
-        return self._b
+        return 0.0
 
 
-def frozen(eps0: float) -> CustomSchedule:
+def frozen(eps0: float) -> _Frozen:
     """Constant schedule eps(t) == eps0, for fixed-regularization tests."""
     if not eps0 > 0:
         raise ValueError(f"eps0 must be positive, got {eps0}")
-    return CustomSchedule(lambda t: eps0, lambda t: 0.0, b=0.0)
+    return _Frozen(float(eps0))
 
 
 def default_schedule(eps0: float = 0.1) -> PowerSchedule:

@@ -37,6 +37,10 @@ class TestRun:
         assert code == 0
         header, rows = read_csv(traj)
         assert header == list(cli.TRAJECTORY_COLUMNS)
+        assert cli.TRAJECTORY_COLUMNS == (
+            "t", "eps", "residual_norm", "err_norm", "B_norm", "lambda_norm",
+            "inverse_residual", "D_norm",
+        )
         err_col = header.index("err_norm")
         assert all(float(r[err_col]) <= 1e-12 for r in rows)
         summary = read_summary(summ)
@@ -263,6 +267,24 @@ class TestCompare:
         ])
         assert code == 0
 
+    @pytest.mark.parametrize("flags, config_b", [
+        (["--certify"], None),
+        ([], "problem = identity-8\ncertify = true\n"),
+    ])
+    def test_certify_rejected(self, tmp_path, capsys, flags, config_b):
+        if config_b is not None:
+            (tmp_path / "b.cfg").write_text(config_b)
+            flags = flags + ["--config-b", str(tmp_path / "b.cfg")]
+        out = tmp_path / "cmp.csv"
+        code = run_cli([
+            "compare", "--problem", "identity-8", "--horizon-T", "0.1", *flags,
+            "--out", str(out), "--out-summary", str(tmp_path / "s.txt"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "compare does not certify" in err
+        assert not out.exists()
+
 
 class TestX0Scale:
     def test_scale_moves_start_along_default_offset(self, tmp_path):
@@ -332,6 +354,17 @@ class TestSweep:
         assert rows[1][termination] == "horizon_reached"
         assert "step_h must be positive" in capsys.readouterr().out
 
+    def test_certify_rejected(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        code = run_cli([
+            "sweep", "--problem", "identity-8", "--certify", "--param", "eps0",
+            "--values", "0.1", "--horizon-T", "0.1", "--out", str(out),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "sweep does not certify" in err
+        assert not out.exists()
+
 
 class TestUsageErrors:
     # argparse's own exit code 2 is the documented ball-exit code
@@ -362,6 +395,21 @@ class TestBadValues:
         ([], "integrator.method = foo\n", "unknown method 'foo'"),
         ([], "problem = identity-8\nseed = abc\n", "run.cfg:2: bad value for 'seed'"),
         (["--config", "missing.cfg"], None, "cannot read missing.cfg"),
+        (["--x0-scale", "nan"], None, "x0_scale must be finite"),
+        (["--horizon-T", "nan"], None, "horizon_T must be finite"),
+        (["--horizon-T", "inf"], None, "horizon_T must be finite"),
+        (["--step-h", "inf"], None, "step_h must be positive and finite"),
+        (["--schedule-c0", "inf"], None, "c0 must be positive and finite"),
+        (["--schedule-c1", "inf"], None, "c1 must be positive and finite"),
+        (["--noise", "-0.1"], None, "noise must be finite and nonnegative"),
+        (["--problem", "autoconv-16", "--noise", "-0.1"], None,
+         "noise must be finite and nonnegative"),
+        (["--problem", "compliant-affine-8", "--noise", "-0.1"], None,
+         "noise must be finite and nonnegative"),
+        (["--problem", "compliant-affine-8", "--noise", "nan"], None,
+         "noise must be finite and nonnegative"),
+        (["--problem", "autoconv-16", "--noise", "inf"], None,
+         "noise must be finite and nonnegative"),
     ])
     def test_reported_as_config_error(self, tmp_path, monkeypatch, capsys, flags, config,
                                       message):

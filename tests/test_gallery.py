@@ -204,3 +204,14 @@ class TestRegistry:
     def test_feigenbaum_noise_rejected(self):
         with pytest.raises(ValueError, match="noise"):
             gallery.get_entry("feigenbaum-6", noise=1e-3)
+
+    @pytest.mark.parametrize("label", gallery.available_labels())
+    def test_xhat_is_the_known_solution(self, label):
+        entry = gallery.get_entry(label)
+        assert entry.xhat is entry.problem.known_solution
+
+    @pytest.mark.parametrize("noise", [-0.1, np.nan, np.inf])
+    def test_bad_noise_rejected_for_every_label(self, noise):
+        for label in gallery.available_labels():
+            with pytest.raises(ValueError, match="noise must be finite and nonnegative"):
+                gallery.get_entry(label, noise=noise)

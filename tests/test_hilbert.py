@@ -5,76 +5,6 @@ import scipy.linalg
 from gnflow import hilbert
 
 
-class TestInner:
-    def test_orthogonal_basis_vectors(self):
-        assert hilbert.inner([1.0, 0.0], [0.0, 1.0]) == 0.0
-
-    def test_norm_squared(self):
-        assert hilbert.inner([2.0, 3.0], [2.0, 3.0]) == 13.0
-
-    def test_symmetry_random_pairs(self):
-        rng = np.random.default_rng(7)
-        for _ in range(100):
-            n = int(rng.integers(1, 12))
-            u = rng.standard_normal(n)
-            v = rng.standard_normal(n)
-            assert hilbert.inner(u, v) == pytest.approx(hilbert.inner(v, u), abs=1e-14)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            hilbert.inner([1.0, 2.0], [1.0, 2.0, 3.0])
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(ValueError, match="non-finite"):
-            hilbert.inner([np.nan, 0.0], [1.0, 2.0])
-
-
-class TestApply:
-    def test_identity(self):
-        v = np.array([3.0, -1.0, 2.0])
-        assert np.array_equal(hilbert.apply_operator(np.eye(3), v), v)
-
-    def test_zero_operator(self):
-        v = np.array([3.0, -1.0])
-        assert np.array_equal(hilbert.apply_operator(np.zeros((2, 2)), v), np.zeros(2))
-
-    def test_basis_extraction(self):
-        rng = np.random.default_rng(1)
-        A = rng.standard_normal((5, 5))
-        for j in range(5):
-            e = np.zeros(5)
-            e[j] = 1.0
-            assert np.array_equal(hilbert.apply_operator(A, e), A[:, j])
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            hilbert.apply_operator(np.eye(3), np.ones(2))
-
-
-class TestAdjoint:
-    def test_symmetric_is_self_adjoint(self):
-        A = np.array([[2.0, 1.0], [1.0, 3.0]])
-        assert np.array_equal(hilbert.adjoint(A), A)
-
-    def test_involution(self):
-        rng = np.random.default_rng(2)
-        A = rng.standard_normal((4, 4))
-        assert np.array_equal(hilbert.adjoint(hilbert.adjoint(A)), A)
-
-    def test_adjoint_identity(self):
-        # (Au, v) == (u, A*v) over random trials at several dimensions
-        rng = np.random.default_rng(3)
-        for n in (2, 5, 10):
-            for _ in range(100):
-                A = rng.standard_normal((n, n))
-                u = rng.standard_normal(n)
-                v = rng.standard_normal(n)
-                lhs = hilbert.inner(hilbert.apply_operator(A, u), v)
-                rhs = hilbert.inner(u, hilbert.apply_operator(hilbert.adjoint(A), v))
-                scale = 1.0 + np.linalg.norm(A, 2) * np.linalg.norm(u) * np.linalg.norm(v)
-                assert abs(lhs - rhs) <= 1e-12 * scale
-
-
 class TestSolveRegularized:
     def test_zero_matrix(self):
         rhs = np.array([1.0, -2.0, 0.5])

@@ -1,6 +1,11 @@
-"""Imports inside the package run one way: down the layer order below."""
+"""Imports inside the package run one way: down the layer order below.
+
+The benchmark under ``bench/`` reaches into the package by name; those
+names are checked here too, reading its sources without importing them.
+"""
 
 import ast
+import importlib
 from pathlib import Path
 
 import gnflow
@@ -10,6 +15,7 @@ LAYERS = ("hilbert", "schedule", "problem", "flow", "integrator", "theory", "gal
           "run", "harness", "cli")
 
 PACKAGE_DIR = Path(gnflow.__file__).parent
+BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
 
 
 def package_imports(source: str) -> set:
@@ -61,3 +67,34 @@ def test_imports_point_down_the_layers():
         if name in LAYERS:  # an unlisted module fails the test above
             upward = package_imports(path.read_text()) - set(LAYERS[:LAYERS.index(name)])
             assert not upward, f"{name} imports {sorted(upward)}, which are not below it"
+
+
+def module_constant(path: Path, name: str):
+    """The literal a module assigns to ``name``, read without importing the module."""
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == name for target in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"{path.name} assigns no {name}")
+
+
+def test_benchmark_traced_names_resolve():
+    tracing = BENCH_DIR / "tracing.py"
+    for module, function in module_constant(tracing, "SPAN_FUNCTIONS"):
+        found = getattr(importlib.import_module(f"gnflow.{module}"), function, None)
+        assert callable(found), f"gnflow.{module}.{function}"
+    for module, cls, method in module_constant(tracing, "COUNTED_METHODS"):
+        owner = getattr(importlib.import_module(f"gnflow.{module}"), cls, None)
+        assert owner is not None and method in vars(owner), f"gnflow.{module}.{cls}.{method}"
+
+
+def test_benchmark_package_names_exist():
+    used = set()
+    for path in BENCH_DIR.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id == "gnflow"):
+                used.add(node.attr)
+    assert "compliant_instance" in used  # the workloads reach the package this way
+    missing = sorted(name for name in used if not hasattr(gnflow, name))
+    assert not missing, f"bench/ uses gnflow names that do not exist: {missing}"

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gnflow.schedule import CustomSchedule, PowerSchedule, default_schedule, frozen
+from gnflow.schedule import PowerSchedule, default_schedule, frozen
 
 
 class TestEps:
@@ -100,7 +100,9 @@ class TestScheduleInvariants:
 class TestValidation:
     @pytest.mark.parametrize("c0,c1,a", [(0.0, 1.0, 1.0), (1.0, 0.0, 1.0),
                                          (1.0, 1.0, 0.0), (1.0, 1.0, 1.5),
-                                         (-1.0, 1.0, 0.5)])
+                                         (-1.0, 1.0, 0.5), (np.inf, 1.0, 1.0),
+                                         (1.0, np.inf, 1.0), (np.nan, 1.0, 1.0),
+                                         (1.0, np.nan, 1.0)])
     def test_bad_parameters(self, c0, c1, a):
         with pytest.raises(ValueError):
             PowerSchedule(c0=c0, c1=c1, a=a)
@@ -119,18 +121,11 @@ class TestCustomSchedule:
         assert s.eps_dot(3.0) == 0.0
         assert s.b_constant() == 0.0
 
-    def test_exponential_claim_rejected(self):
-        # eps = e^{-t/10} has |eps'|/eps^2 = e^{t/10}/10, unbounded, so a
-        # constant b claim must fail grid validation
-        with pytest.raises(ValueError, match="decay constant"):
-            CustomSchedule(lambda t: np.exp(-t / 10), lambda t: -np.exp(-t / 10) / 10,
-                           b=1.0, grid_max=100.0)
-
-    def test_increasing_rejected(self):
-        with pytest.raises(ValueError, match="nonincreasing"):
-            CustomSchedule(lambda t: 1.0 + t, lambda t: 1.0, b=10.0, grid_max=10.0)
-
-    def test_matching_power_law(self):
-        ref = PowerSchedule(c0=0.5, c1=2.0, a=1.0)
-        s = CustomSchedule(ref.eps, ref.eps_dot, b=ref.b_constant())
-        assert s.eps(3.0) == ref.eps(3.0)
+    def test_frozen_rejects_negative_time_and_nonpositive_eps0(self):
+        with pytest.raises(ValueError, match="t must be nonnegative"):
+            frozen(0.25).eps(-1.0)
+        with pytest.raises(ValueError, match="t must be nonnegative"):
+            frozen(0.25).eps_dot(-1.0)
+        for eps0 in (0.0, -0.1, float("nan")):
+            with pytest.raises(ValueError, match="eps0 must be positive"):
+                frozen(eps0)
