@@ -17,6 +17,7 @@ B' vanishes, which the tests use as an equivalence oracle.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Optional
 
@@ -24,6 +25,10 @@ import numpy as np
 
 from . import hilbert
 from .problem import NonlinearProblem, eval_F, jacobian
+
+#: F'(xhat)* F'(xhat) per problem, keyed by the bytes of xhat; see
+#: :func:`solution_gram`.
+_SOLUTION_GRAMS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 @dataclass
@@ -71,28 +76,54 @@ def gauss_newton_operator(p: NonlinearProblem, x, eps: float) -> np.ndarray:
 
 
 def direct_rhs(p: NonlinearProblem, s, x0, x, t: float) -> np.ndarray:
-    """x-velocity of the inversion-based flow at time t."""
+    """x-velocity of the inversion-based flow at time t.
+
+    ``x`` is not checked here: :func:`problem.jacobian`, its first use,
+    checks it.
+    """
     x0 = hilbert.as_vector(x0, dim=p.dim)
-    x = hilbert.as_vector(x, dim=p.dim)
     eps = s.eps(t)
     J = jacobian(p, x)
     grad = J.T @ eval_F(p, x) + eps * (x - x0)
     return -hilbert.solve_regularized(J.T @ J, eps, grad)
 
 
-def coupled_rhs(p: NonlinearProblem, s, x0, st: SolverState) -> tuple[np.ndarray, np.ndarray]:
-    """(x', B') of the inverse-tracking flow at state ``st``."""
-    if st.B is None:
-        raise ValueError("coupled flow needs a state with the inverse track B")
+def coupled_rhs(p: NonlinearProblem, s, x0, x, B, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """(x', B') of the inverse-tracking flow at the point (x, B) and time t.
+
+    ``x`` is not checked here: :func:`problem.jacobian`, its first use,
+    checks it.
+    """
+    if B is None:
+        raise ValueError("coupled flow needs the inverse track B")
+    B = hilbert.as_operator(B, dim=p.dim)
     x0 = hilbert.as_vector(x0, dim=p.dim)
-    eps = s.eps(st.t)
-    J = jacobian(p, st.x)
-    grad = J.T @ eval_F(p, st.x) + eps * (st.x - x0)
-    x_dot = -st.B @ grad
+    eps = s.eps(t)
+    J = jacobian(p, x)
+    grad = J.T @ eval_F(p, x) + eps * (x - x0)
+    x_dot = -B @ grad
     I = hilbert.identity(p.dim)
     M = J.T @ J + eps * I
-    B_dot = -(M @ st.B - I)
+    B_dot = -(M @ B - I)
     return x_dot, B_dot
+
+
+def solution_gram(p: NonlinearProblem, xhat: np.ndarray) -> np.ndarray:
+    """F'(xhat)* F'(xhat) for a validated point ``xhat``, read-only.
+
+    A constant of the problem and the point: the product is formed once
+    per problem and point and shared by every later caller. Problems are
+    immutable and compare by identity, so an entry lives as long as its
+    problem.
+    """
+    memo = _SOLUTION_GRAMS.setdefault(p, {})
+    key = xhat.tobytes()
+    if key not in memo:
+        Jh = jacobian(p, xhat)
+        gram = Jh.T @ Jh
+        gram.flags.writeable = False
+        memo[key] = gram
+    return memo[key]
 
 
 def mismatch_operator(p: NonlinearProblem, xhat, B, eps: float) -> np.ndarray:
@@ -100,9 +131,8 @@ def mismatch_operator(p: NonlinearProblem, xhat, B, eps: float) -> np.ndarray:
     the solution point."""
     xhat = hilbert.as_vector(xhat, dim=p.dim)
     B = hilbert.as_operator(B, dim=p.dim)
-    Jh = jacobian(p, xhat)
     I = hilbert.identity(p.dim)
-    return I - B @ (Jh.T @ Jh + eps * I)
+    return I - B @ (solution_gram(p, xhat) + eps * I)
 
 
 def initial_inverse(p: NonlinearProblem, x0, eps0: float) -> np.ndarray:
@@ -130,7 +160,8 @@ def diagnostics(
 
     lambda_norm is evaluated at the fixed solution point, not at the
     current iterate; inverse_residual uses the current iterate (it equals
-    ||B'||). The operator norms come from one batched norm call.
+    ||B'||). F'(xhat)* F'(xhat) comes from :func:`solution_gram`, and the
+    operator norms from one batched norm call.
     """
     eps = s.eps(st.t)
     residual = float(np.linalg.norm(eval_F(p, st.x)))
@@ -143,8 +174,7 @@ def diagnostics(
         M = gauss_newton_operator(p, st.x, eps)
         ops = [st.B, M @ st.B - I]
         if xhat is not None:
-            Jh = jacobian(p, xhat)
-            Gh = Jh.T @ Jh
+            Gh = solution_gram(p, xhat)
             ops += [I - st.B @ (Gh + eps * I), st.B @ Gh]
         norms = [float(v) for v in hilbert.op_norms(ops)]
         out.B_norm, out.inverse_residual = norms[:2]

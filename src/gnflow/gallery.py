@@ -19,8 +19,8 @@ import numpy as np
 import scipy.linalg
 
 from . import hilbert, theory
-from .flow import initial_inverse
-from .problem import NonlinearProblem, jacobian
+from .flow import initial_inverse, solution_gram
+from .problem import NonlinearProblem
 from .schedule import PowerSchedule
 
 #: Decay constant used for certificate-compliant schedules. The popular
@@ -324,8 +324,7 @@ def compliant_instance(
     p = entry.problem
     xhat = entry.xhat
 
-    Jh = jacobian(p, xhat)
-    M = Jh.T @ Jh
+    M = solution_gram(p, xhat)
     Mw_dir = M @ w_dir
     null_mix = np.zeros(n)
     if kind == "rank_deficient":

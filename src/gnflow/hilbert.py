@@ -31,11 +31,12 @@ class FactorizationError(RuntimeError):
 def all_finite(arr: np.ndarray) -> bool:
     """Whether every entry of the float array ``arr`` is finite.
 
-    The check every validator here runs. It calls the array's own
-    reduction: ``np.all`` costs about twice as much per call through
-    its Python-level dispatch, which at n <= 16 is most of the check.
+    The check every validator in the package runs. It counts the finite
+    entries: at n <= 16 ``count_nonzero`` costs about half of a boolean
+    ``.all()`` reduction, and unlike a test on ``sum`` or ``dot`` of the
+    entries it is exact, since large finite entries cannot overflow it.
     """
-    return bool(np.isfinite(arr).all())
+    return bool(np.count_nonzero(np.isfinite(arr)) == arr.size)
 
 
 def as_vector(v, dim: int | None = None) -> np.ndarray:

@@ -2,7 +2,8 @@
 
 The pair (x, B) is advanced jointly in a single stage loop; B is just a
 flat block of extra state. Every stage goes through the validated flow
-right-hand sides, and every step through the public ``step``. One RK4
+right-hand sides on bare arrays, and every step through the public
+``step``, which builds the one ``SolverState`` of the step. One RK4
 implementation, ``_advance``, serves ``step`` and the Gronwall lemma
 check in ``theory``. Monitors watch for the ball-exit event
 ||x - xhat|| >= R * eps(t) and for divergence.
@@ -119,7 +120,7 @@ def _flow_rhs(p: NonlinearProblem, s, x0) -> RhsFn:
     def rhs(t, x, B):
         if B is None:
             return direct_rhs(p, s, x0, x, t), None
-        return coupled_rhs(p, s, x0, SolverState(t=t, x=x, B=B))
+        return coupled_rhs(p, s, x0, x, B, t)
 
     return rhs
 

@@ -13,7 +13,6 @@ operator Gronwall bound.
 
 from __future__ import annotations
 
-import functools
 import math
 import weakref
 from dataclasses import dataclass
@@ -22,9 +21,9 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import hilbert
-from .flow import mismatch_operator
+from .flow import mismatch_operator, solution_gram
 from .integrator import _advance
-from .problem import BallBounds, NonlinearProblem, estimate_bounds, jacobian
+from .problem import BallBounds, NonlinearProblem, estimate_bounds
 
 #: Relative spectral cutoff for the source-condition pseudo-inverse, and
 #: the relative residual that decides the source check. The range of
@@ -102,8 +101,7 @@ def solve_source(p: NonlinearProblem, xhat, x0) -> tuple[np.ndarray, float]:
     rhs = xhat - x0
     if np.linalg.norm(rhs) == 0.0:
         return np.zeros(p.dim), 0.0
-    Jh = jacobian(p, xhat)
-    M = Jh.T @ Jh
+    M = solution_gram(p, xhat)
     M = 0.5 * (M + M.T)
     evals, evecs = np.linalg.eigh(M)
     cutoff = SOURCE_TOL * max(float(evals[-1]), 0.0)
@@ -322,7 +320,9 @@ def gronwall_check(
     coefficient case A = gamma*I, G = 0 then meets the bound with
     equality to integrator precision. ``gamma`` must lower-bound the
     symmetric part of A at every step time, verified by eigenvalue and
-    reported as an error naming the first failing time.
+    reported as an error naming the first failing time. ``A_path``,
+    ``G_path`` and ``gamma`` are evaluated once per distinct stage time,
+    all before the first step, and must return n x n operators like V0.
 
     Returns max over step times of ||V(t)|| - bound(t); the lemma holds
     when this is at most a small positive tolerance. Raises
@@ -334,16 +334,25 @@ def gronwall_check(
         raise ValueError("T and h must be positive")
     n_steps = int(math.floor(T / h + 1e-9))
 
-    @functools.lru_cache(maxsize=4)
-    def coefficients(t: float) -> tuple:
-        # RK4's two mid-stages share a time, and a step's last stage and
-        # coercivity check usually share theirs with the next step's first
-        # stage, so each distinct time is evaluated once.
-        G = np.asarray(G_path(t), dtype=float)
-        return hilbert.as_operator(A_path(t), dim=n), G, gamma(t), hilbert.op_norm(G)
+    # The coefficients do not depend on the state, and every time they are
+    # needed at is known before the loop: 0, then per step its start, its
+    # midpoint (RK4's two mid-stages share it), its end t+h and its grid
+    # time k*h, which usually equal the next step's start. Each distinct
+    # time is evaluated once, in that order, and every ||G(t)|| comes from
+    # one batched norm call.
+    times = [0.0]
+    for k in range(1, n_steps + 1):
+        t = (k - 1) * h
+        times += [t, t + h / 2.0, t + h, k * h]
+    coeffs = {}
+    for t in times:
+        if t not in coeffs:
+            G = hilbert.as_operator(G_path(t), dim=n)
+            coeffs[t] = (hilbert.as_operator(A_path(t), dim=n), G, gamma(t))
+    g_norms = dict(zip(coeffs, hilbert.op_norms([G for _, G, _ in coeffs.values()]).tolist()))
 
     def check_coercive(t: float) -> None:
-        A, _, g, _ = coefficients(t)
+        A, _, g = coeffs[t]
         if not g > 0:
             raise ValueError(f"gamma(t) must be positive, got {g} at t={t}")
         smallest = float(np.min(np.linalg.eigvalsh(0.5 * (A + A.T))))
@@ -354,9 +363,9 @@ def gronwall_check(
             )
 
     def rhs(t, qr, V):
-        A, G, g, g_norm = coefficients(t)
+        A, G, g = coeffs[t]
         dV = G - A @ V
-        dqr = np.array([g, g_norm * math.exp(qr[0])])
+        dqr = np.array([g, g_norms[t] * math.exp(qr[0])])
         return dqr, dV
 
     # (q, r) rides as the vector block of the integrator's state, V as its

@@ -72,7 +72,7 @@ def test_01_equivalence_oracle():
         t = float(rng.uniform(0.0, 3.0))
         eps = s.eps(t)
         B = np.linalg.inv(A.T @ A + eps * np.eye(n))
-        x_dot, B_dot = coupled_rhs(p, s, x0, SolverState(t=t, x=x, B=B))
+        x_dot, B_dot = coupled_rhs(p, s, x0, x, B, t)
         ref = direct_rhs(p, s, x0, x, t)
         worst_x = max(worst_x,
                       np.linalg.norm(x_dot - ref) / (1 + np.linalg.norm(ref)))

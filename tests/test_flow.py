@@ -1,7 +1,10 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
-from gnflow import gallery, hilbert
+from gnflow import gallery, hilbert, problem, theory
 from gnflow.flow import (
     SolverState,
     coupled_rhs,
@@ -11,6 +14,7 @@ from gnflow.flow import (
     initial_inverse,
     mismatch_operator,
     scaled_identity_inverse,
+    solution_gram,
 )
 from gnflow.integrator import IntegratorConfig, integrate
 from gnflow.problem import NonlinearProblem, jacobian
@@ -92,7 +96,7 @@ class TestCoupledRhs:
         s = PowerSchedule(c0=0.1, c1=1.0, a=1.0)
         eps0 = s.eps(0.0)
         B = np.eye(3) / (1.0 + eps0)
-        x_dot, B_dot = coupled_rhs(p, s, xhat, SolverState(t=0.0, x=xhat, B=B))
+        x_dot, B_dot = coupled_rhs(p, s, xhat, xhat, B, 0.0)
         assert np.allclose(x_dot, 0.0, atol=1e-14)
         assert np.allclose(B_dot, 0.0, atol=1e-14)
 
@@ -101,8 +105,7 @@ class TestCoupledRhs:
         s = PowerSchedule(c0=0.1, c1=1.0, a=1.0)
         eps0 = s.eps(0.0)
         for beta in (0.2, 1.0, 1.0 / (1.0 + eps0)):
-            st = SolverState(t=0.0, x=xhat, B=beta * np.eye(3))
-            _, B_dot = coupled_rhs(p, s, xhat, st)
+            _, B_dot = coupled_rhs(p, s, xhat, xhat, beta * np.eye(3), 0.0)
             expected = -((1.0 + eps0) * beta - 1.0) * np.eye(3)
             assert np.allclose(B_dot, expected, atol=1e-14)
 
@@ -121,7 +124,7 @@ class TestCoupledRhs:
             t = float(rng.uniform(0, 3))
             eps = s.eps(t)
             B = np.linalg.inv(A.T @ A + eps * np.eye(n))
-            x_dot, B_dot = coupled_rhs(p, s, x0, SolverState(t=t, x=x, B=B))
+            x_dot, B_dot = coupled_rhs(p, s, x0, x, B, t)
             ref = direct_rhs(p, s, x0, x, t)
             assert np.linalg.norm(x_dot - ref) <= 1e-10 * (1 + np.linalg.norm(ref))
             assert np.linalg.norm(B_dot, 2) <= 1e-10
@@ -130,7 +133,7 @@ class TestCoupledRhs:
         p, xhat = identity_problem()
         s = PowerSchedule(c0=0.1, c1=1.0, a=1.0)
         with pytest.raises(ValueError, match="inverse track"):
-            coupled_rhs(p, s, xhat, SolverState(t=0.0, x=xhat, B=None))
+            coupled_rhs(p, s, xhat, xhat, None, 0.0)
 
 
 class TestInitialInverse:
@@ -283,3 +286,52 @@ class TestMismatchOperator:
         p, xhat = identity_problem()
         L = mismatch_operator(p, xhat, np.eye(3) / 1.1, 0.1)
         assert np.allclose(L, 0.0, atol=1e-12)
+
+
+class TestSolutionGram:
+    def test_formed_once_and_shared_read_only(self):
+        rng = np.random.default_rng(12)
+        A = rng.standard_normal((5, 5))
+        xhat = rng.standard_normal(5)
+        p = affine_problem(A, xhat)
+        gram = solution_gram(p, xhat)
+        J = jacobian(p, xhat)
+        assert np.array_equal(gram, J.T @ J)
+        assert not gram.flags.writeable
+        assert solution_gram(p, xhat.copy()) is gram
+        assert solution_gram(p, xhat + 1.0) is not gram
+
+    def test_does_not_keep_the_problem_alive(self):
+        p, xhat = identity_problem()
+        solution_gram(p, xhat)
+        alive = weakref.ref(p)
+        del p
+        gc.collect()
+        assert alive() is None
+
+    def test_integrate_evaluates_jacobian_at_xhat_once(self, record_calls):
+        rng = np.random.default_rng(13)
+        A = np.eye(4) + 0.1 * rng.standard_normal((4, 4))
+        xhat = rng.standard_normal(4)
+        p = affine_problem(A, xhat)
+        s = PowerSchedule(c0=0.1, c1=1.0, a=1.0)
+        x0 = xhat + 0.01
+        st0 = SolverState(t=0.0, x=x0, B=initial_inverse(p, x0, s.eps(0.0)))
+        calls = record_calls(problem.jacobian)
+        cfg = IntegratorConfig(method="rk4", step_h=0.01, horizon_T=0.2, record_every=1)
+        traj = integrate(p, s, st0, cfg, xhat=xhat)
+        assert len(traj.records) == 21
+        at_xhat = [args for args in calls["jacobian"] if np.array_equal(args[1], xhat)]
+        assert len(at_xhat) <= 1
+        Gh, I = A.T @ A, np.eye(4)
+        for st, d in traj.records:
+            assert d.D_norm == hilbert.op_norm(st.B @ Gh)
+            assert d.lambda_norm == hilbert.op_norm(I - st.B @ (Gh + d.eps * I))
+
+    def test_certificate_evaluates_jacobian_at_xhat_at_most_once(self, record_calls):
+        label, entry, sched, B0, R = next(c for c in gallery.compliant_suite()
+                                          if c[0] == "compliant-affine-8")
+        calls = record_calls(problem.jacobian)
+        theory.certify_with_canonical_R(entry.problem, entry.xhat, entry.default_x0, sched, B0)
+        at_xhat = [args for args in calls["jacobian"] if np.array_equal(args[1], entry.xhat)]
+        assert len(at_xhat) <= 1

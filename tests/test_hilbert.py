@@ -1,8 +1,50 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 from gnflow import hilbert
+
+
+def _finiteness_cases():
+    """Arrays of every shape and value class the validators meet, and more."""
+    rng = np.random.default_rng(8)
+    cases = [np.empty(0), np.empty((0, 0)), np.empty((0, 3, 3)),
+             np.full(5, 1e308), np.full((4, 4), -1e308), np.full(7, 5e-324),
+             np.array([np.finfo(float).max, np.finfo(float).tiny / 4, -0.0])]
+    for base in (rng.standard_normal(6), rng.standard_normal((4, 4)),
+                 rng.standard_normal((3, 5, 5))):
+        cases.append(base)
+        for bad in (np.nan, np.inf, -np.inf):
+            for i in range(base.size):
+                a = base.copy()
+                a.flat[i] = bad
+                cases.append(a)
+    square = rng.standard_normal((6, 6))
+    square[2, 4] = np.inf
+    cases += [square.T, square[::2, 1::2], square[:, 4], square[::-1],
+              np.stack([square, square.T])[:, ::2]]
+    return cases
+
+
+class TestAllFinite:
+    def test_agrees_with_a_full_reduction(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for i, a in enumerate(_finiteness_cases()):
+                assert hilbert.all_finite(a) is bool(np.isfinite(a).all()), (i, a)
+
+    def test_validators_reject_a_single_bad_entry(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            v = np.ones(4)
+            v[3] = bad
+            with pytest.raises(ValueError, match="index 3"):
+                hilbert.as_vector(v)
+            A = np.eye(4)
+            A[3, 0] = bad
+            with pytest.raises(ValueError, match="non-finite"):
+                hilbert.as_operator(A)
 
 
 class TestSolveRegularized:

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from gnflow import gallery
+from gnflow import flow, gallery, integrator, problem
 from gnflow.flow import SolverState, coupled_rhs, diagnostics, direct_rhs, initial_inverse
 from gnflow.hilbert import FactorizationError
 from gnflow.integrator import (
@@ -16,7 +16,7 @@ from gnflow.integrator import (
     step,
 )
 from gnflow.problem import NonlinearProblem
-from gnflow.schedule import PowerSchedule
+from gnflow.schedule import PowerSchedule, default_schedule
 
 
 def affine_problem(A, xhat):
@@ -237,9 +237,10 @@ def reference_integrate(p, s, st0, cfg, xhat=None, R=None):
     x0 = st0.x
 
     def rhs(t, x, B):
-        if B is None:
-            return direct_rhs(p, s, x0, x, t), None
-        return coupled_rhs(p, s, x0, SolverState(t=t, x=x, B=B))
+        st = SolverState(t=t, x=x, B=B)
+        if st.B is None:
+            return direct_rhs(p, s, x0, st.x, st.t), None
+        return coupled_rhs(p, s, x0, st.x, st.B, st.t)
 
     def ball_exit(st):
         return "ball" in cfg.monitors and np.linalg.norm(st.x - xhat) >= R * s.eps(st.t)
@@ -313,12 +314,15 @@ def _without_jacobian(p):
                             validate_solution=False)
 
 
+def _compliant_affine_8():
+    return next((e, s, B0, R) for label, e, s, B0, R in gallery.compliant_suite()
+                if label == "compliant-affine-8")
+
+
 class TestMatchesStepByStepReference:
     @pytest.mark.parametrize("record_every", [1, 10])
     def test_coupled_certified_with_ball_monitor(self, record_every):
-        entry, sched, B0, R = next((e, s, B0, R) for label, e, s, B0, R
-                                   in gallery.compliant_suite()
-                                   if label == "compliant-affine-8")
+        entry, sched, B0, R = _compliant_affine_8()
         st0 = SolverState(t=0.0, x=entry.default_x0, B=B0)
         cfg = IntegratorConfig(method="rk4", step_h=0.01, horizon_T=0.5,
                                record_every=record_every,
@@ -374,6 +378,52 @@ class TestMatchesStepByStepReference:
         assert tag == "numerical_error"
         assert len(traj.records) > 2
         assert traj.final_state.x[0] >= 0.8
+
+
+class TestStageCost:
+    def test_coupled_run_builds_at_most_one_state_per_step(self, monkeypatch):
+        entry, sched, B0, R = _compliant_affine_8()
+        st0 = SolverState(t=0.0, x=entry.default_x0, B=B0)
+        built = []
+        post_init = SolverState.__post_init__
+
+        def counted(self):
+            built.append(self.t)
+            post_init(self)
+
+        monkeypatch.setattr(SolverState, "__post_init__", counted)
+        cfg = IntegratorConfig(method="rk4", step_h=0.01, horizon_T=0.2, record_every=1,
+                               monitors=frozenset({"ball", "divergence"}))
+        traj = integrate(entry.problem, sched, st0, cfg, xhat=entry.xhat, R=R)
+        assert traj.termination == "horizon_reached"
+        assert len(traj.records) == 21
+        assert len(built) <= 20 + 1
+
+
+class TestTracedCallGraph:
+    """The call chain integrate -> step -> direct_rhs/coupled_rhs -> jacobian
+    that the benchmark's per-layer trace attributes stage cost to."""
+
+    def test_direct_autoconvolution(self, record_calls):
+        entry = gallery.get_entry("autoconv-16")
+        st0 = SolverState(t=0.0, x=entry.default_x0)
+        cfg = IntegratorConfig(step_h=0.1, horizon_T=0.2, record_every=10**9)
+        calls = record_calls(integrator.step, flow.direct_rhs, flow.coupled_rhs,
+                             problem.jacobian)
+        integrate(entry.problem, default_schedule(), st0, cfg)
+        assert {name: len(seen) for name, seen in calls.items()} == {
+            "step": 2, "direct_rhs": 8, "coupled_rhs": 0, "jacobian": 8}
+
+    def test_coupled_makes_four_rhs_calls_per_step(self, record_calls):
+        entry, sched, B0, R = _compliant_affine_8()
+        st0 = SolverState(t=0.0, x=entry.default_x0, B=B0)
+        cfg = IntegratorConfig(step_h=0.01, horizon_T=0.1, record_every=5,
+                               monitors=frozenset({"ball", "divergence"}))
+        calls = record_calls(integrator.step, flow.direct_rhs, flow.coupled_rhs)
+        integrate(entry.problem, sched, st0, cfg, xhat=entry.xhat, R=R)
+        assert len(calls["step"]) == 10
+        assert len(calls["coupled_rhs"]) == 4 * len(calls["step"])
+        assert calls["direct_rhs"] == []
 
 
 class TestFactorizationFailure:
