@@ -113,7 +113,10 @@ def make_autoconvolution(n: int, noise: float = 0.0, noise_seed: int = 0) -> Gal
 
     Uniform grid s_i = i/n on [0, 1], ds = 1/n; the data y is generated
     from the smooth solution xhat(s) = 1 + s, so F(xhat) = 0 exactly.
-    The Jacobian is lower-triangular Toeplitz, 2*ds*x_{i-k+1}.
+    The Jacobian is lower-triangular Toeplitz, 2*ds*x_{i-k+1}. It is
+    gathered from the vector [0, ..., 0, 2*ds*x] (n - 1 zeros) through a
+    lower-Toeplitz index built once per problem, which returns a fresh
+    C-contiguous matrix with the entries ``scipy.linalg.toeplitz`` gives.
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
@@ -124,14 +127,15 @@ def make_autoconvolution(n: int, noise: float = 0.0, noise_seed: int = 0) -> Gal
     if noise > 0.0:
         rng = np.random.default_rng(noise_seed)
         y = y + noise * rng.standard_normal(n)
+    # Index n - 1 + i - k picks 2*ds*x_{i-k} for k <= i, and one of the
+    # n - 1 leading zeros above the diagonal.
+    toeplitz_index = (n - 1) + np.arange(n)[:, None] - np.arange(n)
 
     def f(x, y=y.copy(), ds=ds, n=n):
         return ds * np.convolve(x, x)[:n] - y
 
-    def jac(x, ds=ds, n=n):
-        first_row = np.zeros(n)
-        first_row[0] = 2.0 * ds * x[0]
-        return scipy.linalg.toeplitz(2.0 * ds * x, first_row)
+    def jac(x, ds=ds, zeros=np.zeros(n - 1), index=toeplitz_index):
+        return np.concatenate((zeros, 2.0 * ds * x))[index]
 
     problem = NonlinearProblem(
         dim=n,
@@ -158,8 +162,8 @@ def _chebyshev_nodes(n: int) -> np.ndarray:
 def _poly_eval(coeffs: np.ndarray, s):
     """g(s) = 1 + sum_j coeffs[j] * s^(2(j+1)) for even trial functions."""
     z = np.asarray(s) ** 2
-    acc = np.zeros_like(np.asarray(s, dtype=float))
-    for c in coeffs[::-1]:
+    acc = 0.0
+    for c in coeffs[::-1].tolist():
         acc = z * (acc + c)
     return 1.0 + acc
 
@@ -168,38 +172,49 @@ def _poly_deriv(coeffs: np.ndarray, s):
     """g'(s) = sum_j 2(j+1) coeffs[j] s^(2(j+1)-1)."""
     s = np.asarray(s, dtype=float)
     z = s**2
-    acc = np.zeros_like(s)
-    for j in range(len(coeffs) - 1, -1, -1):
-        acc = z * acc + 2.0 * (j + 1) * coeffs[j]
+    cs = coeffs.tolist()
+    acc = 0.0
+    for j in range(len(cs) - 1, -1, -1):
+        acc = z * acc + 2.0 * (j + 1) * cs[j]
     return s * acc
+
+
+def _renorm_points(c: np.ndarray, nodes: np.ndarray):
+    """lam = -g(1), g at the nodes, v = lam * nodes and u = g(v).
+
+    g is evaluated once, on the stacked points [nodes, v].
+    """
+    n = len(nodes)
+    lam = -(1.0 + np.sum(c))
+    v = lam * nodes
+    g = _poly_eval(c, np.concatenate((nodes, v)))
+    return lam, g[:n], v, g[n:]
 
 
 def _renorm_residual(c: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     """Collocation residual of lam*g(s) + g(g(lam*s)) = 0 with lam = -g(1)."""
-    lam = -(1.0 + np.sum(c))
-    v = lam * nodes
-    u = _poly_eval(c, v)
-    return lam * _poly_eval(c, nodes) + _poly_eval(c, u)
+    lam, g_s, _, u = _renorm_points(c, nodes)
+    return lam * g_s + _poly_eval(c, u)
 
 
 def _renorm_jacobian(c: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """Derivative of :func:`_renorm_residual` in c, a C-contiguous n x n matrix.
+
+    Column j, for the power p = 2(j+1), is
+    -g(s) + lam*s^p + u^p + g'(u) (v^p - g'(v) s). All columns are built
+    at once from the rows S ** p of the stack S = [nodes, u, v]. The
+    exponent p must stay a scalar: numpy's SIMD ``power`` with an array
+    of exponents (``S[:, None] ** P``) does not always round as
+    ``S ** p`` does, and the Jacobian would lose its bits.
+    """
     n = len(c)
-    lam = -(1.0 + np.sum(c))
-    g_s = _poly_eval(c, nodes)
-    v = lam * nodes
-    u = _poly_eval(c, v)
-    gp_v = _poly_deriv(c, v)
-    gp_u = _poly_deriv(c, u)
-    J = np.empty((n, n))
-    for j in range(n):
-        p = 2 * (j + 1)
-        J[:, j] = (
-            -g_s
-            + lam * nodes**p
-            + u**p
-            + gp_u * (v**p - gp_v * nodes)
-        )
-    return J
+    lam, g_s, v, u = _renorm_points(c, nodes)
+    gp = _poly_deriv(c, np.concatenate((v, u)))
+    gp_v, gp_u = gp[:n], gp[n:]
+    S = np.concatenate((nodes, u, v))
+    P = np.array([S ** p for p in range(2, 2 * n + 1, 2)])  # row j: S ** (2(j+1))
+    JT = -g_s + lam * P[:, :n] + P[:, n:2 * n] + gp_u * (P[:, 2 * n:] - gp_v * nodes)
+    return np.ascontiguousarray(JT.T)
 
 
 def _load_reference(name: str) -> np.ndarray:

@@ -10,6 +10,7 @@ the inner product.
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 import scipy.linalg.lapack
@@ -100,7 +101,7 @@ def solve_regularized(A, eps: float, rhs) -> np.ndarray:
 
     Args:
         A: square matrix, Gram form or otherwise SPD-compatible.
-        eps: positive shift.
+        eps: positive, finite shift.
         rhs: right-hand side vector, or a matrix whose columns are
             right-hand sides.
 
@@ -117,8 +118,8 @@ def solve_regularized(A, eps: float, rhs) -> np.ndarray:
                              f"got shape {rhs.shape}")
     else:
         rhs = as_vector(rhs, dim=n)
-    if not eps > 0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    if not 0 < eps < math.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps}")
     M = A + eps * identity(n)
     M = 0.5 * (M + M.T)
     chol, info = _POTRF(M, lower=1, clean=0)

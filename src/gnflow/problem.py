@@ -7,6 +7,7 @@ error monitors and the convergence certificate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -88,18 +89,12 @@ class BallBounds:
     samples: int
 
 
-def _shaped_F(p: NonlinearProblem, x: np.ndarray) -> np.ndarray:
-    """F(x) as a float vector of the problem's size; finiteness unchecked."""
-    y = np.asarray(p.f(x), dtype=float)
-    if y.shape != (p.dim,):
-        raise ValueError(f"F returned shape {y.shape}, expected ({p.dim},)")
-    return y
-
-
 def eval_F(p: NonlinearProblem, x) -> np.ndarray:
     """Evaluate F(x), rejecting non-finite inputs and outputs."""
     x = hilbert.as_vector(x, dim=p.dim)
-    y = _shaped_F(p, x)
+    y = np.asarray(p.f(x), dtype=float)
+    if y.shape != (p.dim,):
+        raise ValueError(f"F returned shape {y.shape}, expected ({p.dim},)")
     if not hilbert.all_finite(y):
         bad = int(np.flatnonzero(~np.isfinite(y))[0])
         raise ValueError(f"F(x) has non-finite component at index {bad}")
@@ -107,21 +102,36 @@ def eval_F(p: NonlinearProblem, x) -> np.ndarray:
 
 
 def fd_jacobian(p: NonlinearProblem, x, h: float = FD_DEFAULT_STEP) -> np.ndarray:
-    """Central-difference Jacobian, column by column.
+    """Central-difference Jacobian, a C-contiguous n x n matrix.
 
     Column j is (F(x + h e_j) - F(x - h e_j)) / (2h); exact for affine F.
-    The 2n evaluations of F are shape-checked one by one, but checked for
-    finiteness once, on the finished matrix: a non-finite value of F
-    leaves a non-finite entry in its column.
+    The 2n points are the rows of x + h*I and x - h*I, equal bit for bit
+    to x + h e_j and x - h e_j. F is evaluated at each row and the values
+    are stacked as rows, so their shape is checked once, on the stack;
+    finiteness is checked once, on the finished matrix, since a
+    non-finite value of F leaves a non-finite entry in its column.
+
+    The differences are formed as rows and then transposed, so the
+    transposed result is copied to C order: products such as ``J.T @ J``
+    round differently on an F-ordered ``J``, and every trajectory that
+    uses it would change its bits.
     """
-    if not h > 0:
-        raise ValueError(f"h must be positive, got {h}")
+    if not 0.0 < h < math.inf:
+        raise ValueError(f"h must be positive and finite, got {h}")
     x = hilbert.as_vector(x, dim=p.dim)
-    J = np.empty((p.dim, p.dim))
-    for j in range(p.dim):
-        step = np.zeros(p.dim)
-        step[j] = h
-        J[:, j] = (_shaped_F(p, x + step) - _shaped_F(p, x - step)) / (2.0 * h)
+    n = p.dim
+    steps = h * hilbert.identity(n)
+    values = [p.f(point) for point in np.concatenate((x + steps, x - steps))]
+    try:
+        Y = np.asarray(values, dtype=float)
+    except ValueError:
+        if all(np.shape(y) == (n,) for y in values):
+            raise  # right shape, but not numbers
+        Y = None  # ragged: the values do not share one shape
+    if Y is None or Y.shape != (2 * n, n):
+        shape = next(np.shape(y) for y in values if np.shape(y) != (n,))
+        raise ValueError(f"F returned shape {shape}, expected ({n},)")
+    J = np.ascontiguousarray(((Y[:n] - Y[n:]) / (2.0 * h)).T)
     if not hilbert.all_finite(J):
         raise ValueError("finite-difference jacobian has non-finite entries")
     return J

@@ -56,6 +56,13 @@ class TestGaussNewtonOperator:
             assert np.max(np.abs(M - M.T)) <= 1e-13
             assert np.min(np.linalg.eigvalsh(M)) >= 0.1 - 1e-10
 
+    @pytest.mark.parametrize("eps", [np.inf, np.nan, 0.0])
+    def test_non_finite_eps_rejected(self, eps):
+        # eps = inf used to return [[inf, nan], [nan, inf]] on identity-2
+        p, xhat = identity_problem(2)
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            gauss_newton_operator(p, xhat, eps)
+
 
 class TestDirectRhs:
     def test_stationary_at_anchored_root(self):
@@ -160,6 +167,14 @@ class TestInitialInverse:
         p, xhat = identity_problem()
         B0 = scaled_identity_inverse(p, xhat, 0.5)
         assert np.allclose(B0, np.eye(3) / 1.5, atol=1e-8)
+
+    @pytest.mark.parametrize("eps0", [-1.0, -3.0, 0.0, np.inf, np.nan])
+    def test_scaled_identity_rejects_bad_eps0(self, eps0):
+        # eps0 = -1 used to divide by zero and eps0 = -3 to return -0.5*I;
+        # initial_inverse rejects the same values
+        p, xhat = identity_problem()
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            scaled_identity_inverse(p, xhat, eps0)
 
 
 class TestDiagnostics:

@@ -92,6 +92,12 @@ class TestSolveRegularized:
         with pytest.raises(ValueError):
             hilbert.solve_regularized(np.eye(2), 0.0, np.ones(2))
 
+    @pytest.mark.parametrize("eps", [np.inf, np.nan, -1.0])
+    def test_non_finite_eps_rejected(self, eps):
+        # an infinite shift used to return NaNs with only a RuntimeWarning
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            hilbert.solve_regularized(np.eye(3), eps, np.ones(3))
+
     @pytest.mark.parametrize("n", [1, 2, 4, 8, 16])
     def test_matches_cho_factor_reference(self, n):
         # scipy's cho_factor/cho_solve with the same refinement pass: the

@@ -198,6 +198,25 @@ class TestIntegrate:
         assert traj.records[-1][1].err_norm < traj.records[0][1].err_norm
         assert traj.records[-1][1].residual_norm < traj.records[0][1].residual_norm
 
+    def test_finite_differences_track_the_analytic_jacobian(self):
+        # central differences are exact on the bilinear autoconvolution up
+        # to rounding, so a direct run with them ends where the analytic
+        # run ends
+        entry = gallery.get_entry("autoconv-16", noise=1e-3, noise_seed=3)
+        p, xhat = entry.problem, entry.xhat
+        p_fd = NonlinearProblem(dim=p.dim, f=p.f, jac=None, known_solution=xhat,
+                                validate_solution=False)
+        s = PowerSchedule(c0=0.1, c1=1.0, a=1.0)
+        cfg = IntegratorConfig(method="rk4", step_h=0.01, horizon_T=0.05,
+                               record_every=10**9)
+        st0 = SolverState(t=0.0, x=entry.default_x0)
+        ends = [integrate(q, s, st0, cfg, xhat=xhat).final_state for q in (p, p_fd)]
+        assert ends[0].t == ends[1].t == pytest.approx(0.05)
+        x_ref = ends[0].x
+        gap = np.max(np.abs(ends[1].x - x_ref))
+        assert gap <= 1e-8 * (1.0 + np.max(np.abs(x_ref)))
+        assert not np.array_equal(ends[1].x, x_ref)  # the FD path really ran
+
     def test_dimension_mismatch(self):
         p = affine_problem(np.eye(2), np.zeros(2))
         s = PowerSchedule(c0=0.1, c1=1.0, a=1.0)

@@ -1,0 +1,148 @@
+"""The derivative kernels of the direct flow equal their column-by-column
+forms bit for bit.
+
+The references below are the straightforward loops the kernels replaced:
+a Horner loop over array accumulators and one Jacobian column per
+coefficient for the renormalization collocation, ``scipy.linalg.toeplitz``
+for the autoconvolution Jacobian, and one pair of F evaluations per
+column for central differences. Every trajectory of the direct flow rests
+on these values, so the comparisons are exact (``np.array_equal``).
+"""
+
+import numpy as np
+import pytest
+import scipy.linalg
+
+from gnflow import gallery
+from gnflow.problem import FD_DEFAULT_STEP, NonlinearProblem, fd_jacobian, jacobian
+
+
+def reference_poly_eval(coeffs, s):
+    z = np.asarray(s) ** 2
+    acc = np.zeros_like(np.asarray(s, dtype=float))
+    for c in coeffs[::-1]:
+        acc = z * (acc + c)
+    return 1.0 + acc
+
+
+def reference_poly_deriv(coeffs, s):
+    s = np.asarray(s, dtype=float)
+    z = s**2
+    acc = np.zeros_like(s)
+    for j in range(len(coeffs) - 1, -1, -1):
+        acc = z * acc + 2.0 * (j + 1) * coeffs[j]
+    return s * acc
+
+
+def reference_renorm_residual(c, nodes):
+    lam = -(1.0 + np.sum(c))
+    v = lam * nodes
+    u = reference_poly_eval(c, v)
+    return lam * reference_poly_eval(c, nodes) + reference_poly_eval(c, u)
+
+
+def reference_renorm_jacobian(c, nodes):
+    n = len(c)
+    lam = -(1.0 + np.sum(c))
+    g_s = reference_poly_eval(c, nodes)
+    v = lam * nodes
+    u = reference_poly_eval(c, v)
+    gp_v = reference_poly_deriv(c, v)
+    gp_u = reference_poly_deriv(c, u)
+    J = np.empty((n, n))
+    for j in range(n):
+        p = 2 * (j + 1)
+        J[:, j] = -g_s + lam * nodes**p + u**p + gp_u * (v**p - gp_v * nodes)
+    return J
+
+
+def reference_autoconv_jacobian(x, n):
+    ds = 1.0 / n
+    first_row = np.zeros(n)
+    first_row[0] = 2.0 * ds * x[0]
+    return scipy.linalg.toeplitz(2.0 * ds * x, first_row)
+
+
+def reference_fd_jacobian(p, x, h=FD_DEFAULT_STEP):
+    J = np.empty((p.dim, p.dim))
+    for j in range(p.dim):
+        step = np.zeros(p.dim)
+        step[j] = h
+        J[:, j] = (np.asarray(p.f(x + step), dtype=float)
+                   - np.asarray(p.f(x - step), dtype=float)) / (2.0 * h)
+    return J
+
+
+def feigenbaum_points(n, count, seed):
+    """Coefficient vectors around the stored solution, at scales from 1e-4 to 1."""
+    xhat = gallery.make_feigenbaum_like(n).xhat
+    rng = np.random.default_rng(seed)
+    scales = 10.0 ** rng.uniform(-4.0, 0.0, size=count)
+    return xhat + scales[:, None] * rng.standard_normal((count, n))
+
+
+def fd_free(p):
+    """The same F with no analytic Jacobian."""
+    return NonlinearProblem(dim=p.dim, f=p.f, label=p.label + "-fd", validate_solution=False)
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_feigenbaum_kernels_match_column_loop(n):
+    nodes = gallery._chebyshev_nodes(n)
+    for c in feigenbaum_points(n, 1000, seed=n):
+        assert np.array_equal(gallery._renorm_residual(c, nodes),
+                              reference_renorm_residual(c, nodes)), c
+        assert np.array_equal(gallery._renorm_jacobian(c, nodes),
+                              reference_renorm_jacobian(c, nodes)), c
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_feigenbaum_polynomials_match_array_horner(n):
+    rng = np.random.default_rng(100 + n)
+    for c in feigenbaum_points(n, 50, seed=200 + n):
+        s = rng.uniform(-1.5, 1.5, size=2 * n)
+        assert np.array_equal(gallery._poly_eval(c, s), reference_poly_eval(c, s))
+        assert np.array_equal(gallery._poly_deriv(c, s), reference_poly_deriv(c, s))
+
+
+@pytest.mark.parametrize("n", [2, 6, 16])
+def test_autoconvolution_jacobian_matches_toeplitz(n):
+    rng = np.random.default_rng(n)
+    for noise in (0.0, 1e-3):
+        p = gallery.make_autoconvolution(n, noise=noise, noise_seed=n).problem
+        for _ in range(200):
+            x = rng.standard_normal(n) * 10.0 ** rng.uniform(-3.0, 3.0)
+            assert np.array_equal(p.jac(x), reference_autoconv_jacobian(x, n))
+
+
+def _random_affine(seed):
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((7, 7))
+    c = rng.standard_normal(7)
+    return NonlinearProblem(dim=7, f=lambda x: A @ (x - c), label="affine-random")
+
+
+@pytest.mark.parametrize("make", [
+    lambda: fd_free(gallery.get_entry("autoconv-16", noise=1e-3, noise_seed=5).problem),
+    lambda: fd_free(gallery.get_entry("feigenbaum-6").problem),
+    lambda: _random_affine(11),
+], ids=["autoconv-16", "feigenbaum-6", "affine-random"])
+def test_fd_jacobian_matches_column_loop(make):
+    p = make()
+    rng = np.random.default_rng(p.dim)
+    base = np.ones(p.dim) if p.known_solution is None else p.known_solution
+    for h in (FD_DEFAULT_STEP, 1e-3, 0.1):
+        for _ in range(30):
+            x = base + 0.05 * rng.standard_normal(p.dim)
+            assert np.array_equal(fd_jacobian(p, x, h=h), reference_fd_jacobian(p, x, h=h))
+
+
+@pytest.mark.parametrize("label", gallery.available_labels())
+def test_jacobians_are_c_contiguous_float64(label):
+    # J.T @ J rounds differently on an F-ordered J, so a layout change in
+    # a kernel would change every trajectory that uses it
+    entry = gallery.get_entry(label)
+    x = entry.default_x0
+    for J in (jacobian(entry.problem, x), fd_jacobian(fd_free(entry.problem), x)):
+        assert J.dtype == np.float64, label
+        assert J.flags.c_contiguous, label

@@ -132,6 +132,13 @@ class TestFdJacobian:
         with pytest.raises(ValueError):
             fd_jacobian(p, np.array([1.0]), h=0.0)
 
+    @pytest.mark.parametrize("h", [np.inf, np.nan, -1e-6])
+    def test_non_finite_step_rejected(self, h):
+        # an infinite step used to surface only as non-finite entries
+        p = NonlinearProblem(dim=2, f=lambda x: x)
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            fd_jacobian(p, np.ones(2), h=h)
+
     def test_non_finite_evaluation_rejected(self):
         # F is infinite on one side of x only; its column turns non-finite
         p = NonlinearProblem(dim=2, f=lambda x: np.where(x > 1.0, np.inf, x))
@@ -143,6 +150,13 @@ class TestFdJacobian:
         p = NonlinearProblem(dim=2, f=lambda x: float(x @ x))
         with pytest.raises(ValueError, match="F returned shape"):
             fd_jacobian(p, np.ones(2))
+
+    def test_ragged_evaluations_rejected(self):
+        # length n at some points and n + 1 at others cannot be stacked;
+        # the error names the offending shape, not numpy's stacking failure
+        p = NonlinearProblem(dim=2, f=lambda x: x if x[0] > 1.0 else np.append(x, 0.0))
+        with pytest.raises(ValueError, match=r"F returned shape \(3,\), expected \(2,\)"):
+            fd_jacobian(p, np.ones(2), h=1e-3)
 
 
 class TestEstimateBounds:
