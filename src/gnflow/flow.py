@@ -17,7 +17,6 @@ B' vanishes, which the tests use as an equivalence oracle.
 
 from __future__ import annotations
 
-import math
 import weakref
 from dataclasses import dataclass
 from typing import Optional
@@ -44,7 +43,7 @@ class SolverState:
         self.x = hilbert.as_vector(self.x)
         if self.B is not None:
             self.B = hilbert.as_operator(self.B, dim=self.x.size)
-        if self.t < 0:
+        if not self.t >= 0:
             raise ValueError(f"t must be nonnegative, got {self.t}")
 
 
@@ -68,8 +67,7 @@ class FlowDiagnostics:
 
 def gauss_newton_operator(p: NonlinearProblem, x, eps: float) -> np.ndarray:
     """F'(x)* F'(x) + eps*I, symmetrized; smallest eigenvalue >= eps."""
-    if not 0 < eps < math.inf:
-        raise ValueError(f"eps must be positive and finite, got {eps}")
+    hilbert.positive("eps", eps)
     J = jacobian(p, x)
     M = J.T @ J
     M = 0.5 * (M + M.T) + eps * hilbert.identity(p.dim)
@@ -149,8 +147,7 @@ def initial_inverse(p: NonlinearProblem, x0, eps0: float) -> np.ndarray:
 
 def scaled_identity_inverse(p: NonlinearProblem, x0, eps0: float) -> np.ndarray:
     """I / (||F'(x0)||^2 + eps0), the no-initial-inversion start."""
-    if not 0 < eps0 < math.inf:
-        raise ValueError(f"eps0 must be positive and finite, got {eps0}")
+    hilbert.positive("eps0", eps0)
     x0 = hilbert.as_vector(x0, dim=p.dim)
     n1 = hilbert.op_norm(jacobian(p, x0))
     return hilbert.identity(p.dim) / (n1**2 + eps0)

@@ -40,6 +40,14 @@ def all_finite(arr: np.ndarray) -> bool:
     return bool(np.count_nonzero(np.isfinite(arr)) == arr.size)
 
 
+def positive(name: str, value: float) -> float:
+    """Return ``value`` if it is positive and finite, the rule of every scalar
+    parameter; otherwise (NaN and inf included) raise ValueError naming it."""
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+    return value
+
+
 def as_vector(v, dim: int | None = None) -> np.ndarray:
     """Validate and return ``v`` as a 1-D float64 array.
 
@@ -118,9 +126,7 @@ def solve_regularized(A, eps: float, rhs) -> np.ndarray:
                              f"got shape {rhs.shape}")
     else:
         rhs = as_vector(rhs, dim=n)
-    if not 0 < eps < math.inf:
-        raise ValueError(f"eps must be positive and finite, got {eps}")
-    M = A + eps * identity(n)
+    M = A + positive("eps", eps) * identity(n)
     M = 0.5 * (M + M.T)
     chol, info = _POTRF(M, lower=1, clean=0)
     if info > 0:

@@ -30,6 +30,19 @@ TERMINATION_TAGS = ("horizon_reached", "ball_exit", "divergence", "numerical_err
 RhsFn = Callable[[float, np.ndarray, Optional[np.ndarray]], tuple]
 
 
+def step_count(name: str, T: float, h: float) -> int:
+    """Whole steps of the positive, finite size ``h`` in the finite horizon ``T``.
+
+    The one step grid: 1e-9 keeps a last step that round-off in T / h would
+    drop. Raises ValueError naming ``name`` unless h <= T and T / h is finite.
+    """
+    if not T >= h:
+        raise ValueError(f"{name} must be at least one step")
+    if T / h == math.inf:
+        raise ValueError(f"{name} must hold a finite number of steps, got {T} / {h}")
+    return int(math.floor(T / h + 1e-9))
+
+
 @dataclass(frozen=True)
 class IntegratorConfig:
     method: str = "rk4"  # "euler" or "rk4"
@@ -41,12 +54,10 @@ class IntegratorConfig:
     def __post_init__(self):
         if self.method not in ("euler", "rk4"):
             raise ValueError(f"unknown method {self.method!r}")
-        if not 0 < self.step_h < math.inf:
-            raise ValueError(f"step_h must be positive and finite, got {self.step_h}")
+        hilbert.positive("step_h", self.step_h)
         if not math.isfinite(self.horizon_T):
             raise ValueError(f"horizon_T must be finite, got {self.horizon_T}")
-        if self.horizon_T < self.step_h:
-            raise ValueError("horizon_T must be at least one step")
+        step_count("horizon_T", self.horizon_T, self.step_h)
         if self.record_every < 1:
             raise ValueError(f"record_every must be >= 1, got {self.record_every}")
         unknown = set(self.monitors) - {"ball", "divergence"}
@@ -82,9 +93,7 @@ def _advance(rhs: RhsFn, x: np.ndarray, B: Optional[np.ndarray], t: float, h: fl
         FloatingPointError: the new pair has a non-finite entry.
     """
     if method == "euler":
-        k1x, k1B = rhs(t, x, B)
-        xn = x + h * k1x
-        Bn = None if B is None else B + h * k1B
+        xn, Bn = _stage(x, B, *rhs(t, x, B), h)
     elif method == "rk4":
         k1x, k1B = rhs(t, x, B)
         x2, B2 = _stage(x, B, k1x, k1B, h / 2.0)
@@ -94,9 +103,7 @@ def _advance(rhs: RhsFn, x: np.ndarray, B: Optional[np.ndarray], t: float, h: fl
         x4, B4 = _stage(x, B, k3x, k3B, h)
         k4x, k4B = rhs(t + h, x4, B4)
         xn = x + (h / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-        Bn = None
-        if B is not None:
-            Bn = B + (h / 6.0) * (k1B + 2.0 * k2B + 2.0 * k3B + k4B)
+        Bn = None if B is None else B + (h / 6.0) * (k1B + 2.0 * k2B + 2.0 * k3B + k4B)
     else:
         raise ValueError(f"unknown method {method!r}")
     if not hilbert.all_finite(xn) or (Bn is not None and not hilbert.all_finite(Bn)):
@@ -108,11 +115,9 @@ def step(rhs: RhsFn, st: SolverState, t: float, h: float, method: str) -> Solver
     """One explicit Euler or classical RK4 step over the product state.
 
     The schedule inside ``rhs`` is evaluated at the stage times t, t+h/2
-    and t+h.
+    and t+h. Raises ValueError unless ``h`` is positive and finite.
     """
-    if not h > 0:
-        raise ValueError(f"h must be positive, got {h}")
-    xn, Bn = _advance(rhs, st.x, st.B, t, h, method)
+    xn, Bn = _advance(rhs, st.x, st.B, t, hilbert.positive("h", h), method)
     return SolverState(t=t + h, x=xn, B=Bn)
 
 
@@ -152,11 +157,11 @@ def integrate(
         raise ValueError("ball monitor needs both xhat and R")
     if xhat is not None:
         xhat = hilbert.as_vector(xhat, dim=p.dim)
-    if R is not None and not R > 0:
-        raise ValueError(f"R must be positive, got {R}")
+    if R is not None:
+        hilbert.positive("R", R)
 
     rhs = _flow_rhs(p, s, st0.x)
-    n_steps = int(math.floor(cfg.horizon_T / cfg.step_h + 1e-9))
+    n_steps = step_count("horizon_T", cfg.horizon_T, cfg.step_h)
 
     def ball_exit(st: SolverState) -> bool:
         return ("ball" in cfg.monitors

@@ -7,7 +7,6 @@ error monitors and the convergence certificate.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -116,8 +115,7 @@ def fd_jacobian(p: NonlinearProblem, x, h: float = FD_DEFAULT_STEP) -> np.ndarra
     round differently on an F-ordered ``J``, and every trajectory that
     uses it would change its bits.
     """
-    if not 0.0 < h < math.inf:
-        raise ValueError(f"h must be positive and finite, got {h}")
+    hilbert.positive("h", h)
     x = hilbert.as_vector(x, dim=p.dim)
     n = p.dim
     steps = h * hilbert.identity(n)
@@ -177,11 +175,11 @@ def estimate_bounds(
     are then taken by :func:`hilbert.op_norms` in two batched calls, one
     over the stacked Jacobians and one over the stacked differences (a
     non-finite difference raises ValueError there). Each batched norm
-    equals :func:`hilbert.op_norm` of the same matrix exactly.
+    equals :func:`hilbert.op_norm` of the same matrix exactly. Raises
+    ValueError unless ``radius`` is positive and finite and ``samples`` >= 1.
     """
     center = hilbert.as_vector(center, dim=p.dim)
-    if not radius > 0:
-        raise ValueError(f"radius must be positive, got {radius}")
+    hilbert.positive("radius", radius)
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     rng = np.random.default_rng(seed)

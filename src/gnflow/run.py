@@ -21,7 +21,7 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Optional
 
-from . import gallery
+from . import gallery, hilbert
 from .flow import SolverState, initial_inverse, scaled_identity_inverse
 from .integrator import IntegratorConfig, integrate
 from .schedule import PowerSchedule
@@ -147,6 +147,8 @@ def _build_run(cfg: RunConfig) -> tuple:
             raise ConfigError(f"unknown {name} {getattr(cfg, name)!r}")
     try:
         entry = gallery.get_entry(cfg.problem, noise=cfg.noise, noise_seed=cfg.seed)
+        if cfg.ball_radius is not None:
+            hilbert.positive("ball_radius", cfg.ball_radius)
     except (KeyError, ValueError) as exc:
         # args[0], not str(): str of a KeyError is the repr of its message
         raise ConfigError(exc.args[0]) from exc
@@ -164,8 +166,6 @@ def _build_run(cfg: RunConfig) -> tuple:
         x0 = entry.default_x0
     if cfg.ball_radius is not None and xhat is None:
         raise ConfigError("ball_radius requires a problem with a known solution")
-    if cfg.ball_radius is not None and not cfg.ball_radius > 0:
-        raise ConfigError(f"ball_radius must be positive, got {cfg.ball_radius}")
 
     B0 = None
     if cfg.method == "coupled":

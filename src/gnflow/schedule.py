@@ -7,8 +7,9 @@ The built-in family is the power law eps(t) = c0*(c1+t)**(-a) with
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+
+from . import hilbert
 
 
 @dataclass(frozen=True)
@@ -20,20 +21,18 @@ class PowerSchedule:
     a: float = 1.0
 
     def __post_init__(self):
-        if not 0 < self.c0 < math.inf:
-            raise ValueError(f"c0 must be positive and finite, got {self.c0}")
-        if not 0 < self.c1 < math.inf:
-            raise ValueError(f"c1 must be positive and finite, got {self.c1}")
+        hilbert.positive("c0", self.c0)
+        hilbert.positive("c1", self.c1)
         if not 0 < self.a <= 1:
             raise ValueError(f"a must lie in (0, 1], got {self.a}")
 
     def eps(self, t: float) -> float:
-        if t < 0:
+        if not t >= 0:
             raise ValueError(f"t must be nonnegative, got {t}")
         return self.c0 * (self.c1 + t) ** (-self.a)
 
     def eps_dot(self, t: float) -> float:
-        if t < 0:
+        if not t >= 0:
             raise ValueError(f"t must be nonnegative, got {t}")
         return -self.a * self.c0 * (self.c1 + t) ** (-self.a - 1.0)
 
@@ -54,12 +53,12 @@ class _Frozen:
     eps0: float
 
     def eps(self, t: float) -> float:
-        if t < 0:
+        if not t >= 0:
             raise ValueError(f"t must be nonnegative, got {t}")
         return self.eps0
 
     def eps_dot(self, t: float) -> float:
-        if t < 0:
+        if not t >= 0:
             raise ValueError(f"t must be nonnegative, got {t}")
         return 0.0
 
@@ -69,9 +68,7 @@ class _Frozen:
 
 def frozen(eps0: float) -> _Frozen:
     """Constant schedule eps(t) == eps0, for fixed-regularization tests."""
-    if not eps0 > 0:
-        raise ValueError(f"eps0 must be positive, got {eps0}")
-    return _Frozen(float(eps0))
+    return _Frozen(float(hilbert.positive("eps0", eps0)))
 
 
 def default_schedule(eps0: float = 0.1) -> PowerSchedule:

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import hilbert
 from .flow import mismatch_operator, solution_gram
-from .integrator import _advance
+from .integrator import _advance, step_count
 from .problem import BallBounds, NonlinearProblem, estimate_bounds
 
 #: Relative spectral cutoff for the source-condition pseudo-inverse, and
@@ -77,8 +77,8 @@ def canonical_R(N1, N2, b, eps0, B0_norm, Lambda0_norm) -> float:
     being positive, and the lower bound 1/R <= lambda holds with
     equality.
     """
-    if N1 * N2 <= 0:
-        raise ValueError("derivative bounds N1, N2 must be positive")
+    hilbert.positive("N1", N1)
+    hilbert.positive("N2", N2)
     numerator = 1.0 - b - eps0 * B0_norm - Lambda0_norm - b * eps0
     if numerator <= 0:
         raise ValueError(
@@ -129,14 +129,14 @@ def _instance_constants(p: NonlinearProblem, xhat, x0, s, B0) -> _InstanceConsta
     xhat = hilbert.as_vector(xhat, dim=p.dim)
     x0 = hilbert.as_vector(x0, dim=p.dim)
     B0 = hilbert.as_operator(B0, dim=p.dim)
-    eps0 = s.eps(0.0)
+    eps0 = hilbert.positive("eps0", s.eps(0.0))
     b0_norm, lambda0_norm = hilbert.op_norms(
         np.stack([B0, mismatch_operator(p, xhat, B0, eps0)]))
     return _InstanceConstants(
         xhat=xhat,
         x0=x0,
         eps0=eps0,
-        b=s.b_constant(),
+        b=hilbert.positive("b", s.b_constant()),
         B0_norm=float(b0_norm),
         Lambda0_norm=float(lambda0_norm),
         offset=float(np.linalg.norm(x0 - xhat)),
@@ -147,9 +147,8 @@ def _evaluate(p: NonlinearProblem, c: _InstanceConstants, bounds: BallBounds,
               R: float) -> Certificate:
     """The certificate of instance ``c`` on ``bounds`` at ball radius R."""
     N1, N2, eps0, b = bounds.N1, bounds.N2, c.eps0, c.b
-    for name, val in (("N1", N1), ("N2", N2), ("R", R), ("b", b), ("eps0", eps0)):
-        if not val > 0:
-            raise ValueError(f"{name} must be positive, got {val}")
+    for name, val in (("N1", N1), ("N2", N2), ("R", R)):
+        hilbert.positive(name, val)
     k = 2.0 * N1 * N2 * R + b + eps0 * c.B0_norm + c.Lambda0_norm
     # Solved here, not with the other constants, so a failed radius search skips it.
     w, source_residual = solve_source(p, c.xhat, c.x0)
@@ -218,7 +217,7 @@ def certify(
     Shares its constants pass and inequality code with
     :func:`certify_with_canonical_R`, so the two agree exactly at its
     ``bounds`` and R. Raises ValueError when N1, N2, R, b or eps0 is not
-    positive.
+    positive and finite.
     """
     return _evaluate(p, _instance_constants(p, xhat, x0, s, B0), bounds, R)
 
@@ -325,14 +324,14 @@ def gronwall_check(
     all before the first step, and must return n x n operators like V0.
 
     Returns max over step times of ||V(t)|| - bound(t); the lemma holds
-    when this is at most a small positive tolerance. Raises
-    FloatingPointError when the integrated state leaves the finite range.
+    when this is at most a small positive tolerance. Raises ValueError
+    unless ``T`` and ``h`` are positive and finite with ``T`` at least
+    one step, and FloatingPointError when the integrated state leaves the
+    finite range.
     """
     V0 = hilbert.as_operator(V0)
     n = V0.shape[0]
-    if not T > 0 or not h > 0:
-        raise ValueError("T and h must be positive")
-    n_steps = int(math.floor(T / h + 1e-9))
+    n_steps = step_count("T", hilbert.positive("T", T), hilbert.positive("h", h))
 
     # The coefficients do not depend on the state, and every time they are
     # needed at is known before the loop: 0, then per step its start, its
@@ -380,8 +379,5 @@ def gronwall_check(
         check_coercive(k * h)
         Vs[k - 1] = V
         bounds.append(math.exp(-qr[0]) * (qr[1] + v0_norm))
-    norms = hilbert.op_norms(Vs)
-    max_violation = 0.0  # ||V0|| - bound(0)
-    for v_norm, bound in zip(norms, bounds):
-        max_violation = max(max_violation, float(v_norm) - bound)
-    return float(max_violation)
+    # 0.0 is the violation at t = 0, where ||V0|| equals the bound
+    return float(max([0.0] + [v - bound for v, bound in zip(hilbert.op_norms(Vs), bounds)]))

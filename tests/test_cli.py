@@ -410,6 +410,10 @@ class TestBadValues:
          "noise must be finite and nonnegative"),
         (["--problem", "autoconv-16", "--noise", "inf"], None,
          "noise must be finite and nonnegative"),
+        (["--ball-radius", "inf"], None, "error: ball_radius must be positive and finite"),
+        (["--ball-radius", "nan"], None, "error: ball_radius must be positive and finite"),
+        (["--horizon-T", "1e300", "--step-h", "1e-10"], None,
+         "horizon_T must hold a finite number of steps"),
     ])
     def test_reported_as_config_error(self, tmp_path, monkeypatch, capsys, flags, config,
                                       message):

@@ -1,0 +1,160 @@
+"""Every scalar parameter obeys one rule: positive and finite.
+
+One table names each public site that takes such a parameter; each site
+must reject zero, a negative value, inf and NaN with a message naming the
+parameter. The step grid that turns a horizon into a step count is shared
+by the integrator and the Gronwall check.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from gnflow import hilbert, theory
+from gnflow.flow import SolverState, coupled_rhs, gauss_newton_operator, scaled_identity_inverse
+from gnflow.integrator import IntegratorConfig, integrate, step, step_count
+from gnflow.problem import BallBounds, NonlinearProblem, estimate_bounds, fd_jacobian
+from gnflow.run import ConfigError, RunConfig, _build_run
+from gnflow.schedule import PowerSchedule, frozen
+
+BAD_VALUES = [0.0, -1.0, math.inf, math.nan]
+
+XHAT = np.array([1.0, 2.0])
+PROBLEM = NonlinearProblem(dim=2, f=lambda x: x - XHAT, jac=lambda x: np.eye(2),
+                           known_solution=XHAT)
+SCHEDULE = PowerSchedule(c0=0.1, c1=1.0)
+B0 = np.eye(2)
+
+
+class _Schedule:
+    """A schedule whose eps(0) and decay constant b are set directly."""
+
+    def __init__(self, eps0=0.1, b=0.05):
+        self.eps0, self.b = eps0, b
+
+    def eps(self, t):
+        return self.eps0
+
+    def b_constant(self):
+        return self.b
+
+
+def _bounds(N1=1.0, N2=1.0):
+    return BallBounds(center=XHAT, radius=1.0, N1=N1, N2=N2, samples=1)
+
+
+def _certify(s=SCHEDULE, bounds=None, R=1.0):
+    return theory.certify(PROBLEM, XHAT, XHAT, s, B0, bounds or _bounds(), R)
+
+
+def _gronwall(T=1.0, h=0.1):
+    return theory.gronwall_check(lambda t: np.eye(2), lambda t: np.zeros((2, 2)), np.eye(2),
+                                 gamma=lambda t: 1.0, T=T, h=h)
+
+
+def _integrate_with_R(R):
+    cfg = IntegratorConfig(step_h=0.1, horizon_T=0.2, monitors=frozenset({"ball"}))
+    return integrate(PROBLEM, SCHEDULE, SolverState(t=0.0, x=XHAT + 0.01, B=B0), cfg,
+                     xhat=XHAT, R=R)
+
+
+def _linear_rhs(t, x, B):
+    return -x, None
+
+
+#: (name, call taking the bad value, exception type)
+SITES = [
+    ("eps", lambda v: hilbert.solve_regularized(np.eye(2), v, np.ones(2)), ValueError),
+    ("eps", lambda v: gauss_newton_operator(PROBLEM, XHAT, v), ValueError),
+    ("eps0", lambda v: scaled_identity_inverse(PROBLEM, XHAT, v), ValueError),
+    ("step_h", lambda v: IntegratorConfig(step_h=v), ValueError),
+    ("h", lambda v: step(_linear_rhs, SolverState(t=0.0, x=np.ones(2)), 0.0, v, "rk4"),
+     ValueError),
+    ("R", _integrate_with_R, ValueError),
+    ("h", lambda v: fd_jacobian(PROBLEM, XHAT, h=v), ValueError),
+    ("radius", lambda v: estimate_bounds(PROBLEM, np.ones(2), v), ValueError),
+    ("c0", lambda v: PowerSchedule(c0=v, c1=1.0), ValueError),
+    ("c1", lambda v: PowerSchedule(c0=0.1, c1=v), ValueError),
+    ("eps0", frozen, ValueError),
+    ("N1", lambda v: theory.canonical_R(v, 1.0, 0.01, 0.01, 1.0, 0.01), ValueError),
+    ("N2", lambda v: theory.canonical_R(1.0, v, 0.01, 0.01, 1.0, 0.01), ValueError),
+    ("N1", lambda v: _certify(bounds=_bounds(N1=v)), ValueError),
+    ("N2", lambda v: _certify(bounds=_bounds(N2=v)), ValueError),
+    ("R", lambda v: _certify(R=v), ValueError),
+    ("b", lambda v: _certify(s=_Schedule(b=v)), ValueError),
+    ("eps0", lambda v: _certify(s=_Schedule(eps0=v)), ValueError),
+    ("T", lambda v: _gronwall(T=v), ValueError),
+    ("h", lambda v: _gronwall(h=v), ValueError),
+    ("ball_radius", lambda v: _build_run(RunConfig(problem="identity-8", ball_radius=v)),
+     ConfigError),
+]
+
+
+@pytest.mark.parametrize("value", BAD_VALUES, ids=repr)
+@pytest.mark.parametrize("name, call, exc", SITES, ids=[f"{i}-{s[0]}" for i, s in enumerate(SITES)])
+def test_site_rejects_bad_value(name, call, exc, value):
+    with pytest.raises(exc, match=f"^{name} must be positive and finite"):
+        call(value)
+
+
+class TestPositive:
+    def test_returns_the_value_unchanged(self):
+        assert hilbert.positive("x", 2.5) == 2.5
+        assert hilbert.positive("x", 1e-300) == 1e-300
+        assert hilbert.positive("x", 3) == 3
+
+    def test_message_names_the_parameter_and_value(self):
+        with pytest.raises(ValueError, match=r"^x must be positive and finite, got nan$"):
+            hilbert.positive("x", math.nan)
+
+
+class TestStepGrid:
+    def test_whole_steps(self):
+        assert step_count("T", 1.0, 0.1) == 10
+        assert step_count("T", 1.05, 0.1) == 10
+        assert step_count("T", 0.1, 0.1) == 1
+
+    def test_round_off_keeps_the_last_step(self):
+        assert 0.3 / 0.1 < 3.0
+        assert step_count("T", 0.3, 0.1) == 3
+
+    def test_shorter_than_one_step_rejected(self):
+        with pytest.raises(ValueError, match="^horizon_T must be at least one step$"):
+            step_count("horizon_T", 0.05, 0.1)
+
+    def test_step_count_overflow_rejected(self):
+        with pytest.raises(ValueError, match="^T must hold a finite number of steps"):
+            step_count("T", 1e300, 1e-10)
+
+    def test_gronwall_rejects_horizon_shorter_than_one_step(self):
+        with pytest.raises(ValueError, match="^T must be at least one step$"):
+            _gronwall(T=1.0, h=2.0)
+
+    def test_gronwall_rejects_infinite_step(self):
+        with pytest.raises(ValueError, match="^h must be positive and finite"):
+            _gronwall(T=1.0, h=math.inf)
+
+    def test_gronwall_one_step_horizon_integrates(self):
+        # gamma = 1, V0 = I, G = 0: V(t) = exp(-t) I meets the bound up to
+        # the RK4 error of the one step, about h**5 / 120
+        violation = _gronwall(T=0.1, h=0.1)
+        assert type(violation) is float
+        assert 0.0 < violation < 1e-6
+
+
+class TestNanTime:
+    def test_solver_state(self):
+        with pytest.raises(ValueError, match="t must be nonnegative"):
+            SolverState(t=math.nan, x=np.ones(2))
+
+    @pytest.mark.parametrize("s", [SCHEDULE, frozen(0.1)], ids=["power", "frozen"])
+    def test_schedules(self, s):
+        with pytest.raises(ValueError, match="t must be nonnegative"):
+            s.eps(math.nan)
+        with pytest.raises(ValueError, match="t must be nonnegative"):
+            s.eps_dot(math.nan)
+
+    def test_coupled_rhs(self):
+        with pytest.raises(ValueError, match="t must be nonnegative"):
+            coupled_rhs(PROBLEM, SCHEDULE, XHAT, XHAT, B0, math.nan)
