@@ -30,7 +30,15 @@ from .gallery import (
 )
 from .hilbert import FactorizationError, op_norm, solve_regularized
 from .integrator import IntegratorConfig, Trajectory, convergence_order, integrate, step
-from .problem import BallBounds, NonlinearProblem, estimate_bounds, eval_F, fd_jacobian, jacobian
+from .problem import (
+    BallBounds,
+    NonlinearProblem,
+    estimate_bounds,
+    eval_F,
+    fd_jacobian,
+    jacobian,
+    rowwise,
+)
 from .schedule import PowerSchedule, default_schedule, frozen
 from .theory import (
     Certificate,

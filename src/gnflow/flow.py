@@ -17,6 +17,7 @@ B' vanishes, which the tests use as an equivalence oracle.
 
 from __future__ import annotations
 
+import math
 import weakref
 from dataclasses import dataclass
 from typing import Optional
@@ -43,8 +44,8 @@ class SolverState:
         self.x = hilbert.as_vector(self.x)
         if self.B is not None:
             self.B = hilbert.as_operator(self.B, dim=self.x.size)
-        if not self.t >= 0:
-            raise ValueError(f"t must be nonnegative, got {self.t}")
+        if not 0 <= self.t < math.inf:
+            raise ValueError(f"t must be nonnegative and finite, got {self.t}")
 
 
 @dataclass

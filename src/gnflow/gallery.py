@@ -20,7 +20,7 @@ import scipy.linalg
 
 from . import hilbert, theory
 from .flow import initial_inverse, solution_gram
-from .problem import NonlinearProblem
+from .problem import NonlinearProblem, rowwise
 from .schedule import PowerSchedule
 
 #: Decay constant used for certificate-compliant schedules. The popular
@@ -105,17 +105,47 @@ def make_affine(
     return GalleryEntry(problem=problem, default_x0=xhat + offset)
 
 
+def _lower_toeplitz(v: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """The lower-triangular Toeplitz matrix T[i, k] = v[i - k] (k <= i) of each row of v.
+
+    Gathered from the row [0, ..., 0, v] (n - 1 zeros) through ``index``,
+    the autoconvolution's Toeplitz index, as a fresh C-contiguous
+    ``v.shape + (n,)`` array.
+    """
+    n = v.shape[-1]
+    padded = np.zeros(v.shape[:-1] + (2 * n - 1,))
+    padded[..., n - 1:] = v
+    return padded.take(index, axis=-1)
+
+
+def _autoconvolve(x: np.ndarray, ds: float, index: np.ndarray) -> np.ndarray:
+    """ds * sum_{k<=i} x[i - k] x[k] for each row of x: ``ds * np.convolve(x, x)[:n]``.
+
+    The product-sum reduces T(x) * x over its contiguous last axis, one
+    row at a time, so a row gives the same bits by itself or in a stack
+    of any shape. ``np.convolve`` takes one vector only, and a matrix
+    product leaves its summation order to the BLAS, which need not sum a
+    row alone as it sums the same row in a stack.
+    """
+    T = _lower_toeplitz(x, index)
+    T *= x[..., None, :]
+    return ds * np.add.reduce(T, axis=-1)
+
+
 def make_autoconvolution(n: int, noise: float = 0.0, noise_seed: int = 0) -> GalleryEntry:
-    """Discrete autoconvolution F(x)_i = ds * sum_{j<=i} x_j x_{i-j+1} - y_i.
+    """Discrete autoconvolution F(x)_i = ds * sum_{k=0..i} x_{i-k} x_k - y_i (0-based).
 
     The first-kind autoconvolution benchmark: F is bilinear, so its
     second derivative is constant.
 
     Uniform grid s_i = i/n on [0, 1], ds = 1/n; the data y is generated
-    from the smooth solution xhat(s) = 1 + s, so F(xhat) = 0 exactly.
-    The Jacobian is lower-triangular Toeplitz, 2*ds*x_{i-k+1}. It is
-    gathered from the vector [0, ..., 0, 2*ds*x] (n - 1 zeros) through a
-    lower-Toeplitz index built once per problem, which returns a fresh
+    from the smooth solution xhat(s) = 1 + s. F is the product-sum
+    ``ds * sum_k T(x)[i, k] x_k`` with T(x) the lower-triangular Toeplitz
+    matrix of x, and y is computed by the same kernel, so F(xhat) = 0
+    exactly. F is :func:`~gnflow.problem.rowwise`: on a stack of points
+    each row gets the bits it gets alone, so a finite-difference Jacobian
+    takes one F call. The Jacobian is 2*ds*T(x), gathered through the
+    same lower-Toeplitz index, built once per problem; it returns a fresh
     C-contiguous matrix with the entries ``scipy.linalg.toeplitz`` gives.
     """
     if n < 2:
@@ -123,19 +153,20 @@ def make_autoconvolution(n: int, noise: float = 0.0, noise_seed: int = 0) -> Gal
     ds = 1.0 / n
     s = np.arange(1, n + 1) * ds
     xhat = 1.0 + s
-    y = ds * np.convolve(xhat, xhat)[:n]
+    # Index n - 1 + i - k picks v_{i-k} for k <= i, and one of the n - 1
+    # leading zeros above the diagonal.
+    toeplitz_index = (n - 1) + np.arange(n)[:, None] - np.arange(n)
+    y = _autoconvolve(xhat, ds, toeplitz_index)
     if noise > 0.0:
         rng = np.random.default_rng(noise_seed)
         y = y + noise * rng.standard_normal(n)
-    # Index n - 1 + i - k picks 2*ds*x_{i-k} for k <= i, and one of the
-    # n - 1 leading zeros above the diagonal.
-    toeplitz_index = (n - 1) + np.arange(n)[:, None] - np.arange(n)
 
-    def f(x, y=y.copy(), ds=ds, n=n):
-        return ds * np.convolve(x, x)[:n] - y
+    @rowwise
+    def f(x, y=y.copy(), ds=ds, index=toeplitz_index):
+        return _autoconvolve(x, ds, index) - y
 
-    def jac(x, ds=ds, zeros=np.zeros(n - 1), index=toeplitz_index):
-        return np.concatenate((zeros, 2.0 * ds * x))[index]
+    def jac(x, ds=ds, index=toeplitz_index):
+        return _lower_toeplitz(2.0 * ds * x, index)
 
     problem = NonlinearProblem(
         dim=n,

@@ -38,7 +38,8 @@ class NonlinearProblem:
 
     Args:
         dim: ambient dimension n.
-        f: forward map, vector -> vector.
+        f: forward map, vector -> vector. Marked with :func:`rowwise`, it
+            also maps a stack of vectors row by row.
         jac: analytic Jacobian, vector -> matrix; finite differences are
             used when absent.
         known_solution: a root of F, when one is known. Enables the error
@@ -100,14 +101,28 @@ def eval_F(p: NonlinearProblem, x) -> np.ndarray:
     return y
 
 
+def rowwise(fn):
+    """Mark F as mapping the rows of a stack as it maps one vector.
+
+    A marked F accepts an ``(..., n)`` array and returns an ``(..., n)``
+    array whose every row equals, bit for bit, F of that row alone.
+    :func:`fd_jacobian` then evaluates all 2n points in one call. The
+    marker sits on the callable, not on the problem, so a problem rebuilt
+    from the same ``f`` keeps it. Returns ``fn``.
+    """
+    fn.rowwise = True
+    return fn
+
+
 def fd_jacobian(p: NonlinearProblem, x, h: float = FD_DEFAULT_STEP) -> np.ndarray:
     """Central-difference Jacobian, a C-contiguous n x n matrix.
 
     Column j is (F(x + h e_j) - F(x - h e_j)) / (2h); exact for affine F.
     The 2n points are the rows of x + h*I and x - h*I, equal bit for bit
-    to x + h e_j and x - h e_j. F is evaluated at each row and the values
-    are stacked as rows, so their shape is checked once, on the stack;
-    finiteness is checked once, on the finished matrix, since a
+    to x + h e_j and x - h e_j. A :func:`rowwise` F is called once on the
+    (2n, n) stack of points; any other F is called at each point and its
+    values are stacked as rows. Either way the shape is checked once, on
+    the stack, and finiteness once, on the finished matrix, since a
     non-finite value of F leaves a non-finite entry in its column.
 
     The differences are formed as rows and then transposed, so the
@@ -119,16 +134,23 @@ def fd_jacobian(p: NonlinearProblem, x, h: float = FD_DEFAULT_STEP) -> np.ndarra
     x = hilbert.as_vector(x, dim=p.dim)
     n = p.dim
     steps = h * hilbert.identity(n)
-    values = [p.f(point) for point in np.concatenate((x + steps, x - steps))]
-    try:
-        Y = np.asarray(values, dtype=float)
-    except ValueError:
-        if all(np.shape(y) == (n,) for y in values):
-            raise  # right shape, but not numbers
-        Y = None  # ragged: the values do not share one shape
-    if Y is None or Y.shape != (2 * n, n):
-        shape = next(np.shape(y) for y in values if np.shape(y) != (n,))
-        raise ValueError(f"F returned shape {shape}, expected ({n},)")
+    points = np.concatenate((x + steps, x - steps))
+    if getattr(p.f, "rowwise", False):
+        Y = np.asarray(p.f(points), dtype=float)
+        if Y.shape != (2 * n, n):
+            raise ValueError(f"F returned shape {Y.shape} on the stacked points, "
+                             f"expected ({2 * n}, {n})")
+    else:
+        values = [p.f(point) for point in points]
+        try:
+            Y = np.asarray(values, dtype=float)
+        except ValueError:
+            if all(np.shape(y) == (n,) for y in values):
+                raise  # right shape, but not numbers
+            Y = None  # ragged: the values do not share one shape
+        if Y is None or Y.shape != (2 * n, n):
+            shape = next(np.shape(y) for y in values if np.shape(y) != (n,))
+            raise ValueError(f"F returned shape {shape}, expected ({n},)")
     J = np.ascontiguousarray(((Y[:n] - Y[n:]) / (2.0 * h)).T)
     if not hilbert.all_finite(J):
         raise ValueError("finite-difference jacobian has non-finite entries")

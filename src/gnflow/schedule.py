@@ -7,6 +7,7 @@ The built-in family is the power law eps(t) = c0*(c1+t)**(-a) with
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import hilbert
@@ -27,14 +28,9 @@ class PowerSchedule:
             raise ValueError(f"a must lie in (0, 1], got {self.a}")
 
     def eps(self, t: float) -> float:
-        if not t >= 0:
-            raise ValueError(f"t must be nonnegative, got {t}")
+        if not 0 <= t < math.inf:
+            raise ValueError(f"t must be nonnegative and finite, got {t}")
         return self.c0 * (self.c1 + t) ** (-self.a)
-
-    def eps_dot(self, t: float) -> float:
-        if not t >= 0:
-            raise ValueError(f"t must be nonnegative, got {t}")
-        return -self.a * self.c0 * (self.c1 + t) ** (-self.a - 1.0)
 
     def b_constant(self) -> float:
         """Smallest b with |eps'(t)| <= b * eps(t)^2 for all t >= 0.
@@ -53,14 +49,9 @@ class _Frozen:
     eps0: float
 
     def eps(self, t: float) -> float:
-        if not t >= 0:
-            raise ValueError(f"t must be nonnegative, got {t}")
+        if not 0 <= t < math.inf:
+            raise ValueError(f"t must be nonnegative and finite, got {t}")
         return self.eps0
-
-    def eps_dot(self, t: float) -> float:
-        if not t >= 0:
-            raise ValueError(f"t must be nonnegative, got {t}")
-        return 0.0
 
     def b_constant(self) -> float:
         return 0.0

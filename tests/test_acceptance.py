@@ -176,7 +176,9 @@ def test_07_schedule_decay_certificate():
                           c1=float(rng.uniform(0.05, 20.0)),
                           a=float(rng.uniform(1e-6, 1.0)))
         b = s.b_constant()
-        excess = max(abs(s.eps_dot(t)) - b * s.eps(t) ** 2 for t in ts)
+        # |eps'(t)| = a c0 (c1+t)^(-a-1), the power law's derivative
+        excess = max(s.a * s.c0 * (s.c1 + t) ** (-s.a - 1.0) - b * s.eps(t) ** 2
+                     for t in ts)
         worst = max(worst, excess)
     ok = worst <= 1e-14
     verdict(7, ok, f"|eps'(t)| <= b eps(t)^2 for 50 random schedules on a "

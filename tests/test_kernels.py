@@ -7,11 +7,18 @@ coefficient for the renormalization collocation, ``scipy.linalg.toeplitz``
 for the autoconvolution Jacobian, and one pair of F evaluations per
 column for central differences. Every trajectory of the direct flow rests
 on these values, so the comparisons are exact (``np.array_equal``).
+
+The autoconvolution F is also checked against itself: on a stack of
+points each row must get the bits it gets alone, the ``rowwise``
+contract that lets ``fd_jacobian`` evaluate all its points in one call.
 """
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from gnflow import gallery
 from gnflow.problem import FD_DEFAULT_STEP, NonlinearProblem, fd_jacobian, jacobian
@@ -113,6 +120,31 @@ def test_autoconvolution_jacobian_matches_toeplitz(n):
         for _ in range(200):
             x = rng.standard_normal(n) * 10.0 ** rng.uniform(-3.0, 3.0)
             assert np.array_equal(p.jac(x), reference_autoconv_jacobian(x, n))
+
+
+@st.composite
+def autoconv_stacks(draw):
+    """An autoconvolution F and a stack of points: rows at scales 1e-3..1e3,
+    as one row, the 2n rows of a finite-difference Jacobian, or a 3-D stack."""
+    n = draw(st.sampled_from([2, 3, 7, 16]))
+    noise = draw(st.sampled_from([0.0, 1e-3]))
+    shape = draw(st.sampled_from([(1, n), (2 * n, n), (2, 3, n)]))
+    unit = draw(arrays(np.float64, shape, elements=st.floats(-1.0, 1.0)))
+    exponents = draw(arrays(np.float64, shape[:-1] + (1,), elements=st.floats(-3.0, 3.0)))
+    f = gallery.make_autoconvolution(n, noise=noise, noise_seed=n).problem.f
+    return f, unit * 10.0**exponents
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(autoconv_stacks())
+def test_autoconvolution_f_is_rowwise(case):
+    # the contract fd_jacobian relies on: each row of a stack gets the bits
+    # it gets alone
+    f, stack = case
+    assert f.rowwise
+    rows = stack.reshape(-1, stack.shape[-1])
+    one_by_one = np.array([f(row) for row in rows]).reshape(stack.shape)
+    assert np.array_equal(f(stack), one_by_one)
 
 
 def _random_affine(seed):

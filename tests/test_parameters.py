@@ -12,7 +12,13 @@ import numpy as np
 import pytest
 
 from gnflow import hilbert, theory
-from gnflow.flow import SolverState, coupled_rhs, gauss_newton_operator, scaled_identity_inverse
+from gnflow.flow import (
+    SolverState,
+    coupled_rhs,
+    direct_rhs,
+    gauss_newton_operator,
+    scaled_identity_inverse,
+)
 from gnflow.integrator import IntegratorConfig, integrate, step, step_count
 from gnflow.problem import BallBounds, NonlinearProblem, estimate_bounds, fd_jacobian
 from gnflow.run import ConfigError, RunConfig, _build_run
@@ -144,17 +150,28 @@ class TestStepGrid:
 
 
 class TestNanTime:
+    """A time that is NaN or infinite is rejected, naming t: at t = inf a
+    power schedule's eps would be 0.0, the unregularized flow."""
+
+    BAD_TIMES = (math.nan, math.inf)
+
     def test_solver_state(self):
-        with pytest.raises(ValueError, match="t must be nonnegative"):
-            SolverState(t=math.nan, x=np.ones(2))
+        for t in self.BAD_TIMES:
+            with pytest.raises(ValueError, match="t must be nonnegative and finite"):
+                SolverState(t=t, x=np.ones(2))
 
     @pytest.mark.parametrize("s", [SCHEDULE, frozen(0.1)], ids=["power", "frozen"])
     def test_schedules(self, s):
-        with pytest.raises(ValueError, match="t must be nonnegative"):
-            s.eps(math.nan)
-        with pytest.raises(ValueError, match="t must be nonnegative"):
-            s.eps_dot(math.nan)
+        for t in self.BAD_TIMES:
+            with pytest.raises(ValueError, match="t must be nonnegative and finite"):
+                s.eps(t)
 
     def test_coupled_rhs(self):
-        with pytest.raises(ValueError, match="t must be nonnegative"):
-            coupled_rhs(PROBLEM, SCHEDULE, XHAT, XHAT, B0, math.nan)
+        for t in self.BAD_TIMES:
+            with pytest.raises(ValueError, match="t must be nonnegative and finite"):
+                coupled_rhs(PROBLEM, SCHEDULE, XHAT, XHAT, B0, t)
+
+    def test_direct_rhs(self):
+        for t in self.BAD_TIMES:
+            with pytest.raises(ValueError, match="t must be nonnegative and finite"):
+                direct_rhs(PROBLEM, SCHEDULE, XHAT, XHAT, t)

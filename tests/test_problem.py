@@ -14,6 +14,7 @@ from gnflow.problem import (
     eval_F,
     fd_jacobian,
     jacobian,
+    rowwise,
 )
 
 
@@ -157,6 +158,58 @@ class TestFdJacobian:
         p = NonlinearProblem(dim=2, f=lambda x: x if x[0] > 1.0 else np.append(x, 0.0))
         with pytest.raises(ValueError, match=r"F returned shape \(3,\), expected \(2,\)"):
             fd_jacobian(p, np.ones(2), h=1e-3)
+
+
+class TestRowwiseFdJacobian:
+    """A :func:`rowwise` F is called once on the stacked points, any other F
+    once per point; the bits are gated by ``tests/test_kernels.py``."""
+
+    @staticmethod
+    def counted(f):
+        calls = []
+
+        def wrapper(x):
+            calls.append(np.shape(x))
+            return f(x)
+
+        return wrapper, calls
+
+    def test_one_call_for_rowwise_f(self):
+        f, calls = self.counted(lambda x: x**2)
+        p = NonlinearProblem(dim=3, f=rowwise(f))
+        J = fd_jacobian(p, np.array([1.0, 2.0, 3.0]), h=1e-3)
+        assert calls == [(6, 3)]
+        assert np.allclose(J, np.diag([2.0, 4.0, 6.0]), atol=1e-9)
+
+    def test_one_call_per_point_for_plain_f(self):
+        f, calls = self.counted(lambda x: x**2)
+        p = NonlinearProblem(dim=3, f=f)
+        fd_jacobian(p, np.array([1.0, 2.0, 3.0]), h=1e-3)
+        assert calls == [(3,)] * 6
+
+    def test_marker_follows_the_callable(self):
+        # a problem rebuilt from the same f keeps the one-call path
+        f, calls = self.counted(lambda x: 2.0 * x)
+        entry = NonlinearProblem(dim=2, f=rowwise(f), jac=lambda x: 2.0 * np.eye(2))
+        rebuilt = NonlinearProblem(dim=2, f=entry.f)
+        fd_jacobian(rebuilt, np.ones(2))
+        assert calls == [(4, 2)]
+
+    @pytest.mark.parametrize("f", [
+        lambda x: x[0],             # one row: the stack was not mapped row by row
+        lambda x: x.sum(axis=-1),   # one value per row
+        lambda x: np.append(x, 0.0),
+    ], ids=["first-row", "row-sums", "flattened"])
+    def test_wrong_stacked_shape_rejected(self, f):
+        p = NonlinearProblem(dim=2, f=rowwise(f))
+        with pytest.raises(ValueError, match=r"F returned shape .* on the stacked points, "
+                                             r"expected \(4, 2\)"):
+            fd_jacobian(p, np.ones(2))
+
+    def test_non_finite_evaluation_rejected(self):
+        p = NonlinearProblem(dim=2, f=rowwise(lambda x: np.where(x > 1.0, np.inf, x)))
+        with pytest.raises(ValueError, match="non-finite"):
+            fd_jacobian(p, np.array([0.5, 1.0]), h=1e-3)
 
 
 class TestEstimateBounds:
