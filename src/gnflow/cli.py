@@ -1,7 +1,7 @@
 """Command-line entry point: argparse and file output for run, compare, verify, sweep.
 
-How a run is configured and built lives in ``gnflow.run``, sweeps in
-``gnflow.harness``. This module turns the command line into a
+How a run or a sweep of runs is configured and built lives in
+``gnflow.run``. This module turns the command line into a
 ``RunConfig`` (one flag per field, overriding a ``--config`` file),
 writes trajectories to CSV with 17 significant digits so repeated runs
 with the same config and seed are bit-identical, writes summaries as
@@ -23,10 +23,9 @@ import numpy as np
 
 from . import gallery, theory
 from .flow import FlowDiagnostics, SolverState, initial_inverse
-from .harness import SweepSpec, sweep, write_sweep_csv
 from .integrator import IntegratorConfig, Trajectory, convergence_order, integrate
 from .run import (CHOICES, CONFIG_KEYS, PARSERS, ConfigError, RunConfig, execute_run, fmt,
-                  load_config, write_csv, write_lines)
+                  load_config, sweep, write_csv, write_lines, write_sweep_csv)
 from .schedule import PowerSchedule
 
 EXIT_OK = 0
@@ -285,7 +284,7 @@ def cmd_verify(suite: str) -> int:
 
 def cmd_sweep(cfg: RunConfig, param: str, values: list, seeds: list, out: str) -> int:
     _reject_certify("sweep", cfg)
-    rows = sweep(SweepSpec(base=cfg, param=param, values=values, seeds=seeds))
+    rows = sweep(cfg, param, values, seeds)
     write_sweep_csv(out, rows)
     for row in rows:
         print(f"{param}={fmt(row['param_value'])} seed={row['seed']}: "

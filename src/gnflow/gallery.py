@@ -271,8 +271,6 @@ def make_feigenbaum_like(n: int) -> GalleryEntry:
     as data files (one value per line, 17 significant digits, accurate to
     well below 1e-12 in residual).
     """
-    if n < 4:
-        raise ValueError(f"n must be >= 4, got {n}")
     if n not in _FEIGENBAUM_SIZES:
         raise ValueError(
             f"no stored reference solution for n={n}; available: {_FEIGENBAUM_SIZES}"
@@ -294,15 +292,19 @@ def make_feigenbaum_like(n: int) -> GalleryEntry:
 # --- certificate-compliant instances ---------------------------------------
 
 
+def _random_spd(n: int, rng) -> np.ndarray:
+    """Q diag(d) Q^T: Q from the QR of a Gaussian matrix, d uniform in [0.5, 2]."""
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return Q @ np.diag(rng.uniform(0.5, 2.0, size=n)) @ Q.T
+
+
 def _base_instance(n: int, kind: str, rng) -> tuple[GalleryEntry, np.ndarray]:
     """Base problem for the compliant constructor plus the w direction."""
     xhat = _default_xhat(n)
-    if kind == "identity":
-        entry = make_affine(n, "identity", xhat=xhat)
-        w_dir = rng.standard_normal(n)
+    if kind in ("identity", "hilbert_matrix", "rank_deficient"):
+        entry = make_affine(n, kind, xhat=xhat)
     elif kind == "spd":
-        Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-        A = Q @ np.diag(rng.uniform(0.5, 2.0, size=n)) @ Q.T
+        A = _random_spd(n, rng)
         problem = NonlinearProblem(
             dim=n,
             f=lambda x, A=A, c=xhat.copy(): A @ (x - c),
@@ -311,10 +313,8 @@ def _base_instance(n: int, kind: str, rng) -> tuple[GalleryEntry, np.ndarray]:
             label=f"affine-spd-{n}",
         )
         entry = GalleryEntry(problem, xhat.copy())
-        w_dir = rng.standard_normal(n)
     elif kind == "quadratic":
-        Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-        A = Q @ np.diag(rng.uniform(0.5, 2.0, size=n)) @ Q.T
+        A = _random_spd(n, rng)
         nu = 0.05
         problem = NonlinearProblem(
             dim=n,
@@ -324,17 +324,14 @@ def _base_instance(n: int, kind: str, rng) -> tuple[GalleryEntry, np.ndarray]:
             label=f"quadratic-{n}",
         )
         entry = GalleryEntry(problem, xhat.copy())
-        w_dir = rng.standard_normal(n)
-    elif kind == "hilbert_matrix":
-        entry = make_affine(n, "hilbert_matrix", xhat=xhat)
+    else:
+        raise ValueError(f"unknown compliant kind {kind!r}")
+    if kind == "hilbert_matrix":
         A = scipy.linalg.hilbert(n)
         _, evecs = np.linalg.eigh(A @ A)
         w_dir = evecs[:, -1]  # keep the offset in the well-resolved range
-    elif kind == "rank_deficient":
-        entry = make_affine(n, "rank_deficient", xhat=xhat)
-        w_dir = rng.standard_normal(n)
     else:
-        raise ValueError(f"unknown compliant kind {kind!r}")
+        w_dir = rng.standard_normal(n)
     return entry, w_dir / np.linalg.norm(w_dir)
 
 
@@ -365,6 +362,8 @@ def compliant_instance(
         raise ValueError(f"n must be >= 1, got {n}")
     if n > 16:
         raise ValueError(f"compliant construction is desk-scale only (n <= 16), got {n}")
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     rng = np.random.default_rng(seed)
     entry, w_dir = _base_instance(n, kind, rng)
     p = entry.problem

@@ -7,9 +7,10 @@ type of its field, resolves a configuration into the built run (gallery
 entry, schedule, start point, initial inverse track, known solution) and
 integrates it. Every configuration it cannot use raises ``ConfigError``.
 
-It also holds the output format shared by ``cli`` and ``harness``:
-numbers with 17 significant digits, so repeated runs with the same
-config and seed write bit-identical files, and the one CSV writer.
+A parameter sweep is a grid of such runs, one per value x seed, and
+lives here too. The module also holds the output format that ``cli``
+writes: numbers with 17 significant digits, so repeated runs with the
+same config and seed write bit-identical files, and the one CSV writer.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import time
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Optional
@@ -235,3 +237,59 @@ def write_csv(path, header, rows) -> None:
     writer.writerow(header)
     writer.writerows([fmt(v) for v in row] for row in rows)
     write_lines(path, [buf.getvalue().removesuffix("\n")])
+
+
+SWEEP_COLUMNS = ("param_value", "seed", "final_err", "final_residual",
+                 "termination", "wall_ms")
+
+#: Dotted config keys a sweep may set directly: those of the float fields.
+SWEEP_KEYS = tuple(CONFIG_KEYS[name] for name, kind in _FIELD_TYPES.items() if kind == "float")
+
+
+def sweep(base: RunConfig, param: str, values, seeds=(0,)) -> list:
+    """Run ``base`` with ``param`` set to each value, for each seed, in that order.
+
+    ``param`` is "eps0" (sets eps(0) through the schedule's c0) or a
+    dotted config key from ``SWEEP_KEYS``. "noise" is the level of a
+    fixed, seed-deterministic perturbation of the problem's data, applied
+    once when the problem is built. A run that fails is recorded, with
+    its message, in its row's termination tag and never aborts the sweep.
+    Returns one dict per run with ``SWEEP_COLUMNS`` keys.
+    """
+    if not values:
+        raise ConfigError("sweep needs a nonempty value list")
+    if not seeds:
+        raise ConfigError("sweep needs a nonempty seed list")
+    if param != "eps0" and param not in SWEEP_KEYS:
+        raise ConfigError(
+            f"unknown sweep parameter {param!r}; choose eps0 or one of {sorted(SWEEP_KEYS)}"
+        )
+    if param == "noise" and not all(0.0 <= v < math.inf for v in values):
+        raise ConfigError("noise levels must be finite and nonnegative")
+    rows = []
+    for value in values:
+        if param == "eps0":
+            # eps(0) = c0 * c1**(-a); move c0 so eps(0) hits the target.
+            setting = {"schedule_c0": value * base.schedule_c1**base.schedule_a}
+        else:
+            setting = {KEY_TO_FIELD[param]: value}
+        for seed in seeds:
+            start = time.perf_counter()
+            try:
+                traj, _ = execute_run(replace(base, seed=seed, **setting))
+                final = traj.records[-1][1]
+                outcome = (final.err_norm, final.residual_norm, traj.termination)
+            except Exception as exc:  # record, never abort the sweep
+                outcome = (None, None, f"error:{type(exc).__name__}: {exc}")
+            wall_ms = 1000.0 * (time.perf_counter() - start)
+            rows.append(dict(zip(SWEEP_COLUMNS, (value, seed, *outcome, wall_ms))))
+    return rows
+
+
+def write_sweep_csv(path: str, rows: list) -> None:
+    """One header line, then one line per row; raises ConfigError if unwritable.
+
+    A failed row's termination tag carries the error message, which is
+    quoted when it holds a comma, quote or line break.
+    """
+    write_csv(path, SWEEP_COLUMNS, ([row[c] for c in SWEEP_COLUMNS] for row in rows))

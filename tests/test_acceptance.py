@@ -14,8 +14,8 @@ from gnflow.flow import SolverState, coupled_rhs, direct_rhs
 from gnflow.hilbert import op_norm
 from gnflow.integrator import IntegratorConfig, convergence_order, integrate
 from gnflow.problem import NonlinearProblem
+from gnflow.run import sweep, write_sweep_csv
 from gnflow.schedule import PowerSchedule
-from gnflow.harness import SweepSpec, sweep, write_sweep_csv
 
 HORIZON = 50.0
 
@@ -236,12 +236,12 @@ def test_09_source_condition_recovery():
 def test_10_eps0_range_sweep(tmp_path):
     base = cli.RunConfig(problem="compliant-affine-8", horizon_T=10.0,
                          record_every=100)
-    rows = sweep(SweepSpec(base=base, param="eps0", values=[0.001, 0.01, 0.1]))
+    rows = sweep(base, "eps0", [0.001, 0.01, 0.1])
     out = tmp_path / "sweep.csv"
     write_sweep_csv(out, rows)
     in_range_ok = all(r["termination"] == "horizon_reached" for r in rows)
     # outside the documented range: recorded, not asserted
-    extra = sweep(SweepSpec(base=base, param="eps0", values=[1.0]))
+    extra = sweep(base, "eps0", [1.0])
     recorded = len(extra) == 1 and extra[0]["termination"] != ""
     ok = in_range_ok and out.exists() and recorded
     verdict(10, ok, f"eps(0) sweep over the documented range all reached the "

@@ -114,7 +114,7 @@ class TestFeigenbaumLike:
     def test_unstored_size_rejected(self):
         with pytest.raises(ValueError, match="stored reference"):
             gallery.make_feigenbaum_like(5)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="stored reference"):
             gallery.make_feigenbaum_like(3)
 
 
@@ -162,6 +162,11 @@ class TestCompliantInstance:
     def test_dimension_cap(self):
         with pytest.raises(ValueError, match="n <= 16"):
             gallery.compliant_instance(32, seed=0)
+
+    def test_no_samples_rejected_up_front(self):
+        # not reported as exhaustion after MAX_HALVINGS silent attempts
+        with pytest.raises(ValueError, match="samples must be >= 1"):
+            gallery.compliant_instance(4, seed=0, samples=0)
 
 
 class TestRegistry:

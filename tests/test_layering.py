@@ -6,16 +6,18 @@ names are checked here too, reading its sources without importing them.
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import gnflow
 
 #: Each module may import only modules listed before it.
 LAYERS = ("hilbert", "schedule", "problem", "flow", "integrator", "theory", "gallery",
-          "run", "harness", "cli")
+          "run", "cli")
 
 PACKAGE_DIR = Path(gnflow.__file__).parent
-BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
+REPO_DIR = Path(__file__).resolve().parent.parent
+BENCH_DIR = REPO_DIR / "bench"
 
 
 def package_imports(source: str) -> set:
@@ -48,10 +50,10 @@ def test_parser_sees_every_import_form():
         "    from .cli import main\n"
         "    import gnflow.run\n"
         "    from gnflow import gallery\n"
-        "    from gnflow.harness import sweep\n"
+        "    from gnflow.integrator import step\n"
     )
     assert package_imports(source) == {"hilbert", "theory", "flow", "cli", "run", "gallery",
-                                       "harness"}
+                                       "integrator"}
 
 
 def layered_modules() -> dict:
@@ -60,6 +62,12 @@ def layered_modules() -> dict:
 
 def test_every_module_is_layered():
     assert set(layered_modules()) == set(LAYERS)
+
+
+def test_readme_layout_table_lists_the_layers():
+    """The README's Layout table names each module once, in layer order."""
+    rows = re.findall(r"^\| `gnflow\.(\w+)` \|", (REPO_DIR / "README.md").read_text(), re.M)
+    assert tuple(rows) == LAYERS
 
 
 def test_imports_point_down_the_layers():
