@@ -244,21 +244,16 @@ def _verify_order() -> list:
     sched = PowerSchedule(c0=0.5, c1=1.0, a=1.0)
     x0 = entry.xhat + 0.5 * np.array([1.0, -1.0, 0.5]) / np.sqrt(3)
     st0 = SolverState(t=0.0, x=x0, B=initial_inverse(entry.problem, x0, sched.eps(0.0)))
-    base = IntegratorConfig(method="rk4", step_h=0.1, horizon_T=1.0, record_every=10**9,
-                            monitors=frozenset())
     steps = [0.1, 0.05, 0.025]
-    errs = convergence_order(entry.problem, sched, st0, base, steps)
-    ratios = [errs[i][1] / errs[i + 1][1] for i in range(len(errs) - 1)]
-    ok = all(14.0 <= r <= 18.0 for r in ratios)
-    results.append(("rk4 step-halving ratios in [14, 18]", ok,
-                    "ratios = " + ", ".join(f"{r:.2f}" for r in ratios)))
-    base_e = IntegratorConfig(method="euler", step_h=0.1, horizon_T=1.0,
-                              record_every=10**9, monitors=frozenset())
-    errs = convergence_order(entry.problem, sched, st0, base_e, steps)
-    ratios = [errs[i][1] / errs[i + 1][1] for i in range(len(errs) - 1)]
-    ok = all(1.8 <= r <= 2.2 for r in ratios)
-    results.append(("euler step-halving ratios in [1.8, 2.2]", ok,
-                    "ratios = " + ", ".join(f"{r:.2f}" for r in ratios)))
+    # Halving h divides the error by 2^order: 16 for RK4, 2 for Euler.
+    for method, lo, hi in (("rk4", 14, 18), ("euler", 1.8, 2.2)):
+        cfg = IntegratorConfig(method=method, step_h=0.1, horizon_T=1.0, record_every=10**9,
+                               monitors=frozenset())
+        errs = convergence_order(entry.problem, sched, st0, cfg, steps)
+        ratios = [errs[i][1] / errs[i + 1][1] for i in range(len(errs) - 1)]
+        results.append((f"{method} step-halving ratios in [{lo}, {hi}]",
+                        all(lo <= r <= hi for r in ratios),
+                        "ratios = " + ", ".join(f"{r:.2f}" for r in ratios)))
     return results
 
 

@@ -17,7 +17,6 @@ B' vanishes, which the tests use as an equivalence oracle.
 
 from __future__ import annotations
 
-import math
 import weakref
 from dataclasses import dataclass
 from typing import Optional
@@ -44,8 +43,7 @@ class SolverState:
         self.x = hilbert.as_vector(self.x)
         if self.B is not None:
             self.B = hilbert.as_operator(self.B, dim=self.x.size)
-        if not 0 <= self.t < math.inf:
-            raise ValueError(f"t must be nonnegative and finite, got {self.t}")
+        hilbert.flow_time(self.t)
 
 
 @dataclass

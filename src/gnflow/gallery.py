@@ -11,6 +11,7 @@ published experiment.
 
 from __future__ import annotations
 
+import functools
 import importlib.resources
 import math
 from dataclasses import dataclass
@@ -53,14 +54,39 @@ def _default_xhat(n: int) -> np.ndarray:
     return 1.0 + (np.arange(1, n + 1)) / n
 
 
-def make_affine(
-    n: int,
-    kind: str,
-    xhat=None,
-    noise: float = 0.0,
-    noise_seed: int = 0,
-) -> GalleryEntry:
-    """F(x) = A (x - xhat) with constant Jacobian A.
+#: The constant Jacobian A of each affine kind, by size n.
+_AFFINE_MATRICES = {
+    "identity": np.eye,
+    "hilbert_matrix": scipy.linalg.hilbert,
+    "rank_deficient": lambda n: np.diag(np.r_[np.ones(n - 1), 0.0]),
+}
+
+
+def _leading_eigenvector(M: np.ndarray) -> np.ndarray:
+    """The unit eigenvector of the largest eigenvalue of the symmetric matrix M."""
+    return np.linalg.eigh(M)[1][:, -1]
+
+
+def _affine_problem(A: np.ndarray, xhat: np.ndarray, label: str, noise: float = 0.0,
+                    noise_seed: int = 0) -> NonlinearProblem:
+    """F(x) = A (x - xhat) with constant Jacobian A; ``noise`` shifts the anchor
+    xhat by a fixed Gaussian perturbation, keeping the clean solution."""
+    anchor = xhat.copy()
+    if noise > 0.0:
+        rng = np.random.default_rng(noise_seed)
+        anchor = anchor + noise * rng.standard_normal(xhat.size)
+    return NonlinearProblem(
+        dim=xhat.size,
+        f=lambda x, A=A, c=anchor: A @ (x - c),
+        jac=lambda x, A=A: A.copy(),
+        known_solution=xhat,
+        label=label,
+        validate_solution=(noise == 0.0),
+    )
+
+
+def make_affine(n: int, kind: str, noise: float = 0.0, noise_seed: int = 0) -> GalleryEntry:
+    """F(x) = A (x - xhat) with constant Jacobian A and xhat the default solution.
 
     Kinds: "identity" (well-posed sanity instance); "hilbert_matrix"
     (A_ij = 1/(i+j-1), the classic ill-conditioned test matrix; the
@@ -71,37 +97,18 @@ def make_affine(
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    xhat = _default_xhat(n) if xhat is None else hilbert.as_vector(xhat, dim=n)
+    if kind not in _AFFINE_MATRICES:
+        raise ValueError(f"unknown affine kind {kind!r}")
+    xhat = _default_xhat(n)
+    A = _AFFINE_MATRICES[kind](n)
     if kind == "identity":
-        A = np.eye(n)
         offset = 0.1 * np.ones(n) / np.sqrt(n)
     elif kind == "hilbert_matrix":
-        A = scipy.linalg.hilbert(n)
         M = A @ A
-        evals, evecs = np.linalg.eigh(M)
-        w = 0.1 * evecs[:, -1]  # leading eigenvector: in-range offset
-        offset = -M @ w
-    elif kind == "rank_deficient":
-        A = np.diag(np.r_[np.ones(n - 1), 0.0])
-        offset = 0.1 * np.eye(n)[-1]  # null-space direction: source fails
+        offset = -M @ (0.1 * _leading_eigenvector(M))  # in-range offset
     else:
-        raise ValueError(f"unknown affine kind {kind!r}")
-
-    anchor = xhat.copy()
-    if noise > 0.0:
-        rng = np.random.default_rng(noise_seed)
-        anchor = anchor + noise * rng.standard_normal(n)
-
-    A_ = A.copy()
-
-    problem = NonlinearProblem(
-        dim=n,
-        f=lambda x, A=A_, c=anchor.copy(): A @ (x - c),
-        jac=lambda x, A=A_: A.copy(),
-        known_solution=xhat,
-        label=f"affine-{kind}-{n}",
-        validate_solution=(noise == 0.0),
-    )
+        offset = 0.1 * np.eye(n)[-1]  # null-space direction: source fails
+    problem = _affine_problem(A, xhat, f"affine-{kind}-{n}", noise, noise_seed)
     return GalleryEntry(problem=problem, default_x0=xhat + offset)
 
 
@@ -298,23 +305,16 @@ def _random_spd(n: int, rng) -> np.ndarray:
     return Q @ np.diag(rng.uniform(0.5, 2.0, size=n)) @ Q.T
 
 
-def _base_instance(n: int, kind: str, rng) -> tuple[GalleryEntry, np.ndarray]:
-    """Base problem for the compliant constructor plus the w direction."""
+def _base_instance(n: int, kind: str, rng) -> tuple[NonlinearProblem, np.ndarray]:
+    """Base problem for the compliant constructor plus the unit w direction."""
     xhat = _default_xhat(n)
-    if kind in ("identity", "hilbert_matrix", "rank_deficient"):
-        entry = make_affine(n, kind, xhat=xhat)
-    elif kind == "spd":
+    if kind in ("spd", "quadratic"):
         A = _random_spd(n, rng)
-        problem = NonlinearProblem(
-            dim=n,
-            f=lambda x, A=A, c=xhat.copy(): A @ (x - c),
-            jac=lambda x, A=A: A.copy(),
-            known_solution=xhat,
-            label=f"affine-spd-{n}",
-        )
-        entry = GalleryEntry(problem, xhat.copy())
-    elif kind == "quadratic":
-        A = _random_spd(n, rng)
+    elif kind in _AFFINE_MATRICES:
+        A = _AFFINE_MATRICES[kind](n)
+    else:
+        raise ValueError(f"unknown compliant kind {kind!r}")
+    if kind == "quadratic":
         nu = 0.05
         problem = NonlinearProblem(
             dim=n,
@@ -323,16 +323,13 @@ def _base_instance(n: int, kind: str, rng) -> tuple[GalleryEntry, np.ndarray]:
             known_solution=xhat,
             label=f"quadratic-{n}",
         )
-        entry = GalleryEntry(problem, xhat.copy())
     else:
-        raise ValueError(f"unknown compliant kind {kind!r}")
+        problem = _affine_problem(A, xhat, f"affine-{kind}-{n}")
     if kind == "hilbert_matrix":
-        A = scipy.linalg.hilbert(n)
-        _, evecs = np.linalg.eigh(A @ A)
-        w_dir = evecs[:, -1]  # keep the offset in the well-resolved range
+        w_dir = _leading_eigenvector(A @ A)  # keep the offset in the well-resolved range
     else:
         w_dir = rng.standard_normal(n)
-    return entry, w_dir / np.linalg.norm(w_dir)
+    return problem, w_dir / np.linalg.norm(w_dir)
 
 
 def compliant_instance(
@@ -365,9 +362,8 @@ def compliant_instance(
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     rng = np.random.default_rng(seed)
-    entry, w_dir = _base_instance(n, kind, rng)
-    p = entry.problem
-    xhat = entry.xhat
+    p, w_dir = _base_instance(n, kind, rng)
+    xhat = p.known_solution
 
     M = solution_gram(p, xhat)
     Mw_dir = M @ w_dir
@@ -437,18 +433,38 @@ def _feigenbaum_6(noise: float, noise_seed: int) -> GalleryEntry:
     return make_feigenbaum_like(6)
 
 
-#: Builder of each fixed-size entry by label, called with noise= and noise_seed=.
+def _compliant_entry(label: str, noise: float, noise_seed: int) -> GalleryEntry:
+    """The certified entry behind a compliant label; with noise, the same
+    problem with F shifted by a fixed Gaussian draw."""
+    entry = _compliant(label)[0]
+    if noise == 0.0:
+        return entry
+    rng = np.random.default_rng(noise_seed)
+    shift = noise * rng.standard_normal(entry.problem.dim)
+    noisy = NonlinearProblem(
+        dim=entry.problem.dim,
+        f=lambda x, f=entry.problem.f, c=shift: f(x) - c,
+        jac=entry.problem.jac,
+        known_solution=entry.problem.known_solution,
+        label=entry.problem.label + "-noisy",
+        validate_solution=False,
+    )
+    return GalleryEntry(problem=noisy, default_x0=entry.default_x0)
+
+
+#: Builder of each entry by label, called with noise= and noise_seed=.
 _ENTRIES = {
     "identity-8": lambda **noise: make_affine(8, "identity", **noise),
     "hilbert-8": lambda **noise: make_affine(8, "hilbert_matrix", **noise),
     "rank-deficient-8": lambda **noise: make_affine(8, "rank_deficient", **noise),
     "autoconv-16": lambda **noise: make_autoconvolution(16, **noise),
     "feigenbaum-6": _feigenbaum_6,
+    **{label: functools.partial(_compliant_entry, label) for label in _COMPLIANT_SPECS},
 }
 
 
 def available_labels() -> list:
-    return [*_ENTRIES, *_COMPLIANT_SPECS]
+    return list(_ENTRIES)
 
 
 def get_entry(label: str, noise: float = 0.0, noise_seed: int = 0) -> GalleryEntry:
@@ -460,24 +476,9 @@ def get_entry(label: str, noise: float = 0.0, noise_seed: int = 0) -> GalleryEnt
     """
     if not 0.0 <= noise < math.inf:
         raise ValueError(f"noise must be finite and nonnegative, got {noise}")
-    if label in _ENTRIES:
-        return _ENTRIES[label](noise=noise, noise_seed=noise_seed)
-    if label in _COMPLIANT_SPECS:
-        entry = _compliant(label)[0]
-        if noise == 0.0:
-            return entry
-        rng = np.random.default_rng(noise_seed)
-        shift = noise * rng.standard_normal(entry.problem.dim)
-        base_f = entry.problem.f
-        noisy = NonlinearProblem(
-            dim=entry.problem.dim,
-            f=lambda x, f=base_f, c=shift: f(x) - c,
-            jac=entry.problem.jac,
-            known_solution=entry.problem.known_solution,
-            label=entry.problem.label + "-noisy",
-            validate_solution=False,
+    build = _ENTRIES.get(label)
+    if build is None:
+        raise KeyError(
+            f"unknown problem label {label!r}; available: {', '.join(available_labels())}"
         )
-        return GalleryEntry(problem=noisy, default_x0=entry.default_x0)
-    raise KeyError(
-        f"unknown problem label {label!r}; available: {', '.join(available_labels())}"
-    )
+    return build(noise=noise, noise_seed=noise_seed)

@@ -48,6 +48,14 @@ def positive(name: str, value: float) -> float:
     return value
 
 
+def flow_time(t: float) -> float:
+    """Return the flow time ``t`` if it is nonnegative and finite, the rule of
+    every time; otherwise (NaN and inf included) raise ValueError naming t."""
+    if not 0 <= t < math.inf:
+        raise ValueError(f"t must be nonnegative and finite, got {t}")
+    return t
+
+
 def as_vector(v, dim: int | None = None) -> np.ndarray:
     """Validate and return ``v`` as a 1-D float64 array.
 
@@ -152,20 +160,18 @@ def solve_regularized(A, eps: float, rhs) -> np.ndarray:
 
 
 def op_norm(A) -> float:
-    """Spectral norm of ``A``: its largest singular value.
-
-    One LAPACK SVD (singular values only), exact to round-off at any
-    spectrum, including tightly clustered top singular values. Cheaper
-    than ``np.linalg.norm(A, 2)`` at the sizes used here (n <= 16).
-    """
-    return float(np.linalg.svd(as_operator(A), compute_uv=False)[0])
+    """Spectral norm of the square matrix ``A``, by :func:`op_norms`."""
+    return float(op_norms(np.asarray(A, dtype=float)[None])[0])
 
 
 def op_norms(stack) -> np.ndarray:
     """Spectral norms of a stack of square matrices, shape (k, n, n) -> (k,).
 
-    One batched LAPACK SVD; each norm equals :func:`op_norm` of its
-    matrix exactly. Raises ValueError on non-finite entries.
+    The one norm routine: a batched LAPACK SVD (singular values only),
+    exact to round-off at any spectrum, including tightly clustered top
+    singular values, and cheaper than ``np.linalg.norm(A, 2)`` at n <= 16.
+    A matrix gets the same norm alone or in a stack. Raises ValueError on
+    non-finite entries.
     """
     arr = np.asarray(stack, dtype=float)
     if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:

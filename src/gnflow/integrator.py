@@ -4,7 +4,7 @@ The pair (x, B) is advanced jointly in a single stage loop; B is just a
 flat block of extra state. Every stage goes through the validated flow
 right-hand sides on bare arrays, and every step through the public
 ``step``, which builds the one ``SolverState`` of the step. One RK4
-implementation, ``_advance``, serves ``step`` and the Gronwall lemma
+implementation, ``advance``, serves ``step`` and the Gronwall lemma
 check in ``theory``. Monitors watch for the ball-exit event
 ||x - xhat|| >= R * eps(t) and for divergence.
 """
@@ -12,6 +12,7 @@ check in ``theory``. Monitors watch for the ball-exit event
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -58,8 +59,11 @@ class IntegratorConfig:
         if not math.isfinite(self.horizon_T):
             raise ValueError(f"horizon_T must be finite, got {self.horizon_T}")
         step_count("horizon_T", self.horizon_T, self.step_h)
-        if self.record_every < 1:
-            raise ValueError(f"record_every must be >= 1, got {self.record_every}")
+        try:
+            if operator.index(self.record_every) < 1:
+                raise ValueError(f"record_every must be >= 1, got {self.record_every}")
+        except TypeError:
+            raise ValueError(f"record_every must be an integer, got {self.record_every}") from None
         unknown = set(self.monitors) - {"ball", "divergence"}
         if unknown:
             raise ValueError(f"unknown monitor flags: {sorted(unknown)}")
@@ -81,8 +85,8 @@ def _stage(x, B, xd, Bd, h):
     return xs, Bs
 
 
-def _advance(rhs: RhsFn, x: np.ndarray, B: Optional[np.ndarray], t: float, h: float,
-             method: str) -> tuple:
+def advance(rhs: RhsFn, x: np.ndarray, B: Optional[np.ndarray], t: float, h: float,
+            method: str) -> tuple:
     """One explicit Euler or classical RK4 step of the pair (x, B).
 
     Works on bare arrays and checks none of its inputs; ``B`` is None when
@@ -117,7 +121,7 @@ def step(rhs: RhsFn, st: SolverState, t: float, h: float, method: str) -> Solver
     The schedule inside ``rhs`` is evaluated at the stage times t, t+h/2
     and t+h. Raises ValueError unless ``h`` is positive and finite.
     """
-    xn, Bn = _advance(rhs, st.x, st.B, t, hilbert.positive("h", h), method)
+    xn, Bn = advance(rhs, st.x, st.B, t, hilbert.positive("h", h), method)
     return SolverState(t=t + h, x=xn, B=Bn)
 
 
@@ -163,22 +167,20 @@ def integrate(
     rhs = _flow_rhs(p, s, st0.x)
     n_steps = step_count("horizon_T", cfg.horizon_T, cfg.step_h)
 
-    def ball_exit(st: SolverState) -> bool:
-        return ("ball" in cfg.monitors
-                and np.linalg.norm(st.x - xhat) >= R * s.eps(st.t))
-
-    def diverged(st: SolverState) -> bool:
-        if "divergence" not in cfg.monitors:
-            return False
-        if np.linalg.norm(st.x) > DIVERGENCE_LIMIT:
-            return True
-        return st.B is not None and np.linalg.norm(st.B) > DIVERGENCE_LIMIT
+    def event(st: SolverState) -> Optional[str]:
+        """The tag of the monitor that ``st`` triggers (the ball's first), or None."""
+        if "ball" in cfg.monitors and np.linalg.norm(st.x - xhat) >= R * s.eps(st.t):
+            return "ball_exit"
+        if "divergence" in cfg.monitors and (
+                np.linalg.norm(st.x) > DIVERGENCE_LIMIT
+                or st.B is not None and np.linalg.norm(st.B) > DIVERGENCE_LIMIT):
+            return "divergence"
+        return None
 
     records = [(st0, diagnostics(p, s, st0, xhat))]
-    if ball_exit(st0):
-        return Trajectory(records, "ball_exit")
-    if diverged(st0):
-        return Trajectory(records, "divergence")
+    tag = event(st0)
+    if tag is not None:
+        return Trajectory(records, tag)
 
     def try_record(st: SolverState) -> bool:
         # avoid duplicating a just-recorded time; a state too extreme to
@@ -202,12 +204,10 @@ def integrate(
         # Keep record times exactly on the k*h grid; the fresh state is
         # ours, so its time is set in place rather than re-validated.
         st.t = k * cfg.step_h
-        if ball_exit(st):
+        tag = event(st)
+        if tag is not None:
             try_record(st)
-            return Trajectory(records, "ball_exit")
-        if diverged(st):
-            try_record(st)
-            return Trajectory(records, "divergence")
+            return Trajectory(records, tag)
         if k % cfg.record_every == 0 or k == n_steps:
             if not try_record(st):
                 return Trajectory(records, "numerical_error")
@@ -223,12 +223,14 @@ def convergence_order(
 ) -> list:
     """Endpoint errors against a reference run at steps[-1] / 4.
 
-    ``steps`` must be sorted descending. The reference is integrated with
-    the fourth-order method regardless of ``cfg.method`` so that its own
-    error is negligible against every tested step. Errors combine the x
-    block and, when present, the B block, matching the product state the
-    integrator advances. Used by the discretization-order tests.
+    ``steps`` must be nonempty and sorted descending. The reference is
+    integrated with the fourth-order method regardless of ``cfg.method``,
+    so its own error is negligible against every tested step. Errors combine
+    the x block and, when present, the B block, matching the product state
+    the integrator advances. Used by the discretization-order tests.
     """
+    if not steps:
+        raise ValueError("steps must be nonempty")
     if sorted(steps, reverse=True) != list(steps):
         raise ValueError("steps must be sorted descending")
 

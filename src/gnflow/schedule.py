@@ -7,7 +7,6 @@ The built-in family is the power law eps(t) = c0*(c1+t)**(-a) with
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from . import hilbert
@@ -28,9 +27,7 @@ class PowerSchedule:
             raise ValueError(f"a must lie in (0, 1], got {self.a}")
 
     def eps(self, t: float) -> float:
-        if not 0 <= t < math.inf:
-            raise ValueError(f"t must be nonnegative and finite, got {t}")
-        return self.c0 * (self.c1 + t) ** (-self.a)
+        return self.c0 * (self.c1 + hilbert.flow_time(t)) ** (-self.a)
 
     def b_constant(self) -> float:
         """Smallest b with |eps'(t)| <= b * eps(t)^2 for all t >= 0.
@@ -49,8 +46,7 @@ class _Frozen:
     eps0: float
 
     def eps(self, t: float) -> float:
-        if not 0 <= t < math.inf:
-            raise ValueError(f"t must be nonnegative and finite, got {t}")
+        hilbert.flow_time(t)
         return self.eps0
 
     def b_constant(self) -> float:

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import hilbert
 from .flow import mismatch_operator, solution_gram
-from .integrator import _advance, step_count
+from .integrator import advance, step_count
 from .problem import BallBounds, NonlinearProblem, estimate_bounds
 
 #: Relative spectral cutoff for the source-condition pseudo-inverse, and
@@ -368,16 +368,16 @@ def gronwall_check(
         return dqr, dV
 
     # (q, r) rides as the vector block of the integrator's state, V as its
-    # matrix block. Each step's V is kept for one batched norm call.
+    # matrix block. V0 and each step's V are kept for one batched norm call.
     qr, V = np.zeros(2), V0
-    v0_norm = hilbert.op_norm(V0)
     check_coercive(0.0)
-    Vs = np.empty((n_steps, n, n))
-    bounds = []
+    Vs, qrs = [V0], []
     for k in range(1, n_steps + 1):
-        qr, V = _advance(rhs, qr, V, (k - 1) * h, h, "rk4")
+        qr, V = advance(rhs, qr, V, (k - 1) * h, h, "rk4")
         check_coercive(k * h)
-        Vs[k - 1] = V
-        bounds.append(math.exp(-qr[0]) * (qr[1] + v0_norm))
+        Vs.append(V)
+        qrs.append(qr)
+    v0_norm, *v_norms = hilbert.op_norms(Vs)
     # 0.0 is the violation at t = 0, where ||V0|| equals the bound
-    return float(max([0.0] + [v - bound for v, bound in zip(hilbert.op_norms(Vs), bounds)]))
+    return float(max([0.0] + [v - math.exp(-q) * (r + v0_norm)
+                              for v, (q, r) in zip(v_norms, qrs)]))

@@ -506,8 +506,10 @@ class TestConvergenceOrder:
     def test_steps_must_descend(self):
         p, s, st0 = self._scalar_flow()
         cfg = IntegratorConfig(method="rk4", step_h=0.1, horizon_T=1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="sorted descending"):
             convergence_order(p, s, st0, cfg, [0.05, 0.1])
+        with pytest.raises(ValueError, match="steps must be nonempty"):
+            convergence_order(p, s, st0, cfg, [])
 
 
 class TestConfigValidation:
@@ -520,5 +522,7 @@ class TestConfigValidation:
             IntegratorConfig(monitors=frozenset({"teleport"}))
 
     def test_bad_record_every(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="record_every must be >= 1"):
             IntegratorConfig(record_every=0)
+        with pytest.raises(ValueError, match="record_every must be an integer, got 2.5"):
+            IntegratorConfig(record_every=2.5)

@@ -77,6 +77,34 @@ def test_imports_point_down_the_layers():
             assert not upward, f"{name} imports {sorted(upward)}, which are not below it"
 
 
+def private_names_from_other_modules(source: str) -> set:
+    """The private names a source takes from another gnflow module, by import
+    (``from .x import _y``) or by attribute (``x._y``)."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").startswith("gnflow")):
+            found.update(alias.name for alias in node.names if alias.name.startswith("_"))
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in LAYERS and node.attr.startswith("_")
+                and not node.attr.startswith("__")):
+            found.add(f"{node.value.id}.{node.attr}")
+    return found
+
+
+def test_private_parser_sees_both_forms():
+    source = ("from .integrator import _advance, step\n"
+              "from . import hilbert\n"
+              "x = hilbert._POTRF, hilbert.__name__, hilbert.op_norm\n")
+    assert private_names_from_other_modules(source) == {"_advance", "hilbert._POTRF"}
+
+
+def test_no_private_name_crosses_modules():
+    for name, path in sorted(layered_modules().items()):
+        private = private_names_from_other_modules(path.read_text())
+        assert not private, f"{name} uses private names of other modules: {sorted(private)}"
+
+
 def module_constant(path: Path, name: str):
     """The literal a module assigns to ``name``, read without importing the module."""
     for node in ast.parse(path.read_text()).body:

@@ -155,6 +155,12 @@ class TestNanTime:
 
     BAD_TIMES = (math.nan, math.inf)
 
+    def test_flow_time(self):
+        for t in self.BAD_TIMES:
+            with pytest.raises(ValueError, match="t must be nonnegative and finite"):
+                hilbert.flow_time(t)
+        assert hilbert.flow_time(2.5) == 2.5
+
     def test_solver_state(self):
         for t in self.BAD_TIMES:
             with pytest.raises(ValueError, match="t must be nonnegative and finite"):

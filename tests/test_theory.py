@@ -10,7 +10,7 @@ import pytest
 from gnflow import gallery, theory
 from gnflow.flow import SolverState, initial_inverse, mismatch_operator
 from gnflow.hilbert import op_norm
-from gnflow.integrator import IntegratorConfig, _advance, integrate
+from gnflow.integrator import IntegratorConfig, advance, integrate
 from gnflow.problem import BallBounds, NonlinearProblem, estimate_bounds
 from gnflow.schedule import PowerSchedule, frozen
 
@@ -329,7 +329,7 @@ def gronwall_reference(A_path, G_path, V0, gamma, T, h):
     v0_norm = op_norm(V0)
     worst = 0.0
     for k in range(1, int(math.floor(T / h + 1e-9)) + 1):
-        qr, V = _advance(rhs, qr, V, (k - 1) * h, h, "rk4")
+        qr, V = advance(rhs, qr, V, (k - 1) * h, h, "rk4")
         worst = max(worst, op_norm(V) - math.exp(-qr[0]) * (qr[1] + v0_norm))
     return worst
 
