@@ -70,15 +70,24 @@ def _leading_eigenvector(M: np.ndarray) -> np.ndarray:
 def _affine_problem(A: np.ndarray, xhat: np.ndarray, label: str, noise: float = 0.0,
                     noise_seed: int = 0) -> NonlinearProblem:
     """F(x) = A (x - xhat) with constant Jacobian A; ``noise`` shifts the anchor
-    xhat by a fixed Gaussian perturbation, keeping the clean solution."""
+    xhat by a fixed Gaussian perturbation, keeping the clean solution. The
+    Jacobian is :func:`~gnflow.problem.rowwise`."""
     anchor = xhat.copy()
     if noise > 0.0:
         rng = np.random.default_rng(noise_seed)
         anchor = anchor + noise * rng.standard_normal(xhat.size)
+
+    @rowwise
+    def jac(x, A=A):
+        # a copy of A per point; on one vector a plain copy, the cheapest form
+        if x.ndim == 1:
+            return A.copy()
+        return np.broadcast_to(A, x.shape[:-1] + A.shape).copy()
+
     return NonlinearProblem(
         dim=xhat.size,
         f=lambda x, A=A, c=anchor: A @ (x - c),
-        jac=lambda x, A=A: A.copy(),
+        jac=jac,
         known_solution=xhat,
         label=label,
         validate_solution=(noise == 0.0),
@@ -153,7 +162,8 @@ def make_autoconvolution(n: int, noise: float = 0.0, noise_seed: int = 0) -> Gal
     each row gets the bits it gets alone, so a finite-difference Jacobian
     takes one F call. The Jacobian is 2*ds*T(x), gathered through the
     same lower-Toeplitz index, built once per problem; it returns a fresh
-    C-contiguous matrix with the entries ``scipy.linalg.toeplitz`` gives.
+    C-contiguous matrix with the entries ``scipy.linalg.toeplitz`` gives,
+    and is rowwise too: a stack of points gives the stack of matrices.
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
@@ -172,6 +182,7 @@ def make_autoconvolution(n: int, noise: float = 0.0, noise_seed: int = 0) -> Gal
     def f(x, y=y.copy(), ds=ds, index=toeplitz_index):
         return _autoconvolve(x, ds, index) - y
 
+    @rowwise
     def jac(x, ds=ds, index=toeplitz_index):
         return _lower_toeplitz(2.0 * ds * x, index)
 
@@ -306,7 +317,10 @@ def _random_spd(n: int, rng) -> np.ndarray:
 
 
 def _base_instance(n: int, kind: str, rng) -> tuple[NonlinearProblem, np.ndarray]:
-    """Base problem for the compliant constructor plus the unit w direction."""
+    """Base problem for the compliant constructor plus the unit w direction.
+
+    The Jacobian of every kind is :func:`~gnflow.problem.rowwise`, so the
+    certificate samples its ball bounds with two Jacobian calls."""
     xhat = _default_xhat(n)
     if kind in ("spd", "quadratic"):
         A = _random_spd(n, rng)
@@ -316,10 +330,19 @@ def _base_instance(n: int, kind: str, rng) -> tuple[NonlinearProblem, np.ndarray
         raise ValueError(f"unknown compliant kind {kind!r}")
     if kind == "quadratic":
         nu = 0.05
+
+        @rowwise
+        def jac(x, A=A, c=xhat.copy(), nu=nu):
+            # A + 2*nu*diag(x - c) for each row of x: the diagonal is written
+            # through a strided view of a zero stack, no slower than np.diag
+            D = np.zeros(x.shape + (n,))
+            D.reshape(x.shape[:-1] + (n * n,))[..., ::n + 1] = 2.0 * nu * (x - c)
+            return A + D
+
         problem = NonlinearProblem(
             dim=n,
             f=lambda x, A=A, c=xhat.copy(), nu=nu: A @ (x - c) + nu * (x - c) ** 2,
-            jac=lambda x, A=A, c=xhat.copy(), nu=nu: A + 2.0 * nu * np.diag(x - c),
+            jac=jac,
             known_solution=xhat,
             label=f"quadratic-{n}",
         )
@@ -359,8 +382,7 @@ def compliant_instance(
         raise ValueError(f"n must be >= 1, got {n}")
     if n > 16:
         raise ValueError(f"compliant construction is desk-scale only (n <= 16), got {n}")
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
+    samples = hilbert.count("samples", samples)
     rng = np.random.default_rng(seed)
     p, w_dir = _base_instance(n, kind, rng)
     xhat = p.known_solution

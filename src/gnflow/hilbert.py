@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 
 import numpy as np
 import scipy.linalg.lapack
@@ -46,6 +47,22 @@ def positive(name: str, value: float) -> float:
     if not 0 < value < math.inf:
         raise ValueError(f"{name} must be positive and finite, got {value}")
     return value
+
+
+def count(name: str, value) -> int:
+    """Return ``value`` as an int if it is an integer >= 1, the rule of every
+    count parameter; otherwise (floats and bools included) raise ValueError
+    naming it. Integers are those ``operator.index`` accepts, so numpy
+    integers pass."""
+    try:
+        number = operator.index(value)
+    except TypeError:
+        number = None
+    if number is None or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value}")
+    if number < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+    return number
 
 
 def flow_time(t: float) -> float:

@@ -12,7 +12,6 @@ check in ``theory``. Monitors watch for the ball-exit event
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -59,11 +58,7 @@ class IntegratorConfig:
         if not math.isfinite(self.horizon_T):
             raise ValueError(f"horizon_T must be finite, got {self.horizon_T}")
         step_count("horizon_T", self.horizon_T, self.step_h)
-        try:
-            if operator.index(self.record_every) < 1:
-                raise ValueError(f"record_every must be >= 1, got {self.record_every}")
-        except TypeError:
-            raise ValueError(f"record_every must be an integer, got {self.record_every}") from None
+        hilbert.count("record_every", self.record_every)
         unknown = set(self.monitors) - {"ball", "divergence"}
         if unknown:
             raise ValueError(f"unknown monitor flags: {sorted(unknown)}")

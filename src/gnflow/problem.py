@@ -41,7 +41,9 @@ class NonlinearProblem:
         f: forward map, vector -> vector. Marked with :func:`rowwise`, it
             also maps a stack of vectors row by row.
         jac: analytic Jacobian, vector -> matrix; finite differences are
-            used when absent.
+            used when absent. Marked with :func:`rowwise`, it also maps an
+            ``(..., n)`` stack of points to the ``(..., n, n)`` stack of
+            their Jacobians.
         known_solution: a root of F, when one is known. Enables the error
             monitors and certificate features.
         label: identifier used by the gallery registry and the CLI.
@@ -102,13 +104,16 @@ def eval_F(p: NonlinearProblem, x) -> np.ndarray:
 
 
 def rowwise(fn):
-    """Mark F as mapping the rows of a stack as it maps one vector.
+    """Mark F, or its Jacobian, as mapping the rows of a stack as it maps one vector.
 
     A marked F accepts an ``(..., n)`` array and returns an ``(..., n)``
     array whose every row equals, bit for bit, F of that row alone.
-    :func:`fd_jacobian` then evaluates all 2n points in one call. The
-    marker sits on the callable, not on the problem, so a problem rebuilt
-    from the same ``f`` keeps it. Returns ``fn``.
+    :func:`fd_jacobian` then evaluates all 2n points in one call. A
+    marked Jacobian maps ``(..., n) -> (..., n, n)``, a C-contiguous
+    stack whose every block equals, bit for bit, the Jacobian of that row
+    alone; :func:`estimate_bounds` then makes two Jacobian calls in all.
+    The marker sits on the callable, not on the problem, so a problem
+    rebuilt from the same ``f`` or ``jac`` keeps it. Returns ``fn``.
     """
     fn.rowwise = True
     return fn
@@ -170,6 +175,20 @@ def jacobian(p: NonlinearProblem, x) -> np.ndarray:
     return J
 
 
+def _stacked_jacobians(p: NonlinearProblem, points: np.ndarray) -> np.ndarray:
+    """F'(x) at every row of the (k, n) stack ``points``, from one call of a
+    :func:`rowwise` Jacobian, with the shape and finiteness of the returned
+    (k, n, n) stack checked once."""
+    J = np.asarray(p.jac(points), dtype=float)
+    expected = points.shape + (p.dim,)
+    if J.shape != expected:
+        raise ValueError(f"jacobian returned shape {J.shape} on the stacked points, "
+                         f"expected {expected}")
+    if not hilbert.all_finite(J):
+        raise ValueError(f"jacobian stack of shape {J.shape} has non-finite entries")
+    return J
+
+
 def _ball_points(center: np.ndarray, radius: float, samples: int, rng) -> np.ndarray:
     """Uniform samples in the closed ball, rows are points."""
     n = center.size
@@ -193,28 +212,36 @@ def estimate_bounds(
     inflated by :data:`BOUND_INFLATION` (10%) against sampling optimism.
     Deterministic per seed.
 
-    The Jacobians are evaluated sample by sample, in order; their norms
-    are then taken by :func:`hilbert.op_norms` in two batched calls, one
-    over the stacked Jacobians and one over the stacked differences (a
-    non-finite difference raises ValueError there). Each batched norm
-    equals :func:`hilbert.op_norm` of the same matrix exactly. Raises
-    ValueError unless ``radius`` is positive and finite and ``samples`` >= 1.
+    A :func:`rowwise` ``jac`` is called twice, on the stacked sample
+    points and on the stacked shifted points, and each returned stack has
+    its shape and finiteness checked once; any other Jacobian is evaluated
+    sample by sample, in order, through :func:`jacobian`. Both ways give
+    the same bits. The norms are then taken by :func:`hilbert.op_norms` in
+    two batched calls, one over the stacked Jacobians and one over the
+    stacked differences (a non-finite difference raises ValueError there).
+    Each batched norm equals :func:`hilbert.op_norm` of the same matrix
+    exactly. Raises ValueError unless ``radius`` is positive and finite
+    and ``samples`` is an integer >= 1.
     """
     center = hilbert.as_vector(center, dim=p.dim)
     hilbert.positive("radius", radius)
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
+    samples = hilbert.count("samples", samples)
     rng = np.random.default_rng(seed)
     points = _ball_points(center, radius, samples, rng)
     dirs = rng.standard_normal((samples, p.dim))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     delta = 1e-4 * radius
+    shifted = points + delta * dirs
 
-    jacs = np.empty((samples, p.dim, p.dim))
-    diffs = np.empty((samples, p.dim, p.dim))
-    for i, (x, d) in enumerate(zip(points, dirs)):
-        jacs[i] = jacobian(p, x)
-        diffs[i] = (jacobian(p, x + delta * d) - jacs[i]) / delta
+    if getattr(p.jac, "rowwise", False):
+        jacs = _stacked_jacobians(p, points)
+        diffs = (_stacked_jacobians(p, shifted) - jacs) / delta
+    else:
+        jacs = np.empty((samples, p.dim, p.dim))
+        diffs = np.empty((samples, p.dim, p.dim))
+        for i, (x, y) in enumerate(zip(points, shifted)):
+            jacs[i] = jacobian(p, x)
+            diffs[i] = (jacobian(p, y) - jacs[i]) / delta
     n1 = float(np.max(hilbert.op_norms(jacs)))
     n2 = float(np.max(hilbert.op_norms(diffs)))
     return BallBounds(

@@ -318,8 +318,10 @@ def gronwall_check(
     step, so the quadrature matches the integration order; the constant
     coefficient case A = gamma*I, G = 0 then meets the bound with
     equality to integrator precision. ``gamma`` must lower-bound the
-    symmetric part of A at every step time, verified by eigenvalue and
-    reported as an error naming the first failing time. ``A_path``,
+    symmetric part of A at every step time, verified by eigenvalue (one
+    batched ``eigvalsh`` over all step times, before the first step) and
+    reported as an error naming the first failing time; a step that fails
+    before that time ends the check first. ``A_path``,
     ``G_path`` and ``gamma`` are evaluated once per distinct stage time,
     all before the first step, and must return n x n operators like V0.
 
@@ -350,11 +352,18 @@ def gronwall_check(
             coeffs[t] = (hilbert.as_operator(A_path(t), dim=n), G, gamma(t))
     g_norms = dict(zip(coeffs, hilbert.op_norms([G for _, G, _ in coeffs.values()]).tolist()))
 
-    def check_coercive(t: float) -> None:
-        A, _, g = coeffs[t]
+    # The smallest symmetric eigenvalue at every step time k*h, from one
+    # batched eigvalsh; each is checked only when the loop reaches its time.
+    grid = [k * h for k in range(n_steps + 1)]
+    A_grid = np.stack([coeffs[t][0] for t in grid])
+    smallest_eig = np.linalg.eigvalsh(0.5 * (A_grid + A_grid.transpose(0, 2, 1))).min(axis=1)
+
+    def check_coercive(k: int) -> None:
+        t = grid[k]
+        g = coeffs[t][2]
         if not g > 0:
             raise ValueError(f"gamma(t) must be positive, got {g} at t={t}")
-        smallest = float(np.min(np.linalg.eigvalsh(0.5 * (A + A.T))))
+        smallest = float(smallest_eig[k])
         if smallest < g - 1e-10 * (1.0 + abs(g)):
             raise ValueError(
                 f"coercivity fails at t={t}: smallest symmetric eigenvalue "
@@ -370,11 +379,11 @@ def gronwall_check(
     # (q, r) rides as the vector block of the integrator's state, V as its
     # matrix block. V0 and each step's V are kept for one batched norm call.
     qr, V = np.zeros(2), V0
-    check_coercive(0.0)
+    check_coercive(0)
     Vs, qrs = [V0], []
     for k in range(1, n_steps + 1):
         qr, V = advance(rhs, qr, V, (k - 1) * h, h, "rk4")
-        check_coercive(k * h)
+        check_coercive(k)
         Vs.append(V)
         qrs.append(qr)
     v0_norm, *v_norms = hilbert.op_norms(Vs)

@@ -11,7 +11,13 @@ on these values, so the comparisons are exact (``np.array_equal``).
 The autoconvolution F is also checked against itself: on a stack of
 points each row must get the bits it gets alone, the ``rowwise``
 contract that lets ``fd_jacobian`` evaluate all its points in one call.
+Every gallery Jacobian marked ``rowwise`` is held to the same contract,
+and ``estimate_bounds`` on a marked Jacobian, which calls it twice on
+stacks, must equal its per-sample loop, which stays as the path of an
+unmarked Jacobian and serves as the oracle.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -21,7 +27,13 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from gnflow import gallery
-from gnflow.problem import FD_DEFAULT_STEP, NonlinearProblem, fd_jacobian, jacobian
+from gnflow.problem import (
+    FD_DEFAULT_STEP,
+    NonlinearProblem,
+    estimate_bounds,
+    fd_jacobian,
+    jacobian,
+)
 
 
 def reference_poly_eval(coeffs, s):
@@ -178,3 +190,77 @@ def test_jacobians_are_c_contiguous_float64(label):
     for J in (jacobian(entry.problem, x), fd_jacobian(fd_free(entry.problem), x)):
         assert J.dtype == np.float64, label
         assert J.flags.c_contiguous, label
+
+
+def _base_problem(kind):
+    return lambda n: gallery._base_instance(n, kind, np.random.default_rng(n))[0]
+
+
+#: Every gallery Jacobian marked rowwise, by kind: a function n -> problem
+#: (the noisy compliant entry has its own fixed n).
+ROWWISE_JACOBIANS = {
+    "identity": lambda n: gallery.make_affine(n, "identity").problem,
+    "hilbert-matrix": lambda n: gallery.make_affine(n, "hilbert_matrix").problem,
+    "rank-deficient": lambda n: gallery.make_affine(n, "rank_deficient").problem,
+    "affine-noisy": lambda n: gallery.make_affine(n, "hilbert_matrix", noise=1e-3,
+                                                  noise_seed=n).problem,
+    "spd": _base_problem("spd"),
+    "quadratic": _base_problem("quadratic"),
+    "autoconv": lambda n: gallery.make_autoconvolution(max(n, 2)).problem,
+    "autoconv-noisy": lambda n: gallery.make_autoconvolution(max(n, 2), noise=1e-3,
+                                                             noise_seed=n).problem,
+    "compliant-noisy": lambda n: gallery.get_entry("compliant-quadratic-4", noise=1e-3,
+                                                   noise_seed=n).problem,
+}
+
+
+@pytest.mark.parametrize("label", gallery.available_labels())
+def test_every_gallery_jacobian_but_feigenbaum_is_rowwise(label):
+    jac = gallery.get_entry(label).problem.jac
+    assert getattr(jac, "rowwise", False) == (label != "feigenbaum-6")
+
+
+@st.composite
+def jacobian_stacks(draw, build):
+    """A problem of size 1..16 and a (k, n) stack of points, k in 1..64, with
+    rows around its solution at scales 1e-3..1e3; now and then a 3-D stack."""
+    p = build(draw(st.integers(1, 16)))
+    k = draw(st.integers(1, 64))
+    shape = draw(st.sampled_from([(k, p.dim), (2, k, p.dim)]))
+    unit = draw(arrays(np.float64, shape, elements=st.floats(-1.0, 1.0)))
+    exponents = draw(arrays(np.float64, shape[:-1] + (1,), elements=st.floats(-3.0, 3.0)))
+    return p.jac, p.known_solution + unit * 10.0**exponents
+
+
+@pytest.mark.parametrize("kind", ROWWISE_JACOBIANS)
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(data=st.data())
+def test_rowwise_jacobian_matches_each_row_alone(kind, data):
+    jac, stack = data.draw(jacobian_stacks(ROWWISE_JACOBIANS[kind]))
+    n = stack.shape[-1]
+    J = jac(stack)
+    assert J.shape == stack.shape + (n,)
+    assert J.dtype == np.float64
+    assert J.flags.c_contiguous
+    for index in np.ndindex(stack.shape[:-1]):
+        assert np.array_equal(J[index], jac(stack[index]))
+
+
+def unmarked(p):
+    """The same problem with its Jacobian behind a wrapper that is not rowwise."""
+    return dataclasses.replace(p, jac=lambda x, jac=p.jac: jac(x))
+
+
+@pytest.mark.parametrize("radius, samples, seed", [(0.05, 1, 0), (0.5, 7, 3), (2.0, 64, 11)])
+@pytest.mark.parametrize("kind", ROWWISE_JACOBIANS)
+def test_stacked_bounds_match_per_sample_loop(kind, radius, samples, seed):
+    p = ROWWISE_JACOBIANS[kind](6)
+    loop = unmarked(p)
+    assert p.jac.rowwise and not hasattr(loop.jac, "rowwise")
+    center = p.known_solution
+    stacked = estimate_bounds(p, center, radius, samples=samples, seed=seed)
+    oracle = estimate_bounds(loop, center, radius, samples=samples, seed=seed)
+    for field in dataclasses.fields(stacked):
+        a, b = getattr(stacked, field.name), getattr(oracle, field.name)
+        assert type(a) is type(b), field.name
+        assert np.array_equal(a, b), field.name

@@ -2,8 +2,9 @@
 
 One table names each public site that takes such a parameter; each site
 must reject zero, a negative value, inf and NaN with a message naming the
-parameter. The step grid that turns a horizon into a step count is shared
-by the integrator and the Gronwall check.
+parameter. A second table does the same for the count parameters, which
+must be integers >= 1. The step grid that turns a horizon into a step
+count is shared by the integrator and the Gronwall check.
 """
 
 import math
@@ -11,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from gnflow import hilbert, theory
+from gnflow import gallery, hilbert, theory
 from gnflow.flow import (
     SolverState,
     coupled_rhs,
@@ -102,6 +103,43 @@ SITES = [
 def test_site_rejects_bad_value(name, call, exc, value):
     with pytest.raises(exc, match=f"^{name} must be positive and finite"):
         call(value)
+
+
+#: (name, call taking the bad count): every count parameter is an integer >= 1
+COUNT_SITES = [
+    ("samples", lambda v: estimate_bounds(PROBLEM, np.ones(2), 1.0, samples=v)),
+    ("samples", lambda v: theory.certify_with_canonical_R(PROBLEM, XHAT, XHAT + 0.001,
+                                                          SCHEDULE, B0, samples=v)),
+    ("samples", lambda v: gallery.compliant_instance(4, 1, "spd", samples=v)),
+    ("record_every", lambda v: IntegratorConfig(record_every=v)),
+]
+COUNT_IDS = [f"{i}-{s[0]}" for i, s in enumerate(COUNT_SITES)]
+
+
+@pytest.mark.parametrize("value", [2.5, 1.0, True, "3", None], ids=repr)
+@pytest.mark.parametrize("name, call", COUNT_SITES, ids=COUNT_IDS)
+def test_count_site_rejects_non_integer(name, call, value):
+    # a float or bool once escaped numpy as TypeError, past callers catching ValueError
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value}$"):
+        call(value)
+
+
+@pytest.mark.parametrize("value", [0, -1, np.int64(0)], ids=repr)
+@pytest.mark.parametrize("name, call", COUNT_SITES, ids=COUNT_IDS)
+def test_count_site_rejects_below_one(name, call, value):
+    with pytest.raises(ValueError, match=f"^{name} must be >= 1, got {value}$"):
+        call(value)
+
+
+class TestCount:
+    def test_returns_a_python_int(self):
+        assert hilbert.count("n", 3) == 3
+        value = hilbert.count("n", np.int64(7))
+        assert value == 7 and type(value) is int
+
+    def test_numpy_integer_samples_accepted(self):
+        b = estimate_bounds(PROBLEM, np.ones(2), 1.0, samples=np.int32(4))
+        assert b.samples == 4 and type(b.samples) is int
 
 
 class TestPositive:

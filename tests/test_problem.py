@@ -160,36 +160,37 @@ class TestFdJacobian:
             fd_jacobian(p, np.ones(2), h=1e-3)
 
 
+def counted(fn):
+    """``fn`` behind a wrapper that records the shape of each argument."""
+    calls = []
+
+    def wrapper(x):
+        calls.append(np.shape(x))
+        return fn(x)
+
+    return wrapper, calls
+
+
 class TestRowwiseFdJacobian:
     """A :func:`rowwise` F is called once on the stacked points, any other F
     once per point; the bits are gated by ``tests/test_kernels.py``."""
 
-    @staticmethod
-    def counted(f):
-        calls = []
-
-        def wrapper(x):
-            calls.append(np.shape(x))
-            return f(x)
-
-        return wrapper, calls
-
     def test_one_call_for_rowwise_f(self):
-        f, calls = self.counted(lambda x: x**2)
+        f, calls = counted(lambda x: x**2)
         p = NonlinearProblem(dim=3, f=rowwise(f))
         J = fd_jacobian(p, np.array([1.0, 2.0, 3.0]), h=1e-3)
         assert calls == [(6, 3)]
         assert np.allclose(J, np.diag([2.0, 4.0, 6.0]), atol=1e-9)
 
     def test_one_call_per_point_for_plain_f(self):
-        f, calls = self.counted(lambda x: x**2)
+        f, calls = counted(lambda x: x**2)
         p = NonlinearProblem(dim=3, f=f)
         fd_jacobian(p, np.array([1.0, 2.0, 3.0]), h=1e-3)
         assert calls == [(3,)] * 6
 
     def test_marker_follows_the_callable(self):
         # a problem rebuilt from the same f keeps the one-call path
-        f, calls = self.counted(lambda x: 2.0 * x)
+        f, calls = counted(lambda x: 2.0 * x)
         entry = NonlinearProblem(dim=2, f=rowwise(f), jac=lambda x: 2.0 * np.eye(2))
         rebuilt = NonlinearProblem(dim=2, f=entry.f)
         fd_jacobian(rebuilt, np.ones(2))
@@ -210,6 +211,55 @@ class TestRowwiseFdJacobian:
         p = NonlinearProblem(dim=2, f=rowwise(lambda x: np.where(x > 1.0, np.inf, x)))
         with pytest.raises(ValueError, match="non-finite"):
             fd_jacobian(p, np.array([0.5, 1.0]), h=1e-3)
+
+
+class TestRowwiseEstimateBounds:
+    """A :func:`rowwise` Jacobian is called twice per estimate, on the stacked
+    sample and shifted points, any other once per point; the bits are gated
+    by ``tests/test_kernels.py``."""
+
+    @pytest.mark.parametrize("samples", [1, 5, 64])
+    def test_two_calls_for_rowwise_jac(self, samples):
+        jac, calls = counted(gallery.make_autoconvolution(4).problem.jac)
+        p = NonlinearProblem(dim=4, f=lambda x: x, jac=rowwise(jac))
+        estimate_bounds(p, np.ones(4), 0.5, samples=samples, seed=2)
+        assert calls == [(samples, 4)] * 2
+
+    @pytest.mark.parametrize("samples", [1, 5, 64])
+    def test_two_calls_per_sample_for_plain_jac(self, samples):
+        jac, calls = counted(gallery.make_autoconvolution(4).problem.jac)
+        p = NonlinearProblem(dim=4, f=lambda x: x, jac=jac)
+        estimate_bounds(p, np.ones(4), 0.5, samples=samples, seed=2)
+        assert calls == [(4,)] * (2 * samples)
+
+    @pytest.mark.parametrize("jac", [
+        lambda x: np.eye(2),                            # one matrix for the whole stack
+        lambda x: np.zeros((x.shape[0], 4)),            # flattened blocks
+        lambda x: np.zeros((2, 2, x.shape[0])),         # the stack on the last axis
+        lambda x: np.zeros(x.shape + (3,)),             # blocks of the wrong size
+    ], ids=["one-matrix", "flattened", "last-axis", "wrong-block"])
+    def test_wrong_stacked_shape_rejected(self, jac):
+        p = NonlinearProblem(dim=2, f=lambda x: x, jac=rowwise(jac))
+        with pytest.raises(ValueError, match=r"jacobian returned shape .* on the stacked "
+                                             r"points, expected \(8, 2, 2\)"):
+            estimate_bounds(p, np.ones(2), 1.0, samples=8)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_stack_rejected(self, bad):
+        # non-finite in the blocks of the points right of the center only
+        jac = rowwise(lambda x: np.where(x[..., :1, None] > 1.0, bad, np.eye(2)))
+        p = NonlinearProblem(dim=2, f=lambda x: x, jac=jac)
+        with pytest.raises(ValueError, match=r"jacobian stack of shape \(8, 2, 2\) "
+                                             r"has non-finite entries"):
+            estimate_bounds(p, np.ones(2), 1.0, samples=8, seed=0)
+
+    def test_marker_follows_the_callable(self):
+        # a problem rebuilt from the same jac keeps the two-call path
+        jac, calls = counted(lambda x: np.zeros(x.shape + (2,)) + np.eye(2))
+        entry = NonlinearProblem(dim=2, f=lambda x: x, jac=rowwise(jac))
+        rebuilt = dataclasses.replace(entry, label="rebuilt")
+        estimate_bounds(rebuilt, np.ones(2), 1.0, samples=3)
+        assert calls == [(3, 2)] * 2
 
 
 class TestEstimateBounds:

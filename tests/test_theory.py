@@ -426,6 +426,46 @@ class TestGronwall:
                 lambda t: np.eye(2), lambda t: np.zeros((2, 2)), np.eye(2),
                 gamma=lambda t: 0.0, T=1.0, h=0.1)
 
+    def test_gamma_checked_before_coercivity(self):
+        # from t=0.6 on gamma is negative and A fails it too: gamma is named
+        late = lambda t: t > 0.55
+        with pytest.raises(ValueError, match=r"^gamma\(t\) must be positive, got -1\.0 at t=0\.6"):
+            theory.gronwall_check(
+                lambda t: -2.0 * np.eye(2) if late(t) else np.eye(2),
+                lambda t: np.zeros((2, 2)), np.eye(2),
+                gamma=lambda t: -1.0 if late(t) else 0.5, T=1.0, h=0.1)
+
+    def test_first_failing_time_named(self):
+        # coercivity fails at t=0.2 and at every later step time
+        with pytest.raises(ValueError, match=r"^coercivity fails at t=0\.2: smallest "
+                                             r"symmetric eigenvalue -1\.000000e\+00 < gamma"):
+            theory.gronwall_check(
+                lambda t: -np.eye(2) if t > 0.15 else np.eye(2),
+                lambda t: np.zeros((2, 2)), np.eye(2),
+                gamma=lambda t: 0.5, T=1.0, h=0.1)
+
+    def test_step_failure_ends_check_before_later_coercivity_failure(self):
+        # forcing of 1e308 from t=0.3 overflows the third step; coercivity
+        # would fail only from t=0.8
+        with pytest.raises(FloatingPointError), np.errstate(over="ignore", invalid="ignore"):
+            theory.gronwall_check(
+                lambda t: -np.eye(2) if t > 0.75 else np.eye(2),
+                lambda t: 1e308 * np.eye(2) if t > 0.25 else np.zeros((2, 2)), np.eye(2),
+                gamma=lambda t: 0.5, T=1.0, h=0.1)
+
+    def test_coercivity_in_one_eigvalsh_call(self, monkeypatch):
+        shapes = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(a, *args, **kw):
+            shapes.append(np.shape(a))
+            return eigvalsh(a, *args, **kw)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        theory.gronwall_check(lambda t: 1.3 * np.eye(3), lambda t: np.zeros((3, 3)),
+                              np.eye(3), gamma=lambda t: 1.3, T=1.0, h=0.1)
+        assert shapes == [(11, 3, 3)]  # the step times 0, 0.1, ..., 1.0
+
 
 class TestCertifyWithCanonicalR:
     def test_radius_covers_certified_ball(self):
