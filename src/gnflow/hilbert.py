@@ -188,11 +188,23 @@ def op_norms(stack) -> np.ndarray:
     exact to round-off at any spectrum, including tightly clustered top
     singular values, and cheaper than ``np.linalg.norm(A, 2)`` at n <= 16.
     A matrix gets the same norm alone or in a stack. Raises ValueError on
-    non-finite entries.
+    non-finite entries anywhere in the stack.
+
+    A constant stack, every matrix bit for bit equal to the first (an
+    affine problem's sampled Jacobians, a zero forcing path), costs one
+    SVD: the first matrix's norm is repeated, which by the property above
+    is each matrix's norm exactly. Equality is tested on the bits, so a
+    stack that differs only in the sign of a zero is not constant, and the
+    test fails on the first against the last matrix for a mixed stack
+    before it reads the rest.
     """
     arr = np.asarray(stack, dtype=float)
     if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
         raise ValueError(f"expected a stack of square matrices, got shape {arr.shape}")
     if not all_finite(arr):
         raise ValueError("operator has non-finite entries")
+    if len(arr) > 1:
+        bits = arr.view(np.uint64)
+        if not np.count_nonzero(bits[-1] != bits[0]) and not np.count_nonzero(bits != bits[0]):
+            return np.repeat(np.linalg.svd(arr[:1], compute_uv=False)[:, 0], len(arr))
     return np.linalg.svd(arr, compute_uv=False)[:, 0]

@@ -284,19 +284,42 @@ def riccati_envelope_check(v_samples, mu: Callable[[float], float]) -> bool:
     ``v_samples`` is a sequence of (t, v) pairs from an integrated
     trajectory, ``mu`` the positive envelope function; the certificate
     argument instantiates mu(t) = lambda/eps(t) against v = ||x - xhat||.
+    Raises ValueError, naming the sample, unless every t and every v is
+    nonnegative and finite.
     """
     samples = list(v_samples)
     if not samples:
         raise ValueError("v_samples must be nonempty")
     for t, v in samples:
-        if v < 0:
-            raise ValueError(f"v must be nonnegative, got {v} at t={t}")
+        hilbert.flow_time(t)
+        if not 0 <= v < math.inf:
+            raise ValueError(f"v must be nonnegative and finite, got {v} at t={t}")
         m = mu(t)
         if not m > 0:
             raise ValueError(f"mu(t) must be positive, got {m} at t={t}")
         if not v < 1.0 / m:
             return False
     return True
+
+
+def _coefficient_stack(name: str, values: list, times: list, n: int) -> np.ndarray:
+    """The values of the coefficient path ``name`` at ``times`` as one
+    (m, n, n) float stack, checked once for shape and finiteness; raises
+    ValueError naming the path and the first time at which it fails."""
+    try:
+        stack = np.array(values, dtype=float)
+    except ValueError:
+        if all(np.shape(v) == (n, n) for v in values):
+            raise
+        stack = None  # ragged shapes, located below
+    if stack is None or stack.shape != (len(times), n, n):
+        i = next(i for i, v in enumerate(values) if np.shape(v) != (n, n))
+        raise ValueError(f"{name}(t) returned shape {np.shape(values[i])} at t={times[i]}, "
+                         f"expected {(n, n)}")
+    if not hilbert.all_finite(stack):
+        i = int(np.flatnonzero(~np.isfinite(stack).all(axis=(1, 2)))[0])
+        raise ValueError(f"{name}(t) has non-finite entries at t={times[i]}")
+    return stack
 
 
 def gronwall_check(
@@ -324,6 +347,9 @@ def gronwall_check(
     before that time ends the check first. ``A_path``,
     ``G_path`` and ``gamma`` are evaluated once per distinct stage time,
     all before the first step, and must return n x n operators like V0.
+    The values of each path are stacked and checked once, G's before A's,
+    for shape and finiteness, before the first step; a ValueError names
+    the path and the first time at which it fails.
 
     Returns max over step times of ||V(t)|| - bound(t); the lemma holds
     when this is at most a small positive tolerance. Raises ValueError
@@ -339,28 +365,37 @@ def gronwall_check(
     # needed at is known before the loop: 0, then per step its start, its
     # midpoint (RK4's two mid-stages share it), its end t+h and its grid
     # time k*h, which usually equal the next step's start. Each distinct
-    # time is evaluated once, in that order, and every ||G(t)|| comes from
-    # one batched norm call.
+    # time is evaluated once, in that order, into one stack per path, and
+    # every ||G(t)|| comes from one batched norm call.
     times = [0.0]
     for k in range(1, n_steps + 1):
         t = (k - 1) * h
         times += [t, t + h / 2.0, t + h, k * h]
-    coeffs = {}
+    index, Gs, As, gammas = {}, [], [], []
     for t in times:
-        if t not in coeffs:
-            G = hilbert.as_operator(G_path(t), dim=n)
-            coeffs[t] = (hilbert.as_operator(A_path(t), dim=n), G, gamma(t))
-    g_norms = dict(zip(coeffs, hilbert.op_norms([G for _, G, _ in coeffs.values()]).tolist()))
+        if t not in index:
+            index[t] = len(index)
+            Gs.append(G_path(t))
+            As.append(A_path(t))
+            gammas.append(gamma(t))
+    # Each path's values are dropped once stacked, so the check never holds
+    # more than one extra copy of them.
+    distinct = list(index)
+    G_stack = _coefficient_stack("G_path", Gs, distinct, n)
+    del Gs
+    A_stack = _coefficient_stack("A_path", As, distinct, n)
+    del As
+    g_norms = hilbert.op_norms(G_stack).tolist()
 
     # The smallest symmetric eigenvalue at every step time k*h, from one
     # batched eigvalsh; each is checked only when the loop reaches its time.
     grid = [k * h for k in range(n_steps + 1)]
-    A_grid = np.stack([coeffs[t][0] for t in grid])
+    A_grid = A_stack[[index[t] for t in grid]]
     smallest_eig = np.linalg.eigvalsh(0.5 * (A_grid + A_grid.transpose(0, 2, 1))).min(axis=1)
 
     def check_coercive(k: int) -> None:
         t = grid[k]
-        g = coeffs[t][2]
+        g = gammas[index[t]]
         if not g > 0:
             raise ValueError(f"gamma(t) must be positive, got {g} at t={t}")
         smallest = float(smallest_eig[k])
@@ -371,9 +406,9 @@ def gronwall_check(
             )
 
     def rhs(t, qr, V):
-        A, G, g = coeffs[t]
-        dV = G - A @ V
-        dqr = np.array([g, g_norms[t] * math.exp(qr[0])])
+        i = index[t]
+        dV = G_stack[i] - A_stack[i] @ V
+        dqr = np.array([gammas[i], g_norms[i] * math.exp(qr[0])])
         return dqr, dV
 
     # (q, r) rides as the vector block of the integrator's state, V as its

@@ -1,5 +1,6 @@
 import sys
 
+import numpy as np
 import pytest
 
 
@@ -30,3 +31,18 @@ def record_calls(monkeypatch):
         return calls
 
     return install
+
+
+@pytest.fixture
+def svd_shapes(monkeypatch):
+    """The shapes of the stacks passed to ``np.linalg.svd``, in call order,
+    filled as the calls happen."""
+    shapes = []
+    svd = np.linalg.svd
+
+    def recording(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    return shapes

@@ -3,6 +3,9 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from gnflow import hilbert
 
@@ -195,3 +198,80 @@ class TestOpNorms:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError, match="square"):
             hilbert.op_norms(np.ones((2, 3, 4)))
+
+    def test_rejects_non_finite_constant_stack(self, svd_shapes):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="operator has non-finite entries"):
+                hilbert.op_norms(np.full((64, 3, 3), bad))
+        assert svd_shapes == []
+
+
+def _bits(norms) -> bytes:
+    return np.asarray(norms, dtype=float).tobytes()
+
+
+class TestConstantStack:
+    """A stack of bit-identical matrices costs one SVD, with the bits of the
+    per-matrix norms; any other stack keeps the one batched SVD."""
+
+    @pytest.mark.parametrize("n", [1, 3, 8, 16])
+    def test_one_svd_of_the_first_matrix(self, n, svd_shapes):
+        A = np.random.default_rng(n).standard_normal((n, n))
+        stack = np.broadcast_to(A, (64, n, n)).copy()
+        norms = hilbert.op_norms(stack)
+        assert svd_shapes == [(1, n, n)]
+        assert _bits(norms) == _bits([hilbert.op_norm(B) for B in stack])
+
+    def test_zero_stack(self, svd_shapes):
+        assert _bits(hilbert.op_norms(np.zeros((64, 4, 4)))) == _bits(np.zeros(64))
+        assert svd_shapes == [(1, 4, 4)]
+
+    def test_signed_zeros_are_not_equal(self, svd_shapes):
+        # == counts 0.0 and -0.0 as equal; the bits do not
+        A = np.array([[0.0, 1.0], [2.0, 0.0]])
+        stack = np.stack([A] * 5)
+        stack[3, 0, 0] = -0.0
+        norms = hilbert.op_norms(stack)
+        assert svd_shapes == [(5, 2, 2)]
+        assert _bits(norms) == _bits([hilbert.op_norm(B) for B in stack])
+
+    @pytest.mark.parametrize("where", [0, 2, -1], ids=["first", "middle", "last"])
+    def test_one_different_matrix_keeps_the_batched_svd(self, where, svd_shapes):
+        stack = np.stack([np.eye(3)] * 6)
+        stack[where, 1, 2] = 0.5
+        norms = hilbert.op_norms(stack)
+        assert svd_shapes == [(6, 3, 3)]
+        assert _bits(norms) == _bits([hilbert.op_norm(B) for B in stack])
+
+    def test_single_matrix_and_empty_stack(self, svd_shapes):
+        assert hilbert.op_norms(2.0 * np.eye(3)[None]).tolist() == [2.0]
+        assert hilbert.op_norms(np.empty((0, 3, 3))).shape == (0,)
+        assert svd_shapes == [(1, 3, 3), (0, 3, 3)]
+
+
+#: Matrix entries: finite floats, with both signed zeros drawn often.
+_ENTRIES = st.one_of(st.sampled_from([0.0, -0.0, 1.0]), st.floats(-1e3, 1e3))
+
+
+@st.composite
+def norm_stacks(draw):
+    """A (k, n, n) stack whose blocks are all equal, some equal (drawn from a
+    smaller pool) or each its own, k in 1..64 and n in 1..8."""
+    n = draw(st.integers(1, 8))
+    k = draw(st.integers(1, 64))
+    kind = draw(st.sampled_from(["all-equal", "some-equal", "distinct"]))
+    if kind == "all-equal":
+        pool_size, picks = 1, [0] * k
+    elif kind == "distinct":
+        pool_size, picks = k, list(range(k))
+    else:
+        pool_size = draw(st.integers(1, k))
+        picks = draw(st.lists(st.integers(0, pool_size - 1), min_size=k, max_size=k))
+    pool = draw(arrays(np.float64, (pool_size, n, n), elements=_ENTRIES))
+    return pool[picks]
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(norm_stacks())
+def test_stack_norms_match_each_matrix_alone(stack):
+    assert _bits(hilbert.op_norms(stack)) == _bits([hilbert.op_norm(A) for A in stack])

@@ -219,3 +219,8 @@ class TestNanTime:
         for t in self.BAD_TIMES:
             with pytest.raises(ValueError, match="t must be nonnegative and finite"):
                 direct_rhs(PROBLEM, SCHEDULE, XHAT, XHAT, t)
+
+    def test_riccati_envelope_check(self):
+        for t in self.BAD_TIMES:
+            with pytest.raises(ValueError, match="t must be nonnegative and finite"):
+                theory.riccati_envelope_check([(0.0, 0.5), (t, 0.5)], lambda t: 1.0)

@@ -326,6 +326,16 @@ class TestEstimateBounds:
         b = estimate_bounds(p, xhat, radius=0.5, samples=8, seed=0)
         assert b.N1 == BOUND_INFLATION
 
+    @pytest.mark.parametrize("label, n, stack", [
+        ("compliant-affine-8", 8, 1),     # one Jacobian sampled 64 times, zero differences
+        ("compliant-quadratic-4", 4, 64),  # the Jacobian's diagonal moves with x
+    ], ids=["spd", "quadratic"])
+    def test_one_svd_per_constant_stack(self, label, n, stack, svd_shapes):
+        entry = gallery.get_entry(label)
+        svd_shapes.clear()
+        estimate_bounds(entry.problem, entry.xhat, 0.5)
+        assert svd_shapes == [(stack, n, n)] * 2
+
 
 def _reference_bounds(p, center, radius, samples, seed):
     """N1, N2 from one jacobian and one op_norm per matrix, sample by sample."""

@@ -285,6 +285,14 @@ class TestRiccatiEnvelope:
         with pytest.raises(ValueError):
             theory.riccati_envelope_check([], lambda t: 1.0)
 
+    @pytest.mark.parametrize("v", [math.nan, math.inf, -1.0])
+    def test_bad_v_rejected(self, v):
+        # a NaN or infinite v compared False against 1/mu and gave a verdict
+        samples = [(0.0, 0.1), (0.5, v)]
+        with pytest.raises(ValueError, match=rf"^v must be nonnegative and finite, "
+                                             rf"got {v} at t=0\.5$"):
+            theory.riccati_envelope_check(samples, lambda t: 1.0)
+
     def test_compliant_trajectory_with_certificate_rate(self):
         label, entry, sched, B0, R = [c for c in gallery.compliant_suite()
                                       if "quadratic" in c[0]][0]
@@ -450,6 +458,57 @@ class TestGronwall:
         with pytest.raises(FloatingPointError), np.errstate(over="ignore", invalid="ignore"):
             theory.gronwall_check(
                 lambda t: -np.eye(2) if t > 0.75 else np.eye(2),
+                lambda t: 1e308 * np.eye(2) if t > 0.25 else np.zeros((2, 2)), np.eye(2),
+                gamma=lambda t: 0.5, T=1.0, h=0.1)
+
+    @staticmethod
+    def _bad_after(t0, good, bad, seen):
+        """A path that returns ``good`` up to ``t0`` and ``bad`` after it,
+        appending to ``seen`` each time at which it returns ``bad``."""
+        def path(t):
+            if t <= t0:
+                return good
+            seen.append(t)
+            return bad
+        return path
+
+    def test_non_finite_A_at_a_later_time_named(self):
+        seen = []
+        A_path = self._bad_after(0.57, np.eye(2), np.array([[1.0, np.nan], [0.0, 1.0]]), seen)
+        with pytest.raises(ValueError) as info:
+            theory.gronwall_check(A_path, lambda t: np.zeros((2, 2)), np.eye(2),
+                                  gamma=lambda t: 0.5, T=1.0, h=0.1)
+        assert str(info.value) == f"A_path(t) has non-finite entries at t={seen[0]}"
+
+    def test_wrong_G_shape_at_one_time_named(self):
+        seen = []
+        wrong_once = self._bad_after(0.33, np.zeros((2, 2)), np.zeros((2, 3)), seen)
+        G_path = lambda t: wrong_once(t) if t < 0.37 else np.zeros((2, 2))
+        with pytest.raises(ValueError) as info:
+            theory.gronwall_check(lambda t: np.eye(2), G_path, np.eye(2),
+                                  gamma=lambda t: 0.5, T=1.0, h=0.1)
+        assert len(seen) == 1
+        assert str(info.value) == (f"G_path(t) returned shape (2, 3) at t={seen[0]}, "
+                                   f"expected (2, 2)")
+
+    @pytest.mark.parametrize("bad", [np.eye(3), np.ones(2), np.float64(1.0)],
+                             ids=["larger", "vector", "scalar"])
+    def test_ragged_shapes_named(self, bad):
+        seen = []
+        A_path = self._bad_after(0.42, np.eye(2), bad, seen)
+        with pytest.raises(ValueError) as info:
+            theory.gronwall_check(A_path, lambda t: np.zeros((2, 2)), np.eye(2),
+                                  gamma=lambda t: 0.5, T=1.0, h=0.1)
+        assert str(info.value) == (f"A_path(t) returned shape {np.shape(bad)} at "
+                                   f"t={seen[0]}, expected (2, 2)")
+
+    def test_paths_checked_before_the_first_step(self):
+        # an overflowing step at t=0.3 would end the check; the bad A at
+        # t=0.9 is found first
+        with pytest.raises(ValueError, match=r"^A_path\(t\) has non-finite entries"), \
+                np.errstate(over="ignore", invalid="ignore"):
+            theory.gronwall_check(
+                lambda t: np.full((2, 2), np.inf) if t > 0.85 else np.eye(2),
                 lambda t: 1e308 * np.eye(2) if t > 0.25 else np.zeros((2, 2)), np.eye(2),
                 gamma=lambda t: 0.5, T=1.0, h=0.1)
 
