@@ -104,8 +104,7 @@ def make_affine(n: int, kind: str, noise: float = 0.0, noise_seed: int = 0) -> G
     ``noise`` shifts the anchor by a fixed Gaussian perturbation while
     keeping the clean solution for error reporting.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    n = hilbert.count("n", n)
     if kind not in _AFFINE_MATRICES:
         raise ValueError(f"unknown affine kind {kind!r}")
     xhat = _default_xhat(n)
@@ -165,6 +164,7 @@ def make_autoconvolution(n: int, noise: float = 0.0, noise_seed: int = 0) -> Gal
     C-contiguous matrix with the entries ``scipy.linalg.toeplitz`` gives,
     and is rowwise too: a stack of points gives the stack of matrices.
     """
+    n = hilbert.count("n", n)
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     ds = 1.0 / n
@@ -240,13 +240,16 @@ def _renorm_points(c: np.ndarray, nodes: np.ndarray):
     return lam, g[:n], v, g[n:]
 
 
-def _renorm_residual(c: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-    """Collocation residual of lam*g(s) + g(g(lam*s)) = 0 with lam = -g(1)."""
-    lam, g_s, _, u = _renorm_points(c, nodes)
+def _renorm_residual(c: np.ndarray, nodes: np.ndarray, points=None) -> np.ndarray:
+    """Collocation residual of lam*g(s) + g(g(lam*s)) = 0 with lam = -g(1).
+
+    ``points`` is ``_renorm_points(c, nodes)``, computed here when not given.
+    """
+    lam, g_s, _, u = _renorm_points(c, nodes) if points is None else points
     return lam * g_s + _poly_eval(c, u)
 
 
-def _renorm_jacobian(c: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+def _renorm_jacobian(c: np.ndarray, nodes: np.ndarray, points=None) -> np.ndarray:
     """Derivative of :func:`_renorm_residual` in c, a C-contiguous n x n matrix.
 
     Column j, for the power p = 2(j+1), is
@@ -254,10 +257,11 @@ def _renorm_jacobian(c: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     at once from the rows S ** p of the stack S = [nodes, u, v]. The
     exponent p must stay a scalar: numpy's SIMD ``power`` with an array
     of exponents (``S[:, None] ** P``) does not always round as
-    ``S ** p`` does, and the Jacobian would lose its bits.
+    ``S ** p`` does, and the Jacobian would lose its bits. ``points`` is
+    ``_renorm_points(c, nodes)``, computed here when not given.
     """
     n = len(c)
-    lam, g_s, v, u = _renorm_points(c, nodes)
+    lam, g_s, v, u = _renorm_points(c, nodes) if points is None else points
     gp = _poly_deriv(c, np.concatenate((v, u)))
     gp_v, gp_u = gp[:n], gp[n:]
     S = np.concatenate((nodes, u, v))
@@ -288,18 +292,48 @@ def make_feigenbaum_like(n: int) -> GalleryEntry:
     vectors were computed by the damped Newton bootstrap and are shipped
     as data files (one value per line, 17 significant digits, accurate to
     well below 1e-12 in residual).
+
+    F and F' both start from the renormalization points of c (lam, g at
+    the nodes, v = lam * nodes and u = g(v)), and the direct flow
+    evaluates both at every point it visits. So the two share a cache of
+    one slot: the tuple ``(c.tobytes(), points)`` of the last c seen,
+    replaced by a single assignment, so that a key is never read with
+    another c's points. The key is the bits of c, and the cached arrays
+    are read-only; F and F' return fresh arrays. The cache rests on F and
+    F' being pure functions of c: the same bits give the same points.
     """
+    n = hilbert.count("n", n)
     if n not in _FEIGENBAUM_SIZES:
         raise ValueError(
             f"no stored reference solution for n={n}; available: {_FEIGENBAUM_SIZES}"
         )
     xhat = _load_reference(f"feigenbaum_n{n}.txt")
     nodes = _chebyshev_nodes(n)
+    slot = (None, None)  # (c.tobytes(), the points of that c)
+
+    def points(c):
+        nonlocal slot
+        key = c.tobytes()
+        cached_key, cached = slot
+        if cached_key != key:
+            cached = _renorm_points(c, nodes)
+            for arr in cached[1:]:  # g_s, v, u; lam is a numpy scalar
+                arr.setflags(write=False)
+            slot = (key, cached)
+        return cached
+
+    def f(c):
+        c = np.asarray(c, dtype=float)
+        return _renorm_residual(c, nodes, points(c))
+
+    def jac(c):
+        c = np.asarray(c, dtype=float)
+        return _renorm_jacobian(c, nodes, points(c))
 
     problem = NonlinearProblem(
         dim=n,
-        f=lambda c, nodes=nodes: _renorm_residual(np.asarray(c, dtype=float), nodes),
-        jac=lambda c, nodes=nodes: _renorm_jacobian(np.asarray(c, dtype=float), nodes),
+        f=f,
+        jac=jac,
         known_solution=xhat,
         label=f"feigenbaum-{n}",
     )
@@ -378,8 +412,7 @@ def compliant_instance(
     Returns (entry, schedule, B0, R) with B0 the exact initial inverse
     and R the certified (canonically chosen, slightly inflated) radius.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    n = hilbert.count("n", n)
     if n > 16:
         raise ValueError(f"compliant construction is desk-scale only (n <= 16), got {n}")
     samples = hilbert.count("samples", samples)

@@ -37,7 +37,8 @@ class NonlinearProblem:
     that way.
 
     Args:
-        dim: ambient dimension n.
+        dim: ambient dimension n, an integer >= 1 (the count rule of
+            :func:`hilbert.count`), stored as a Python int.
         f: forward map, vector -> vector. Marked with :func:`rowwise`, it
             also maps a stack of vectors row by row.
         jac: analytic Jacobian, vector -> matrix; finite differences are
@@ -60,8 +61,7 @@ class NonlinearProblem:
     validate_solution: bool = field(default=True, repr=False)
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError(f"dim must be >= 1, got {self.dim}")
+        object.__setattr__(self, "dim", hilbert.count("dim", self.dim))
         if self.known_solution is not None:
             xhat = hilbert.as_vector(self.known_solution, dim=self.dim)
             object.__setattr__(self, "known_solution", xhat)

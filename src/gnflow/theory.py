@@ -75,10 +75,15 @@ def canonical_R(N1, N2, b, eps0, B0_norm, Lambda0_norm) -> float:
 
     With this R the contraction check is equivalent to the numerator
     being positive, and the lower bound 1/R <= lambda holds with
-    equality.
+    equality. N1, N2, b and eps0 must be positive and finite, and the two
+    norms nonnegative and finite; a NaN would otherwise pass the
+    numerator test and come back as R.
     """
-    hilbert.positive("N1", N1)
-    hilbert.positive("N2", N2)
+    for name, val in (("N1", N1), ("N2", N2), ("b", b), ("eps0", eps0)):
+        hilbert.positive(name, val)
+    for name, val in (("B0_norm", B0_norm), ("Lambda0_norm", Lambda0_norm)):
+        if not 0 <= val < math.inf:
+            raise ValueError(f"{name} must be nonnegative and finite, got {val}")
     numerator = 1.0 - b - eps0 * B0_norm - Lambda0_norm - b * eps0
     if numerator <= 0:
         raise ValueError(

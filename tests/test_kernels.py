@@ -8,6 +8,10 @@ for the autoconvolution Jacobian, and one pair of F evaluations per
 column for central differences. Every trajectory of the direct flow rests
 on these values, so the comparisons are exact (``np.array_equal``).
 
+The renormalization problem's own F and F' share one cache of the points
+both start from, so they are held to the same references in interleaved
+call orders, and one direct-flow stage must compute those points once.
+
 The autoconvolution F is also checked against itself: on a stack of
 points each row must get the bits it gets alone, the ``rowwise``
 contract that lets ``fd_jacobian`` evaluate all its points in one call.
@@ -27,6 +31,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from gnflow import gallery
+from gnflow.flow import direct_rhs
 from gnflow.problem import (
     FD_DEFAULT_STEP,
     NonlinearProblem,
@@ -34,6 +39,7 @@ from gnflow.problem import (
     fd_jacobian,
     jacobian,
 )
+from gnflow.schedule import PowerSchedule
 
 
 def reference_poly_eval(coeffs, s):
@@ -113,6 +119,49 @@ def test_feigenbaum_kernels_match_column_loop(n):
                               reference_renorm_residual(c, nodes)), c
         assert np.array_equal(gallery._renorm_jacobian(c, nodes),
                               reference_renorm_jacobian(c, nodes)), c
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_feigenbaum_problem_matches_column_loop_in_any_order(n):
+    # F and F' share the points of the last c; each call must still get the
+    # points of its own c, whichever of the two asked last
+    p = gallery.make_feigenbaum_like(n).problem
+    nodes = gallery._chebyshev_nodes(n)
+    cs = feigenbaum_points(n, 400, seed=300 + n)
+    for c1, c2 in zip(cs[::2], cs[1::2]):
+        for which, c in (("J", c1), ("F", c2), ("F", c1), ("J", c2), ("J", c2), ("F", c2)):
+            if which == "F":
+                assert np.array_equal(p.f(c), reference_renorm_residual(c, nodes)), c
+            else:
+                assert np.array_equal(p.jac(c), reference_renorm_jacobian(c, nodes)), c
+
+
+def test_feigenbaum_problem_returns_fresh_arrays():
+    p = gallery.make_feigenbaum_like(6).problem
+    nodes = gallery._chebyshev_nodes(6)
+    c = feigenbaum_points(6, 1, seed=7)[0]
+    F, J = p.f(c), p.jac(c)
+    F[:] = np.nan
+    J[:] = np.nan
+    assert np.array_equal(p.f(c), reference_renorm_residual(c, nodes))
+    assert np.array_equal(p.jac(c), reference_renorm_jacobian(c, nodes))
+    # the cache is keyed by the bits of c, not by the array it came in
+    c[0] += 0.01
+    assert np.array_equal(p.jac(c), reference_renorm_jacobian(c, nodes))
+    assert np.array_equal(p.f(c), reference_renorm_residual(c, nodes))
+
+
+def test_direct_stage_computes_feigenbaum_points_once(monkeypatch):
+    calls = []
+    points = gallery._renorm_points
+    monkeypatch.setattr(gallery, "_renorm_points",
+                        lambda c, nodes: calls.append(c.copy()) or points(c, nodes))
+    entry = gallery.get_entry("feigenbaum-6")
+    calls.clear()  # the construction's check of F(xhat)
+    x = entry.default_x0
+    direct_rhs(entry.problem, PowerSchedule(c0=0.1, c1=1.0), x, x, 0.0)
+    assert len(calls) == 1
+    assert np.array_equal(calls[0], x)
 
 
 @pytest.mark.parametrize("n", [4, 6, 8])

@@ -95,6 +95,8 @@ SITES = [
     ("h", lambda v: _gronwall(h=v), ValueError),
     ("ball_radius", lambda v: _build_run(RunConfig(problem="identity-8", ball_radius=v)),
      ConfigError),
+    ("b", lambda v: theory.canonical_R(1.0, 1.0, v, 0.01, 1.0, 0.01), ValueError),
+    ("eps0", lambda v: theory.canonical_R(1.0, 1.0, 0.01, v, 1.0, 0.01), ValueError),
 ]
 
 
@@ -112,6 +114,11 @@ COUNT_SITES = [
                                                           SCHEDULE, B0, samples=v)),
     ("samples", lambda v: gallery.compliant_instance(4, 1, "spd", samples=v)),
     ("record_every", lambda v: IntegratorConfig(record_every=v)),
+    ("n", lambda v: gallery.make_feigenbaum_like(v)),
+    ("n", lambda v: gallery.make_autoconvolution(v)),
+    ("n", lambda v: gallery.make_affine(v, "identity")),
+    ("n", lambda v: gallery.compliant_instance(v, 0)),
+    ("dim", lambda v: NonlinearProblem(dim=v, f=lambda x: x)),
 ]
 COUNT_IDS = [f"{i}-{s[0]}" for i, s in enumerate(COUNT_SITES)]
 
@@ -136,6 +143,10 @@ class TestCount:
         assert hilbert.count("n", 3) == 3
         value = hilbert.count("n", np.int64(7))
         assert value == 7 and type(value) is int
+
+    def test_problem_stores_a_python_int(self):
+        p = NonlinearProblem(dim=np.int64(2), f=lambda x: x)
+        assert p.dim == 2 and type(p.dim) is int
 
     def test_numpy_integer_samples_accepted(self):
         b = estimate_bounds(PROBLEM, np.ones(2), 1.0, samples=np.int32(4))

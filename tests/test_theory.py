@@ -100,6 +100,16 @@ class TestCanonicalR:
             theory.canonical_R(N1=0.0, N2=1.0, b=0.01, eps0=0.01,
                                B0_norm=1.0, Lambda0_norm=0.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0], ids=repr)
+    @pytest.mark.parametrize("name", ["B0_norm", "Lambda0_norm"])
+    def test_bad_norms_rejected(self, name, value):
+        # a NaN norm once passed the numerator test and came back as R = nan
+        kw = dict(N1=1.0, N2=1.0, b=0.01, eps0=0.01, B0_norm=1.0, Lambda0_norm=0.01)
+        kw[name] = value
+        with pytest.raises(ValueError,
+                           match=f"^{name} must be nonnegative and finite, got {value}$"):
+            theory.canonical_R(**kw)
+
 
 class TestSolveSource:
     def test_trivial_when_start_at_solution(self):
