@@ -43,7 +43,7 @@ class SolverState:
         self.x = hilbert.as_vector(self.x)
         if self.B is not None:
             self.B = hilbert.as_operator(self.B, dim=self.x.size)
-        hilbert.flow_time(self.t)
+        hilbert.nonnegative("t", self.t)
 
 
 @dataclass

@@ -13,11 +13,9 @@ from __future__ import annotations
 
 import functools
 import importlib.resources
-import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import hilbert, theory
 from .flow import initial_inverse, solution_gram
@@ -54,10 +52,11 @@ def _default_xhat(n: int) -> np.ndarray:
     return 1.0 + (np.arange(1, n + 1)) / n
 
 
-#: The constant Jacobian A of each affine kind, by size n.
+#: The constant Jacobian A of each affine kind, by size n. The Hilbert
+#: matrix has the entries 1 / (1 + i + j), i and j from 0.
 _AFFINE_MATRICES = {
     "identity": np.eye,
-    "hilbert_matrix": scipy.linalg.hilbert,
+    "hilbert_matrix": lambda n: 1.0 / (1.0 + np.add.outer(np.arange(n), np.arange(n))),
     "rank_deficient": lambda n: np.diag(np.r_[np.ones(n - 1), 0.0]),
 }
 
@@ -393,7 +392,6 @@ def compliant_instance(
     n: int,
     seed: int,
     kind: str = "spd",
-    samples: int = 64,
 ) -> tuple[GalleryEntry, PowerSchedule, np.ndarray, float]:
     """Build an instance whose certificate passes, by geometric shrinking.
 
@@ -415,7 +413,6 @@ def compliant_instance(
     n = hilbert.count("n", n)
     if n > 16:
         raise ValueError(f"compliant construction is desk-scale only (n <= 16), got {n}")
-    samples = hilbert.count("samples", samples)
     rng = np.random.default_rng(seed)
     p, w_dir = _base_instance(n, kind, rng)
     xhat = p.known_solution
@@ -437,7 +434,7 @@ def compliant_instance(
         try:
             B0 = initial_inverse(p, x0, eps0)
             cert, _ = theory.certify_with_canonical_R(
-                p, xhat, x0, sched, B0, samples=samples, seed=seed
+                p, xhat, x0, sched, B0, seed=seed
             )
         except (hilbert.FactorizationError, ValueError):
             eps0 *= 0.5  # constants too large or factorization lost: eps-side
@@ -529,8 +526,7 @@ def get_entry(label: str, noise: float = 0.0, noise_seed: int = 0) -> GalleryEnt
         ValueError: ``noise`` is negative or not finite.
         KeyError: unknown label.
     """
-    if not 0.0 <= noise < math.inf:
-        raise ValueError(f"noise must be finite and nonnegative, got {noise}")
+    hilbert.nonnegative("noise", noise)
     build = _ENTRIES.get(label)
     if build is None:
         raise KeyError(

@@ -65,12 +65,46 @@ def count(name: str, value) -> int:
     return number
 
 
-def flow_time(t: float) -> float:
-    """Return the flow time ``t`` if it is nonnegative and finite, the rule of
-    every time; otherwise (NaN and inf included) raise ValueError naming t."""
-    if not 0 <= t < math.inf:
-        raise ValueError(f"t must be nonnegative and finite, got {t}")
-    return t
+def nonnegative(name: str, value: float) -> float:
+    """Return ``value`` if it is nonnegative and finite, the rule of every time
+    and noise level; otherwise (NaN and inf included) raise ValueError naming it."""
+    if not 0 <= value < math.inf:
+        raise ValueError(f"{name} must be nonnegative and finite, got {value}")
+    return value
+
+
+def returned(name: str, value, shape: tuple, at=None) -> np.ndarray:
+    """Return what the caller's function ``name`` returned as a float64 array
+    of exactly ``shape`` with every entry finite, the rule of every returned
+    array; otherwise raise ValueError, as in ``F returned shape (3,),
+    expected (2,)`` or ``jacobian returned a non-finite entry at index
+    (3, 0, 1)``.
+
+    With ``at``, ``value`` is a nonempty sequence of the function's values
+    at several points, each of ``shape``; they are stacked into one array of
+    shape ``(len(value), *shape)``, and an error names the first failing
+    value i by ``at(i)``, as in ``A_path(t) returned shape (2, 3) at t=0.1,
+    expected (2, 2)``.
+
+    The test that passes is one conversion, one shape comparison and one
+    :func:`all_finite`; the failing value is looked for only after it fails.
+    """
+    try:
+        arr = np.asarray(value, dtype=float)
+    except ValueError:
+        arr = None  # values of unequal shapes, or not numbers: located below
+    stacked = shape if at is None else (len(value), *shape)
+    if arr is not None and arr.shape == stacked and all_finite(arr):
+        return arr
+    for i, item in enumerate([value] if at is None else value):
+        item = np.asarray(item, dtype=float)  # one that is not numbers raises here
+        where = "" if at is None else f" at {at(i)}"
+        if item.shape != shape:
+            raise ValueError(f"{name} returned shape {item.shape}{where}, expected {shape}")
+        if not all_finite(item):
+            index = np.unravel_index(np.flatnonzero(~np.isfinite(item))[0], shape)
+            raise ValueError(f"{name} returned a non-finite entry at index "
+                             f"{tuple(map(int, index))}{where}")
 
 
 def as_vector(v, dim: int | None = None) -> np.ndarray:
@@ -139,8 +173,9 @@ def solve_regularized(A, eps: float, rhs) -> np.ndarray:
             right-hand sides.
 
     Raises:
-        FactorizationError: A + eps*I is not positive definite; the
-            message reports the smallest pivot found.
+        FactorizationError: A + eps*I is not positive definite in floating
+            point; the message reports its smallest eigenvalue and says
+            whether eps was lost in rounding against the largest.
     """
     A = as_operator(A)
     n = A.shape[0]
@@ -155,12 +190,18 @@ def solve_regularized(A, eps: float, rhs) -> np.ndarray:
     M = 0.5 * (M + M.T)
     chol, info = _POTRF(M, lower=1, clean=0)
     if info > 0:
-        pivot = float(np.min(np.linalg.eigvalsh(M)))
-        raise FactorizationError(
-            f"operator plus {eps}*I is not positive definite "
-            f"(smallest pivot {pivot:.6e})",
-            smallest_pivot=pivot,
-        )
+        eigs = np.linalg.eigvalsh(M)
+        smallest = float(eigs[0])
+        # n * u * max|eigenvalue|, u the unit round-off: a shift at or below it
+        # is lost in rounding, whatever the exact operator's definiteness
+        rounding = n * (np.finfo(float).eps / 2.0) * float(np.max(np.abs(eigs)))
+        if eps <= rounding:
+            cause = (f"shift {eps}*I is lost in rounding "
+                     f"(at or below the rounding level {rounding:.6e} of the operator)")
+        else:
+            cause = f"operator plus {eps}*I is not positive definite"
+        raise FactorizationError(f"{cause}; smallest eigenvalue {smallest:.6e}",
+                                 smallest_pivot=smallest)
 
     def refined(b: np.ndarray) -> np.ndarray:
         y = _POTRS(chol, b, lower=1)[0]

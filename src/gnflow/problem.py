@@ -92,15 +92,10 @@ class BallBounds:
 
 
 def eval_F(p: NonlinearProblem, x) -> np.ndarray:
-    """Evaluate F(x), rejecting non-finite inputs and outputs."""
+    """Evaluate F(x), rejecting non-finite inputs and outputs
+    (:func:`hilbert.returned`)."""
     x = hilbert.as_vector(x, dim=p.dim)
-    y = np.asarray(p.f(x), dtype=float)
-    if y.shape != (p.dim,):
-        raise ValueError(f"F returned shape {y.shape}, expected ({p.dim},)")
-    if not hilbert.all_finite(y):
-        bad = int(np.flatnonzero(~np.isfinite(y))[0])
-        raise ValueError(f"F(x) has non-finite component at index {bad}")
-    return y
+    return hilbert.returned("F", p.f(x), (p.dim,))
 
 
 def rowwise(fn):
@@ -126,9 +121,9 @@ def fd_jacobian(p: NonlinearProblem, x, h: float = FD_DEFAULT_STEP) -> np.ndarra
     The 2n points are the rows of x + h*I and x - h*I, equal bit for bit
     to x + h e_j and x - h e_j. A :func:`rowwise` F is called once on the
     (2n, n) stack of points; any other F is called at each point and its
-    values are stacked as rows. Either way the shape is checked once, on
-    the stack, and finiteness once, on the finished matrix, since a
-    non-finite value of F leaves a non-finite entry in its column.
+    values are stacked as rows. Either way the stack goes through
+    :func:`hilbert.returned`, and so does the finished matrix, since the
+    difference of two finite values can overflow.
 
     The differences are formed as rows and then transposed, so the
     transposed result is copied to C order: products such as ``J.T @ J``
@@ -141,52 +136,22 @@ def fd_jacobian(p: NonlinearProblem, x, h: float = FD_DEFAULT_STEP) -> np.ndarra
     steps = h * hilbert.identity(n)
     points = np.concatenate((x + steps, x - steps))
     if getattr(p.f, "rowwise", False):
-        Y = np.asarray(p.f(points), dtype=float)
-        if Y.shape != (2 * n, n):
-            raise ValueError(f"F returned shape {Y.shape} on the stacked points, "
-                             f"expected ({2 * n}, {n})")
+        Y = hilbert.returned("F", p.f(points), (2 * n, n))
     else:
-        values = [p.f(point) for point in points]
-        try:
-            Y = np.asarray(values, dtype=float)
-        except ValueError:
-            if all(np.shape(y) == (n,) for y in values):
-                raise  # right shape, but not numbers
-            Y = None  # ragged: the values do not share one shape
-        if Y is None or Y.shape != (2 * n, n):
-            shape = next(np.shape(y) for y in values if np.shape(y) != (n,))
-            raise ValueError(f"F returned shape {shape}, expected ({n},)")
+        # point i is x + h e_i for i < n and x - h e_(i-n) after
+        Y = hilbert.returned("F", [p.f(point) for point in points], (n,),
+                             at=lambda i: f"x {'+-'[i // n]} h*e_{i % n}")
     J = np.ascontiguousarray(((Y[:n] - Y[n:]) / (2.0 * h)).T)
-    if not hilbert.all_finite(J):
-        raise ValueError("finite-difference jacobian has non-finite entries")
-    return J
+    return hilbert.returned("fd_jacobian", J, (n, n))
 
 
 def jacobian(p: NonlinearProblem, x) -> np.ndarray:
-    """F'(x), analytic when provided, else central differences."""
+    """F'(x), analytic when provided (:func:`hilbert.returned`), else central
+    differences."""
     x = hilbert.as_vector(x, dim=p.dim)
     if p.jac is None:
         return fd_jacobian(p, x)
-    J = np.asarray(p.jac(x), dtype=float)
-    if J.shape != (p.dim, p.dim):
-        raise ValueError(f"jacobian returned shape {J.shape}, expected square of dim {p.dim}")
-    if not hilbert.all_finite(J):
-        raise ValueError("jacobian has non-finite entries")
-    return J
-
-
-def _stacked_jacobians(p: NonlinearProblem, points: np.ndarray) -> np.ndarray:
-    """F'(x) at every row of the (k, n) stack ``points``, from one call of a
-    :func:`rowwise` Jacobian, with the shape and finiteness of the returned
-    (k, n, n) stack checked once."""
-    J = np.asarray(p.jac(points), dtype=float)
-    expected = points.shape + (p.dim,)
-    if J.shape != expected:
-        raise ValueError(f"jacobian returned shape {J.shape} on the stacked points, "
-                         f"expected {expected}")
-    if not hilbert.all_finite(J):
-        raise ValueError(f"jacobian stack of shape {J.shape} has non-finite entries")
-    return J
+    return hilbert.returned("jacobian", p.jac(x), (p.dim, p.dim))
 
 
 def _ball_points(center: np.ndarray, radius: float, samples: int, rng) -> np.ndarray:
@@ -213,8 +178,8 @@ def estimate_bounds(
     Deterministic per seed.
 
     A :func:`rowwise` ``jac`` is called twice, on the stacked sample
-    points and on the stacked shifted points, and each returned stack has
-    its shape and finiteness checked once; any other Jacobian is evaluated
+    points and on the stacked shifted points, and each returned stack goes
+    through :func:`hilbert.returned` once; any other Jacobian is evaluated
     sample by sample, in order, through :func:`jacobian`. Both ways give
     the same bits. The norms are then taken by :func:`hilbert.op_norms` in
     two batched calls, one over the stacked Jacobians and one over the
@@ -234,8 +199,9 @@ def estimate_bounds(
     shifted = points + delta * dirs
 
     if getattr(p.jac, "rowwise", False):
-        jacs = _stacked_jacobians(p, points)
-        diffs = (_stacked_jacobians(p, shifted) - jacs) / delta
+        stack = (samples, p.dim, p.dim)
+        jacs = hilbert.returned("jacobian", p.jac(points), stack)
+        diffs = (hilbert.returned("jacobian", p.jac(shifted), stack) - jacs) / delta
     else:
         jacs = np.empty((samples, p.dim, p.dim))
         diffs = np.empty((samples, p.dim, p.dim))

@@ -264,8 +264,12 @@ def sweep(base: RunConfig, param: str, values, seeds=(0,)) -> list:
         raise ConfigError(
             f"unknown sweep parameter {param!r}; choose eps0 or one of {sorted(SWEEP_KEYS)}"
         )
-    if param == "noise" and not all(0.0 <= v < math.inf for v in values):
-        raise ConfigError("noise levels must be finite and nonnegative")
+    if param == "noise":
+        try:
+            for value in values:
+                hilbert.nonnegative("noise", value)
+        except ValueError as exc:
+            raise ConfigError(exc.args[0]) from None
     rows = []
     for value in values:
         if param == "eps0":

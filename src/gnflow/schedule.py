@@ -27,7 +27,7 @@ class PowerSchedule:
             raise ValueError(f"a must lie in (0, 1], got {self.a}")
 
     def eps(self, t: float) -> float:
-        return self.c0 * (self.c1 + hilbert.flow_time(t)) ** (-self.a)
+        return self.c0 * (self.c1 + hilbert.nonnegative("t", t)) ** (-self.a)
 
     def b_constant(self) -> float:
         """Smallest b with |eps'(t)| <= b * eps(t)^2 for all t >= 0.
@@ -46,7 +46,7 @@ class _Frozen:
     eps0: float
 
     def eps(self, t: float) -> float:
-        hilbert.flow_time(t)
+        hilbert.nonnegative("t", t)
         return self.eps0
 
     def b_constant(self) -> float:

@@ -36,9 +36,9 @@ SOURCE_TOL = 1e-8
 #: float comparison there would be a coin flip.
 R_INFLATION = 1e-6
 
-#: Sampled ball bounds per problem, keyed by (center bytes, radius,
-#: samples, seed): the bounds depend on nothing else, and problems are
-#: immutable. An entry lives as long as its problem.
+#: Sampled ball bounds per problem, keyed by (center bytes, radius, seed):
+#: the bounds depend on nothing else, and problems are immutable. An entry
+#: lives as long as its problem.
 _BALL_BOUNDS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
@@ -81,9 +81,8 @@ def canonical_R(N1, N2, b, eps0, B0_norm, Lambda0_norm) -> float:
     """
     for name, val in (("N1", N1), ("N2", N2), ("b", b), ("eps0", eps0)):
         hilbert.positive(name, val)
-    for name, val in (("B0_norm", B0_norm), ("Lambda0_norm", Lambda0_norm)):
-        if not 0 <= val < math.inf:
-            raise ValueError(f"{name} must be nonnegative and finite, got {val}")
+    hilbert.nonnegative("B0_norm", B0_norm)
+    hilbert.nonnegative("Lambda0_norm", Lambda0_norm)
     numerator = 1.0 - b - eps0 * B0_norm - Lambda0_norm - b * eps0
     if numerator <= 0:
         raise ValueError(
@@ -227,7 +226,7 @@ def certify(
     return _evaluate(p, _instance_constants(p, xhat, x0, s, B0), bounds, R)
 
 
-def _ball_bounds(p: NonlinearProblem, xhat: np.ndarray, radius: float, samples: int,
+def _ball_bounds(p: NonlinearProblem, xhat: np.ndarray, radius: float,
                  seed: int) -> BallBounds:
     """``estimate_bounds`` on U(xhat, radius), sampled once per problem and key.
 
@@ -235,11 +234,11 @@ def _ball_bounds(p: NonlinearProblem, xhat: np.ndarray, radius: float, samples: 
     read-only copy of ``xhat``.
     """
     memo = _BALL_BOUNDS.setdefault(p, {})
-    key = (xhat.tobytes(), radius, samples, seed)
+    key = (xhat.tobytes(), radius, seed)
     if key not in memo:
         center = xhat.copy()
         center.flags.writeable = False
-        memo[key] = estimate_bounds(p, center, radius, samples=samples, seed=seed)
+        memo[key] = estimate_bounds(p, center, radius, seed=seed)
     return memo[key]
 
 
@@ -249,20 +248,20 @@ def certify_with_canonical_R(
     x0,
     s,
     B0,
-    samples: int = 64,
     seed: int = 0,
 ) -> tuple[Certificate, BallBounds]:
     """Certify with R chosen canonically, self-consistently with the ball.
 
     The derivative bounds must cover U(xhat, R*eps(0)) while R itself
     depends on them, so the sampling radius is grown until it contains
-    the certified ball. R is inflated by ``R_INFLATION`` relative so the
+    the certified ball, which ``estimate_bounds`` samples at its default
+    64 points. R is inflated by ``R_INFLATION`` relative so the
     sharp radius inequality holds strictly in floating point (a larger R
     keeps the certificate valid).
 
     The instance constants are computed once, before the radius loop. The
     sampled bounds depend only on the problem, ``xhat``, the sampling
-    radius, ``samples`` and ``seed``, and problems are immutable, so they
+    radius and ``seed``, and problems are immutable, so they
     are sampled once per problem and key and reused by later calls: the
     halvings of ``gallery.compliant_instance`` change eps(0) and x0, which
     mostly leaves the sampling radius at its starting value. The result
@@ -274,7 +273,7 @@ def certify_with_canonical_R(
     c = _instance_constants(p, xhat, x0, s, B0)
     radius = max(1.0, 2.0 * c.offset)
     for _ in range(8):
-        bounds = _ball_bounds(p, c.xhat, radius, samples, seed)
+        bounds = _ball_bounds(p, c.xhat, radius, seed)
         R = canonical_R(bounds.N1, bounds.N2, c.b, c.eps0, c.B0_norm, c.Lambda0_norm)
         R_used = R * (1.0 + R_INFLATION)
         if R_used * c.eps0 <= radius:
@@ -296,35 +295,14 @@ def riccati_envelope_check(v_samples, mu: Callable[[float], float]) -> bool:
     if not samples:
         raise ValueError("v_samples must be nonempty")
     for t, v in samples:
-        hilbert.flow_time(t)
-        if not 0 <= v < math.inf:
-            raise ValueError(f"v must be nonnegative and finite, got {v} at t={t}")
+        hilbert.nonnegative("t", t)
+        hilbert.nonnegative(f"v({t})", v)
         m = mu(t)
         if not m > 0:
             raise ValueError(f"mu(t) must be positive, got {m} at t={t}")
         if not v < 1.0 / m:
             return False
     return True
-
-
-def _coefficient_stack(name: str, values: list, times: list, n: int) -> np.ndarray:
-    """The values of the coefficient path ``name`` at ``times`` as one
-    (m, n, n) float stack, checked once for shape and finiteness; raises
-    ValueError naming the path and the first time at which it fails."""
-    try:
-        stack = np.array(values, dtype=float)
-    except ValueError:
-        if all(np.shape(v) == (n, n) for v in values):
-            raise
-        stack = None  # ragged shapes, located below
-    if stack is None or stack.shape != (len(times), n, n):
-        i = next(i for i, v in enumerate(values) if np.shape(v) != (n, n))
-        raise ValueError(f"{name}(t) returned shape {np.shape(values[i])} at t={times[i]}, "
-                         f"expected {(n, n)}")
-    if not hilbert.all_finite(stack):
-        i = int(np.flatnonzero(~np.isfinite(stack).all(axis=(1, 2)))[0])
-        raise ValueError(f"{name}(t) has non-finite entries at t={times[i]}")
-    return stack
 
 
 def gronwall_check(
@@ -352,9 +330,12 @@ def gronwall_check(
     before that time ends the check first. ``A_path``,
     ``G_path`` and ``gamma`` are evaluated once per distinct stage time,
     all before the first step, and must return n x n operators like V0.
-    The values of each path are stacked and checked once, G's before A's,
-    for shape and finiteness, before the first step; a ValueError names
-    the path and the first time at which it fails.
+    The values of each path are stacked and checked once by
+    :func:`hilbert.returned`, G's before A's, before the first step; a
+    ValueError names the path and the first time at which it fails. Then
+    every value of ``gamma`` must pass :func:`hilbert.positive`, and the
+    first that does not is named with its time, as in ``gamma(0.6) must be
+    positive and finite, got inf``.
 
     Returns max over step times of ||V(t)|| - bound(t); the lemma holds
     when this is at most a small positive tolerance. Raises ValueError
@@ -386,10 +367,16 @@ def gronwall_check(
     # Each path's values are dropped once stacked, so the check never holds
     # more than one extra copy of them.
     distinct = list(index)
-    G_stack = _coefficient_stack("G_path", Gs, distinct, n)
+    at = lambda i: f"t={distinct[i]}"
+    G_stack = hilbert.returned("G_path(t)", Gs, (n, n), at=at)
     del Gs
-    A_stack = _coefficient_stack("A_path", As, distinct, n)
+    A_stack = hilbert.returned("A_path(t)", As, (n, n), at=at)
     del As
+    # gamma too is checked at every time, before the first step; the names of
+    # the times are formatted only when a value fails
+    if not all(0 < g < math.inf for g in gammas):
+        for t, g in zip(distinct, gammas):
+            hilbert.positive(f"gamma({t})", g)
     g_norms = hilbert.op_norms(G_stack).tolist()
 
     # The smallest symmetric eigenvalue at every step time k*h, from one
@@ -401,8 +388,6 @@ def gronwall_check(
     def check_coercive(k: int) -> None:
         t = grid[k]
         g = gammas[index[t]]
-        if not g > 0:
-            raise ValueError(f"gamma(t) must be positive, got {g} at t={t}")
         smallest = float(smallest_eig[k])
         if smallest < g - 1e-10 * (1.0 + abs(g)):
             raise ValueError(

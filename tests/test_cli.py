@@ -401,15 +401,15 @@ class TestBadValues:
         (["--step-h", "inf"], None, "step_h must be positive and finite"),
         (["--schedule-c0", "inf"], None, "c0 must be positive and finite"),
         (["--schedule-c1", "inf"], None, "c1 must be positive and finite"),
-        (["--noise", "-0.1"], None, "noise must be finite and nonnegative"),
+        (["--noise", "-0.1"], None, "noise must be nonnegative and finite"),
         (["--problem", "autoconv-16", "--noise", "-0.1"], None,
-         "noise must be finite and nonnegative"),
+         "noise must be nonnegative and finite"),
         (["--problem", "compliant-affine-8", "--noise", "-0.1"], None,
-         "noise must be finite and nonnegative"),
+         "noise must be nonnegative and finite"),
         (["--problem", "compliant-affine-8", "--noise", "nan"], None,
-         "noise must be finite and nonnegative"),
+         "noise must be nonnegative and finite"),
         (["--problem", "autoconv-16", "--noise", "inf"], None,
-         "noise must be finite and nonnegative"),
+         "noise must be nonnegative and finite"),
         (["--ball-radius", "inf"], None, "error: ball_radius must be positive and finite"),
         (["--ball-radius", "nan"], None, "error: ball_radius must be positive and finite"),
         (["--horizon-T", "1e300", "--step-h", "1e-10"], None,

@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from gnflow import hilbert
+from gnflow import gallery, hilbert
+from gnflow.flow import direct_rhs
+from gnflow.schedule import default_schedule
 
 
 def _finiteness_cases():
@@ -87,9 +89,22 @@ class TestSolveRegularized:
 
     def test_not_spd_reports_pivot(self):
         A = np.diag([1.0, -5.0])
-        with pytest.raises(hilbert.FactorizationError, match="smallest pivot") as exc:
+        with pytest.raises(hilbert.FactorizationError,
+                           match=r"^operator plus 0\.5\*I is not positive definite; "
+                                 r"smallest eigenvalue -4\.500000e\+00$") as exc:
             hilbert.solve_regularized(A, 0.5, np.ones(2))
         assert exc.value.smallest_pivot == pytest.approx(-4.5)
+
+    def test_shift_lost_in_rounding_named(self):
+        # positive definite in exact arithmetic: ||F'|| is about 1.2e19 here,
+        # so F'*F' is about 1e38 and the shift 0.1 vanishes in rounding
+        entry = gallery.get_entry("feigenbaum-6")
+        x = entry.default_x0 + 0.3
+        with pytest.raises(hilbert.FactorizationError,
+                           match=r"^shift 0\.1\*I is lost in rounding .*; smallest "
+                                 r"eigenvalue -") as exc:
+            direct_rhs(entry.problem, default_schedule(), x, x, 0.0)
+        assert exc.value.smallest_pivot < 0.0
 
     def test_nonpositive_eps_rejected(self):
         with pytest.raises(ValueError):

@@ -3,11 +3,15 @@
 One table names each public site that takes such a parameter; each site
 must reject zero, a negative value, inf and NaN with a message naming the
 parameter. A second table does the same for the count parameters, which
-must be integers >= 1. The step grid that turns a horizon into a step
-count is shared by the integrator and the Gronwall check.
+must be integers >= 1, a third for the times and noise levels, which must
+be nonnegative and finite, and a fourth for the arrays a caller's function
+returns, which must have the expected shape and finite entries. The step
+grid that turns a horizon into a step count is shared by the integrator and
+the Gronwall check.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -21,8 +25,16 @@ from gnflow.flow import (
     scaled_identity_inverse,
 )
 from gnflow.integrator import IntegratorConfig, integrate, step, step_count
-from gnflow.problem import BallBounds, NonlinearProblem, estimate_bounds, fd_jacobian
-from gnflow.run import ConfigError, RunConfig, _build_run
+from gnflow.problem import (
+    BallBounds,
+    NonlinearProblem,
+    estimate_bounds,
+    eval_F,
+    fd_jacobian,
+    jacobian,
+    rowwise,
+)
+from gnflow.run import ConfigError, RunConfig, _build_run, sweep
 from gnflow.schedule import PowerSchedule, frozen
 
 BAD_VALUES = [0.0, -1.0, math.inf, math.nan]
@@ -107,24 +119,25 @@ def test_site_rejects_bad_value(name, call, exc, value):
         call(value)
 
 
-#: (name, call taking the bad count): every count parameter is an integer >= 1
+#: (name, call taking the bad count): every count parameter is an integer >= 1.
+#: The ids number the rows as first listed, so deleting a row renames no other
+#: row's tests; rows 1 and 2 went with the samples parameter of
+#: certify_with_canonical_R and compliant_instance.
 COUNT_SITES = [
-    ("samples", lambda v: estimate_bounds(PROBLEM, np.ones(2), 1.0, samples=v)),
-    ("samples", lambda v: theory.certify_with_canonical_R(PROBLEM, XHAT, XHAT + 0.001,
-                                                          SCHEDULE, B0, samples=v)),
-    ("samples", lambda v: gallery.compliant_instance(4, 1, "spd", samples=v)),
-    ("record_every", lambda v: IntegratorConfig(record_every=v)),
-    ("n", lambda v: gallery.make_feigenbaum_like(v)),
-    ("n", lambda v: gallery.make_autoconvolution(v)),
-    ("n", lambda v: gallery.make_affine(v, "identity")),
-    ("n", lambda v: gallery.compliant_instance(v, 0)),
-    ("dim", lambda v: NonlinearProblem(dim=v, f=lambda x: x)),
+    pytest.param("samples", lambda v: estimate_bounds(PROBLEM, np.ones(2), 1.0, samples=v),
+                 id="0-samples"),
+    pytest.param("record_every", lambda v: IntegratorConfig(record_every=v),
+                 id="3-record_every"),
+    pytest.param("n", lambda v: gallery.make_feigenbaum_like(v), id="4-n"),
+    pytest.param("n", lambda v: gallery.make_autoconvolution(v), id="5-n"),
+    pytest.param("n", lambda v: gallery.make_affine(v, "identity"), id="6-n"),
+    pytest.param("n", lambda v: gallery.compliant_instance(v, 0), id="7-n"),
+    pytest.param("dim", lambda v: NonlinearProblem(dim=v, f=lambda x: x), id="8-dim"),
 ]
-COUNT_IDS = [f"{i}-{s[0]}" for i, s in enumerate(COUNT_SITES)]
 
 
 @pytest.mark.parametrize("value", [2.5, 1.0, True, "3", None], ids=repr)
-@pytest.mark.parametrize("name, call", COUNT_SITES, ids=COUNT_IDS)
+@pytest.mark.parametrize("name, call", COUNT_SITES)
 def test_count_site_rejects_non_integer(name, call, value):
     # a float or bool once escaped numpy as TypeError, past callers catching ValueError
     with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value}$"):
@@ -132,10 +145,89 @@ def test_count_site_rejects_non_integer(name, call, value):
 
 
 @pytest.mark.parametrize("value", [0, -1, np.int64(0)], ids=repr)
-@pytest.mark.parametrize("name, call", COUNT_SITES, ids=COUNT_IDS)
+@pytest.mark.parametrize("name, call", COUNT_SITES)
 def test_count_site_rejects_below_one(name, call, value):
     with pytest.raises(ValueError, match=f"^{name} must be >= 1, got {value}$"):
         call(value)
+
+
+#: (name, call taking the bad value, exception type): every time and noise
+#: level is nonnegative and finite
+NONNEGATIVE_SITES = [
+    ("t", lambda v: SolverState(t=v, x=np.ones(2)), ValueError),
+    ("t", SCHEDULE.eps, ValueError),
+    ("t", frozen(0.1).eps, ValueError),
+    ("t", lambda v: theory.riccati_envelope_check([(v, 0.5)], lambda t: 1.0), ValueError),
+    ("v(0.5)", lambda v: theory.riccati_envelope_check([(0.5, v)], lambda t: 1.0), ValueError),
+    ("B0_norm", lambda v: theory.canonical_R(1.0, 1.0, 0.01, 0.01, v, 0.01), ValueError),
+    ("Lambda0_norm", lambda v: theory.canonical_R(1.0, 1.0, 0.01, 0.01, 1.0, v), ValueError),
+    ("noise", lambda v: gallery.get_entry("identity-8", noise=v), ValueError),
+    ("noise", lambda v: sweep(RunConfig(problem="identity-8"), "noise", [0.0, v]), ConfigError),
+]
+NONNEGATIVE_IDS = ["SolverState", "PowerSchedule", "frozen", "riccati-t", "riccati-v",
+                   "canonical_R-B0_norm", "canonical_R-Lambda0_norm", "get_entry", "sweep"]
+
+
+@pytest.mark.parametrize("value", [-0.1, math.inf, math.nan], ids=repr)
+@pytest.mark.parametrize("name, call, exc", NONNEGATIVE_SITES, ids=NONNEGATIVE_IDS)
+def test_nonnegative_site_rejects_bad_value(name, call, exc, value):
+    with pytest.raises(exc, match=f"^{re.escape(name)} must be nonnegative and finite, "
+                                  f"got {value}$"):
+        call(value)
+
+
+def _spoil(kind):
+    """What turns a good returned array into a bad one of ``kind``: one more
+    entry along the last axis, or a NaN or an inf as its last entry."""
+    def spoil(value):
+        value = np.array(value, dtype=float)
+        if kind == "shape":
+            return np.concatenate([value, value[..., :1]], axis=-1)
+        value.flat[-1] = math.nan if kind == "nan" else math.inf
+        return value
+    return spoil
+
+
+def _stacked_eye(x):
+    return np.zeros(x.shape + (2,)) + np.eye(2)
+
+
+#: (name, call taking a spoil function applied to what the caller's function
+#: returns): every array a caller's function returns goes through one rule
+RETURNED_SITES = [
+    ("F", lambda spoil: eval_F(NonlinearProblem(dim=2, f=lambda x: spoil(x)), XHAT)),
+    ("jacobian", lambda spoil: jacobian(
+        NonlinearProblem(dim=2, f=lambda x: x, jac=lambda x: spoil(np.eye(2))), XHAT)),
+    ("F", lambda spoil: fd_jacobian(NonlinearProblem(dim=2, f=rowwise(lambda x: spoil(x))),
+                                    XHAT)),
+    ("F", lambda spoil: fd_jacobian(NonlinearProblem(dim=2, f=lambda x: spoil(x)), XHAT)),
+    ("jacobian", lambda spoil: estimate_bounds(
+        NonlinearProblem(dim=2, f=lambda x: x, jac=rowwise(lambda x: spoil(_stacked_eye(x)))),
+        XHAT, 1.0, samples=4)),
+    ("jacobian", lambda spoil: estimate_bounds(
+        NonlinearProblem(dim=2, f=lambda x: x, jac=lambda x: spoil(np.eye(2))),
+        XHAT, 1.0, samples=4)),
+    ("A_path(t)", lambda spoil: theory.gronwall_check(
+        lambda t: spoil(np.eye(2)), lambda t: np.zeros((2, 2)), np.eye(2),
+        gamma=lambda t: 1.0, T=0.2, h=0.1)),
+    ("G_path(t)", lambda spoil: theory.gronwall_check(
+        lambda t: np.eye(2), lambda t: spoil(np.zeros((2, 2))), np.eye(2),
+        gamma=lambda t: 1.0, T=0.2, h=0.1)),
+]
+RETURNED_IDS = ["eval_F", "jacobian", "fd_jacobian-rowwise", "fd_jacobian",
+                "estimate_bounds-rowwise", "estimate_bounds", "gronwall-A", "gronwall-G"]
+
+
+@pytest.mark.parametrize("kind", ["shape", "nan", "inf"])
+@pytest.mark.parametrize("name, call", RETURNED_SITES, ids=RETURNED_IDS)
+def test_returned_site_rejects_bad_array(name, call, kind):
+    where = r"( at \S.*)?"  # the failing point of a sequence of values
+    if kind == "shape":
+        message = rf"^{re.escape(name)} returned shape \([\d, ]+\){where}, expected \([\d, ]+\)$"
+    else:
+        message = rf"^{re.escape(name)} returned a non-finite entry at index \([\d, ]+\){where}$"
+    with pytest.raises(ValueError, match=message):
+        call(_spoil(kind))
 
 
 class TestCount:
@@ -162,6 +254,29 @@ class TestPositive:
     def test_message_names_the_parameter_and_value(self):
         with pytest.raises(ValueError, match=r"^x must be positive and finite, got nan$"):
             hilbert.positive("x", math.nan)
+
+
+class TestReturned:
+    def test_converts_to_float64(self):
+        arr = hilbert.returned("F", [1, 2], (2,))
+        assert arr.dtype == np.float64 and arr.tolist() == [1.0, 2.0]
+
+    def test_stacks_a_sequence_of_values(self):
+        arr = hilbert.returned("F", [np.ones(2), [0, 1]], (2,), at=str)
+        assert arr.shape == (2, 2) and arr.tolist() == [[1.0, 1.0], [0.0, 1.0]]
+
+    def test_names_the_first_failing_value(self):
+        values = [np.ones(2), np.ones(3), np.ones(1), [np.nan, 1.0]]
+        with pytest.raises(ValueError, match=r"^F returned shape \(3,\) at item 1, "
+                                             r"expected \(2,\)$"):
+            hilbert.returned("F", values, (2,), at=lambda i: f"item {i}")
+        with pytest.raises(ValueError, match=r"^F returned a non-finite entry at index "
+                                             r"\(0,\) at item 3$"):
+            hilbert.returned("F", values[:1] * 3 + values[3:], (2,), at=lambda i: f"item {i}")
+
+    def test_values_that_are_not_numbers_keep_numpy_error(self):
+        with pytest.raises(ValueError, match="could not convert"):
+            hilbert.returned("F", [["a", "b"]], (2,), at=str)
 
 
 class TestStepGrid:
@@ -205,10 +320,12 @@ class TestNanTime:
     BAD_TIMES = (math.nan, math.inf)
 
     def test_flow_time(self):
+        # the time rule is the nonnegative rule, naming t
         for t in self.BAD_TIMES:
             with pytest.raises(ValueError, match="t must be nonnegative and finite"):
-                hilbert.flow_time(t)
-        assert hilbert.flow_time(2.5) == 2.5
+                hilbert.nonnegative("t", t)
+        assert hilbert.nonnegative("t", 2.5) == 2.5
+        assert hilbert.nonnegative("t", 0.0) == 0.0
 
     def test_solver_state(self):
         for t in self.BAD_TIMES:

@@ -66,7 +66,7 @@ class TestEvalF:
 
     def test_non_finite_output_named(self):
         p = NonlinearProblem(dim=2, f=lambda x: np.array([x[0], x[1] / 0.0 if x[1] else np.nan]))
-        with pytest.raises(ValueError, match="index 1"):
+        with pytest.raises(ValueError, match=r"^F returned a non-finite entry at index \(1,\)$"):
             eval_F(p, np.array([1.0, 0.0]))
 
     def test_dimension_checked(self, identity_problem):
@@ -156,7 +156,8 @@ class TestFdJacobian:
         # length n at some points and n + 1 at others cannot be stacked;
         # the error names the offending shape, not numpy's stacking failure
         p = NonlinearProblem(dim=2, f=lambda x: x if x[0] > 1.0 else np.append(x, 0.0))
-        with pytest.raises(ValueError, match=r"F returned shape \(3,\), expected \(2,\)"):
+        with pytest.raises(ValueError, match=r"^F returned shape \(3,\) at x \+ h\*e_1, "
+                                             r"expected \(2,\)$"):
             fd_jacobian(p, np.ones(2), h=1e-3)
 
 
@@ -203,8 +204,7 @@ class TestRowwiseFdJacobian:
     ], ids=["first-row", "row-sums", "flattened"])
     def test_wrong_stacked_shape_rejected(self, f):
         p = NonlinearProblem(dim=2, f=rowwise(f))
-        with pytest.raises(ValueError, match=r"F returned shape .* on the stacked points, "
-                                             r"expected \(4, 2\)"):
+        with pytest.raises(ValueError, match=r"^F returned shape .*, expected \(4, 2\)$"):
             fd_jacobian(p, np.ones(2))
 
     def test_non_finite_evaluation_rejected(self):
@@ -240,8 +240,8 @@ class TestRowwiseEstimateBounds:
     ], ids=["one-matrix", "flattened", "last-axis", "wrong-block"])
     def test_wrong_stacked_shape_rejected(self, jac):
         p = NonlinearProblem(dim=2, f=lambda x: x, jac=rowwise(jac))
-        with pytest.raises(ValueError, match=r"jacobian returned shape .* on the stacked "
-                                             r"points, expected \(8, 2, 2\)"):
+        with pytest.raises(ValueError, match=r"^jacobian returned shape .*, "
+                                             r"expected \(8, 2, 2\)$"):
             estimate_bounds(p, np.ones(2), 1.0, samples=8)
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
@@ -249,8 +249,8 @@ class TestRowwiseEstimateBounds:
         # non-finite in the blocks of the points right of the center only
         jac = rowwise(lambda x: np.where(x[..., :1, None] > 1.0, bad, np.eye(2)))
         p = NonlinearProblem(dim=2, f=lambda x: x, jac=jac)
-        with pytest.raises(ValueError, match=r"jacobian stack of shape \(8, 2, 2\) "
-                                             r"has non-finite entries"):
+        with pytest.raises(ValueError, match=r"^jacobian returned a non-finite entry "
+                                             r"at index \(\d, 0, 0\)$"):
             estimate_bounds(p, np.ones(2), 1.0, samples=8, seed=0)
 
     def test_marker_follows_the_callable(self):

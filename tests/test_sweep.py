@@ -13,7 +13,7 @@ def base_config(**kw):
     return RunConfig(**defaults)
 
 
-class TestSweepSpec:
+class TestSweepArguments:
     """The arguments that specify a sweep, checked before any run."""
 
     def test_empty_values_rejected(self):

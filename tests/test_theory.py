@@ -299,8 +299,8 @@ class TestRiccatiEnvelope:
     def test_bad_v_rejected(self, v):
         # a NaN or infinite v compared False against 1/mu and gave a verdict
         samples = [(0.0, 0.1), (0.5, v)]
-        with pytest.raises(ValueError, match=rf"^v must be nonnegative and finite, "
-                                             rf"got {v} at t=0\.5$"):
+        with pytest.raises(ValueError, match=rf"^v\(0\.5\) must be nonnegative and finite, "
+                                             rf"got {v}$"):
             theory.riccati_envelope_check(samples, lambda t: 1.0)
 
     def test_compliant_trajectory_with_certificate_rate(self):
@@ -447,11 +447,22 @@ class TestGronwall:
     def test_gamma_checked_before_coercivity(self):
         # from t=0.6 on gamma is negative and A fails it too: gamma is named
         late = lambda t: t > 0.55
-        with pytest.raises(ValueError, match=r"^gamma\(t\) must be positive, got -1\.0 at t=0\.6"):
+        with pytest.raises(ValueError,
+                           match=r"^gamma\(0\.60*1?\) must be positive and finite, got -1\.0$"):
             theory.gronwall_check(
                 lambda t: -2.0 * np.eye(2) if late(t) else np.eye(2),
                 lambda t: np.zeros((2, 2)), np.eye(2),
                 gamma=lambda t: -1.0 if late(t) else 0.5, T=1.0, h=0.1)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan], ids=repr)
+    def test_non_finite_gamma_named(self, bad):
+        # an infinite gamma passed a bare "> 0" test and overflowed the
+        # integrated exp(int gamma): FloatingPointError, gamma not named
+        with pytest.raises(ValueError,
+                           match=rf"^gamma\(0\.60*1?\) must be positive and finite, got {bad}$"):
+            theory.gronwall_check(
+                lambda t: np.eye(2), lambda t: np.zeros((2, 2)), np.eye(2),
+                gamma=lambda t: bad if t > 0.55 else 0.5, T=1.0, h=0.1)
 
     def test_first_failing_time_named(self):
         # coercivity fails at t=0.2 and at every later step time
@@ -488,7 +499,8 @@ class TestGronwall:
         with pytest.raises(ValueError) as info:
             theory.gronwall_check(A_path, lambda t: np.zeros((2, 2)), np.eye(2),
                                   gamma=lambda t: 0.5, T=1.0, h=0.1)
-        assert str(info.value) == f"A_path(t) has non-finite entries at t={seen[0]}"
+        assert str(info.value) == (f"A_path(t) returned a non-finite entry at index (0, 1) "
+                                   f"at t={seen[0]}")
 
     def test_wrong_G_shape_at_one_time_named(self):
         seen = []
@@ -515,7 +527,7 @@ class TestGronwall:
     def test_paths_checked_before_the_first_step(self):
         # an overflowing step at t=0.3 would end the check; the bad A at
         # t=0.9 is found first
-        with pytest.raises(ValueError, match=r"^A_path\(t\) has non-finite entries"), \
+        with pytest.raises(ValueError, match=r"^A_path\(t\) returned a non-finite entry"), \
                 np.errstate(over="ignore", invalid="ignore"):
             theory.gronwall_check(
                 lambda t: np.full((2, 2), np.inf) if t > 0.85 else np.eye(2),
@@ -605,17 +617,17 @@ class TestMemoizedBounds:
         monkeypatch.setattr(theory, "estimate_bounds", counted_sample)
         monkeypatch.setattr(theory, "certify_with_canonical_R", counted_attempt)
         with pytest.raises(ValueError, match="no compliant configuration"):
-            gallery.compliant_instance(n, seed=0, kind=kind, samples=16)
+            gallery.compliant_instance(n, seed=0, kind=kind)
         assert len(radii) == len(set(radii))
         assert len(radii) < len(attempts)
 
     def test_reused_bounds_equal_fresh_sampling(self):
         label, entry, sched, B0, R = gallery.compliant_suite()[3]
         args = (entry.problem, entry.xhat, entry.default_x0, sched, B0)
-        cert1, bounds1 = theory.certify_with_canonical_R(*args, samples=24, seed=5)
-        cert2, bounds2 = theory.certify_with_canonical_R(*args, samples=24, seed=5)
+        cert1, bounds1 = theory.certify_with_canonical_R(*args, seed=5)
+        cert2, bounds2 = theory.certify_with_canonical_R(*args, seed=5)
         assert bounds2 is bounds1 and cert2.R == cert1.R
-        fresh = estimate_bounds(entry.problem, entry.xhat, bounds1.radius, samples=24, seed=5)
+        fresh = estimate_bounds(entry.problem, entry.xhat, bounds1.radius, seed=5)
         assert (bounds1.N1, bounds1.N2, bounds1.radius, bounds1.samples) == (
             fresh.N1, fresh.N2, fresh.radius, fresh.samples)
         assert np.array_equal(bounds1.center, fresh.center)
