@@ -23,6 +23,7 @@ import numpy as np
 
 from . import gallery, theory
 from .flow import FlowDiagnostics, SolverState, initial_inverse
+from .hilbert import FactorizationError
 from .integrator import IntegratorConfig, Trajectory, convergence_order, integrate
 from .run import (CHOICES, CONFIG_KEYS, PARSERS, ConfigError, RunConfig, execute_run, fmt,
                   load_config, sweep, write_csv, write_lines, write_sweep_csv)
@@ -103,14 +104,14 @@ def cmd_run(cfg: RunConfig) -> int:
         if xhat is None:
             lines.append("certificate.error = problem has no known solution")
         else:
-            if B0 is None:  # the direct method tracks no inverse
-                B0 = initial_inverse(entry.problem, x0, sched.eps(0.0))
             try:
+                if B0 is None:  # the direct method tracks no inverse
+                    B0 = initial_inverse(entry.problem, x0, sched.eps(0.0))
                 cert, _ = theory.certify_with_canonical_R(
                     entry.problem, xhat, x0, sched, B0, seed=cfg.seed
                 )
                 lines.extend(_certificate_lines(cert))
-            except ValueError as exc:
+            except (ValueError, FactorizationError) as exc:
                 lines.append(f"certificate.error = {exc}")
     write_lines(cfg.out_summary, lines)
     print(f"{cfg.problem}: {traj.termination} after {len(traj.records)} records "

@@ -172,10 +172,11 @@ def _build_run(cfg: RunConfig) -> tuple:
     B0 = None
     if cfg.method == "coupled":
         eps0 = sched.eps(0.0)
-        if cfg.b0_mode == "exact_inverse":
-            B0 = initial_inverse(entry.problem, x0, eps0)
-        else:
-            B0 = scaled_identity_inverse(entry.problem, x0, eps0)
+        start = initial_inverse if cfg.b0_mode == "exact_inverse" else scaled_identity_inverse
+        try:
+            B0 = start(entry.problem, x0, eps0)
+        except (ValueError, hilbert.FactorizationError) as exc:
+            raise ConfigError(f"cannot start from x0: {exc}") from exc
     return entry, sched, x0, B0, xhat
 
 
@@ -199,13 +200,18 @@ def execute_run(cfg: RunConfig) -> tuple:
     """Build and integrate one configuration; returns (trajectory, built run).
 
     The built run is the (entry, schedule, x0, B0, xhat) that was
-    integrated; B0 is None for the direct method.
+    integrated; B0 is None for the direct method. A start point whose
+    initial inverse cannot be built, or whose first record cannot be
+    measured, raises ConfigError.
     """
     icfg = _integrator_config(cfg)
     built = _build_run(cfg)
     entry, sched, x0, B0, xhat = built
-    st0 = SolverState(t=0.0, x=x0, B=B0)
-    traj = integrate(entry.problem, sched, st0, icfg, xhat=xhat, R=cfg.ball_radius)
+    try:
+        st0 = SolverState(t=0.0, x=x0, B=B0)
+        traj = integrate(entry.problem, sched, st0, icfg, xhat=xhat, R=cfg.ball_radius)
+    except ValueError as exc:  # a failing step ends the run inside integrate
+        raise ConfigError(f"cannot start from x0: {exc}") from exc
     return traj, built
 
 

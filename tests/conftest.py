@@ -2,6 +2,13 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import settings
+
+#: The one hypothesis profile, loaded for every run: a fixed derandomized
+#: sequence of examples per test, no example database and no deadline. A
+#: ``@settings`` states only its ``max_examples`` budget.
+settings.register_profile("gnflow", derandomize=True, database=None, deadline=None)
+settings.load_profile("gnflow")
 
 
 @pytest.fixture

@@ -8,12 +8,12 @@ import time
 
 import numpy as np
 import pytest
+from oracles import affine_problem, planted_source, random_spd_path
 
 from gnflow import cli, gallery, theory
 from gnflow.flow import SolverState, coupled_rhs, direct_rhs
 from gnflow.hilbert import op_norm
 from gnflow.integrator import IntegratorConfig, convergence_order, integrate
-from gnflow.problem import NonlinearProblem
 from gnflow.run import sweep, write_sweep_csv
 from gnflow.schedule import PowerSchedule
 
@@ -23,16 +23,6 @@ HORIZON = 50.0
 def verdict(num, ok, detail):
     print(f"\nACCEPTANCE {num:>2}: {'PASS' if ok else 'FAIL'} - {detail}")
     assert ok, detail
-
-
-def affine_problem(A, xhat):
-    A = np.asarray(A, dtype=float)
-    return NonlinearProblem(
-        dim=A.shape[0],
-        f=lambda x: A @ (x - xhat),
-        jac=lambda x: A.copy(),
-        known_solution=xhat,
-    )
 
 
 @pytest.fixture(scope="module")
@@ -132,19 +122,8 @@ def test_05_operator_gronwall():
         T=2.0, h=0.01)
     worst = -np.inf
     for seed in range(20):
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(2, 9))
-        Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-        base = Q @ np.diag(rng.uniform(0.5, 2.0, size=n)) @ Q.T
-        S = rng.standard_normal((n, n))
-        S = 0.1 * (S + S.T)
-        A_path = lambda t, base=base, S=S: base + np.sin(t) * S
-        gamma = lambda t, A_path=A_path: float(
-            np.min(np.linalg.eigvalsh(0.5 * (A_path(t) + A_path(t).T))))
-        viol = theory.gronwall_check(
-            A_path, lambda t, n=n: np.zeros((n, n)),
-            rng.standard_normal((n, n)), gamma, T=1.5, h=0.01)
-        worst = max(worst, viol)
+        A_path, G_path, V0, gamma, T = random_spd_path(seed)
+        worst = max(worst, theory.gronwall_check(A_path, G_path, V0, gamma, T=T, h=0.01))
     elapsed = time.perf_counter() - start
     ok = abs(sat) <= 1e-8 and worst <= 1e-6 and elapsed < 10.0
     verdict(5, ok, f"operator Gronwall bound: saturation |{sat:.1e}| <= 1e-8, "
@@ -212,14 +191,7 @@ def test_09_source_condition_recovery():
     rng = np.random.default_rng(13)
     worst = 0.0
     for _ in range(10):
-        n = int(rng.integers(2, 9))
-        U, _ = np.linalg.qr(rng.standard_normal((n, n)))
-        V, _ = np.linalg.qr(rng.standard_normal((n, n)))
-        A = U @ np.diag(rng.uniform(0.5, 2.0, size=n)) @ V.T
-        xhat = rng.standard_normal(n)
-        p = affine_problem(A, xhat)
-        v = rng.standard_normal(n)
-        x0 = xhat - A.T @ A @ v
+        p, xhat, x0, v = planted_source(rng)
         w, res = theory.solve_source(p, xhat, x0)
         worst = max(worst, np.linalg.norm(w - v) / np.linalg.norm(v))
     # orthogonal offset must fail the residual test

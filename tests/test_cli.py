@@ -1,6 +1,5 @@
 import csv
 import re
-import sys
 
 import pytest
 
@@ -26,14 +25,18 @@ def read_summary(path):
     return out
 
 
+@pytest.fixture(autouse=True)
+def in_tmp_path(tmp_path, monkeypatch):
+    """Each test runs in its own directory, where the default output files
+    (trajectory.csv, summary.txt, compare.csv) and relative config paths land."""
+    monkeypatch.chdir(tmp_path)
+
+
 class TestRun:
     def test_anchored_identity_exits_clean(self, tmp_path):
-        traj = tmp_path / "t.csv"
-        summ = tmp_path / "s.txt"
-        code = run_cli([
-            "run", "--problem", "identity-8", "--x0-scale", "0.0",
-            "--out-trajectory", str(traj), "--out-summary", str(summ),
-        ])
+        traj = tmp_path / "trajectory.csv"
+        summ = tmp_path / "summary.txt"
+        code = run_cli(["run", "--problem", "identity-8", "--x0-scale", "0.0"])
         assert code == 0
         header, rows = read_csv(traj)
         assert header == list(cli.TRAJECTORY_COLUMNS)
@@ -48,12 +51,8 @@ class TestRun:
         assert summary["config.problem"] == "identity-8"
 
     def test_compliant_defaults_converge(self, tmp_path):
-        traj = tmp_path / "t.csv"
-        code = run_cli([
-            "run", "--problem", "compliant-affine-8",
-            "--out-trajectory", str(traj),
-            "--out-summary", str(tmp_path / "s.txt"),
-        ])
+        traj = tmp_path / "trajectory.csv"
+        code = run_cli(["run", "--problem", "compliant-affine-8"])
         assert code == 0
         header, rows = read_csv(traj)
         err_col = header.index("err_norm")
@@ -64,78 +63,51 @@ class TestRun:
 
     def test_divergent_config_reports_event(self, tmp_path):
         # a huge start inside an expanding-error problem trips a monitor
-        traj = tmp_path / "t.csv"
-        code = run_cli([
-            "run", "--problem", "rank-deficient-8", "--x0-scale", "1e9",
-            "--schedule-c0", "10.0", "--ball-radius", "1.0",
-            "--out-trajectory", str(traj),
-            "--out-summary", str(tmp_path / "s.txt"),
-        ])
+        traj = tmp_path / "trajectory.csv"
+        code = run_cli(["run", "--problem", "rank-deficient-8", "--x0-scale", "1e9",
+                        "--schedule-c0", "10.0", "--ball-radius", "1.0"])
         assert code in (2, 3)
         header, rows = read_csv(traj)
         assert len(rows) >= 1  # final record present
 
-    def test_unknown_problem_is_config_error(self, tmp_path, capsys):
-        code = run_cli([
-            "run", "--problem", "not-a-problem",
-            "--out-trajectory", str(tmp_path / "t.csv"),
-            "--out-summary", str(tmp_path / "s.txt"),
-        ])
+    def test_unknown_problem_is_config_error(self, capsys):
+        code = run_cli(["run", "--problem", "not-a-problem"])
         assert code == 1
         # the message itself, not the repr of a KeyError
         assert capsys.readouterr().err.startswith(
             "error: unknown problem label 'not-a-problem'; available: ")
 
     @pytest.mark.parametrize("radius", ["0", "-1.0"])
-    def test_non_positive_ball_radius_is_config_error(self, tmp_path, capsys, radius):
-        code = run_cli([
-            "run", "--problem", "identity-8", "--ball-radius", radius,
-            "--out-trajectory", str(tmp_path / "t.csv"),
-            "--out-summary", str(tmp_path / "s.txt"),
-        ])
+    def test_non_positive_ball_radius_is_config_error(self, capsys, radius):
+        code = run_cli(["run", "--problem", "identity-8", "--ball-radius", radius])
         assert code == 1
         assert "ball_radius must be positive" in capsys.readouterr().err
 
     def test_unwritable_path_is_config_error(self, tmp_path):
-        code = run_cli([
-            "run", "--problem", "identity-8",
-            "--out-trajectory", str(tmp_path / "missing" / "t.csv"),
-            "--out-summary", str(tmp_path / "s.txt"),
-        ])
+        code = run_cli(["run", "--problem", "identity-8", "--out-trajectory",
+                        str(tmp_path / "missing" / "t.csv")])
         assert code == 1
 
     def test_scaled_identity_start_mode(self, tmp_path):
-        code = run_cli([
-            "run", "--problem", "compliant-affine-4",
-            "--b0-mode", "scaled_identity", "--horizon-T", "2.0",
-            "--out-trajectory", str(tmp_path / "t.csv"),
-            "--out-summary", str(tmp_path / "s.txt"),
-        ])
+        code = run_cli(["run", "--problem", "compliant-affine-4", "--b0-mode", "scaled_identity",
+                        "--horizon-T", "2.0"])
         assert code == 0
-        summary = read_summary(tmp_path / "s.txt")
+        summary = read_summary(tmp_path / "summary.txt")
         assert summary["config.b0_mode"] == "scaled_identity"
 
     def test_certificate_in_summary(self, tmp_path):
-        summ = tmp_path / "s.txt"
-        code = run_cli([
-            "run", "--problem", "compliant-affine-4", "--certify",
-            "--schedule-c0", "20.0", "--schedule-c1", "200.0",
-            "--out-trajectory", str(tmp_path / "t.csv"),
-            "--out-summary", str(summ),
-        ])
+        summ = tmp_path / "summary.txt"
+        code = run_cli(["run", "--problem", "compliant-affine-4", "--certify", "--schedule-c0",
+                        "20.0", "--schedule-c1", "200.0"])
         assert code == 0
         summary = read_summary(summ)
         assert summary["certificate.overall"] == "true"
         assert "certificate.k" in summary
 
     def test_certificate_keys_in_order(self, tmp_path):
-        summ = tmp_path / "s.txt"
-        assert run_cli([
-            "run", "--problem", "compliant-affine-4", "--certify",
-            "--schedule-c0", "20", "--schedule-c1", "200",
-            "--out-trajectory", str(tmp_path / "t.csv"),
-            "--out-summary", str(summ),
-        ]) == 0
+        summ = tmp_path / "summary.txt"
+        assert run_cli(["run", "--problem", "compliant-affine-4", "--certify", "--schedule-c0",
+                        "20", "--schedule-c1", "200"]) == 0
         keys = [line.partition(" = ")[0] for line in summ.read_text().splitlines()]
         assert [k for k in keys if k.startswith("certificate.")] == [
             "certificate." + k for k in (
@@ -177,9 +149,8 @@ class TestConfigFile:
         cfg.write_text(f"certify = {raw}\n")
         assert cli.load_config(str(cfg), {}).certify is value
 
-    def test_misspelt_boolean_is_config_error(self, tmp_path, monkeypatch, capsys):
+    def test_misspelt_boolean_is_config_error(self, tmp_path, capsys):
         # it used to read as false: the run went ahead without a certificate
-        monkeypatch.chdir(tmp_path)
         (tmp_path / "run.cfg").write_text("problem = identity-8\ncertify = ture\n")
         assert run_cli(["run", "--config", "run.cfg"]) == 1
         err = capsys.readouterr().err
@@ -201,12 +172,8 @@ class TestConfigFile:
 
 class TestDeterminism:
     def test_bit_identical_csv(self, tmp_path):
-        args = lambda i: [
-            "run", "--problem", "compliant-affine-4", "--seed", "3",
-            "--horizon-T", "2.0",
-            "--out-trajectory", str(tmp_path / f"t{i}.csv"),
-            "--out-summary", str(tmp_path / f"s{i}.txt"),
-        ]
+        args = lambda i: ["run", "--problem", "compliant-affine-4", "--seed", "3",
+                          "--horizon-T", "2.0", "--out-trajectory", f"t{i}.csv"]
         assert run_cli(args(0)) == 0
         assert run_cli(args(1)) == 0
         assert (tmp_path / "t0.csv").read_bytes() == (tmp_path / "t1.csv").read_bytes()
@@ -216,13 +183,9 @@ class TestCompare:
     def test_equivalence_regime_affine(self, tmp_path):
         # a near-frozen schedule keeps the tracked inverse locked to the
         # factorized one, so the two methods coincide
-        out = tmp_path / "cmp.csv"
-        code = run_cli([
-            "compare", "--problem", "compliant-affine-4",
-            "--schedule-c0", "100000", "--schedule-c1", "1000000",
-            "--horizon-T", "5.0",
-            "--out", str(out), "--out-summary", str(tmp_path / "s.txt"),
-        ])
+        out = tmp_path / "compare.csv"
+        code = run_cli(["compare", "--problem", "compliant-affine-4", "--schedule-c0", "100000",
+                        "--schedule-c1", "1000000", "--horizon-T", "5.0", "--out", str(out)])
         assert code == 0
         header, rows = read_csv(out)
         assert header == ["t", "err_direct", "err_coupled", "resid_direct",
@@ -231,12 +194,8 @@ class TestCompare:
             assert abs(float(r[1]) - float(r[2])) <= 1e-6
 
     def test_late_horizon_reports_ratio(self, tmp_path):
-        summ = tmp_path / "s.txt"
-        code = run_cli([
-            "compare", "--problem", "compliant-affine-8",
-            "--horizon-T", "30.0",
-            "--out", str(tmp_path / "cmp.csv"), "--out-summary", str(summ),
-        ])
+        summ = tmp_path / "summary.txt"
+        code = run_cli(["compare", "--problem", "compliant-affine-8", "--horizon-T", "30.0"])
         assert code == 0
         summary = read_summary(summ)
         assert float(summary["final.err_direct"]) > 0
@@ -246,11 +205,7 @@ class TestCompare:
     def test_mismatched_problems_rejected(self, tmp_path):
         other = tmp_path / "b.cfg"
         other.write_text("problem = identity-8\n")
-        code = run_cli([
-            "compare", "--problem", "compliant-affine-8",
-            "--config-b", str(other),
-            "--out", str(tmp_path / "cmp.csv"),
-        ])
+        code = run_cli(["compare", "--problem", "compliant-affine-8", "--config-b", str(other)])
         assert code == 1
 
     def test_matching_config_pair_accepted(self, tmp_path):
@@ -259,12 +214,8 @@ class TestCompare:
             "problem = identity-8\n"
             "integrator.horizon_T = 2.0\n"
         )
-        code = run_cli([
-            "compare", "--problem", "identity-8", "--horizon-T", "2.0",
-            "--config-b", str(other),
-            "--out", str(tmp_path / "cmp.csv"),
-            "--out-summary", str(tmp_path / "s.txt"),
-        ])
+        code = run_cli(["compare", "--problem", "identity-8", "--horizon-T", "2.0", "--config-b",
+                        str(other)])
         assert code == 0
 
     @pytest.mark.parametrize("flags, config_b", [
@@ -275,11 +226,9 @@ class TestCompare:
         if config_b is not None:
             (tmp_path / "b.cfg").write_text(config_b)
             flags = flags + ["--config-b", str(tmp_path / "b.cfg")]
-        out = tmp_path / "cmp.csv"
-        code = run_cli([
-            "compare", "--problem", "identity-8", "--horizon-T", "0.1", *flags,
-            "--out", str(out), "--out-summary", str(tmp_path / "s.txt"),
-        ])
+        out = tmp_path / "compare.csv"
+        code = run_cli(["compare", "--problem", "identity-8", "--horizon-T", "0.1", *flags,
+                        "--out", str(out)])
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "compare does not certify" in err
@@ -289,14 +238,9 @@ class TestCompare:
 class TestX0Scale:
     def test_scale_moves_start_along_default_offset(self, tmp_path):
         def final_err(scale):
-            summ = tmp_path / f"s{scale}.txt"
-            assert run_cli([
-                "run", "--problem", "identity-8", "--x0-scale", str(scale),
-                "--horizon-T", "1.0",
-                "--out-trajectory", str(tmp_path / f"t{scale}.csv"),
-                "--out-summary", str(summ),
-            ]) == 0
-            return float(read_summary(summ)["final.err_norm"])
+            assert run_cli(["run", "--problem", "identity-8", "--x0-scale", str(scale),
+                            "--horizon-T", "1.0"]) == 0
+            return float(read_summary(tmp_path / "summary.txt")["final.err_norm"])
 
         # doubling the start offset doubles the (linear) trajectory error
         assert final_err(2.0) == pytest.approx(2.0 * final_err(1.0), rel=1e-9)
@@ -326,11 +270,8 @@ class TestVerify:
 class TestSweep:
     def test_explicit_values(self, tmp_path):
         out = tmp_path / "sweep.csv"
-        code = run_cli([
-            "sweep", "--problem", "compliant-affine-4", "--param", "eps0",
-            "--values", "0.01,0.1", "--seeds", "0", "--horizon-T", "2.0",
-            "--out", str(out),
-        ])
+        code = run_cli(["sweep", "--problem", "compliant-affine-4", "--param", "eps0", "--values",
+                        "0.01,0.1", "--seeds", "0", "--horizon-T", "2.0", "--out", str(out)])
         assert code == 0
         header, rows = read_csv(out)
         assert header == ["param_value", "seed", "final_err", "final_residual",
@@ -340,10 +281,8 @@ class TestSweep:
 
     def test_failed_row_keeps_its_reason(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
-        code = run_cli([
-            "sweep", "--problem", "identity-8", "--param", "integrator.step_h",
-            "--values", "0,0.1", "--horizon-T", "1.0", "--out", str(out),
-        ])
+        code = run_cli(["sweep", "--problem", "identity-8", "--param", "integrator.step_h",
+                        "--values", "0,0.1", "--horizon-T", "1.0", "--out", str(out)])
         assert code == 0
         with out.open(newline="") as fh:
             header, *rows = list(csv.reader(fh))
@@ -356,10 +295,8 @@ class TestSweep:
 
     def test_certify_rejected(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
-        code = run_cli([
-            "sweep", "--problem", "identity-8", "--certify", "--param", "eps0",
-            "--values", "0.1", "--horizon-T", "0.1", "--out", str(out),
-        ])
+        code = run_cli(["sweep", "--problem", "identity-8", "--certify", "--param", "eps0",
+                        "--values", "0.1", "--horizon-T", "0.1", "--out", str(out)])
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "sweep does not certify" in err
@@ -415,9 +352,7 @@ class TestBadValues:
         (["--horizon-T", "1e300", "--step-h", "1e-10"], None,
          "horizon_T must hold a finite number of steps"),
     ])
-    def test_reported_as_config_error(self, tmp_path, monkeypatch, capsys, flags, config,
-                                      message):
-        monkeypatch.chdir(tmp_path)
+    def test_reported_as_config_error(self, tmp_path, capsys, flags, config, message):
         if config is not None:
             (tmp_path / "run.cfg").write_text(config)
             flags = flags + ["--config", "run.cfg"]
@@ -427,36 +362,54 @@ class TestBadValues:
         assert err.startswith("error: ") and message in err
 
 
-def count_calls(monkeypatch, fn):
-    """Count calls of ``fn`` through every gnflow module global bound to it."""
-    calls = []
+class TestUnusableStart:
+    """A start point whose initial inverse cannot be built, or whose first
+    record cannot be measured, is a configuration error, not a traceback."""
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return fn(*args, **kwargs)
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("command, flags, message", [
+        pytest.param("run", ["--x0-scale", "1e4"], "lost in rounding", id="run-B0"),
+        pytest.param("compare", ["--x0-scale", "1e4"], "lost in rounding", id="compare-B0"),
+        pytest.param("run", ["--method", "direct", "--x0-scale", "1e100"],
+                     "F returned a non-finite entry", id="run-direct-F"),
+        pytest.param("run", ["--x0-scale", "1e100"], "jacobian returned a non-finite entry",
+                     id="run-coupled-jacobian"),
+    ])
+    def test_reported_as_config_error(self, capsys, command, flags, message):
+        code = run_cli([command, "--problem", "feigenbaum-6", "--horizon-T", "0.1", *flags])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot start from x0: ") and message in err
 
-    for name, mod in list(sys.modules.items()):
-        if name == "gnflow" or name.startswith("gnflow."):
-            for attr, val in list(vars(mod).items()):
-                if val is fn:
-                    monkeypatch.setattr(mod, attr, counted)
-    return calls
+    def test_certificate_error_keeps_the_run(self, tmp_path):
+        # the direct run ends at its first step; the certificate cannot build B0
+        summ = tmp_path / "summary.txt"
+        code = run_cli(["run", "--problem", "feigenbaum-6", "--method", "direct", "--certify",
+                        "--x0-scale", "1e4", "--horizon-T", "0.1"])
+        summary = read_summary(summ)
+        assert code == int(summary["exit_code"]) == 3
+        assert summary["termination"] == "numerical_error"
+        assert summary["certificate.error"].startswith("shift 0.1*I is lost in rounding")
+
+    def test_sweep_row_tagged(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        assert run_cli(["sweep", "--problem", "feigenbaum-6", "--param", "x0_scale",
+                        "--values", "1e4", "--horizon-T", "0.1", "--out", str(out)]) == 0
+        with out.open(newline="") as fh:
+            header, row = list(csv.reader(fh))
+        assert row[header.index("termination")].startswith(
+            "error:ConfigError: cannot start from x0: shift 0.1*I is lost in rounding")
 
 
 class TestBuildOnce:
-    def test_certify_reuses_built_run(self, tmp_path, monkeypatch):
+    def test_certify_reuses_built_run(self, tmp_path, record_calls):
         gallery.get_entry("compliant-affine-4")  # build the cached instance beforehand
-        entries = count_calls(monkeypatch, gallery.get_entry)
-        inverses = count_calls(monkeypatch, flow.initial_inverse)
-        code = run_cli([
-            "run", "--problem", "compliant-affine-4", "--method", "coupled", "--certify",
-            "--schedule-c0", "20", "--schedule-c1", "200",
-            "--out-trajectory", str(tmp_path / "t.csv"),
-            "--out-summary", str(tmp_path / "s.txt"),
-        ])
+        calls = record_calls(gallery.get_entry, flow.initial_inverse)
+        code = run_cli(["run", "--problem", "compliant-affine-4", "--method", "coupled",
+                        "--certify", "--schedule-c0", "20", "--schedule-c1", "200"])
         assert code == 0
-        assert read_summary(tmp_path / "s.txt")["certificate.overall"] == "true"
-        assert (len(entries), len(inverses)) == (1, 1)
+        assert read_summary(tmp_path / "summary.txt")["certificate.overall"] == "true"
+        assert (len(calls["get_entry"]), len(calls["initial_inverse"])) == (1, 1)
 
 
 #: One flag per RunConfig field, plus --config and --help.

@@ -3,6 +3,7 @@ import weakref
 
 import numpy as np
 import pytest
+from oracles import affine_problem, compliant, identity_problem
 
 from gnflow import gallery, hilbert, problem, theory
 from gnflow.flow import (
@@ -17,23 +18,8 @@ from gnflow.flow import (
     solution_gram,
 )
 from gnflow.integrator import IntegratorConfig, integrate
-from gnflow.problem import NonlinearProblem, jacobian
+from gnflow.problem import jacobian
 from gnflow.schedule import PowerSchedule, frozen
-
-
-def affine_problem(A, xhat):
-    A = np.asarray(A, dtype=float)
-    return NonlinearProblem(
-        dim=A.shape[0],
-        f=lambda x: A @ (x - xhat),
-        jac=lambda x: A.copy(),
-        known_solution=xhat,
-    )
-
-
-def identity_problem(n=3):
-    xhat = 1.0 + np.arange(n) / n
-    return affine_problem(np.eye(n), xhat), xhat
 
 
 class TestGaussNewtonOperator:
@@ -206,10 +192,9 @@ class TestDiagnostics:
 
     def test_inverse_norm_bound_along_compliant_run(self):
         # ||B(t)|| stays below 1/eps(t) + ||B(0)|| along a certified run
-        label, entry, sched, B0, R = gallery.compliant_suite()[0]
+        entry, sched, B0, R = compliant("compliant-affine-2")
         p, xhat = entry.problem, entry.xhat
-        from gnflow.hilbert import op_norm
-        b0_norm = op_norm(B0)
+        b0_norm = hilbert.op_norm(B0)
         st0 = SolverState(t=0.0, x=entry.default_x0, B=B0)
         cfg = IntegratorConfig(method="rk4", step_h=0.01, horizon_T=20.0, record_every=20)
         traj = integrate(p, sched, st0, cfg, xhat=xhat)
@@ -218,9 +203,7 @@ class TestDiagnostics:
 
     def test_projected_gram_bound_along_compliant_run(self):
         # ||B(t) F'(xh)* F'(xh)|| <= k + 2 + eps(0)||B(0)|| on certified runs
-        from gnflow import theory
-        label, entry, sched, B0, R = [c for c in gallery.compliant_suite()
-                                      if "quadratic" in c[0]][0]
+        entry, sched, B0, R = compliant("compliant-quadratic-4")
         p, xhat = entry.problem, entry.xhat
         cert, _ = theory.certify_with_canonical_R(p, xhat, entry.default_x0, sched, B0)
         st0 = SolverState(t=0.0, x=entry.default_x0, B=B0)
@@ -252,8 +235,7 @@ class TestFlowInvariants:
         # values at different times do not commute, so symmetry of the
         # inverse track survives only up to the commutator scale (exact
         # preservation needs a constant Jacobian, covered above)
-        label, entry, sched, B0, R = [c for c in gallery.compliant_suite()
-                                      if "quadratic" in c[0]][0]
+        entry, sched, B0, R = compliant("compliant-quadratic-4")
         st0 = SolverState(t=0.0, x=entry.default_x0, B=B0)
         cfg = IntegratorConfig(method="rk4", step_h=0.01, horizon_T=20.0, record_every=100)
         traj = integrate(entry.problem, sched, st0, cfg, xhat=entry.xhat)
@@ -344,8 +326,7 @@ class TestSolutionGram:
             assert d.lambda_norm == hilbert.op_norm(I - st.B @ (Gh + d.eps * I))
 
     def test_certificate_evaluates_jacobian_at_xhat_at_most_once(self, record_calls):
-        label, entry, sched, B0, R = next(c for c in gallery.compliant_suite()
-                                          if c[0] == "compliant-affine-8")
+        entry, sched, B0, R = compliant("compliant-affine-8")
         calls = record_calls(problem.jacobian)
         theory.certify_with_canonical_R(entry.problem, entry.xhat, entry.default_x0, sched, B0)
         at_xhat = [args for args in calls["jacobian"] if np.array_equal(args[1], entry.xhat)]

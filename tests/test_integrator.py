@@ -1,14 +1,24 @@
-import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import (
+    affine_problem,
+    assert_same_run,
+    compliant,
+    log_uniform,
+    near,
+    problems,
+    schedules,
+    without_jacobian,
+)
 
 from gnflow import flow, gallery, integrator, problem
-from gnflow.flow import SolverState, coupled_rhs, diagnostics, direct_rhs, initial_inverse
+from gnflow.flow import SolverState, direct_rhs, initial_inverse
 from gnflow.hilbert import FactorizationError
 from gnflow.integrator import (
-    DIVERGENCE_LIMIT,
     TERMINATION_TAGS,
     IntegratorConfig,
     convergence_order,
@@ -17,16 +27,6 @@ from gnflow.integrator import (
 )
 from gnflow.problem import NonlinearProblem
 from gnflow.schedule import PowerSchedule, default_schedule
-
-
-def affine_problem(A, xhat):
-    A = np.asarray(A, dtype=float)
-    return NonlinearProblem(
-        dim=A.shape[0],
-        f=lambda x: A @ (x - xhat),
-        jac=lambda x: A.copy(),
-        known_solution=xhat,
-    )
 
 
 class TestStep:
@@ -75,7 +75,7 @@ class TestIntegrate:
             assert d.err_norm <= 1e-12
 
     def test_compliant_instance_stays_in_ball(self):
-        label, entry, sched, B0, R = gallery.compliant_suite()[0]
+        entry, sched, B0, R = compliant("compliant-affine-2")
         st0 = SolverState(t=0.0, x=entry.default_x0, B=B0)
         cfg = IntegratorConfig(method="rk4", step_h=0.01, horizon_T=20.0,
                                record_every=20,
@@ -161,7 +161,7 @@ class TestIntegrate:
         assert times == [0.0, 0.5, 1.0, 1.5, 2.0]
 
     def test_determinism(self):
-        label, entry, sched, B0, R = gallery.compliant_suite()[1]
+        entry, sched, B0, R = compliant("compliant-affine-4")
         st0 = SolverState(t=0.0, x=entry.default_x0, B=B0)
         cfg = IntegratorConfig(method="rk4", step_h=0.02, horizon_T=5.0, record_every=10)
         t1 = integrate(entry.problem, sched, st0, cfg, xhat=entry.xhat)
@@ -204,8 +204,7 @@ class TestIntegrate:
         # run ends
         entry = gallery.get_entry("autoconv-16", noise=1e-3, noise_seed=3)
         p, xhat = entry.problem, entry.xhat
-        p_fd = NonlinearProblem(dim=p.dim, f=p.f, jac=None, known_solution=xhat,
-                                validate_solution=False)
+        p_fd = without_jacobian(p)
         s = PowerSchedule(c0=0.1, c1=1.0, a=1.0)
         cfg = IntegratorConfig(method="rk4", step_h=0.01, horizon_T=0.05,
                                record_every=10**9)
@@ -245,103 +244,10 @@ class TestIntegrate:
             integrate(p, s, SolverState(t=0.0, x=np.ones(2)), cfg, xhat=np.zeros(2), R=0.0)
 
 
-def reference_integrate(p, s, st0, cfg, xhat=None, R=None):
-    """Reference for ``integrate``: a plain loop of the public ``step``
-    over the validated right-hand sides, with a SolverState rebuilt for
-    every stage and step. Any leaner path through ``integrate`` must
-    record these states bit for bit.
-
-    Returns the recorded (t, x, B) triples and the termination tag.
-    """
-    x0 = st0.x
-
-    def rhs(t, x, B):
-        st = SolverState(t=t, x=x, B=B)
-        if st.B is None:
-            return direct_rhs(p, s, x0, st.x, st.t), None
-        return coupled_rhs(p, s, x0, st.x, st.B, st.t)
-
-    def ball_exit(st):
-        return "ball" in cfg.monitors and np.linalg.norm(st.x - xhat) >= R * s.eps(st.t)
-
-    def diverged(st):
-        if "divergence" not in cfg.monitors:
-            return False
-        if np.linalg.norm(st.x) > DIVERGENCE_LIMIT:
-            return True
-        return st.B is not None and np.linalg.norm(st.B) > DIVERGENCE_LIMIT
-
-    records = [st0]
-    diagnostics(p, s, st0, xhat)
-
-    def result(tag):
-        return [(st.t, st.x, st.B) for st in records], tag
-
-    if ball_exit(st0):
-        return result("ball_exit")
-    if diverged(st0):
-        return result("divergence")
-
-    def try_record(st):
-        if records[-1].t >= st.t:
-            return True
-        try:
-            diagnostics(p, s, st, xhat)
-        except (FloatingPointError, ValueError):
-            return False
-        records.append(st)
-        return True
-
-    n_steps = int(math.floor(cfg.horizon_T / cfg.step_h + 1e-9))
-    st = st0
-    for k in range(1, n_steps + 1):
-        try:
-            st = step(rhs, st, (k - 1) * cfg.step_h, cfg.step_h, cfg.method)
-        except (FloatingPointError, ValueError, FactorizationError):
-            try_record(st)
-            return result("numerical_error")
-        st = SolverState(t=k * cfg.step_h, x=st.x, B=st.B)
-        if ball_exit(st):
-            try_record(st)
-            return result("ball_exit")
-        if diverged(st):
-            try_record(st)
-            return result("divergence")
-        if k % cfg.record_every == 0 or k == n_steps:
-            if not try_record(st):
-                return result("numerical_error")
-    return result("horizon_reached")
-
-
-def assert_same_run(p, s, st0, cfg, xhat=None, R=None):
-    """``integrate`` records the reference's states bit for bit; returns the tag."""
-    traj = integrate(p, s, st0, cfg, xhat=xhat, R=R)
-    ref, tag = reference_integrate(p, s, st0, cfg, xhat=xhat, R=R)
-    assert traj.termination == tag
-    assert len(traj.records) == len(ref)
-    for (st, _), (t, x, B) in zip(traj.records, ref):
-        assert st.t == t
-        assert np.array_equal(st.x, x)
-        assert (st.B is None) == (B is None)
-        if B is not None:
-            assert np.array_equal(st.B, B)
-    return tag
-
-
-def _without_jacobian(p):
-    return NonlinearProblem(dim=p.dim, f=p.f, jac=None, known_solution=p.known_solution,
-                            validate_solution=False)
-
-
-def _compliant_affine_8():
-    return next((e, s, B0, R) for label, e, s, B0, R in gallery.compliant_suite()
-                if label == "compliant-affine-8")
-
-
 class TestMatchesStepByStepReference:
     @pytest.mark.parametrize("record_every", [1, 10])
     def test_coupled_certified_with_ball_monitor(self, record_every):
-        entry, sched, B0, R = _compliant_affine_8()
+        entry, sched, B0, R = compliant("compliant-affine-8")
         st0 = SolverState(t=0.0, x=entry.default_x0, B=B0)
         cfg = IntegratorConfig(method="rk4", step_h=0.01, horizon_T=0.5,
                                record_every=record_every,
@@ -353,7 +259,7 @@ class TestMatchesStepByStepReference:
     @pytest.mark.parametrize("analytic", [True, False], ids=["analytic", "fd"])
     def test_direct_autoconvolution(self, record_every, analytic):
         entry = gallery.get_entry("autoconv-16")
-        p = entry.problem if analytic else _without_jacobian(entry.problem)
+        p = entry.problem if analytic else without_jacobian(entry.problem)
         x0 = entry.default_x0 + 0.02 * np.random.default_rng(0).standard_normal(16)
         cfg = IntegratorConfig(method="rk4", step_h=0.01, horizon_T=0.3,
                                record_every=record_every)
@@ -372,6 +278,23 @@ class TestMatchesStepByStepReference:
                                record_every=record_every)
         tag = assert_same_run(entry.problem, s, st0, cfg, xhat=entry.xhat)
         assert tag == "horizon_reached"
+
+    @pytest.mark.parametrize("coupled", [False, True], ids=["direct", "coupled"])
+    @settings(max_examples=30)
+    @given(p=problems(), s=schedules, h=log_uniform(-3.0, -1.0), steps=st.integers(1, 8),
+           record_every=st.integers(1, 4), method=st.sampled_from(["rk4", "euler"]),
+           monitors=st.sampled_from([(), ("divergence",), ("ball", "divergence")]),
+           data=st.data())
+    def test_drawn_problems(self, coupled, p, s, h, steps, record_every, method, monitors, data):
+        xhat = p.known_solution
+        x0 = data.draw(near(xhat))
+        B0 = initial_inverse(p, x0, s.eps(0.0)) if coupled else None
+        # a radius from half to four times the start's: some runs start outside the ball
+        scale = data.draw(st.sampled_from([0.5, 2.0]) | st.floats(0.5, 4.0))
+        R = max(np.linalg.norm(x0 - xhat) / s.eps(0.0), 1e-6) * scale
+        cfg = IntegratorConfig(method=method, step_h=h, horizon_T=steps * h,
+                               record_every=record_every, monitors=frozenset(monitors))
+        assert_same_run(p, s, SolverState(t=0.0, x=x0, B=B0), cfg, xhat=xhat, R=R)
 
     @pytest.mark.parametrize("coupled", [False, True], ids=["direct", "coupled"])
     def test_forward_map_turning_infinite_mid_run(self, coupled):
@@ -401,7 +324,7 @@ class TestMatchesStepByStepReference:
 
 class TestStageCost:
     def test_coupled_run_builds_at_most_one_state_per_step(self, monkeypatch):
-        entry, sched, B0, R = _compliant_affine_8()
+        entry, sched, B0, R = compliant("compliant-affine-8")
         st0 = SolverState(t=0.0, x=entry.default_x0, B=B0)
         built = []
         post_init = SolverState.__post_init__
@@ -434,7 +357,7 @@ class TestTracedCallGraph:
             "step": 2, "direct_rhs": 8, "coupled_rhs": 0, "jacobian": 8}
 
     def test_coupled_makes_four_rhs_calls_per_step(self, record_calls):
-        entry, sched, B0, R = _compliant_affine_8()
+        entry, sched, B0, R = compliant("compliant-affine-8")
         st0 = SolverState(t=0.0, x=entry.default_x0, B=B0)
         cfg = IntegratorConfig(step_h=0.01, horizon_T=0.1, record_every=5,
                                monitors=frozenset({"ball", "divergence"}))

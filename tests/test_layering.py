@@ -1,7 +1,8 @@
 """Imports inside the package run one way: down the layer order below.
 
 The benchmark under ``bench/`` reaches into the package by name; those
-names are checked here too, reading its sources without importing them.
+names are checked here too, reading its sources without importing them,
+and so are the module names the two suites share one process with.
 """
 
 import ast
@@ -134,3 +135,11 @@ def test_benchmark_package_names_exist():
     assert "compliant_instance" in used  # the workloads reach the package this way
     missing = sorted(name for name in used if not hasattr(gnflow, name))
     assert not missing, f"bench/ uses gnflow names that do not exist: {missing}"
+
+
+def test_no_test_module_shadows_a_benchmark_module():
+    # one pytest process imports both suites' modules by bare name, so a
+    # shared name would hand one suite the other's module
+    tests = {path.stem for path in Path(__file__).parent.glob("*.py")}
+    bench = {path.stem for path in BENCH_DIR.rglob("*.py")}
+    assert not tests & bench, f"tests/ and bench/ share module names: {sorted(tests & bench)}"

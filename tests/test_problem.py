@@ -2,14 +2,12 @@ import dataclasses
 
 import numpy as np
 import pytest
+from oracles import affine_problem, identity_problem
 
 from gnflow import gallery
-from gnflow.hilbert import op_norm
 from gnflow.problem import (
     BOUND_INFLATION,
-    N2_FLOOR,
     NonlinearProblem,
-    _ball_points,
     estimate_bounds,
     eval_F,
     fd_jacobian,
@@ -17,31 +15,16 @@ from gnflow.problem import (
     rowwise,
 )
 
-
-def affine_problem(A, xhat):
-    A = np.asarray(A, dtype=float)
-    return NonlinearProblem(
-        dim=A.shape[0],
-        f=lambda x: A @ (x - xhat),
-        jac=lambda x: A.copy(),
-        known_solution=xhat,
-        label="affine-test",
-    )
-
-
-@pytest.fixture
-def identity_problem():
-    xhat = np.array([1.0, -0.5, 2.0])
-    return affine_problem(np.eye(3), xhat), xhat
+XHAT = np.array([1.0, -0.5, 2.0])
 
 
 class TestEvalF:
-    def test_affine_root(self, identity_problem):
-        p, xhat = identity_problem
+    def test_affine_root(self):
+        p, xhat = identity_problem(xhat=XHAT)
         assert np.allclose(eval_F(p, xhat), 0.0)
 
-    def test_identity_offset(self, identity_problem):
-        p, xhat = identity_problem
+    def test_identity_offset(self):
+        p, xhat = identity_problem(xhat=XHAT)
         e1 = np.array([1.0, 0.0, 0.0])
         assert np.allclose(eval_F(p, xhat + e1), e1)
 
@@ -69,8 +52,8 @@ class TestEvalF:
         with pytest.raises(ValueError, match=r"^F returned a non-finite entry at index \(1,\)$"):
             eval_F(p, np.array([1.0, 0.0]))
 
-    def test_dimension_checked(self, identity_problem):
-        p, _ = identity_problem
+    def test_dimension_checked(self):
+        p, _ = identity_problem(xhat=XHAT)
         with pytest.raises(ValueError):
             eval_F(p, np.ones(4))
 
@@ -85,8 +68,8 @@ class TestJacobian:
             x = rng.standard_normal(4)
             assert np.allclose(jacobian(p, x), A, atol=1e-14)
 
-    def test_identity_problem(self, identity_problem):
-        p, xhat = identity_problem
+    def test_identity_problem(self):
+        p, xhat = identity_problem(xhat=XHAT)
         assert np.allclose(jacobian(p, xhat), np.eye(3))
 
     def test_gallery_analytic_matches_fd(self):
@@ -270,8 +253,8 @@ class TestEstimateBounds:
         bounds = estimate_bounds(p, np.zeros(4), radius=1.0, samples=32, seed=0)
         assert bounds.N2 < 1e-6
 
-    def test_identity_N1(self, identity_problem):
-        p, xhat = identity_problem
+    def test_identity_N1(self):
+        p, xhat = identity_problem(xhat=XHAT)
         bounds = estimate_bounds(p, xhat, radius=0.5, samples=16, seed=0)
         assert bounds.N1 == pytest.approx(1.1, rel=1e-9)
 
@@ -314,15 +297,15 @@ class TestEstimateBounds:
         b2 = estimate_bounds(p, np.ones(2), 1.0, samples=16, seed=5)
         assert (b1.N1, b1.N2) == (b2.N1, b2.N2)
 
-    def test_bad_radius(self, identity_problem):
-        p, xhat = identity_problem
+    def test_bad_radius(self):
+        p, xhat = identity_problem(xhat=XHAT)
         with pytest.raises(ValueError):
             estimate_bounds(p, xhat, radius=0.0)
 
-    def test_inflation_configurable(self, identity_problem):
+    def test_inflation_configurable(self):
         # BOUND_INFLATION is the one inflation factor: ||F'|| = 1 on the
         # identity, so the sampled N1 is the factor itself
-        p, xhat = identity_problem
+        p, xhat = identity_problem(xhat=XHAT)
         b = estimate_bounds(p, xhat, radius=0.5, samples=8, seed=0)
         assert b.N1 == BOUND_INFLATION
 
@@ -335,45 +318,6 @@ class TestEstimateBounds:
         svd_shapes.clear()
         estimate_bounds(entry.problem, entry.xhat, 0.5)
         assert svd_shapes == [(stack, n, n)] * 2
-
-
-def _reference_bounds(p, center, radius, samples, seed):
-    """N1, N2 from one jacobian and one op_norm per matrix, sample by sample."""
-    rng = np.random.default_rng(seed)
-    points = _ball_points(center, radius, samples, rng)
-    dirs = rng.standard_normal((samples, p.dim))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    delta = 1e-4 * radius
-    n1 = n2 = 0.0
-    for x, d in zip(points, dirs):
-        J = jacobian(p, x)
-        n1 = max(n1, op_norm(J))
-        n2 = max(n2, op_norm((jacobian(p, x + delta * d) - J) / delta))
-    return BOUND_INFLATION * n1, max(BOUND_INFLATION * n2, N2_FLOOR)
-
-
-def _batching_problem(kind):
-    """(problem, radius) for the batching oracle."""
-    rng = np.random.default_rng(21)
-    if kind == "affine":
-        return affine_problem(rng.standard_normal((5, 5)), np.zeros(5)), 0.7
-    if kind == "quadratic":
-        Q = rng.standard_normal((4, 4))
-        return NonlinearProblem(dim=4, f=lambda x: Q @ x + 0.3 * x**2,
-                                jac=lambda x: Q + 0.6 * np.diag(x)), 1.0
-    return gallery.make_autoconvolution(8).problem, 0.5
-
-
-@pytest.mark.parametrize("seed", [0, 17])
-@pytest.mark.parametrize("jac_mode", ["analytic", "fd"])
-@pytest.mark.parametrize("kind", ["affine", "quadratic", "autoconv"])
-def test_batched_norms_match_per_sample_loop(kind, jac_mode, seed):
-    p, radius = _batching_problem(kind)
-    if jac_mode == "fd":
-        p = NonlinearProblem(dim=p.dim, f=p.f)
-    center = np.linspace(-0.2, 0.3, p.dim)
-    bounds = estimate_bounds(p, center, radius, samples=24, seed=seed)
-    assert (bounds.N1, bounds.N2) == _reference_bounds(p, center, radius, 24, seed)
 
 
 class TestKnownSolutionValidation:
@@ -390,8 +334,8 @@ class TestKnownSolutionValidation:
 
 
 class TestImmutable:
-    def test_fields_cannot_be_assigned(self, identity_problem):
-        p, _ = identity_problem
+    def test_fields_cannot_be_assigned(self):
+        p, _ = identity_problem(xhat=XHAT)
         with pytest.raises(dataclasses.FrozenInstanceError):
             p.known_solution = np.zeros(p.dim)
         with pytest.raises(dataclasses.FrozenInstanceError):

@@ -115,7 +115,7 @@ class TestValidation:
         assert s.eps(1.0) == pytest.approx(0.05)
 
 
-class TestCustomSchedule:
+class TestFrozen:
     def test_frozen_constant(self):
         s = frozen(0.25)
         assert s.eps(0.0) == 0.25

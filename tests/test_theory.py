@@ -1,33 +1,28 @@
 import dataclasses
 import gc
 import math
-import types
 import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from oracles import (
+    affine_problem,
+    compliant,
+    gronwall_reference,
+    identity_problem,
+    lemma_battery_path,
+    planted_source,
+    random_spd_path,
+    seeds,
+)
 
-from gnflow import gallery, theory
+from gnflow import flow, gallery, hilbert, problem, theory
 from gnflow.flow import SolverState, initial_inverse, mismatch_operator
 from gnflow.hilbert import op_norm
-from gnflow.integrator import IntegratorConfig, advance, integrate
-from gnflow.problem import BallBounds, NonlinearProblem, estimate_bounds
+from gnflow.integrator import IntegratorConfig, integrate
+from gnflow.problem import BallBounds, estimate_bounds
 from gnflow.schedule import PowerSchedule, frozen
-
-
-def affine_problem(A, xhat):
-    A = np.asarray(A, dtype=float)
-    return NonlinearProblem(
-        dim=A.shape[0],
-        f=lambda x: A @ (x - xhat),
-        jac=lambda x: A.copy(),
-        known_solution=xhat,
-    )
-
-
-def identity_problem(n=3):
-    xhat = 1.0 + np.arange(n) / n
-    return affine_problem(np.eye(n), xhat), xhat
 
 
 def hand_bounds(xhat, N1, N2):
@@ -122,14 +117,7 @@ class TestSolveSource:
         # x0 = xhat - (A*A) v with controlled singular values recovers v
         rng = np.random.default_rng(1)
         for _ in range(10):
-            n = int(rng.integers(2, 9))
-            U, _ = np.linalg.qr(rng.standard_normal((n, n)))
-            V, _ = np.linalg.qr(rng.standard_normal((n, n)))
-            A = U @ np.diag(rng.uniform(0.5, 2.0, size=n)) @ V.T
-            xhat = rng.standard_normal(n)
-            p = affine_problem(A, xhat)
-            v = rng.standard_normal(n)
-            x0 = xhat - A.T @ A @ v
+            p, xhat, x0, v = planted_source(rng)
             w, res = theory.solve_source(p, xhat, x0)
             assert np.linalg.norm(w - v) <= 1e-6 * np.linalg.norm(v)
             assert res <= 1e-8 * np.linalg.norm(xhat - x0)
@@ -169,8 +157,7 @@ class TestCertify:
         assert cert.overall is True
 
     def test_distant_start_fails_initial_offset(self):
-        label, entry, sched, B0, R = [c for c in gallery.compliant_suite()
-                                      if "quadratic" in c[0]][0]
+        entry, sched, B0, R = compliant("compliant-quadratic-4")
         p, xhat = entry.problem, entry.xhat
         far = xhat + 50.0 * (entry.default_x0 - xhat) / np.linalg.norm(entry.default_x0 - xhat)
         bounds = estimate_bounds(p, xhat, radius=1.0, samples=32, seed=0)
@@ -211,13 +198,13 @@ class TestCertify:
         assert cert.overall is False
 
     def test_compliant_instance_overall(self):
-        label, entry, sched, B0, R = gallery.compliant_suite()[2]
+        entry, sched, B0, R = compliant("compliant-affine-8")
         cert, _ = theory.certify_with_canonical_R(
             entry.problem, entry.xhat, entry.default_x0, sched, B0)
         assert cert.overall is True
 
     def test_certificate_k_formula_invariant(self):
-        label, entry, sched, B0, R = gallery.compliant_suite()[1]
+        entry, sched, B0, R = compliant("compliant-affine-4")
         cert, _ = theory.certify_with_canonical_R(
             entry.problem, entry.xhat, entry.default_x0, sched, B0)
         recomputed = (2.0 * cert.N1 * cert.N2 * cert.R + cert.b
@@ -304,8 +291,7 @@ class TestRiccatiEnvelope:
             theory.riccati_envelope_check(samples, lambda t: 1.0)
 
     def test_compliant_trajectory_with_certificate_rate(self):
-        label, entry, sched, B0, R = [c for c in gallery.compliant_suite()
-                                      if "quadratic" in c[0]][0]
+        entry, sched, B0, R = compliant("compliant-quadratic-4")
         cert, _ = theory.certify_with_canonical_R(
             entry.problem, entry.xhat, entry.default_x0, sched, B0)
         st0 = SolverState(t=0.0, x=entry.default_x0, B=B0)
@@ -313,43 +299,6 @@ class TestRiccatiEnvelope:
         traj = integrate(entry.problem, sched, st0, cfg, xhat=entry.xhat)
         samples = [(st.t, d.err_norm) for st, d in traj.records]
         assert theory.riccati_envelope_check(samples, lambda t: cert.lam / sched.eps(t))
-
-
-def lemma_battery_path(i):
-    """Path i of the lemma battery (``verify --suite lemmas``): 0 is the
-    constant-coefficient case, 1..20 the randomized SPD paths (seeds
-    0..19), and 21 the scalar path with positive forcing.
-    Returns (A_path, G_path, V0, gamma, T)."""
-    if i == 0:
-        return (lambda t: 1.3 * np.eye(3), lambda t: np.zeros((3, 3)), np.eye(3),
-                lambda t: 1.3, 2.0)
-    if i == 21:
-        return (lambda t: np.array([[0.8]]), lambda t: np.array([[0.5 + 0.1 * np.sin(t)]]),
-                np.array([[1.0]]), lambda t: 0.8, 2.0)
-    rng = np.random.default_rng(i - 1)
-    n = int(rng.integers(2, 9))
-    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    base = Q @ np.diag(rng.uniform(0.5, 2.0, size=n)) @ Q.T
-    S = rng.standard_normal((n, n))
-    S = 0.2 * (S + S.T) / 2.0
-    A_path = lambda t: base + np.sin(t) * S
-    gamma = lambda t: float(np.min(np.linalg.eigvalsh(0.5 * (A_path(t) + A_path(t).T))))
-    return A_path, lambda t: np.zeros((n, n)), rng.standard_normal((n, n)), gamma, 1.5
-
-
-def gronwall_reference(A_path, G_path, V0, gamma, T, h):
-    """The Gronwall violation with one op_norm per step, in step order."""
-    def rhs(t, qr, V):
-        A, G = A_path(t), G_path(t)
-        return np.array([gamma(t), op_norm(G) * math.exp(qr[0])]), G - A @ V
-
-    qr, V = np.zeros(2), V0
-    v0_norm = op_norm(V0)
-    worst = 0.0
-    for k in range(1, int(math.floor(T / h + 1e-9)) + 1):
-        qr, V = advance(rhs, qr, V, (k - 1) * h, h, "rk4")
-        worst = max(worst, op_norm(V) - math.exp(-qr[0]) * (qr[1] + v0_norm))
-    return worst
 
 
 class TestGronwall:
@@ -378,24 +327,6 @@ class TestGronwall:
             h=0.01,
         )
         assert abs(viol) <= 1e-6
-
-    def test_randomized_spd_paths(self):
-        worst = -np.inf
-        for seed in range(20):
-            rng = np.random.default_rng(seed)
-            n = int(rng.integers(2, 9))
-            Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-            base = Q @ np.diag(rng.uniform(0.5, 2.0, size=n)) @ Q.T
-            S = rng.standard_normal((n, n))
-            S = 0.1 * (S + S.T)
-            A_path = lambda t, base=base, S=S: base + np.sin(t) * S
-            gamma = lambda t, A_path=A_path: float(
-                np.min(np.linalg.eigvalsh(0.5 * (A_path(t) + A_path(t).T))))
-            V0 = rng.standard_normal((n, n))
-            G_path = lambda t, n=n: np.zeros((n, n))
-            viol = theory.gronwall_check(A_path, G_path, V0, gamma, T=1.5, h=0.01)
-            worst = max(worst, viol)
-        assert worst <= 1e-6
 
     def test_zero_initial_and_forcing(self):
         viol = theory.gronwall_check(
@@ -430,6 +361,14 @@ class TestGronwall:
         A_path, G_path, V0, gamma, T = lemma_battery_path(path)
         expected = gronwall_reference(A_path, G_path, V0, gamma, T, h=0.01)
         assert theory.gronwall_check(A_path, G_path, V0, gamma, T=T, h=0.01) == expected
+
+    @settings(max_examples=5)
+    @given(seed=seeds)
+    def test_random_spd_path_within_bound(self, seed):
+        A_path, G_path, V0, gamma, T = random_spd_path(seed)
+        violation = theory.gronwall_check(A_path, G_path, V0, gamma, T=T, h=0.01)
+        assert violation == gronwall_reference(A_path, G_path, V0, gamma, T, h=0.01)
+        assert violation <= 1e-6
 
     def test_coercivity_failure_names_time(self):
         A_path = lambda t: (1.0 - t) * np.eye(2)  # loses coercivity past t=0.5
@@ -550,7 +489,7 @@ class TestGronwall:
 
 class TestCertifyWithCanonicalR:
     def test_radius_covers_certified_ball(self):
-        label, entry, sched, B0, R = gallery.compliant_suite()[3]
+        entry, sched, B0, R = compliant("compliant-quadratic-4")
         cert, bounds = theory.certify_with_canonical_R(
             entry.problem, entry.xhat, entry.default_x0, sched, B0)
         assert cert.R * cert.eps0 <= bounds.radius
@@ -564,25 +503,13 @@ class TestCertifyWithCanonicalR:
 
 
 class TestSinglePass:
-    def test_constants_computed_once(self, monkeypatch):
-        label, entry, sched, B0, R = gallery.compliant_suite()[2]
-        calls = {"op_norm": 0, "op_norms": 0, "mismatch_operator": 0, "solve_source": 0}
-
-        def counted(name, fn):
-            def wrapper(*args, **kw):
-                calls[name] += 1
-                return fn(*args, **kw)
-            return wrapper
-
-        counting = types.SimpleNamespace(**vars(theory.hilbert))
-        counting.op_norm = counted("op_norm", theory.hilbert.op_norm)
-        counting.op_norms = counted("op_norms", theory.hilbert.op_norms)
-        monkeypatch.setattr(theory, "hilbert", counting)
-        monkeypatch.setattr(theory, "mismatch_operator",
-                            counted("mismatch_operator", theory.mismatch_operator))
-        monkeypatch.setattr(theory, "solve_source", counted("solve_source", theory.solve_source))
+    def test_constants_computed_once(self, record_calls):
+        entry, sched, B0, R = compliant("compliant-affine-8")
+        calls = record_calls(hilbert.op_norm, hilbert.op_norms, flow.mismatch_operator,
+                             theory.solve_source)
         theory.certify_with_canonical_R(entry.problem, entry.xhat, entry.default_x0, sched, B0)
-        assert calls == {"op_norm": 0, "op_norms": 1, "mismatch_operator": 1, "solve_source": 1}
+        assert {name: len(seen) for name, seen in calls.items()} == {
+            "op_norm": 0, "op_norms": 1, "mismatch_operator": 1, "solve_source": 1}
 
     def test_certify_at_canonical_R_matches_field_for_field(self):
         for label, entry, sched, B0, R in gallery.compliant_suite():
@@ -602,27 +529,16 @@ class TestSinglePass:
 
 class TestMemoizedBounds:
     @pytest.mark.parametrize("kind, n", [("rank_deficient", 4), ("hilbert_matrix", 8)])
-    def test_exhaustion_samples_each_radius_once(self, monkeypatch, kind, n):
-        radii, attempts = [], []
-        sample, attempt = theory.estimate_bounds, theory.certify_with_canonical_R
-
-        def counted_sample(p, center, radius, **kw):
-            radii.append(radius)
-            return sample(p, center, radius, **kw)
-
-        def counted_attempt(*args, **kw):
-            attempts.append(1)
-            return attempt(*args, **kw)
-
-        monkeypatch.setattr(theory, "estimate_bounds", counted_sample)
-        monkeypatch.setattr(theory, "certify_with_canonical_R", counted_attempt)
+    def test_exhaustion_samples_each_radius_once(self, record_calls, kind, n):
+        calls = record_calls(problem.estimate_bounds, theory.certify_with_canonical_R)
         with pytest.raises(ValueError, match="no compliant configuration"):
             gallery.compliant_instance(n, seed=0, kind=kind)
+        radii = [args[2] for args in calls["estimate_bounds"]]
         assert len(radii) == len(set(radii))
-        assert len(radii) < len(attempts)
+        assert len(radii) < len(calls["certify_with_canonical_R"])
 
     def test_reused_bounds_equal_fresh_sampling(self):
-        label, entry, sched, B0, R = gallery.compliant_suite()[3]
+        entry, sched, B0, R = compliant("compliant-quadratic-4")
         args = (entry.problem, entry.xhat, entry.default_x0, sched, B0)
         cert1, bounds1 = theory.certify_with_canonical_R(*args, seed=5)
         cert2, bounds2 = theory.certify_with_canonical_R(*args, seed=5)
