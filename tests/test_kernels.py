@@ -191,6 +191,26 @@ def test_rowwise_jacobian_matches_each_row_alone(kind, data):
         assert np.array_equal(J[index], p.jac(stack[index]))
 
 
+#: The gallery families whose Jacobian is marked rowwise.
+ROWWISE_KINDS = [kind for kind in FAMILIES if kind != "affine"]
+
+
+@pytest.mark.parametrize("radius, samples, seed", [(0.05, 1, 0), (0.5, 7, 3), (2.0, 64, 11)])
+@pytest.mark.parametrize("kind", ROWWISE_KINDS)
+def test_stacked_bounds_match_per_sample_loop(kind, radius, samples, seed):
+    # fixed cases at n = 6 around the solution: the stacked path of a
+    # marked Jacobian equals the per-sample loop field by field
+    p = FAMILIES[kind](6, np.random.default_rng(6))
+    assert p.jac.rowwise
+    center = p.known_solution
+    stacked = estimate_bounds(p, center, radius, samples=samples, seed=seed)
+    oracle = reference_bounds(p, center, radius, samples, seed)
+    for field in dataclasses.fields(stacked):
+        a, b = getattr(stacked, field.name), getattr(oracle, field.name)
+        assert type(a) is type(b), field.name
+        assert np.array_equal(a, b), field.name
+
+
 #: The three ways estimate_bounds takes a Jacobian: a rowwise one on stacks,
 #: any other one point by point, and none (finite differences).
 BOUNDS_PATHS = {"marked": lambda p: p, "unmarked": unmarked, "fd": without_jacobian}

@@ -2,7 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from oracles import affine_problem, identity_problem
+from oracles import affine_problem, identity_problem, reference_bounds
 
 from gnflow import gallery
 from gnflow.problem import (
@@ -318,6 +318,31 @@ class TestEstimateBounds:
         svd_shapes.clear()
         estimate_bounds(entry.problem, entry.xhat, 0.5)
         assert svd_shapes == [(stack, n, n)] * 2
+
+
+def _batching_problem(kind):
+    """(problem, radius) for the batching oracle."""
+    rng = np.random.default_rng(21)
+    if kind == "affine":
+        return affine_problem(rng.standard_normal((5, 5)), np.zeros(5)), 0.7
+    if kind == "quadratic":
+        Q = rng.standard_normal((4, 4))
+        return NonlinearProblem(dim=4, f=lambda x: Q @ x + 0.3 * x**2,
+                                jac=lambda x: Q + 0.6 * np.diag(x)), 1.0
+    return gallery.make_autoconvolution(8).problem, 0.5
+
+
+@pytest.mark.parametrize("seed", [0, 17])
+@pytest.mark.parametrize("jac_mode", ["analytic", "fd"])
+@pytest.mark.parametrize("kind", ["affine", "quadratic", "autoconv"])
+def test_batched_norms_match_per_sample_loop(kind, jac_mode, seed):
+    p, radius = _batching_problem(kind)
+    if jac_mode == "fd":
+        p = NonlinearProblem(dim=p.dim, f=p.f)
+    center = np.linspace(-0.2, 0.3, p.dim)
+    bounds = estimate_bounds(p, center, radius, samples=24, seed=seed)
+    oracle = reference_bounds(p, center, radius, 24, seed)
+    assert (bounds.N1, bounds.N2) == (oracle.N1, oracle.N2)
 
 
 class TestKnownSolutionValidation:
