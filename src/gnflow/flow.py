@@ -76,29 +76,31 @@ def gauss_newton_operator(p: NonlinearProblem, x, eps: float) -> np.ndarray:
 def direct_rhs(p: NonlinearProblem, s, x0, x, t: float) -> np.ndarray:
     """x-velocity of the inversion-based flow at time t.
 
-    ``x`` is not checked here: :func:`problem.jacobian`, its first use,
-    checks it.
+    ``x`` is checked once, by :func:`problem.jacobian`, and F is evaluated
+    at the array it checked (:func:`hilbert.returned` checks the value).
     """
     x0 = hilbert.as_vector(x0, dim=p.dim)
     eps = s.eps(t)
+    x = np.asarray(x, dtype=float)  # the very array jacobian checks
     J = jacobian(p, x)
-    grad = J.T @ eval_F(p, x) + eps * (x - x0)
+    grad = J.T @ hilbert.returned("F", p.f(x), (p.dim,)) + eps * (x - x0)
     return -hilbert.solve_regularized(J.T @ J, eps, grad)
 
 
 def coupled_rhs(p: NonlinearProblem, s, x0, x, B, t: float) -> tuple[np.ndarray, np.ndarray]:
     """(x', B') of the inverse-tracking flow at the point (x, B) and time t.
 
-    ``x`` is not checked here: :func:`problem.jacobian`, its first use,
-    checks it.
+    ``x`` is checked once, by :func:`problem.jacobian`, and F is evaluated
+    at the array it checked (:func:`hilbert.returned` checks the value).
     """
     if B is None:
         raise ValueError("coupled flow needs the inverse track B")
     B = hilbert.as_operator(B, dim=p.dim)
     x0 = hilbert.as_vector(x0, dim=p.dim)
     eps = s.eps(t)
+    x = np.asarray(x, dtype=float)  # the very array jacobian checks
     J = jacobian(p, x)
-    grad = J.T @ eval_F(p, x) + eps * (x - x0)
+    grad = J.T @ hilbert.returned("F", p.f(x), (p.dim,)) + eps * (x - x0)
     x_dot = -B @ grad
     I = hilbert.identity(p.dim)
     M = J.T @ J + eps * I

@@ -3,7 +3,10 @@
 The pair (x, B) is advanced jointly in a single stage loop; B is just a
 flat block of extra state. Every stage goes through the validated flow
 right-hand sides on bare arrays, and every step through the public
-``step``, which builds the one ``SolverState`` of the step. One RK4
+``step``. Each array is checked once on that path: the right-hand sides
+check each stage point, ``advance`` the finiteness of the step's result
+and ``step`` its shape and dtype against the incoming state's, so the
+step's ``SolverState`` is built without checking them again. One RK4
 implementation, ``advance``, serves ``step`` and the Gronwall lemma
 check in ``theory``. Monitors watch for the ball-exit event
 ||x - xhat|| >= R * eps(t) and for divergence.
@@ -114,10 +117,31 @@ def step(rhs: RhsFn, st: SolverState, t: float, h: float, method: str) -> Solver
     """One explicit Euler or classical RK4 step over the product state.
 
     The schedule inside ``rhs`` is evaluated at the stage times t, t+h/2
-    and t+h. Raises ValueError unless ``h`` is positive and finite.
+    and t+h. Raises ValueError unless ``h`` is positive and finite,
+    FloatingPointError on a non-finite new pair, and ValueError where
+    ``SolverState`` rejects the new pair, as for an x-velocity of shape
+    (n, 1), which broadcasts x to (n, n).
+
+    ``advance`` checks the new pair's finiteness. When the pair keeps the
+    shapes and dtypes of the incoming state, which were checked when that
+    state was built, the new state is built without checking it again.
     """
     xn, Bn = advance(rhs, st.x, st.B, t, hilbert.positive("h", h), method)
-    return SolverState(t=t + h, x=xn, B=Bn)
+    t = hilbert.nonnegative("t", t + h)
+    if (xn.shape != st.x.shape or xn.dtype != st.x.dtype
+            or Bn is not None and (Bn.shape != st.B.shape or Bn.dtype != st.B.dtype)):
+        return SolverState(t=t, x=xn, B=Bn)  # its own checks judge the new layout
+    new = object.__new__(SolverState)
+    new.t, new.x, new.B = t, xn, Bn
+    return new
+
+
+def _norm(v: np.ndarray) -> float:
+    """The Euclidean norm of the entries of ``v``: the expression that
+    ``np.linalg.norm(v)`` evaluates for ``ord=None``, bit for bit, without
+    its dispatch."""
+    v = v.ravel(order="K")
+    return math.sqrt(v.dot(v))
 
 
 def _flow_rhs(p: NonlinearProblem, s, x0) -> RhsFn:
@@ -146,7 +170,8 @@ def integrate(
     operator that cannot be factorized) ends the run as a numerical
     error, as does a mid-run state whose diagnostics overflow; the last
     finite record stands. The initial state must be measurable
-    (diagnostics at t=0 may raise).
+    (diagnostics at t=0 may raise). Since every non-finite value ends in a
+    tag or an error, numpy's floating-point warnings are not emitted.
     """
     if st0.x.size != p.dim:
         raise ValueError(f"state dimension {st0.x.size} != problem dimension {p.dim}")
@@ -164,49 +189,50 @@ def integrate(
 
     def event(st: SolverState) -> Optional[str]:
         """The tag of the monitor that ``st`` triggers (the ball's first), or None."""
-        if "ball" in cfg.monitors and np.linalg.norm(st.x - xhat) >= R * s.eps(st.t):
+        if "ball" in cfg.monitors and _norm(st.x - xhat) >= R * s.eps(st.t):
             return "ball_exit"
         if "divergence" in cfg.monitors and (
-                np.linalg.norm(st.x) > DIVERGENCE_LIMIT
-                or st.B is not None and np.linalg.norm(st.B) > DIVERGENCE_LIMIT):
+                _norm(st.x) > DIVERGENCE_LIMIT
+                or st.B is not None and _norm(st.B) > DIVERGENCE_LIMIT):
             return "divergence"
         return None
 
-    records = [(st0, diagnostics(p, s, st0, xhat))]
-    tag = event(st0)
-    if tag is not None:
-        return Trajectory(records, tag)
-
-    def try_record(st: SolverState) -> bool:
-        # avoid duplicating a just-recorded time; a state too extreme to
-        # measure is left unrecorded (the last finite record stands)
-        if records[-1][0].t >= st.t:
-            return True
-        try:
-            records.append((st, diagnostics(p, s, st, xhat)))
-            return True
-        except (FloatingPointError, ValueError):
-            return False
-
-    st = st0
-    for k in range(1, n_steps + 1):
-        t = (k - 1) * cfg.step_h
-        try:
-            st = step(rhs, st, t, cfg.step_h, cfg.method)
-        except (FloatingPointError, ValueError, hilbert.FactorizationError):
-            try_record(st)
-            return Trajectory(records, "numerical_error")
-        # Keep record times exactly on the k*h grid; the fresh state is
-        # ours, so its time is set in place rather than re-validated.
-        st.t = k * cfg.step_h
-        tag = event(st)
+    with np.errstate(all="ignore"):
+        records = [(st0, diagnostics(p, s, st0, xhat))]
+        tag = event(st0)
         if tag is not None:
-            try_record(st)
             return Trajectory(records, tag)
-        if k % cfg.record_every == 0 or k == n_steps:
-            if not try_record(st):
+
+        def try_record(st: SolverState) -> bool:
+            # avoid duplicating a just-recorded time; a state too extreme to
+            # measure is left unrecorded (the last finite record stands)
+            if records[-1][0].t >= st.t:
+                return True
+            try:
+                records.append((st, diagnostics(p, s, st, xhat)))
+                return True
+            except (FloatingPointError, ValueError):
+                return False
+
+        st = st0
+        for k in range(1, n_steps + 1):
+            t = (k - 1) * cfg.step_h
+            try:
+                st = step(rhs, st, t, cfg.step_h, cfg.method)
+            except (FloatingPointError, ValueError, hilbert.FactorizationError):
+                try_record(st)
                 return Trajectory(records, "numerical_error")
-    return Trajectory(records, "horizon_reached")
+            # Keep record times exactly on the k*h grid; the fresh state is
+            # ours, so its time is set in place rather than re-validated.
+            st.t = k * cfg.step_h
+            tag = event(st)
+            if tag is not None:
+                try_record(st)
+                return Trajectory(records, tag)
+            if k % cfg.record_every == 0 or k == n_steps:
+                if not try_record(st):
+                    return Trajectory(records, "numerical_error")
+        return Trajectory(records, "horizon_reached")
 
 
 def convergence_order(

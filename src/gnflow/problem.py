@@ -147,10 +147,10 @@ def fd_jacobian(p: NonlinearProblem, x, h: float = FD_DEFAULT_STEP) -> np.ndarra
 
 def jacobian(p: NonlinearProblem, x) -> np.ndarray:
     """F'(x), analytic when provided (:func:`hilbert.returned`), else central
-    differences."""
-    x = hilbert.as_vector(x, dim=p.dim)
+    differences (:func:`fd_jacobian` checks ``x`` itself)."""
     if p.jac is None:
         return fd_jacobian(p, x)
+    x = hilbert.as_vector(x, dim=p.dim)
     return hilbert.returned("jacobian", p.jac(x), (p.dim, p.dim))
 
 

@@ -23,6 +23,8 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Optional
 
+import numpy as np
+
 from . import gallery, hilbert
 from .flow import SolverState, initial_inverse, scaled_identity_inverse
 from .integrator import IntegratorConfig, integrate
@@ -174,7 +176,8 @@ def _build_run(cfg: RunConfig) -> tuple:
         eps0 = sched.eps(0.0)
         start = initial_inverse if cfg.b0_mode == "exact_inverse" else scaled_identity_inverse
         try:
-            B0 = start(entry.problem, x0, eps0)
+            with np.errstate(all="ignore"):  # non-finite values raise, reported below
+                B0 = start(entry.problem, x0, eps0)
         except (ValueError, hilbert.FactorizationError) as exc:
             raise ConfigError(f"cannot start from x0: {exc}") from exc
     return entry, sched, x0, B0, xhat

@@ -1,5 +1,6 @@
 import csv
 import re
+import warnings
 
 import pytest
 
@@ -366,7 +367,6 @@ class TestUnusableStart:
     """A start point whose initial inverse cannot be built, or whose first
     record cannot be measured, is a configuration error, not a traceback."""
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("command, flags, message", [
         pytest.param("run", ["--x0-scale", "1e4"], "lost in rounding", id="run-B0"),
         pytest.param("compare", ["--x0-scale", "1e4"], "lost in rounding", id="compare-B0"),
@@ -376,10 +376,14 @@ class TestUnusableStart:
                      id="run-coupled-jacobian"),
     ])
     def test_reported_as_config_error(self, capsys, command, flags, message):
-        code = run_cli([command, "--problem", "feigenbaum-6", "--horizon-T", "0.1", *flags])
+        with warnings.catch_warnings(record=True) as emitted:
+            warnings.simplefilter("always")
+            code = run_cli([command, "--problem", "feigenbaum-6", "--horizon-T", "0.1", *flags])
         assert code == 1
+        assert [str(w.message) for w in emitted] == []
         err = capsys.readouterr().err
         assert err.startswith("error: cannot start from x0: ") and message in err
+        assert err.count("\n") == 1
 
     def test_certificate_error_keeps_the_run(self, tmp_path):
         # the direct run ends at its first step; the certificate cannot build B0

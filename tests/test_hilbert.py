@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
+from hypothesis.extra.numpy import array_shapes, arrays
 from oracles import log_uniform, reference_solve, seeds
 
 from gnflow import gallery, hilbert
@@ -33,12 +33,40 @@ def _finiteness_cases():
     return cases
 
 
+#: Entries of every class the self-dot test must get right: ordinary, NaN,
+#: infinite, subnormal, and finite but so large that their squares overflow.
+_ENTRIES = st.one_of(
+    st.floats(-10.0, 10.0),
+    st.sampled_from([np.nan, np.inf, -np.inf, 5e-324, -np.finfo(float).tiny / 3]),
+    st.floats(1e154, 1e308) | st.floats(-1e308, -1e154),
+    st.floats(),
+)
+
+#: The array as drawn and views of it that are not C-contiguous.
+_VIEWS = {
+    "whole": lambda a: a,
+    "transposed": lambda a: a.T,
+    "strided": lambda a: a[..., ::2] if a.ndim else a,
+    "reversed": lambda a: a[::-1] if a.ndim else a,
+}
+
+
 class TestAllFinite:
     def test_agrees_with_a_full_reduction(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for i, a in enumerate(_finiteness_cases()):
                 assert hilbert.all_finite(a) is bool(np.isfinite(a).all()), (i, a)
+
+    @settings(max_examples=300)
+    @given(a=arrays(np.float64, array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=6),
+                    elements=_ENTRIES),
+           view=st.sampled_from(sorted(_VIEWS)))
+    def test_agrees_with_a_full_reduction_on_drawn_arrays(self, a, view):
+        a = _VIEWS[view](a)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an overflowing self-dot may not warn
+            assert hilbert.all_finite(a) is bool(np.isfinite(a).all())
 
     def test_validators_reject_a_single_bad_entry(self):
         for bad in (np.nan, np.inf, -np.inf):

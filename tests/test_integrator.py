@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -17,7 +18,7 @@ from oracles import (
 
 from gnflow import flow, gallery, integrator, problem
 from gnflow.flow import SolverState, direct_rhs, initial_inverse
-from gnflow.hilbert import FactorizationError
+from gnflow.hilbert import FactorizationError, op_norm
 from gnflow.integrator import (
     TERMINATION_TAGS,
     IntegratorConfig,
@@ -55,6 +56,35 @@ class TestStep:
         st = SolverState(t=0.0, x=np.array([1.0]))
         with pytest.raises(FloatingPointError):
             step(rhs, st, 0.0, 0.1, "euler")
+
+    @pytest.mark.parametrize("method", ["euler", "rk4"])
+    @pytest.mark.parametrize("block", ["x", "B"])
+    def test_non_finite_velocity_raises(self, method, block):
+        def rhs(t, x, B):
+            xd, Bd = np.zeros_like(x), np.zeros_like(B)
+            (xd if block == "x" else Bd)[-1] = np.inf
+            return xd, Bd
+
+        st = SolverState(t=0.0, x=np.ones(3), B=np.eye(3))
+        with pytest.raises(FloatingPointError, match="non-finite state after step"):
+            step(rhs, st, 0.0, 0.1, method)
+
+    @pytest.mark.parametrize("method", ["euler", "rk4"])
+    @pytest.mark.parametrize("velocity, new_state", [
+        # x + h*xd with xd of shape (n, 1) is an (n, n) array, which no state holds
+        pytest.param(lambda t, x, B: (np.ones((3, 1)), None), dict(x=np.ones((3, 3))),
+                     id="x-direct"),
+        pytest.param(lambda t, x, B: (np.ones((3, 1)), 0 * B),
+                     dict(x=np.ones((3, 3)), B=np.eye(3)), id="x-coupled"),
+        pytest.param(lambda t, x, B: (0 * x, np.ones((3, 3, 1))),
+                     dict(x=np.ones(3), B=np.ones((3, 3, 3))), id="B"),
+    ])
+    def test_velocity_of_wrong_shape_raises_as_the_state_does(self, method, velocity, new_state):
+        st = SolverState(t=0.0, x=np.ones(3), B=np.eye(3) if "B" in new_state else None)
+        with pytest.raises(ValueError) as expected:
+            SolverState(t=0.1, **new_state)
+        with pytest.raises(ValueError, match=re.escape(str(expected.value))):
+            step(velocity, st, 0.0, 0.1, method)
 
     def test_bad_step_size(self):
         rhs = lambda t, x, B: (-x, None)
@@ -296,6 +326,30 @@ class TestMatchesStepByStepReference:
                                record_every=record_every, monitors=frozenset(monitors))
         assert_same_run(p, s, SolverState(t=0.0, x=x0, B=B0), cfg, xhat=xhat, R=R)
 
+    def test_mid_run_ball_exit(self):
+        # at 1.3x RK4's stable step 2.785 / (N1^2 + eps0) the inverse track
+        # blows up, and the iterate leaves the certified ball mid-run
+        entry, sched, B0, R = compliant("compliant-affine-8")
+        N1 = problem.BOUND_INFLATION * op_norm(problem.jacobian(entry.problem, entry.xhat))
+        h = 1.3 * 2.785 / (N1**2 + sched.eps(0.0))
+        cfg = IntegratorConfig(method="rk4", step_h=h, horizon_T=50 * h, record_every=5,
+                               monitors=frozenset({"ball", "divergence"}))
+        st0 = SolverState(t=0.0, x=entry.default_x0, B=B0)
+        tag = assert_same_run(entry.problem, sched, st0, cfg, xhat=entry.xhat, R=R)
+        assert tag == "ball_exit"
+        assert len(integrate(entry.problem, sched, st0, cfg, xhat=entry.xhat, R=R).records) > 1
+
+    def test_mid_run_divergence(self):
+        # an Euler step of 101 on F(x) = x multiplies the iterate by about -100
+        p = affine_problem(np.eye(2), np.zeros(2))
+        s = PowerSchedule(c0=0.1, c1=1.0)
+        cfg = IntegratorConfig(method="euler", step_h=101.0, horizon_T=20 * 101.0,
+                               record_every=1, monitors=frozenset({"divergence"}))
+        st0 = SolverState(t=0.0, x=np.ones(2))
+        tag = assert_same_run(p, s, st0, cfg)
+        assert tag == "divergence"
+        assert len(integrate(p, s, st0, cfg).records) > 1
+
     @pytest.mark.parametrize("coupled", [False, True], ids=["direct", "coupled"])
     def test_forward_map_turning_infinite_mid_run(self, coupled):
         # F is finite at x0 and turns infinite once the iterate has moved
@@ -323,7 +377,7 @@ class TestMatchesStepByStepReference:
 
 
 class TestStageCost:
-    def test_coupled_run_builds_at_most_one_state_per_step(self, monkeypatch):
+    def test_coupled_run_builds_no_validated_state_in_the_step_loop(self, monkeypatch):
         entry, sched, B0, R = compliant("compliant-affine-8")
         st0 = SolverState(t=0.0, x=entry.default_x0, B=B0)
         built = []
@@ -339,7 +393,7 @@ class TestStageCost:
         traj = integrate(entry.problem, sched, st0, cfg, xhat=entry.xhat, R=R)
         assert traj.termination == "horizon_reached"
         assert len(traj.records) == 21
-        assert len(built) <= 20 + 1
+        assert built == []
 
 
 class TestTracedCallGraph:
