@@ -62,19 +62,11 @@ def _config_echo(cfg: RunConfig) -> list:
 
 
 def _certificate_lines(cert: theory.Certificate) -> list:
-    lines = [
-        f"certificate.N1 = {fmt(cert.N1)}",
-        f"certificate.N2 = {fmt(cert.N2)}",
-        f"certificate.b = {fmt(cert.b)}",
-        f"certificate.eps0 = {fmt(cert.eps0)}",
-        f"certificate.B0_norm = {fmt(cert.B0_norm)}",
-        f"certificate.Lambda0_norm = {fmt(cert.Lambda0_norm)}",
-        f"certificate.k = {fmt(cert.k)}",
-        f"certificate.R = {fmt(cert.R)}",
-        f"certificate.lambda = {fmt(cert.lam)}",
-        f"certificate.w_norm = {fmt(cert.w_norm)}",
-        f"certificate.source_residual = {fmt(cert.source_residual)}",
-    ]
+    """One line per scalar ``Certificate`` field in its order (``lam`` printed
+    as ``lambda``), then the checks, the verdict and any notes."""
+    lines = [f"certificate.{'lambda' if f.name == 'lam' else f.name} = "
+             f"{fmt(getattr(cert, f.name))}"
+             for f in fields(theory.Certificate) if f.name not in ("w", "checks", "notes")]
     for name, ok in cert.checks.items():
         lines.append(f"certificate.check.{name} = {str(ok).lower()}")
     lines.append(f"certificate.overall = {str(cert.overall).lower()}")
@@ -125,20 +117,23 @@ def _reject_certify(command: str, *cfgs: RunConfig) -> None:
         raise ConfigError(f"{command} does not certify; certify is only for run")
 
 
+#: The RunConfig fields both sides of ``compare`` must share: the data, the
+#: start point, the schedule and the record times its rows are paired by.
+COMPARE_SHARED = ("problem", "noise", "seed", "x0_scale", "schedule_c0", "schedule_c1",
+                  "schedule_a", "step_h", "horizon_T", "record_every")
+
+
 def cmd_compare(cfg_a: RunConfig, cfg_b: Optional[RunConfig], out: str, out_summary: str) -> int:
     if cfg_b is None:
         cfg_b = replace(cfg_a)
     cfg_a = replace(cfg_a, method="direct")
     cfg_b = replace(cfg_b, method="coupled")
-    same = (
-        cfg_a.problem == cfg_b.problem
-        and cfg_a.schedule_c0 == cfg_b.schedule_c0
-        and cfg_a.schedule_c1 == cfg_b.schedule_c1
-        and cfg_a.schedule_a == cfg_b.schedule_a
-    )
-    if not same:
-        raise ConfigError("compare needs the same problem and schedule on both sides")
     _reject_certify("compare", cfg_a, cfg_b)
+    differ = [CONFIG_KEYS[name] for name in COMPARE_SHARED
+              if getattr(cfg_a, name) != getattr(cfg_b, name)]
+    if differ:
+        raise ConfigError(f"compare needs the same settings on both sides; "
+                          f"they differ in {', '.join(differ)}")
     traj_d, _ = execute_run(cfg_a)
     traj_c, _ = execute_run(cfg_b)
 

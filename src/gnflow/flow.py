@@ -17,7 +17,6 @@ B' vanishes, which the tests use as an equivalence oracle.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from typing import Optional
 
@@ -25,10 +24,6 @@ import numpy as np
 
 from . import hilbert
 from .problem import NonlinearProblem, eval_F, jacobian
-
-#: F'(xhat)* F'(xhat) per problem, keyed by the bytes of xhat; see
-#: :func:`solution_gram`.
-_SOLUTION_GRAMS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 @dataclass
@@ -69,12 +64,15 @@ def gauss_newton_operator(p: NonlinearProblem, x, eps: float) -> np.ndarray:
     hilbert.positive("eps", eps)
     J = jacobian(p, x)
     M = J.T @ J
+    # Not dead code: J.T @ J is exactly symmetric on OpenBLAS's SkylakeX
+    # kernels for C, F, transposed and strided J (n 1-16), but not on its
+    # Haswell and Prescott kernels for strided J at odd n >= 9.
     M = 0.5 * (M + M.T) + eps * hilbert.identity(p.dim)
     return M
 
 
-def direct_rhs(p: NonlinearProblem, s, x0, x, t: float) -> np.ndarray:
-    """x-velocity of the inversion-based flow at time t.
+def _linearize(p: NonlinearProblem, s, x0, x, t: float) -> tuple:
+    """(eps(t), J = F'(x), the regularized gradient J* F(x) + eps(t)(x - x0)).
 
     ``x`` is checked once, by :func:`problem.jacobian`, and F is evaluated
     at the array it checked (:func:`hilbert.returned` checks the value).
@@ -84,46 +82,46 @@ def direct_rhs(p: NonlinearProblem, s, x0, x, t: float) -> np.ndarray:
     x = np.asarray(x, dtype=float)  # the very array jacobian checks
     J = jacobian(p, x)
     grad = J.T @ hilbert.returned("F", p.f(x), (p.dim,)) + eps * (x - x0)
+    return eps, J, grad
+
+
+def _inverse_velocity(J: np.ndarray, eps: float, B: np.ndarray) -> np.ndarray:
+    """B' = -[(J* J + eps I) B - I], the inverse track's velocity."""
+    I = hilbert.identity(len(B))
+    return -((J.T @ J + eps * I) @ B - I)
+
+
+def _mismatch(gram: np.ndarray, B: np.ndarray, eps: float) -> np.ndarray:
+    """I - B (gram + eps I), with gram = F'(xhat)* F'(xhat)."""
+    I = hilbert.identity(len(B))
+    return I - B @ (gram + eps * I)
+
+
+def direct_rhs(p: NonlinearProblem, s, x0, x, t: float) -> np.ndarray:
+    """x-velocity of the inversion-based flow at time t."""
+    eps, J, grad = _linearize(p, s, x0, x, t)
     return -hilbert.solve_regularized(J.T @ J, eps, grad)
 
 
 def coupled_rhs(p: NonlinearProblem, s, x0, x, B, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """(x', B') of the inverse-tracking flow at the point (x, B) and time t.
-
-    ``x`` is checked once, by :func:`problem.jacobian`, and F is evaluated
-    at the array it checked (:func:`hilbert.returned` checks the value).
-    """
+    """(x', B') of the inverse-tracking flow at the point (x, B) and time t."""
     if B is None:
         raise ValueError("coupled flow needs the inverse track B")
     B = hilbert.as_operator(B, dim=p.dim)
-    x0 = hilbert.as_vector(x0, dim=p.dim)
-    eps = s.eps(t)
-    x = np.asarray(x, dtype=float)  # the very array jacobian checks
-    J = jacobian(p, x)
-    grad = J.T @ hilbert.returned("F", p.f(x), (p.dim,)) + eps * (x - x0)
-    x_dot = -B @ grad
-    I = hilbert.identity(p.dim)
-    M = J.T @ J + eps * I
-    B_dot = -(M @ B - I)
-    return x_dot, B_dot
+    eps, J, grad = _linearize(p, s, x0, x, t)
+    return -B @ grad, _inverse_velocity(J, eps, B)
 
 
 def solution_gram(p: NonlinearProblem, xhat: np.ndarray) -> np.ndarray:
-    """F'(xhat)* F'(xhat) for a validated point ``xhat``, read-only.
-
-    A constant of the problem and the point: the product is formed once
-    per problem and point and shared by every later caller. Problems are
-    immutable and compare by identity, so an entry lives as long as its
-    problem.
-    """
-    memo = _SOLUTION_GRAMS.setdefault(p, {})
-    key = xhat.tobytes()
-    if key not in memo:
+    """F'(xhat)* F'(xhat) for a validated point ``xhat``, read-only: formed
+    once per problem and point, in the problem's memo, and shared."""
+    def build():
         Jh = jacobian(p, xhat)
         gram = Jh.T @ Jh
         gram.flags.writeable = False
-        memo[key] = gram
-    return memo[key]
+        return gram
+
+    return p.constant(("solution_gram", xhat.tobytes()), build)
 
 
 def mismatch_operator(p: NonlinearProblem, xhat, B, eps: float) -> np.ndarray:
@@ -131,8 +129,7 @@ def mismatch_operator(p: NonlinearProblem, xhat, B, eps: float) -> np.ndarray:
     the solution point."""
     xhat = hilbert.as_vector(xhat, dim=p.dim)
     B = hilbert.as_operator(B, dim=p.dim)
-    I = hilbert.identity(p.dim)
-    return I - B @ (solution_gram(p, xhat) + eps * I)
+    return _mismatch(solution_gram(p, xhat), B, eps)
 
 
 def initial_inverse(p: NonlinearProblem, x0, eps0: float) -> np.ndarray:
@@ -159,10 +156,10 @@ def diagnostics(
 ) -> FlowDiagnostics:
     """Fill every norm available for the state ``st``.
 
-    lambda_norm is evaluated at the fixed solution point, not at the
-    current iterate; inverse_residual uses the current iterate (it equals
-    ||B'||). F'(xhat)* F'(xhat) comes from :func:`solution_gram`, and the
-    operator norms from one batched norm call.
+    inverse_residual is ||B'|| of the B' :func:`coupled_rhs` returns at the
+    current iterate; lambda_norm is ||Lambda|| of :func:`mismatch_operator`
+    at the fixed solution point. F'(xhat)* F'(xhat) comes from
+    :func:`solution_gram`, and the operator norms from one batched norm call.
     """
     eps = s.eps(st.t)
     residual = float(np.linalg.norm(eval_F(p, st.x)))
@@ -171,12 +168,11 @@ def diagnostics(
         xhat = hilbert.as_vector(xhat, dim=p.dim)
         out.err_norm = float(np.linalg.norm(st.x - xhat))
     if st.B is not None:
-        I = hilbert.identity(p.dim)
-        M = gauss_newton_operator(p, st.x, eps)
-        ops = [st.B, M @ st.B - I]
+        hilbert.positive("eps", eps)
+        ops = [st.B, _inverse_velocity(jacobian(p, st.x), eps, st.B)]
         if xhat is not None:
             Gh = solution_gram(p, xhat)
-            ops += [I - st.B @ (Gh + eps * I), st.B @ Gh]
+            ops += [_mismatch(Gh, st.B, eps), st.B @ Gh]
         norms = [float(v) for v in hilbert.op_norms(ops)]
         out.B_norm, out.inverse_residual = norms[:2]
         if xhat is not None:

@@ -31,10 +31,10 @@ class NonlinearProblem:
     """F: R^n -> R^n with optional Jacobian and known solution.
 
     Problems are immutable: assigning to a field raises
-    ``dataclasses.FrozenInstanceError``. Equality and hashing are by
-    identity, so a problem can key caches of what depends only on it;
-    ``theory.certify_with_canonical_R`` reuses its sampled ball bounds
-    that way.
+    ``dataclasses.FrozenInstanceError``. Each owns one memo of the
+    constants that depend only on it (:meth:`constant`), such as
+    F'(xhat)* F'(xhat) and sampled ball bounds; it lives exactly as long
+    as the problem.
 
     Args:
         dim: ambient dimension n, an integer >= 1 (the count rule of
@@ -62,6 +62,7 @@ class NonlinearProblem:
 
     def __post_init__(self):
         object.__setattr__(self, "dim", hilbert.count("dim", self.dim))
+        object.__setattr__(self, "_constants", {})
         if self.known_solution is not None:
             xhat = hilbert.as_vector(self.known_solution, dim=self.dim)
             object.__setattr__(self, "known_solution", xhat)
@@ -73,6 +74,13 @@ class NonlinearProblem:
                         f"known_solution is not a root: ||F(xhat)|| = {res:.3e} "
                         f"> {bound:.3e}"
                     )
+
+    def constant(self, key, build: Callable[[], object]):
+        """``build()``, called at the first request for ``key`` only: ``key``
+        must encode every input of ``build`` but the problem itself."""
+        if key not in self._constants:
+            self._constants[key] = build()
+        return self._constants[key]
 
 
 @dataclass(frozen=True)
@@ -114,16 +122,25 @@ def rowwise(fn):
     return fn
 
 
+def _on_rows(name: str, fn, points: np.ndarray, shape: tuple, at) -> np.ndarray:
+    """The caller's function ``fn`` at each row of ``points``, stacked and
+    checked by :func:`hilbert.returned`: one call of a :func:`rowwise` ``fn``
+    on the whole stack, else one per row, in order, naming a failing row i
+    by ``at(i)``."""
+    if getattr(fn, "rowwise", False):
+        return hilbert.returned(name, fn(points), (len(points), *shape))
+    return hilbert.returned(name, [fn(point) for point in points], shape, at=at)
+
+
 def fd_jacobian(p: NonlinearProblem, x, h: float = FD_DEFAULT_STEP) -> np.ndarray:
     """Central-difference Jacobian, a C-contiguous n x n matrix.
 
     Column j is (F(x + h e_j) - F(x - h e_j)) / (2h); exact for affine F.
     The 2n points are the rows of x + h*I and x - h*I, equal bit for bit
-    to x + h e_j and x - h e_j. A :func:`rowwise` F is called once on the
-    (2n, n) stack of points; any other F is called at each point and its
-    values are stacked as rows. Either way the stack goes through
-    :func:`hilbert.returned`, and so does the finished matrix, since the
-    difference of two finite values can overflow.
+    to x + h e_j and x - h e_j, and F is evaluated on them by
+    :func:`_on_rows`. The finished matrix goes through
+    :func:`hilbert.returned` too, since the difference of two finite
+    values can overflow.
 
     The differences are formed as rows and then transposed, so the
     transposed result is copied to C order: products such as ``J.T @ J``
@@ -135,12 +152,8 @@ def fd_jacobian(p: NonlinearProblem, x, h: float = FD_DEFAULT_STEP) -> np.ndarra
     n = p.dim
     steps = h * hilbert.identity(n)
     points = np.concatenate((x + steps, x - steps))
-    if getattr(p.f, "rowwise", False):
-        Y = hilbert.returned("F", p.f(points), (2 * n, n))
-    else:
-        # point i is x + h e_i for i < n and x - h e_(i-n) after
-        Y = hilbert.returned("F", [p.f(point) for point in points], (n,),
-                             at=lambda i: f"x {'+-'[i // n]} h*e_{i % n}")
+    # point i is x + h e_i for i < n and x - h e_(i-n) after
+    Y = _on_rows("F", p.f, points, (n,), at=lambda i: f"x {'+-'[i // n]} h*e_{i % n}")
     J = np.ascontiguousarray(((Y[:n] - Y[n:]) / (2.0 * h)).T)
     return hilbert.returned("fd_jacobian", J, (n, n))
 
@@ -177,13 +190,12 @@ def estimate_bounds(
     inflated by :data:`BOUND_INFLATION` (10%) against sampling optimism.
     Deterministic per seed.
 
-    A :func:`rowwise` ``jac`` is called twice, on the stacked sample
-    points and on the stacked shifted points, and each returned stack goes
-    through :func:`hilbert.returned` once; any other Jacobian is evaluated
-    sample by sample, in order, through :func:`jacobian`. Both ways give
-    the same bits. The norms are then taken by :func:`hilbert.op_norms` in
-    two batched calls, one over the stacked Jacobians and one over the
-    stacked differences (a non-finite difference raises ValueError there).
+    The Jacobian is evaluated by :func:`_on_rows` at every sample point,
+    then at every shifted point (by finite differences when the problem has
+    none), and an error names the failing sample. The norms are then taken
+    by :func:`hilbert.op_norms` in two batched calls, one over the stacked
+    Jacobians and one over the stacked differences (a non-finite
+    difference raises ValueError there).
     Each batched norm equals :func:`hilbert.op_norm` of the same matrix
     exactly. Raises ValueError unless ``radius`` is positive and finite
     and ``samples`` is an integer >= 1.
@@ -198,16 +210,11 @@ def estimate_bounds(
     delta = 1e-4 * radius
     shifted = points + delta * dirs
 
-    if getattr(p.jac, "rowwise", False):
-        stack = (samples, p.dim, p.dim)
-        jacs = hilbert.returned("jacobian", p.jac(points), stack)
-        diffs = (hilbert.returned("jacobian", p.jac(shifted), stack) - jacs) / delta
-    else:
-        jacs = np.empty((samples, p.dim, p.dim))
-        diffs = np.empty((samples, p.dim, p.dim))
-        for i, (x, y) in enumerate(zip(points, shifted)):
-            jacs[i] = jacobian(p, x)
-            diffs[i] = (jacobian(p, y) - jacs[i]) / delta
+    jac = p.jac if p.jac is not None else lambda x: fd_jacobian(p, x)
+    shape = (p.dim, p.dim)
+    jacs = _on_rows("jacobian", jac, points, shape, at=lambda i: f"sample {i}")
+    diffs = (_on_rows("jacobian", jac, shifted, shape, at=lambda i: f"shifted sample {i}")
+             - jacs) / delta
     n1 = float(np.max(hilbert.op_norms(jacs)))
     n2 = float(np.max(hilbert.op_norms(diffs)))
     return BallBounds(

@@ -1,8 +1,9 @@
 """Run configuration and orchestration: the one place a run is set up.
 
 A run is one ``RunConfig``: defaults, then a flat ``key = value`` file
-with dotted keys ('#' starts a comment), then flag overrides. This module
-owns the field <-> config-key table, coerces each value by the declared
+with dotted keys ('#' starts a comment), then flag overrides. Each field
+declares its config key and allowed choices, from which this module
+derives its key and choice tables; it coerces each value by the declared
 type of its field, resolves a configuration into the built run (gallery
 entry, schedule, start point, initial inverse track, known solution) and
 integrates it. Every configuration it cannot use raises ``ConfigError``.
@@ -19,7 +20,7 @@ import csv
 import io
 import math
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional
 
@@ -35,55 +36,39 @@ class ConfigError(Exception):
     """A configuration that cannot be run, or an output path that cannot be written."""
 
 
+def _setting(default, key: str = "", choices: tuple = ()):
+    """A RunConfig field whose config-file and summary key is ``key`` (its own
+    name when empty) and whose value, when ``choices`` is given, is one of them."""
+    return field(default=default, metadata={"key": key, "choices": choices})
+
+
 @dataclass
 class RunConfig:
     problem: str = "compliant-affine-8"
-    method: str = "coupled"  # "direct" or "coupled"
-    schedule_c0: float = 0.1
-    schedule_c1: float = 1.0
-    schedule_a: float = 1.0
-    integrator_method: str = "rk4"
-    step_h: float = 0.01
-    horizon_T: float = 10.0
-    record_every: int = 10
-    b0_mode: str = "exact_inverse"  # or "scaled_identity"
+    method: str = _setting("coupled", choices=("direct", "coupled"))
+    schedule_c0: float = _setting(0.1, "schedule.c0")
+    schedule_c1: float = _setting(1.0, "schedule.c1")
+    schedule_a: float = _setting(1.0, "schedule.a")
+    integrator_method: str = _setting("rk4", "integrator.method", ("euler", "rk4"))
+    step_h: float = _setting(0.01, "integrator.step_h")
+    horizon_T: float = _setting(10.0, "integrator.horizon_T")
+    record_every: int = _setting(10, "integrator.record_every")
+    b0_mode: str = _setting("exact_inverse", choices=("exact_inverse", "scaled_identity"))
     x0_scale: float = 1.0
     ball_radius: Optional[float] = None
     certify: bool = False
     noise: float = 0.0
     seed: int = 0
-    out_trajectory: str = "trajectory.csv"
-    out_summary: str = "summary.txt"
+    out_trajectory: str = _setting("trajectory.csv", "out.trajectory")
+    out_summary: str = _setting("summary.txt", "out.summary")
 
 
 #: config-file / summary key for each RunConfig field.
-CONFIG_KEYS = {
-    "problem": "problem",
-    "method": "method",
-    "schedule_c0": "schedule.c0",
-    "schedule_c1": "schedule.c1",
-    "schedule_a": "schedule.a",
-    "integrator_method": "integrator.method",
-    "step_h": "integrator.step_h",
-    "horizon_T": "integrator.horizon_T",
-    "record_every": "integrator.record_every",
-    "b0_mode": "b0_mode",
-    "x0_scale": "x0_scale",
-    "ball_radius": "ball_radius",
-    "certify": "certify",
-    "noise": "noise",
-    "seed": "seed",
-    "out_trajectory": "out.trajectory",
-    "out_summary": "out.summary",
-}
+CONFIG_KEYS = {f.name: f.metadata.get("key") or f.name for f in fields(RunConfig)}
 KEY_TO_FIELD = {v: k for k, v in CONFIG_KEYS.items()}
 
 #: Allowed values of the fields that name a choice.
-CHOICES = {
-    "method": ("direct", "coupled"),
-    "integrator_method": ("euler", "rk4"),
-    "b0_mode": ("exact_inverse", "scaled_identity"),
-}
+CHOICES = {f.name: f.metadata["choices"] for f in fields(RunConfig) if f.metadata.get("choices")}
 
 
 _BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
@@ -144,11 +129,18 @@ def load_config(config_path: Optional[str], overrides: dict) -> RunConfig:
     return replace(cfg, **fixed)
 
 
+def _check_seed(seed: int) -> None:
+    """A seed draws the noise and the ball samples; numpy takes no negative one."""
+    if seed < 0:
+        raise ConfigError(f"seed must be a nonnegative integer, got {seed}")
+
+
 def _build_run(cfg: RunConfig) -> tuple:
     """Resolve config into (entry, schedule, x0, B0-or-None, xhat)."""
     for name, allowed in CHOICES.items():
         if getattr(cfg, name) not in allowed:
             raise ConfigError(f"unknown {name} {getattr(cfg, name)!r}")
+    _check_seed(cfg.seed)
     try:
         entry = gallery.get_entry(cfg.problem, noise=cfg.noise, noise_seed=cfg.seed)
         if cfg.ball_radius is not None:
@@ -273,6 +265,8 @@ def sweep(base: RunConfig, param: str, values, seeds=(0,)) -> list:
         raise ConfigError(
             f"unknown sweep parameter {param!r}; choose eps0 or one of {sorted(SWEEP_KEYS)}"
         )
+    for seed in seeds:
+        _check_seed(seed)
     if param == "noise":
         try:
             for value in values:

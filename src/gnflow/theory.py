@@ -14,7 +14,6 @@ operator Gronwall bound.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -35,11 +34,6 @@ SOURCE_TOL = 1e-8
 #: inequality holds with equality at the canonical choice, so a bare
 #: float comparison there would be a coin flip.
 R_INFLATION = 1e-6
-
-#: Sampled ball bounds per problem, keyed by (center bytes, radius, seed):
-#: the bounds depend on nothing else, and problems are immutable. An entry
-#: lives as long as its problem.
-_BALL_BOUNDS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 @dataclass
@@ -106,6 +100,8 @@ def solve_source(p: NonlinearProblem, xhat, x0) -> tuple[np.ndarray, float]:
     if np.linalg.norm(rhs) == 0.0:
         return np.zeros(p.dim), 0.0
     M = solution_gram(p, xhat)
+    # Not dead code: see flow.gauss_newton_operator for the BLAS kernels
+    # on which J.T @ J comes out not exactly symmetric.
     M = 0.5 * (M + M.T)
     evals, evecs = np.linalg.eigh(M)
     cutoff = SOURCE_TOL * max(float(evals[-1]), 0.0)
@@ -228,18 +224,18 @@ def certify(
 
 def _ball_bounds(p: NonlinearProblem, xhat: np.ndarray, radius: float,
                  seed: int) -> BallBounds:
-    """``estimate_bounds`` on U(xhat, radius), sampled once per problem and key.
+    """``estimate_bounds`` on U(xhat, radius), sampled once per problem and
+    key, in the problem's memo (:meth:`NonlinearProblem.constant`).
 
     Every caller gets the same bounds object, so its center is a
     read-only copy of ``xhat``.
     """
-    memo = _BALL_BOUNDS.setdefault(p, {})
-    key = (xhat.tobytes(), radius, seed)
-    if key not in memo:
+    def build():
         center = xhat.copy()
         center.flags.writeable = False
-        memo[key] = estimate_bounds(p, center, radius, seed=seed)
-    return memo[key]
+        return estimate_bounds(p, center, radius, seed=seed)
+
+    return p.constant(("ball_bounds", xhat.tobytes(), radius, seed), build)
 
 
 def certify_with_canonical_R(

@@ -1,10 +1,11 @@
 import csv
+import dataclasses
 import re
 import warnings
 
 import pytest
 
-from gnflow import cli, flow, gallery
+from gnflow import cli, flow, gallery, run
 
 
 def run_cli(argv):
@@ -135,6 +136,27 @@ class TestConfigFile:
         assert parsed.schedule_c0 == 0.2  # flag wins
         assert parsed.horizon_T == 2.0
 
+    def test_key_and_choice_tables(self):
+        # derived from the RunConfig declaration; golden against the tables
+        # that were written out by hand beside it
+        assert run.CONFIG_KEYS == {
+            "problem": "problem", "method": "method", "schedule_c0": "schedule.c0",
+            "schedule_c1": "schedule.c1", "schedule_a": "schedule.a",
+            "integrator_method": "integrator.method", "step_h": "integrator.step_h",
+            "horizon_T": "integrator.horizon_T", "record_every": "integrator.record_every",
+            "b0_mode": "b0_mode", "x0_scale": "x0_scale", "ball_radius": "ball_radius",
+            "certify": "certify", "noise": "noise", "seed": "seed",
+            "out_trajectory": "out.trajectory", "out_summary": "out.summary",
+        }
+        assert list(run.CONFIG_KEYS) == [f.name for f in dataclasses.fields(run.RunConfig)]
+        assert run.KEY_TO_FIELD == {key: name for name, key in run.CONFIG_KEYS.items()}
+        assert run.CHOICES == {
+            "method": ("direct", "coupled"),
+            "integrator_method": ("euler", "rk4"),
+            "b0_mode": ("exact_inverse", "scaled_identity"),
+        }
+        assert list(run.CHOICES) == ["method", "integrator_method", "b0_mode"]
+
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("no_such_key = 1\n")
@@ -218,6 +240,20 @@ class TestCompare:
         code = run_cli(["compare", "--problem", "identity-8", "--horizon-T", "2.0", "--config-b",
                         str(other)])
         assert code == 0
+
+    def test_mismatched_settings_named(self, tmp_path, capsys):
+        # the flags set only the direct side; the coupled side would run on
+        # other data, from another start, over another horizon
+        other = tmp_path / "b.cfg"
+        other.write_text("problem = identity-8\nnoise = 0.5\nx0_scale = 3\n")
+        out = tmp_path / "compare.csv"
+        code = run_cli(["compare", "--problem", "identity-8", "--horizon-T", "0.5",
+                        "--config-b", str(other), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == ("error: compare needs the same settings on both sides; "
+                       "they differ in noise, x0_scale, integrator.horizon_T\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("flags, config_b", [
         (["--certify"], None),
@@ -361,6 +397,25 @@ class TestBadValues:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
+
+
+class TestNegativeSeed:
+    """numpy draws no stream from a negative seed; every command names the setting."""
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["run", "--problem", "identity-8", "--seed", "-1", "--noise", "0.1"],
+                     id="run-noise"),
+        pytest.param(["run", "--problem", "compliant-affine-4", "--certify", "--seed", "-1"],
+                     id="run-certify"),
+        pytest.param(["compare", "--problem", "identity-8", "--seed", "-1"], id="compare"),
+        pytest.param(["sweep", "--problem", "identity-8", "--param", "noise", "--values", "0.1",
+                      "--seeds", "0,-1"], id="sweep"),
+    ])
+    def test_reported_as_config_error(self, tmp_path, capsys, argv):
+        code = run_cli(argv)
+        assert code == 1
+        assert capsys.readouterr().err == "error: seed must be a nonnegative integer, got -1\n"
+        assert not any(tmp_path.iterdir())
 
 
 class TestUnusableStart:

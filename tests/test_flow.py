@@ -190,6 +190,33 @@ class TestDiagnostics:
         assert d.err_norm is None and d.lambda_norm is None and d.D_norm is None
         assert d.B_norm is not None and d.inverse_residual is not None
 
+    @pytest.mark.parametrize("label", ["compliant-affine-8", "feigenbaum-6", "strided-9"])
+    def test_norms_are_of_the_flow_operators(self, label):
+        # inverse_residual is ||B'|| of the B' the coupled flow integrates, and
+        # lambda_norm ||Lambda|| of mismatch_operator, bit for bit at every record.
+        # J.T @ J of the strided Jacobian is not exactly symmetric on OpenBLAS's
+        # Haswell and Prescott kernels (odd n >= 9), so no symmetrized copy of
+        # the flow's operator may stand in for it.
+        if label == "strided-9":
+            rng = np.random.default_rng(9)
+            A = (np.eye(18) + 0.2 * rng.standard_normal((18, 18)))[::2, ::2]
+            xhat = rng.standard_normal(9)
+            p = problem.NonlinearProblem(dim=9, f=lambda x: A @ (x - xhat), jac=lambda x: A,
+                                         known_solution=xhat)
+            x0 = xhat + 0.1
+        else:
+            entry = gallery.get_entry(label)
+            p, xhat, x0 = entry.problem, entry.xhat, entry.default_x0
+        s = PowerSchedule(c0=0.1, c1=1.0, a=1.0)
+        st0 = SolverState(t=0.0, x=x0, B=initial_inverse(p, x0, s.eps(0.0)))
+        cfg = IntegratorConfig(method="rk4", step_h=0.01, horizon_T=1.0, record_every=10)
+        traj = integrate(p, s, st0, cfg, xhat=xhat)
+        assert len(traj.records) == 11
+        for st, d in traj.records:
+            B_dot = coupled_rhs(p, s, x0, st.x, st.B, st.t)[1]
+            assert d.inverse_residual == hilbert.op_norm(B_dot)
+            assert d.lambda_norm == hilbert.op_norm(mismatch_operator(p, xhat, st.B, d.eps))
+
     def test_inverse_norm_bound_along_compliant_run(self):
         # ||B(t)|| stays below 1/eps(t) + ||B(0)|| along a certified run
         entry, sched, B0, R = compliant("compliant-affine-2")

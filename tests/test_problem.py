@@ -8,6 +8,7 @@ from gnflow import gallery
 from gnflow.problem import (
     BOUND_INFLATION,
     NonlinearProblem,
+    _ball_points,
     estimate_bounds,
     eval_F,
     fd_jacobian,
@@ -235,6 +236,19 @@ class TestRowwiseEstimateBounds:
         with pytest.raises(ValueError, match=r"^jacobian returned a non-finite entry "
                                              r"at index \(\d, 0, 0\)$"):
             estimate_bounds(p, np.ones(2), 1.0, samples=8, seed=0)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_plain_jacobian_names_its_sample(self, bad):
+        # one call per point, all sample points before all shifted ones: the
+        # error names the first sample point right of the center
+        center, radius, samples, seed = np.ones(2), 1.0, 8, 0
+        p = NonlinearProblem(dim=2, f=lambda x: x,
+                             jac=lambda x: np.full((2, 2), bad) if x[0] > 1.0 else np.eye(2))
+        points = _ball_points(center, radius, samples, np.random.default_rng(seed))
+        first = int(np.flatnonzero(points[:, 0] > 1.0)[0])
+        with pytest.raises(ValueError, match=rf"^jacobian returned a non-finite entry "
+                                             rf"at index \(0, 0\) at sample {first}$"):
+            estimate_bounds(p, center, radius, samples=samples, seed=seed)
 
     def test_marker_follows_the_callable(self):
         # a problem rebuilt from the same jac keeps the two-call path

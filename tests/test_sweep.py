@@ -29,6 +29,10 @@ class TestSweepArguments:
             "noise", "schedule.c0", "schedule.c1", "schedule.a",
             "integrator.step_h", "integrator.horizon_T", "x0_scale"}
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match=r"^seed must be a nonnegative integer, got -3$"):
+            sweep(base_config(), "eps0", [0.1], seeds=[0, -3])
+
     def test_negative_noise_rejected(self):
         for level in (-0.1, float("nan"), float("inf")):
             with pytest.raises(ConfigError):
