@@ -14,7 +14,6 @@ from .flow import (
     coupled_rhs,
     diagnostics,
     direct_rhs,
-    gauss_newton_operator,
     initial_inverse,
     scaled_identity_inverse,
 )
@@ -39,7 +38,7 @@ from .problem import (
     jacobian,
     rowwise,
 )
-from .schedule import PowerSchedule, default_schedule, frozen
+from .schedule import PowerSchedule, default_schedule
 from .theory import (
     Certificate,
     canonical_R,

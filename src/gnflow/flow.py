@@ -59,18 +59,6 @@ class FlowDiagnostics:
     D_norm: Optional[float] = None
 
 
-def gauss_newton_operator(p: NonlinearProblem, x, eps: float) -> np.ndarray:
-    """F'(x)* F'(x) + eps*I, symmetrized; smallest eigenvalue >= eps."""
-    hilbert.positive("eps", eps)
-    J = jacobian(p, x)
-    M = J.T @ J
-    # Not dead code: J.T @ J is exactly symmetric on OpenBLAS's SkylakeX
-    # kernels for C, F, transposed and strided J (n 1-16), but not on its
-    # Haswell and Prescott kernels for strided J at odd n >= 9.
-    M = 0.5 * (M + M.T) + eps * hilbert.identity(p.dim)
-    return M
-
-
 def _linearize(p: NonlinearProblem, s, x0, x, t: float) -> tuple:
     """(eps(t), J = F'(x), the regularized gradient J* F(x) + eps(t)(x - x0)).
 

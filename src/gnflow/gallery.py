@@ -239,16 +239,16 @@ def _renorm_points(c: np.ndarray, nodes: np.ndarray):
     return lam, g[:n], v, g[n:]
 
 
-def _renorm_residual(c: np.ndarray, nodes: np.ndarray, points=None) -> np.ndarray:
+def _renorm_residual(c: np.ndarray, nodes: np.ndarray, points) -> np.ndarray:
     """Collocation residual of lam*g(s) + g(g(lam*s)) = 0 with lam = -g(1).
 
-    ``points`` is ``_renorm_points(c, nodes)``, computed here when not given.
+    ``points`` is ``_renorm_points(c, nodes)``.
     """
-    lam, g_s, _, u = _renorm_points(c, nodes) if points is None else points
+    lam, g_s, _, u = points
     return lam * g_s + _poly_eval(c, u)
 
 
-def _renorm_jacobian(c: np.ndarray, nodes: np.ndarray, points=None) -> np.ndarray:
+def _renorm_jacobian(c: np.ndarray, nodes: np.ndarray, points) -> np.ndarray:
     """Derivative of :func:`_renorm_residual` in c, a C-contiguous n x n matrix.
 
     Column j, for the power p = 2(j+1), is
@@ -257,10 +257,10 @@ def _renorm_jacobian(c: np.ndarray, nodes: np.ndarray, points=None) -> np.ndarra
     exponent p must stay a scalar: numpy's SIMD ``power`` with an array
     of exponents (``S[:, None] ** P``) does not always round as
     ``S ** p`` does, and the Jacobian would lose its bits. ``points`` is
-    ``_renorm_points(c, nodes)``, computed here when not given.
+    ``_renorm_points(c, nodes)``.
     """
     n = len(c)
-    lam, g_s, v, u = _renorm_points(c, nodes) if points is None else points
+    lam, g_s, v, u = points
     gp = _poly_deriv(c, np.concatenate((v, u)))
     gp_v, gp_u = gp[:n], gp[n:]
     S = np.concatenate((nodes, u, v))

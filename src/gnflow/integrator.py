@@ -26,8 +26,6 @@ from .problem import NonlinearProblem
 
 DIVERGENCE_LIMIT = 1e12
 
-TERMINATION_TAGS = ("horizon_reached", "ball_exit", "divergence", "numerical_error")
-
 #: rhs callback signature: (t, x, B) -> (x_dot, B_dot); B and B_dot are
 #: None for the direct flow.
 RhsFn = Callable[[float, np.ndarray, Optional[np.ndarray]], tuple]
@@ -70,7 +68,7 @@ class IntegratorConfig:
 @dataclass
 class Trajectory:
     records: list  # of (SolverState, FlowDiagnostics)
-    termination: str
+    termination: str  # horizon_reached, ball_exit, divergence or numerical_error
 
     @property
     def final_state(self) -> SolverState:

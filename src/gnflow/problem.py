@@ -48,9 +48,10 @@ class NonlinearProblem:
         known_solution: a root of F, when one is known. Enables the error
             monitors and certificate features.
         label: identifier used by the gallery registry and the CLI.
-        validate_solution: check ||F(known_solution)|| at construction.
-            Noisy data variants keep the clean solution for error
-            reporting and disable the check.
+        validate_solution: check at construction that F(known_solution)
+            passes :func:`hilbert.returned` and has a norm of at most
+            1e-8 (1 + ||known_solution||). Noisy data variants keep the
+            clean solution for error reporting and disable the check.
     """
 
     dim: int
@@ -67,7 +68,7 @@ class NonlinearProblem:
             xhat = hilbert.as_vector(self.known_solution, dim=self.dim)
             object.__setattr__(self, "known_solution", xhat)
             if self.validate_solution:
-                res = np.linalg.norm(self.f(xhat))
+                res = np.linalg.norm(hilbert.returned("F", self.f(xhat), (self.dim,)))
                 bound = 1e-8 * (1.0 + np.linalg.norm(xhat))
                 if res > bound:
                     raise ValueError(

@@ -1,8 +1,8 @@
 """Regularization schedules eps(t) and their certified decay constants.
 
-The built-in family is the power law eps(t) = c0*(c1+t)**(-a) with
-0 < a <= 1; its decay constant b = sup |eps'(t)| / eps(t)^2 is analytic.
-``frozen`` gives a constant schedule for fixed-regularization tests.
+The one family is the power law eps(t) = c0*(c1+t)**(-a) with
+0 < a <= 1; its decay constant b = sup |eps'(t)| / eps(t)^2 is analytic
+and positive, as the certificate requires.
 """
 
 from __future__ import annotations
@@ -37,25 +37,6 @@ class PowerSchedule:
         grid, because b feeds the certificate inequalities.
         """
         return (self.a / self.c0) * self.c1 ** (self.a - 1.0)
-
-
-@dataclass(frozen=True)
-class _Frozen:
-    """eps(t) == eps0: no decay, so b = 0 and no certificate applies."""
-
-    eps0: float
-
-    def eps(self, t: float) -> float:
-        hilbert.nonnegative("t", t)
-        return self.eps0
-
-    def b_constant(self) -> float:
-        return 0.0
-
-
-def frozen(eps0: float) -> _Frozen:
-    """Constant schedule eps(t) == eps0, for fixed-regularization tests."""
-    return _Frozen(float(hilbert.positive("eps0", eps0)))
 
 
 def default_schedule(eps0: float = 0.1) -> PowerSchedule:

@@ -100,8 +100,9 @@ def solve_source(p: NonlinearProblem, xhat, x0) -> tuple[np.ndarray, float]:
     if np.linalg.norm(rhs) == 0.0:
         return np.zeros(p.dim), 0.0
     M = solution_gram(p, xhat)
-    # Not dead code: see flow.gauss_newton_operator for the BLAS kernels
-    # on which J.T @ J comes out not exactly symmetric.
+    # Not dead code: J.T @ J is exactly symmetric on OpenBLAS's SkylakeX
+    # kernels for C, F, transposed and strided J (n 1-16), but not on its
+    # Haswell and Prescott kernels for strided J at odd n >= 9.
     M = 0.5 * (M + M.T)
     evals, evecs = np.linalg.eigh(M)
     cutoff = SOURCE_TOL * max(float(evals[-1]), 0.0)
@@ -149,6 +150,15 @@ def _evaluate(p: NonlinearProblem, c: _InstanceConstants, bounds: BallBounds,
     N1, N2, eps0, b = bounds.N1, bounds.N2, c.eps0, c.b
     for name, val in (("N1", N1), ("N2", N2), ("R", R)):
         hilbert.positive(name, val)
+    # N1 and N2 bound F' and F'' only on the ball they were sampled on, so
+    # it must hold the certified ball U(xhat, R*eps0).
+    center = hilbert.as_vector(bounds.center, dim=p.dim)
+    reach = float(np.linalg.norm(center - c.xhat)) + R * eps0
+    if not reach <= bounds.radius:
+        raise ValueError(
+            f"bounds do not cover the certified ball: ||center - xhat|| + R*eps0 = "
+            f"{reach:.6e} > radius {bounds.radius:.6e}"
+        )
     k = 2.0 * N1 * N2 * R + b + eps0 * c.B0_norm + c.Lambda0_norm
     # Solved here, not with the other constants, so a failed radius search skips it.
     w, source_residual = solve_source(p, c.xhat, c.x0)
@@ -217,7 +227,10 @@ def certify(
     Shares its constants pass and inequality code with
     :func:`certify_with_canonical_R`, so the two agree exactly at its
     ``bounds`` and R. Raises ValueError when N1, N2, R, b or eps0 is not
-    positive and finite.
+    positive and finite, and then when ``bounds`` does not cover the
+    certified ball: its center must be a finite vector of the problem's
+    dimension, and ||bounds.center - xhat|| + R*eps0 at most
+    ``bounds.radius``, since N1 and N2 hold only on that ball.
     """
     return _evaluate(p, _instance_constants(p, xhat, x0, s, B0), bounds, R)
 

@@ -1,5 +1,5 @@
-"""The slow oracles the tests own, the builders the tests share, and the
-hypothesis strategies that draw their inputs.
+"""The slow oracles the tests own, the builders and test doubles the tests
+share, and the hypothesis strategies that draw their inputs.
 
 Every fast path of the package is held to one oracle below: the
 column-by-column derivative kernels, the per-sample ball bounds, the
@@ -20,7 +20,7 @@ import scipy.linalg
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from gnflow import gallery
+from gnflow import gallery, hilbert
 from gnflow.flow import SolverState, coupled_rhs, diagnostics, direct_rhs
 from gnflow.hilbert import FactorizationError, op_norm
 from gnflow.integrator import DIVERGENCE_LIMIT, advance, integrate, step
@@ -276,6 +276,25 @@ def identity_problem(n=3, xhat=None):
     if xhat is None:
         xhat = 1.0 + np.arange(n) / n
     return affine_problem(np.eye(len(xhat)), xhat), xhat
+
+
+@dataclasses.dataclass(frozen=True)
+class _Frozen:
+    """eps(t) == eps0: no decay, so b = 0 and no certificate applies."""
+
+    eps0: float
+
+    def eps(self, t: float) -> float:
+        hilbert.nonnegative("t", t)
+        return self.eps0
+
+    def b_constant(self) -> float:
+        return 0.0
+
+
+def frozen(eps0: float) -> _Frozen:
+    """Constant schedule eps(t) == eps0, for fixed-regularization tests."""
+    return _Frozen(float(hilbert.positive("eps0", eps0)))
 
 
 def planted_source(rng):

@@ -3,7 +3,7 @@ import weakref
 
 import numpy as np
 import pytest
-from oracles import affine_problem, compliant, identity_problem
+from oracles import affine_problem, compliant, frozen, identity_problem
 
 from gnflow import gallery, hilbert, problem, theory
 from gnflow.flow import (
@@ -11,7 +11,6 @@ from gnflow.flow import (
     coupled_rhs,
     diagnostics,
     direct_rhs,
-    gauss_newton_operator,
     initial_inverse,
     mismatch_operator,
     scaled_identity_inverse,
@@ -19,35 +18,7 @@ from gnflow.flow import (
 )
 from gnflow.integrator import IntegratorConfig, integrate
 from gnflow.problem import jacobian
-from gnflow.schedule import PowerSchedule, frozen
-
-
-class TestGaussNewtonOperator:
-    def test_identity_problem(self):
-        p, xhat = identity_problem()
-        assert np.allclose(gauss_newton_operator(p, xhat, 1.0), 2.0 * np.eye(3))
-
-    def test_diagonal_affine(self):
-        p = affine_problem(np.diag([2.0, 0.0]), np.zeros(2))
-        M = gauss_newton_operator(p, np.ones(2), 0.5)
-        assert np.allclose(M, np.diag([4.5, 0.5]))
-
-    def test_symmetry_and_spectrum(self):
-        rng = np.random.default_rng(0)
-        for _ in range(10):
-            n = int(rng.integers(2, 9))
-            J = rng.standard_normal((n, n))
-            p = affine_problem(J, np.zeros(n))
-            M = gauss_newton_operator(p, np.zeros(n), 0.1)
-            assert np.max(np.abs(M - M.T)) <= 1e-13
-            assert np.min(np.linalg.eigvalsh(M)) >= 0.1 - 1e-10
-
-    @pytest.mark.parametrize("eps", [np.inf, np.nan, 0.0])
-    def test_non_finite_eps_rejected(self, eps):
-        # eps = inf used to return [[inf, nan], [nan, inf]] on identity-2
-        p, xhat = identity_problem(2)
-        with pytest.raises(ValueError, match="must be positive and finite"):
-            gauss_newton_operator(p, xhat, eps)
+from gnflow.schedule import PowerSchedule
 
 
 class TestDirectRhs:

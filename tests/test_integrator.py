@@ -9,6 +9,7 @@ from oracles import (
     affine_problem,
     assert_same_run,
     compliant,
+    frozen,
     log_uniform,
     near,
     problems,
@@ -16,11 +17,10 @@ from oracles import (
     without_jacobian,
 )
 
-from gnflow import flow, gallery, integrator, problem
+from gnflow import cli, flow, gallery, integrator, problem
 from gnflow.flow import SolverState, direct_rhs, initial_inverse
 from gnflow.hilbert import FactorizationError, op_norm
 from gnflow.integrator import (
-    TERMINATION_TAGS,
     IntegratorConfig,
     convergence_order,
     integrate,
@@ -159,15 +159,13 @@ class TestIntegrate:
                                record_every=1)
         traj = integrate(p, s, st0, cfg)
         assert traj.termination in ("divergence", "numerical_error")
-        assert traj.termination in TERMINATION_TAGS
+        assert traj.termination in cli._TERMINATION_EXIT
         assert len(traj.records) >= 1
 
     def test_blowup_terminates_with_monotone_records(self):
         # exponential forward map overflows mid-run; the trajectory must
         # end with an event tag and strictly increasing record times
         import warnings
-
-        from gnflow.schedule import frozen
 
         p = NonlinearProblem(dim=1, f=lambda x: -np.exp(x) + 1.0,
                              jac=lambda x: -np.diag(np.exp(x)))
@@ -469,8 +467,6 @@ class TestConvergenceOrder:
     def test_zero_rhs_all_errors_vanish(self):
         # anchored at the root with frozen eps and the exact inverse, both
         # blocks of the right-hand side vanish identically
-        from gnflow.schedule import frozen
-
         p = affine_problem(np.eye(2), np.ones(2))
         s = frozen(0.1)
         B0 = initial_inverse(p, np.ones(2), 0.1)

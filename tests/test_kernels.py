@@ -63,9 +63,10 @@ def feigenbaum_points(n, count, seed):
 def test_feigenbaum_kernels_match_column_loop(n):
     nodes = gallery._chebyshev_nodes(n)
     for c in feigenbaum_points(n, 1000, seed=n):
-        assert np.array_equal(gallery._renorm_residual(c, nodes),
+        points = gallery._renorm_points(c, nodes)
+        assert np.array_equal(gallery._renorm_residual(c, nodes, points),
                               reference_renorm_residual(c, nodes)), c
-        assert np.array_equal(gallery._renorm_jacobian(c, nodes),
+        assert np.array_equal(gallery._renorm_jacobian(c, nodes, points),
                               reference_renorm_jacobian(c, nodes)), c
 
 

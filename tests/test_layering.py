@@ -2,7 +2,8 @@
 
 The benchmark under ``bench/`` reaches into the package by name; those
 names are checked here too, reading its sources without importing them,
-and so are the module names the two suites share one process with.
+and so are the module names the two suites share one process with. Every
+name the package exports has a caller outside the tests.
 """
 
 import ast
@@ -143,3 +144,64 @@ def test_no_test_module_shadows_a_benchmark_module():
     tests = {path.stem for path in Path(__file__).parent.glob("*.py")}
     bench = {path.stem for path in BENCH_DIR.rglob("*.py")}
     assert not tests & bench, f"tests/ and bench/ share module names: {sorted(tests & bench)}"
+
+
+def exported_names() -> set:
+    """The names ``gnflow/__init__.py`` imports from its modules."""
+    return {alias.asname or alias.name
+            for node in ast.parse((PACKAGE_DIR / "__init__.py").read_text()).body
+            if isinstance(node, ast.ImportFrom) for alias in node.names}
+
+
+def called_names(source: str) -> set:
+    """The names a source reads, bare (``f``) or from a package module
+    (``hilbert.f``, ``gnflow.f``), outside the definition of the same name:
+    a function that calls itself, or a class that names itself in its
+    methods, is not its own caller. Comments and docstrings are not read."""
+    found = set()
+    for top in ast.parse(source).body:
+        names = set()
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in LAYERS + ("gnflow",)):
+                names.add(node.attr)
+        if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.discard(top.name)
+        found |= names
+    return found
+
+
+def test_caller_reader_skips_own_definition_and_text():
+    source = (
+        "# shout() in a comment\n"
+        "def shout(n):\n"
+        "    \"\"\"whisper() in a docstring\"\"\"\n"
+        "    return shout(n - 1) if n else hilbert.op_norm\n"
+        "class Point:\n"
+        "    def moved(self):\n"
+        "        return Point()\n"
+        "def caller():\n"
+        "    return Point(), gnflow.certify, other.skipped\n"
+    )
+    assert called_names(source) == {"n", "hilbert", "op_norm", "Point", "gnflow", "certify",
+                                    "other"}
+
+
+def readme_command_line_words() -> set:
+    """The words of the shell lines in the README's Command line section,
+    comments stripped."""
+    section = (REPO_DIR / "README.md").read_text().split("\n## Command line\n")[1]
+    section = section.split("\n## ")[0]
+    code = "\n".join(re.findall(r"^```\w*\n(.*?)^```", section, re.M | re.S))
+    lines = (line.split("#")[0] for line in code.splitlines())
+    return set(re.findall(r"[A-Za-z_]\w*", "\n".join(lines)))
+
+
+def test_every_export_has_a_caller_outside_the_tests():
+    # test-only helpers belong under tests/, not in the package
+    sources = list(layered_modules().values()) + sorted(BENCH_DIR.rglob("*.py"))
+    called = set().union(*(called_names(path.read_text()) for path in sources))
+    uncalled = sorted(exported_names() - called - readme_command_line_words())
+    assert not uncalled, f"gnflow exports names with no caller outside tests/: {uncalled}"

@@ -15,15 +15,10 @@ import re
 
 import numpy as np
 import pytest
+from oracles import frozen
 
 from gnflow import gallery, hilbert, theory
-from gnflow.flow import (
-    SolverState,
-    coupled_rhs,
-    direct_rhs,
-    gauss_newton_operator,
-    scaled_identity_inverse,
-)
+from gnflow.flow import SolverState, coupled_rhs, direct_rhs, scaled_identity_inverse
 from gnflow.integrator import IntegratorConfig, integrate, step, step_count
 from gnflow.problem import (
     BallBounds,
@@ -35,7 +30,7 @@ from gnflow.problem import (
     rowwise,
 )
 from gnflow.run import ConfigError, RunConfig, _build_run, sweep
-from gnflow.schedule import PowerSchedule, frozen
+from gnflow.schedule import PowerSchedule
 
 BAD_VALUES = [0.0, -1.0, math.inf, math.nan]
 
@@ -82,38 +77,46 @@ def _linear_rhs(t, x, B):
     return -x, None
 
 
-#: (name, call taking the bad value, exception type)
+#: (name, call taking the bad value, exception type). The ids number the rows
+#: as first listed, so deleting a row renames no other row's tests; row 1
+#: went with ``flow.gauss_newton_operator`` and row 10 with ``schedule.frozen``.
 SITES = [
-    ("eps", lambda v: hilbert.solve_regularized(np.eye(2), v, np.ones(2)), ValueError),
-    ("eps", lambda v: gauss_newton_operator(PROBLEM, XHAT, v), ValueError),
-    ("eps0", lambda v: scaled_identity_inverse(PROBLEM, XHAT, v), ValueError),
-    ("step_h", lambda v: IntegratorConfig(step_h=v), ValueError),
-    ("h", lambda v: step(_linear_rhs, SolverState(t=0.0, x=np.ones(2)), 0.0, v, "rk4"),
-     ValueError),
-    ("R", _integrate_with_R, ValueError),
-    ("h", lambda v: fd_jacobian(PROBLEM, XHAT, h=v), ValueError),
-    ("radius", lambda v: estimate_bounds(PROBLEM, np.ones(2), v), ValueError),
-    ("c0", lambda v: PowerSchedule(c0=v, c1=1.0), ValueError),
-    ("c1", lambda v: PowerSchedule(c0=0.1, c1=v), ValueError),
-    ("eps0", frozen, ValueError),
-    ("N1", lambda v: theory.canonical_R(v, 1.0, 0.01, 0.01, 1.0, 0.01), ValueError),
-    ("N2", lambda v: theory.canonical_R(1.0, v, 0.01, 0.01, 1.0, 0.01), ValueError),
-    ("N1", lambda v: _certify(bounds=_bounds(N1=v)), ValueError),
-    ("N2", lambda v: _certify(bounds=_bounds(N2=v)), ValueError),
-    ("R", lambda v: _certify(R=v), ValueError),
-    ("b", lambda v: _certify(s=_Schedule(b=v)), ValueError),
-    ("eps0", lambda v: _certify(s=_Schedule(eps0=v)), ValueError),
-    ("T", lambda v: _gronwall(T=v), ValueError),
-    ("h", lambda v: _gronwall(h=v), ValueError),
-    ("ball_radius", lambda v: _build_run(RunConfig(problem="identity-8", ball_radius=v)),
-     ConfigError),
-    ("b", lambda v: theory.canonical_R(1.0, 1.0, v, 0.01, 1.0, 0.01), ValueError),
-    ("eps0", lambda v: theory.canonical_R(1.0, 1.0, 0.01, v, 1.0, 0.01), ValueError),
+    pytest.param("eps", lambda v: hilbert.solve_regularized(np.eye(2), v, np.ones(2)),
+                 ValueError, id="0-eps"),
+    pytest.param("eps0", lambda v: scaled_identity_inverse(PROBLEM, XHAT, v), ValueError,
+                 id="2-eps0"),
+    pytest.param("step_h", lambda v: IntegratorConfig(step_h=v), ValueError, id="3-step_h"),
+    pytest.param("h", lambda v: step(_linear_rhs, SolverState(t=0.0, x=np.ones(2)), 0.0, v,
+                                     "rk4"), ValueError, id="4-h"),
+    pytest.param("R", _integrate_with_R, ValueError, id="5-R"),
+    pytest.param("h", lambda v: fd_jacobian(PROBLEM, XHAT, h=v), ValueError, id="6-h"),
+    pytest.param("radius", lambda v: estimate_bounds(PROBLEM, np.ones(2), v), ValueError,
+                 id="7-radius"),
+    pytest.param("c0", lambda v: PowerSchedule(c0=v, c1=1.0), ValueError, id="8-c0"),
+    pytest.param("c1", lambda v: PowerSchedule(c0=0.1, c1=v), ValueError, id="9-c1"),
+    pytest.param("N1", lambda v: theory.canonical_R(v, 1.0, 0.01, 0.01, 1.0, 0.01), ValueError,
+                 id="11-N1"),
+    pytest.param("N2", lambda v: theory.canonical_R(1.0, v, 0.01, 0.01, 1.0, 0.01), ValueError,
+                 id="12-N2"),
+    pytest.param("N1", lambda v: _certify(bounds=_bounds(N1=v)), ValueError, id="13-N1"),
+    pytest.param("N2", lambda v: _certify(bounds=_bounds(N2=v)), ValueError, id="14-N2"),
+    pytest.param("R", lambda v: _certify(R=v), ValueError, id="15-R"),
+    pytest.param("b", lambda v: _certify(s=_Schedule(b=v)), ValueError, id="16-b"),
+    pytest.param("eps0", lambda v: _certify(s=_Schedule(eps0=v)), ValueError, id="17-eps0"),
+    pytest.param("T", lambda v: _gronwall(T=v), ValueError, id="18-T"),
+    pytest.param("h", lambda v: _gronwall(h=v), ValueError, id="19-h"),
+    pytest.param("ball_radius",
+                 lambda v: _build_run(RunConfig(problem="identity-8", ball_radius=v)),
+                 ConfigError, id="20-ball_radius"),
+    pytest.param("b", lambda v: theory.canonical_R(1.0, 1.0, v, 0.01, 1.0, 0.01), ValueError,
+                 id="21-b"),
+    pytest.param("eps0", lambda v: theory.canonical_R(1.0, 1.0, 0.01, v, 1.0, 0.01), ValueError,
+                 id="22-eps0"),
 ]
 
 
 @pytest.mark.parametrize("value", BAD_VALUES, ids=repr)
-@pytest.mark.parametrize("name, call, exc", SITES, ids=[f"{i}-{s[0]}" for i, s in enumerate(SITES)])
+@pytest.mark.parametrize("name, call, exc", SITES)
 def test_site_rejects_bad_value(name, call, exc, value):
     with pytest.raises(exc, match=f"^{name} must be positive and finite"):
         call(value)
@@ -156,7 +159,6 @@ def test_count_site_rejects_below_one(name, call, value):
 NONNEGATIVE_SITES = [
     ("t", lambda v: SolverState(t=v, x=np.ones(2)), ValueError),
     ("t", SCHEDULE.eps, ValueError),
-    ("t", frozen(0.1).eps, ValueError),
     ("t", lambda v: theory.riccati_envelope_check([(v, 0.5)], lambda t: 1.0), ValueError),
     ("v(0.5)", lambda v: theory.riccati_envelope_check([(0.5, v)], lambda t: 1.0), ValueError),
     ("B0_norm", lambda v: theory.canonical_R(1.0, 1.0, 0.01, 0.01, v, 0.01), ValueError),
@@ -164,7 +166,7 @@ NONNEGATIVE_SITES = [
     ("noise", lambda v: gallery.get_entry("identity-8", noise=v), ValueError),
     ("noise", lambda v: sweep(RunConfig(problem="identity-8"), "noise", [0.0, v]), ConfigError),
 ]
-NONNEGATIVE_IDS = ["SolverState", "PowerSchedule", "frozen", "riccati-t", "riccati-v",
+NONNEGATIVE_IDS = ["SolverState", "PowerSchedule", "riccati-t", "riccati-v",
                    "canonical_R-B0_norm", "canonical_R-Lambda0_norm", "get_entry", "sweep"]
 
 
@@ -196,6 +198,8 @@ def _stacked_eye(x):
 #: returns): every array a caller's function returns goes through one rule
 RETURNED_SITES = [
     ("F", lambda spoil: eval_F(NonlinearProblem(dim=2, f=lambda x: spoil(x)), XHAT)),
+    ("F", lambda spoil: NonlinearProblem(dim=2, f=lambda x: spoil(x - XHAT),
+                                         known_solution=XHAT)),
     ("jacobian", lambda spoil: jacobian(
         NonlinearProblem(dim=2, f=lambda x: x, jac=lambda x: spoil(np.eye(2))), XHAT)),
     ("F", lambda spoil: fd_jacobian(NonlinearProblem(dim=2, f=rowwise(lambda x: spoil(x))),
@@ -214,7 +218,7 @@ RETURNED_SITES = [
         lambda t: np.eye(2), lambda t: spoil(np.zeros((2, 2))), np.eye(2),
         gamma=lambda t: 1.0, T=0.2, h=0.1)),
 ]
-RETURNED_IDS = ["eval_F", "jacobian", "fd_jacobian-rowwise", "fd_jacobian",
+RETURNED_IDS = ["eval_F", "known_solution", "jacobian", "fd_jacobian-rowwise", "fd_jacobian",
                 "estimate_bounds-rowwise", "estimate_bounds", "gronwall-A", "gronwall-G"]
 
 

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from oracles import frozen
 
-from gnflow.schedule import PowerSchedule, default_schedule, frozen
+from gnflow.schedule import PowerSchedule, default_schedule
 
 
 def eps_dot(s, t):

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from oracles import (
     affine_problem,
     compliant,
+    frozen,
     gronwall_reference,
     identity_problem,
     lemma_battery_path,
@@ -22,7 +23,7 @@ from gnflow.flow import SolverState, initial_inverse, mismatch_operator
 from gnflow.hilbert import op_norm
 from gnflow.integrator import IntegratorConfig, integrate
 from gnflow.problem import BallBounds, estimate_bounds
-from gnflow.schedule import PowerSchedule, frozen
+from gnflow.schedule import PowerSchedule
 
 
 def hand_bounds(xhat, N1, N2):
@@ -202,6 +203,30 @@ class TestCertify:
         cert, _ = theory.certify_with_canonical_R(
             entry.problem, entry.xhat, entry.default_x0, sched, B0)
         assert cert.overall is True
+
+    @pytest.mark.parametrize("ball", ["off-centre", "too-small", "short-centre"])
+    def test_bounds_must_cover_the_certified_ball(self, ball):
+        # N1 and N2 hold only on the ball they were sampled on, which must
+        # hold U(xhat, R*eps0); the ball of exactly that radius passes
+        entry, sched, B0, R = compliant("compliant-affine-8")
+        args = (entry.problem, entry.xhat, entry.default_x0, sched, B0)
+        cert, bounds = theory.certify_with_canonical_R(*args)
+        reach = cert.R * cert.eps0
+        exact = dataclasses.replace(bounds, radius=reach)
+        assert theory.certify(*args, exact, cert.R).overall is True
+        shift = np.zeros(entry.problem.dim)
+        shift[0] = bounds.radius
+        bad, message = {
+            "off-centre": (dataclasses.replace(bounds, center=entry.xhat + shift),
+                           "^bounds do not cover the certified ball"),
+            "too-small": (dataclasses.replace(bounds, radius=0.5 * reach),
+                          "^bounds do not cover the certified ball"),
+            # one entry would broadcast against xhat as a point on the diagonal
+            "short-centre": (dataclasses.replace(bounds, center=entry.xhat[:1].copy()),
+                             "^vector has length 1, expected 8$"),
+        }[ball]
+        with pytest.raises(ValueError, match=message):
+            theory.certify(*args, bad, cert.R)
 
     def test_certificate_k_formula_invariant(self):
         entry, sched, B0, R = compliant("compliant-affine-4")
