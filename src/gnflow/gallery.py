@@ -207,33 +207,55 @@ def _chebyshev_nodes(n: int) -> np.ndarray:
     return 0.5 * (1.0 + np.cos((2 * k - 1) * np.pi / (2 * n)))
 
 
-def _poly_eval(coeffs: np.ndarray, s):
-    """g(s) = 1 + sum_j coeffs[j] * s^(2(j+1)) for even trial functions."""
-    z = np.asarray(s) ** 2
-    acc = 0.0
-    for c in coeffs[::-1].tolist():
-        acc = z * (acc + c)
-    return 1.0 + acc
+def _poly_eval(coeffs: np.ndarray, s) -> np.ndarray:
+    """g(s) = 1 + sum_j coeffs[j] * s^(2(j+1)) for even trial functions.
 
-
-def _poly_deriv(coeffs: np.ndarray, s):
-    """g'(s) = sum_j 2(j+1) coeffs[j] s^(2(j+1)-1)."""
+    Horner in z = s*s, one point at a time on Python floats, returned as a
+    float64 array of the shape of ``s``. Each step is the correctly rounded
+    multiply and add that the same loop over numpy arrays makes (``s ** 2``
+    is ``s * s``), so the bits are those of the array form; at these sizes
+    (6 to 18 points) the per-call cost of a ufunc exceeds its arithmetic.
+    Python floats overflow to inf and produce NaN without a warning.
+    """
     s = np.asarray(s, dtype=float)
-    z = s**2
-    cs = coeffs.tolist()
-    acc = 0.0
-    for j in range(len(cs) - 1, -1, -1):
-        acc = z * acc + 2.0 * (j + 1) * cs[j]
-    return s * acc
+    cs = coeffs[::-1].tolist()
+    values = []
+    for x in s.ravel().tolist():
+        z = x * x
+        acc = 0.0
+        for c in cs:
+            acc = z * (acc + c)
+        values.append(1.0 + acc)
+    return np.array(values).reshape(s.shape)
+
+
+def _poly_deriv(coeffs: np.ndarray, s) -> np.ndarray:
+    """g'(s) = sum_j 2(j+1) coeffs[j] s^(2(j+1)-1).
+
+    Horner in z = s*s on Python floats, as :func:`_poly_eval` and with the
+    same bits as the array form: ``acc = z*acc + 2(j+1)*coeffs[j]`` from
+    the highest j down, then ``s * acc``.
+    """
+    s = np.asarray(s, dtype=float)
+    weights = [2.0 * (j + 1) * c for j, c in enumerate(coeffs.tolist())][::-1]
+    values = []
+    for x in s.ravel().tolist():
+        z = x * x
+        acc = 0.0
+        for w in weights:
+            acc = z * acc + w
+        values.append(x * acc)
+    return np.array(values).reshape(s.shape)
 
 
 def _renorm_points(c: np.ndarray, nodes: np.ndarray):
     """lam = -g(1), g at the nodes, v = lam * nodes and u = g(v).
 
-    g is evaluated once, on the stacked points [nodes, v].
+    g is evaluated once, on the stacked points [nodes, v]. The sum of c is
+    ``np.add.reduce``, the reduction ``np.sum`` runs, without its wrapper.
     """
     n = len(nodes)
-    lam = -(1.0 + np.sum(c))
+    lam = -(1.0 + np.add.reduce(c))
     v = lam * nodes
     g = _poly_eval(c, np.concatenate((nodes, v)))
     return lam, g[:n], v, g[n:]
@@ -248,24 +270,41 @@ def _renorm_residual(c: np.ndarray, nodes: np.ndarray, points) -> np.ndarray:
     return lam * g_s + _poly_eval(c, u)
 
 
-def _renorm_jacobian(c: np.ndarray, nodes: np.ndarray, points) -> np.ndarray:
+def _node_powers(nodes: np.ndarray) -> np.ndarray:
+    """The read-only n x n matrix whose row j is ``nodes ** (2(j+1))``."""
+    P = np.array([nodes ** p for p in range(2, 2 * len(nodes) + 1, 2)])
+    P.setflags(write=False)
+    return P
+
+
+def _renorm_jacobian(c: np.ndarray, nodes: np.ndarray, node_powers: np.ndarray,
+                     points) -> np.ndarray:
     """Derivative of :func:`_renorm_residual` in c, a C-contiguous n x n matrix.
 
     Column j, for the power p = 2(j+1), is
     -g(s) + lam*s^p + u^p + g'(u) (v^p - g'(v) s). All columns are built
-    at once from the rows S ** p of the stack S = [nodes, u, v]. The
-    exponent p must stay a scalar: numpy's SIMD ``power`` with an array
-    of exponents (``S[:, None] ** P``) does not always round as
-    ``S ** p`` does, and the Jacobian would lose its bits. ``points`` is
-    ``_renorm_points(c, nodes)``.
+    at once: ``node_powers`` (:func:`_node_powers`) holds the powers of
+    the fixed nodes, and row j of one (n, 2n) buffer receives
+    ``[u, v] ** p``, written by ``np.square`` and ``np.power(S, p,
+    out=row)``, the calls ``S ** p`` makes. The exponent p must stay a
+    scalar: numpy's SIMD ``power`` with an array of exponents
+    (``S[:, None] ** P``) does not always round as ``S ** p`` does, and
+    libm's ``pow`` (Python ``**``, ``math.pow``) differs from numpy's in
+    the last bit on a few percent of inputs, so the Jacobian would lose
+    its bits either way. A point's power does not depend on the length of
+    the array it sits in, which lets the node powers be built apart.
+    ``points`` is ``_renorm_points(c, nodes)``.
     """
     n = len(c)
     lam, g_s, v, u = points
-    gp = _poly_deriv(c, np.concatenate((v, u)))
-    gp_v, gp_u = gp[:n], gp[n:]
-    S = np.concatenate((nodes, u, v))
-    P = np.array([S ** p for p in range(2, 2 * n + 1, 2)])  # row j: S ** (2(j+1))
-    JT = -g_s + lam * P[:, :n] + P[:, n:2 * n] + gp_u * (P[:, 2 * n:] - gp_v * nodes)
+    S = np.concatenate((u, v))
+    gp = _poly_deriv(c, S)
+    gp_u, gp_v = gp[:n], gp[n:]
+    W = np.empty((n, 2 * n))  # row j: S ** (2(j+1))
+    np.square(S, out=W[0])
+    for j in range(1, n):
+        np.power(S, 2 * (j + 1), out=W[j])
+    JT = -g_s + lam * node_powers + W[:, :n] + gp_u * (W[:, n:] - gp_v * nodes)
     return np.ascontiguousarray(JT.T)
 
 
@@ -300,6 +339,13 @@ def make_feigenbaum_like(n: int) -> GalleryEntry:
     another c's points. The key is the bits of c, and the cached arrays
     are read-only; F and F' return fresh arrays. The cache rests on F and
     F' being pure functions of c: the same bits give the same points.
+
+    The powers of the nodes in every Jacobian column are built once per
+    problem (:func:`_node_powers`) and kept read-only; each F' call
+    computes only the powers of u and v. Powers stay numpy calls with a
+    scalar exponent, whose bits differ from libm's ``pow`` and from an
+    array exponent's (see :func:`_renorm_jacobian`). g and g' run Horner
+    on Python floats with the bits of the array form (:func:`_poly_eval`).
     """
     n = hilbert.count("n", n)
     if n not in _FEIGENBAUM_SIZES:
@@ -308,6 +354,7 @@ def make_feigenbaum_like(n: int) -> GalleryEntry:
         )
     xhat = _load_reference(f"feigenbaum_n{n}.txt")
     nodes = _chebyshev_nodes(n)
+    node_powers = _node_powers(nodes)
     slot = (None, None)  # (c.tobytes(), the points of that c)
 
     def points(c):
@@ -327,7 +374,7 @@ def make_feigenbaum_like(n: int) -> GalleryEntry:
 
     def jac(c):
         c = np.asarray(c, dtype=float)
-        return _renorm_jacobian(c, nodes, points(c))
+        return _renorm_jacobian(c, nodes, node_powers, points(c))
 
     problem = NonlinearProblem(
         dim=n,

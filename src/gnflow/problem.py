@@ -7,6 +7,7 @@ error monitors and the convergence certificate.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -133,12 +134,27 @@ def _on_rows(name: str, fn, points: np.ndarray, shape: tuple, at) -> np.ndarray:
     return hilbert.returned(name, [fn(point) for point in points], shape, at=at)
 
 
+@functools.lru_cache(maxsize=8)
+def _fd_stencil(n: int, h: float) -> np.ndarray:
+    """The 2n x n steps [h*I; -(h*I)] of :func:`fd_jacobian`, built once per
+    (n, h) and shared read-only, as :func:`hilbert.identity` is.
+
+    ``x + (-d)`` equals ``x - d`` in IEEE arithmetic, signed zeros included,
+    so the points keep the bits of ``x + h*I`` and ``x - h*I``. The cache
+    holds few entries, since ``h`` is a caller's float.
+    """
+    steps = h * hilbert.identity(n)
+    stencil = np.concatenate((steps, -steps))
+    stencil.setflags(write=False)
+    return stencil
+
+
 def fd_jacobian(p: NonlinearProblem, x, h: float = FD_DEFAULT_STEP) -> np.ndarray:
     """Central-difference Jacobian, a C-contiguous n x n matrix.
 
     Column j is (F(x + h e_j) - F(x - h e_j)) / (2h); exact for affine F.
-    The 2n points are the rows of x + h*I and x - h*I, equal bit for bit
-    to x + h e_j and x - h e_j, and F is evaluated on them by
+    The 2n points are the rows of x + :func:`_fd_stencil`, equal bit for
+    bit to x + h e_j and x - h e_j, and F is evaluated on them by
     :func:`_on_rows`. The finished matrix goes through
     :func:`hilbert.returned` too, since the difference of two finite
     values can overflow.
@@ -151,8 +167,7 @@ def fd_jacobian(p: NonlinearProblem, x, h: float = FD_DEFAULT_STEP) -> np.ndarra
     hilbert.positive("h", h)
     x = hilbert.as_vector(x, dim=p.dim)
     n = p.dim
-    steps = h * hilbert.identity(n)
-    points = np.concatenate((x + steps, x - steps))
+    points = x + _fd_stencil(n, float(h))  # a 0-d array h is a scalar, but unhashable
     # point i is x + h e_i for i < n and x - h e_(i-n) after
     Y = _on_rows("F", p.f, points, (n,), at=lambda i: f"x {'+-'[i // n]} h*e_{i % n}")
     J = np.ascontiguousarray(((Y[:n] - Y[n:]) / (2.0 * h)).T)

@@ -5,8 +5,10 @@ Every fast path of the package is held to one oracle below: the
 column-by-column derivative kernels, the per-sample ball bounds, the
 scipy Cholesky solve, the step-by-step integration and the per-step
 Gronwall norms. A comparison against an oracle is exact
-(``np.array_equal`` or ``==``): each oracle does the same arithmetic as
-its fast path, in the plainest order.
+(``np.array_equal`` or ``==``, and for the derivative kernels and the
+finite-difference points a comparison of the bits, which tells -0.0 from
+0.0): each oracle does the same arithmetic as its fast path, in the
+plainest order.
 
 The module is not named ``reference``: ``bench/run.py`` imports its own
 ``reference`` module, and one pytest process runs both suites.
@@ -92,6 +94,17 @@ def reference_fd_jacobian(p, x, h=FD_DEFAULT_STEP):
         J[:, j] = (np.asarray(p.f(x + step), dtype=float)
                    - np.asarray(p.f(x - step), dtype=float)) / (2.0 * h)
     return J
+
+
+def reference_fd_points(x, h):
+    """The 2n points of central differences, one unit step at a time:
+    x + h e_j for each j, then x - h e_j for each j."""
+    steps = []
+    for j in range(len(x)):
+        step = np.zeros(len(x))
+        step[j] = h
+        steps.append(step)
+    return np.array([x + step for step in steps] + [x - step for step in steps])
 
 
 def reference_bounds(p, center, radius, samples, seed):
@@ -374,6 +387,26 @@ def near(draw, center):
     """center + s u, with s from 1e-3 to 1 and u uniform in [-1, 1]^n."""
     unit = np.random.default_rng(draw(seeds)).uniform(-1.0, 1.0, center.shape)
     return center + draw(log_uniform(-3.0, 0.0)) * unit
+
+
+#: Floats for the derivative kernels: moderate ones, and now and then any
+#: finite float, whose square or power may overflow to inf (and an inf
+#: times a zero, or inf - inf, is NaN).
+kernel_floats = st.floats(-2.0, 2.0) | st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def renorm_inputs(draw):
+    """(c, nodes) of the renormalization collocation with n in 4, 6, 8: c around
+    the stored solution at a scale from 1e-4 to 1e2 (from about 10 on, the
+    powers of u overflow), or drawn from ``kernel_floats``."""
+    n = draw(st.sampled_from(gallery._FEIGENBAUM_SIZES))
+    if draw(st.booleans()):
+        unit = draw(arrays(np.float64, n, elements=st.floats(-1.0, 1.0)))
+        c = gallery.make_feigenbaum_like(n).xhat + draw(log_uniform(-4.0, 2.0)) * unit
+    else:
+        c = draw(arrays(np.float64, n, elements=kernel_floats))
+    return c, gallery._chebyshev_nodes(n)
 
 
 @st.composite

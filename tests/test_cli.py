@@ -363,31 +363,55 @@ class TestUsageErrors:
 
 class TestBadValues:
     @pytest.mark.parametrize("flags, config, message", [
-        (["--step-h", "0"], None, "step_h must be positive"),
-        (["--record-every", "0"], None, "record_every must be >= 1"),
-        (["--step-h", "0.5", "--horizon-T", "0.1"], None, "horizon_T must be at least one step"),
-        ([], "integrator.method = foo\n", "unknown method 'foo'"),
-        ([], "problem = identity-8\nseed = abc\n", "run.cfg:2: bad value for 'seed'"),
-        (["--config", "missing.cfg"], None, "cannot read missing.cfg"),
-        (["--x0-scale", "nan"], None, "x0_scale must be finite"),
-        (["--horizon-T", "nan"], None, "horizon_T must be finite"),
-        (["--horizon-T", "inf"], None, "horizon_T must be finite"),
-        (["--step-h", "inf"], None, "step_h must be positive and finite"),
-        (["--schedule-c0", "inf"], None, "c0 must be positive and finite"),
-        (["--schedule-c1", "inf"], None, "c1 must be positive and finite"),
-        (["--noise", "-0.1"], None, "noise must be nonnegative and finite"),
-        (["--problem", "autoconv-16", "--noise", "-0.1"], None,
-         "noise must be nonnegative and finite"),
-        (["--problem", "compliant-affine-8", "--noise", "-0.1"], None,
-         "noise must be nonnegative and finite"),
-        (["--problem", "compliant-affine-8", "--noise", "nan"], None,
-         "noise must be nonnegative and finite"),
-        (["--problem", "autoconv-16", "--noise", "inf"], None,
-         "noise must be nonnegative and finite"),
-        (["--ball-radius", "inf"], None, "error: ball_radius must be positive and finite"),
-        (["--ball-radius", "nan"], None, "error: ball_radius must be positive and finite"),
-        (["--horizon-T", "1e300", "--step-h", "1e-10"], None,
-         "horizon_T must hold a finite number of steps"),
+        pytest.param(["--step-h", "0"], None, "step_h must be positive",
+                     id="flags0-None-step_h must be positive"),
+        pytest.param(["--record-every", "0"], None, "record_every must be >= 1",
+                     id="flags1-None-record_every must be >= 1"),
+        pytest.param(["--step-h", "0.5", "--horizon-T", "0.1"], None,
+                     "horizon_T must be at least one step",
+                     id="flags2-None-horizon_T must be at least one step"),
+        pytest.param([], "integrator.method = foo\n", "unknown method 'foo'",
+                     id="flags3-integrator.method = foo\n-unknown method 'foo'"),
+        pytest.param([], "problem = identity-8\nseed = abc\n", "run.cfg:2: bad value for 'seed'",
+                     id="flags4-problem = identity-8\nseed = abc\n"
+                        "-run.cfg:2: bad value for 'seed'"),
+        pytest.param(["--config", "missing.cfg"], None, "cannot read missing.cfg",
+                     id="flags5-None-cannot read missing.cfg"),
+        pytest.param(["--x0-scale", "nan"], None, "x0_scale must be finite",
+                     id="flags6-None-x0_scale must be finite"),
+        pytest.param(["--horizon-T", "nan"], None, "horizon_T must be finite",
+                     id="flags7-None-horizon_T must be finite"),
+        pytest.param(["--horizon-T", "inf"], None, "horizon_T must be finite",
+                     id="flags8-None-horizon_T must be finite"),
+        pytest.param(["--step-h", "inf"], None, "step_h must be positive and finite",
+                     id="flags9-None-step_h must be positive and finite"),
+        pytest.param(["--schedule-c0", "inf"], None, "c0 must be positive and finite",
+                     id="flags10-None-c0 must be positive and finite"),
+        pytest.param(["--schedule-c1", "inf"], None, "c1 must be positive and finite",
+                     id="flags11-None-c1 must be positive and finite"),
+        pytest.param(["--noise", "-0.1"], None, "noise must be nonnegative and finite",
+                     id="flags12-None-noise must be nonnegative and finite"),
+        pytest.param(["--problem", "autoconv-16", "--noise", "-0.1"], None,
+                     "noise must be nonnegative and finite",
+                     id="flags13-None-noise must be nonnegative and finite"),
+        pytest.param(["--problem", "compliant-affine-8", "--noise", "-0.1"], None,
+                     "noise must be nonnegative and finite",
+                     id="flags14-None-noise must be nonnegative and finite"),
+        pytest.param(["--problem", "compliant-affine-8", "--noise", "nan"], None,
+                     "noise must be nonnegative and finite",
+                     id="flags15-None-noise must be nonnegative and finite"),
+        pytest.param(["--problem", "autoconv-16", "--noise", "inf"], None,
+                     "noise must be nonnegative and finite",
+                     id="flags16-None-noise must be nonnegative and finite"),
+        pytest.param(["--ball-radius", "inf"], None,
+                     "error: ball_radius must be positive and finite",
+                     id="flags17-None-error: ball_radius must be positive and finite"),
+        pytest.param(["--ball-radius", "nan"], None,
+                     "error: ball_radius must be positive and finite",
+                     id="flags18-None-error: ball_radius must be positive and finite"),
+        pytest.param(["--horizon-T", "1e300", "--step-h", "1e-10"], None,
+                     "horizon_T must hold a finite number of steps",
+                     id="flags19-None-horizon_T must hold a finite number of steps"),
     ])
     def test_reported_as_config_error(self, tmp_path, capsys, flags, config, message):
         if config is not None:

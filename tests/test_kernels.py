@@ -7,7 +7,12 @@ column per coefficient for the renormalization collocation,
 ``scipy.linalg.toeplitz`` for the autoconvolution Jacobian, one pair of F
 evaluations per column for central differences, and one Jacobian and one
 norm per sample for the ball bounds. Every trajectory of the direct flow
-rests on these values, so the comparisons are exact (``np.array_equal``).
+rests on these values, so the comparisons are exact. The derivative
+kernels and the finite-difference points are compared through their bits
+(``assert_same_bits``), which tells -0.0 from 0.0, over drawn inputs that
+include overflowing powers: NaN must appear where the oracle has NaN, and
+every other entry, inf included, must have the oracle's bits. The
+polynomial kernels run on Python floats and emit no numpy warning.
 
 The renormalization problem's own F and F' share one cache of the points
 both start from, so they are held to the same references in interleaved
@@ -22,13 +27,16 @@ unmarked one and finite differences.
 """
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 from oracles import (
     FAMILIES,
+    kernel_floats,
     log_uniform,
     near,
     point_stacks,
@@ -36,10 +44,12 @@ from oracles import (
     reference_autoconv_jacobian,
     reference_bounds,
     reference_fd_jacobian,
+    reference_fd_points,
     reference_poly_deriv,
     reference_poly_eval,
     reference_renorm_jacobian,
     reference_renorm_residual,
+    renorm_inputs,
     seeds,
     unmarked,
     without_jacobian,
@@ -47,8 +57,27 @@ from oracles import (
 
 from gnflow import gallery
 from gnflow.flow import direct_rhs
-from gnflow.problem import FD_DEFAULT_STEP, estimate_bounds, fd_jacobian, jacobian
+from gnflow.problem import (
+    FD_DEFAULT_STEP,
+    NonlinearProblem,
+    estimate_bounds,
+    fd_jacobian,
+    jacobian,
+    rowwise,
+)
 from gnflow.schedule import PowerSchedule
+
+
+def assert_same_bits(got, want):
+    """Equal shape, float64 and NaN at the same places; every other entry
+    (inf included) with the same bits, so -0.0 differs from 0.0. A NaN's
+    payload is not compared."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert got.dtype == want.dtype == np.float64
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got.view(np.uint64)[~nan], want.view(np.uint64)[~nan])
 
 
 def feigenbaum_points(n, count, seed):
@@ -62,12 +91,26 @@ def feigenbaum_points(n, count, seed):
 @pytest.mark.parametrize("n", [4, 6, 8])
 def test_feigenbaum_kernels_match_column_loop(n):
     nodes = gallery._chebyshev_nodes(n)
+    node_powers = gallery._node_powers(nodes)
     for c in feigenbaum_points(n, 1000, seed=n):
         points = gallery._renorm_points(c, nodes)
-        assert np.array_equal(gallery._renorm_residual(c, nodes, points),
-                              reference_renorm_residual(c, nodes)), c
-        assert np.array_equal(gallery._renorm_jacobian(c, nodes, points),
-                              reference_renorm_jacobian(c, nodes)), c
+        assert_same_bits(gallery._renorm_residual(c, nodes, points),
+                         reference_renorm_residual(c, nodes))
+        assert_same_bits(gallery._renorm_jacobian(c, nodes, node_powers, points),
+                         reference_renorm_jacobian(c, nodes))
+
+
+@settings(max_examples=300)
+@given(inputs=renorm_inputs())
+def test_renorm_kernels_keep_the_bits_of_the_column_loop(inputs):
+    # with overflowing powers too, under the errstate the integrator sets
+    c, nodes = inputs
+    with np.errstate(all="ignore"):
+        points = gallery._renorm_points(c, nodes)
+        assert_same_bits(gallery._renorm_residual(c, nodes, points),
+                         reference_renorm_residual(c, nodes))
+        assert_same_bits(gallery._renorm_jacobian(c, nodes, gallery._node_powers(nodes), points),
+                         reference_renorm_jacobian(c, nodes))
 
 
 @pytest.mark.parametrize("n", [4, 6, 8])
@@ -80,9 +123,9 @@ def test_feigenbaum_problem_matches_column_loop_in_any_order(n):
     for c1, c2 in zip(cs[::2], cs[1::2]):
         for which, c in (("J", c1), ("F", c2), ("F", c1), ("J", c2), ("J", c2), ("F", c2)):
             if which == "F":
-                assert np.array_equal(p.f(c), reference_renorm_residual(c, nodes)), c
+                assert_same_bits(p.f(c), reference_renorm_residual(c, nodes))
             else:
-                assert np.array_equal(p.jac(c), reference_renorm_jacobian(c, nodes)), c
+                assert_same_bits(p.jac(c), reference_renorm_jacobian(c, nodes))
 
 
 def test_feigenbaum_problem_returns_fresh_arrays():
@@ -92,12 +135,12 @@ def test_feigenbaum_problem_returns_fresh_arrays():
     F, J = p.f(c), p.jac(c)
     F[:] = np.nan
     J[:] = np.nan
-    assert np.array_equal(p.f(c), reference_renorm_residual(c, nodes))
-    assert np.array_equal(p.jac(c), reference_renorm_jacobian(c, nodes))
+    assert_same_bits(p.f(c), reference_renorm_residual(c, nodes))
+    assert_same_bits(p.jac(c), reference_renorm_jacobian(c, nodes))
     # the cache is keyed by the bits of c, not by the array it came in
     c[0] += 0.01
-    assert np.array_equal(p.jac(c), reference_renorm_jacobian(c, nodes))
-    assert np.array_equal(p.f(c), reference_renorm_residual(c, nodes))
+    assert_same_bits(p.jac(c), reference_renorm_jacobian(c, nodes))
+    assert_same_bits(p.f(c), reference_renorm_residual(c, nodes))
 
 
 def test_direct_stage_computes_feigenbaum_points_once(record_calls):
@@ -114,8 +157,24 @@ def test_feigenbaum_polynomials_match_array_horner(n):
     rng = np.random.default_rng(100 + n)
     for c in feigenbaum_points(n, 50, seed=200 + n):
         s = rng.uniform(-1.5, 1.5, size=2 * n)
-        assert np.array_equal(gallery._poly_eval(c, s), reference_poly_eval(c, s))
-        assert np.array_equal(gallery._poly_deriv(c, s), reference_poly_deriv(c, s))
+        assert_same_bits(gallery._poly_eval(c, s), reference_poly_eval(c, s))
+        assert_same_bits(gallery._poly_deriv(c, s), reference_poly_deriv(c, s))
+
+
+@settings(max_examples=300)
+@given(coeffs=arrays(np.float64, st.integers(1, 8), elements=kernel_floats),
+       s=arrays(np.float64, array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=18),
+                elements=kernel_floats))
+def test_poly_kernels_keep_the_bits_of_array_horner(coeffs, s):
+    # the array oracle may warn of overflow; the Python-float kernels may not
+    for kernel, oracle in ((gallery._poly_eval, reference_poly_eval),
+                           (gallery._poly_deriv, reference_poly_deriv)):
+        with warnings.catch_warnings(), np.errstate(all="warn"):
+            warnings.simplefilter("error")
+            got = kernel(coeffs, s)
+        with np.errstate(all="ignore"):
+            want = oracle(coeffs, s)
+        assert_same_bits(got, want)
 
 
 @pytest.mark.parametrize("n", [2, 6, 16])
@@ -157,7 +216,27 @@ def test_fd_jacobian_matches_column_loop(case, data):
     p = without_jacobian(data.draw(FD_CASES[case]))
     x = data.draw(near(p.known_solution))
     h = data.draw(st.sampled_from([FD_DEFAULT_STEP, 1e-3, 0.1]) | log_uniform(-8.0, -1.0))
-    assert np.array_equal(fd_jacobian(p, x, h=h), reference_fd_jacobian(p, x, h=h))
+    assert_same_bits(fd_jacobian(p, x, h=h), reference_fd_jacobian(p, x, h=h))
+
+
+@settings(max_examples=200)
+@given(x=arrays(np.float64, st.integers(1, 16),
+                elements=st.sampled_from([0.0, -0.0]) | kernel_floats),
+       h=st.sampled_from([FD_DEFAULT_STEP, 1e-3, 0.1]) | log_uniform(-8.0, 2.0),
+       h_type=st.sampled_from([float, np.float64, np.array]))
+def test_fd_points_keep_the_bits_of_unit_steps(x, h, h_type):
+    # the points F sees are x + h e_j and x - h e_j, signed zeros included,
+    # whatever real scalar type h comes in
+    seen = []
+
+    @rowwise
+    def f(points):
+        seen.append(points.copy())
+        return np.zeros_like(points)
+
+    fd_jacobian(NonlinearProblem(dim=x.size, f=f), x, h=h_type(h))
+    assert len(seen) == 1
+    assert_same_bits(seen[0], reference_fd_points(x, h))
 
 
 @pytest.mark.parametrize("label", gallery.available_labels())

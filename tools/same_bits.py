@@ -1,0 +1,94 @@
+"""Print one ``name sha256`` line per output that a speed-only change must keep.
+
+A change that claims "bit-identical" runs this script in a checkout of the
+parent and in one of the change, on the same host and BLAS kernel, and
+compares the two outputs with ``diff``:
+
+    python3 tools/same_bits.py > change.txt
+    python3 tools/same_bits.py /path/to/parent > parent.txt
+    diff parent.txt change.txt
+
+The optional argument is the root of the checkout to fingerprint (default:
+the one this script lives in), so a commit older than the script can be
+fingerprinted with this copy. The lines cover
+
+- the job digests of every benchmark workload at seeds 1 and 9001, each
+  through the workload's own ``Job.digest`` (``bench/workloads.py``);
+- the stdout and exit code of ``gnflow verify --suite lemmas|certificate|order``;
+- the ``gnflow run`` summary, without its ``config.out.*`` lines, and the
+  trajectory CSV, for every gallery label under both methods.
+
+Each ``gnflow`` command runs in a fresh interpreter, in an empty temporary
+directory, with the checkout's ``src`` first on the import path.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import itertools
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+SEEDS = (1, 9001)
+SUITES = ("lemmas", "certificate", "order")
+METHODS = ("direct", "coupled")
+_CLI = "import sys; from gnflow.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def job_digests():
+    """(name, sha256) of every job's digest, per workload and seed."""
+    from workloads import WORKLOADS
+
+    for workload in WORKLOADS.values():
+        for seed in SEEDS:
+            for job in workload.setup(workload.inputs(seed)):
+                yield f"job/{workload.name}/seed{seed}/{job.name}", sha256(job.digest(job.run()))
+
+
+def gnflow(root: Path, cwd: str, *argv: str) -> tuple:
+    """Exit code and stdout of one ``gnflow`` command."""
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    done = subprocess.run([sys.executable, "-c", _CLI, *argv], cwd=cwd, env=env,
+                          stdout=subprocess.PIPE, check=False)
+    return done.returncode, done.stdout
+
+
+def cli_outputs(root: Path, labels: list):
+    """(name, sha256) of the verify batteries and of every gallery run."""
+    with tempfile.TemporaryDirectory() as tmp:
+        for suite in SUITES:
+            code, out = gnflow(root, tmp, "verify", "--suite", suite)
+            yield f"verify/{suite}", sha256(b"exit %d\n" % code + out)
+        for label in labels:
+            for method in METHODS:
+                gnflow(root, tmp, "run", "--problem", label, "--method", method,
+                       "--out-trajectory", "trajectory.csv", "--out-summary", "summary.txt")
+                summary = Path(tmp, "summary.txt").read_text(encoding="ascii").splitlines()
+                kept = "\n".join(line for line in summary if not line.startswith("config.out."))
+                yield f"run/{label}/{method}/summary", sha256(kept.encode())
+                yield f"run/{label}/{method}/trajectory", sha256(
+                    Path(tmp, "trajectory.csv").read_bytes())
+                for name in ("summary.txt", "trajectory.csv"):
+                    Path(tmp, name).unlink()
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    root = Path(argv[0] if argv else Path(__file__).resolve().parent.parent).resolve()
+    sys.path[:0] = [str(root / "src"), str(root / "bench")]
+    from gnflow.gallery import available_labels
+
+    for name, digest in itertools.chain(job_digests(), cli_outputs(root, available_labels())):
+        print(name, digest, flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
