@@ -10,11 +10,13 @@ the inner product.
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
 import math
 import operator
+import os
 
 import numpy as np
-import scipy.linalg.lapack
 
 
 class FactorizationError(RuntimeError):
@@ -49,8 +51,10 @@ def all_finite(arr: np.ndarray) -> bool:
 
 def positive(name: str, value: float) -> float:
     """Return ``value`` if it is positive and finite, the rule of every scalar
-    parameter; otherwise (NaN and inf included) raise ValueError naming it."""
-    if not 0 < value < math.inf:
+    parameter; otherwise (NaN, inf and arrays of one or more dimensions
+    included) raise ValueError naming it. Python and numpy floats and 0-d
+    arrays are scalars."""
+    if getattr(value, "ndim", 0) or not 0 < value < math.inf:
         raise ValueError(f"{name} must be positive and finite, got {value}")
     return value
 
@@ -73,8 +77,9 @@ def count(name: str, value) -> int:
 
 def nonnegative(name: str, value: float) -> float:
     """Return ``value`` if it is nonnegative and finite, the rule of every time
-    and noise level; otherwise (NaN and inf included) raise ValueError naming it."""
-    if not 0 <= value < math.inf:
+    and noise level; otherwise (NaN, inf and arrays of one or more dimensions
+    included, as in :func:`positive`) raise ValueError naming it."""
+    if getattr(value, "ndim", 0) or not 0 <= value < math.inf:
         raise ValueError(f"{name} must be nonnegative and finite, got {value}")
     return value
 
@@ -153,10 +158,33 @@ def identity(n: int) -> np.ndarray:
     return eye
 
 
-#: LAPACK Cholesky factorization and triangular solves, fetched once:
-#: scipy's cho_factor/cho_solve wrap the same two routines in per-call
-#: dispatch that, at n <= 16, costs about as much as the solve itself.
-_POTRF, _POTRS = scipy.linalg.lapack.get_lapack_funcs(("potrf", "potrs"), (np.empty((1, 1)),))
+def _load_flapack(scipy_root: str):
+    """scipy's f2py LAPACK extension ``scipy.linalg._flapack``, loaded from
+    the package directory ``scipy_root`` without importing ``scipy`` or
+    ``scipy.linalg``; ImportError, naming the directory searched, if it is
+    not there."""
+    where = os.path.join(scipy_root, "linalg")
+    spec = importlib.machinery.PathFinder.find_spec("scipy.linalg._flapack", [where])
+    if spec is None:
+        raise ImportError(f"scipy's LAPACK extension _flapack not found in {where}")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+#: LAPACK Cholesky factorization and triangular solves, the very objects
+#: ``scipy.linalg.get_lapack_funcs(("potrf", "potrs"))`` returns for float64
+#: (its ``dpotrf``/``dpotrs``). They are taken from the extension itself
+#: because importing ``scipy.linalg`` for them would cost most of the
+#: package's import time, and called directly because scipy's
+#: cho_factor/cho_solve wrap them in per-call dispatch that, at n <= 16,
+#: costs about as much as the solve. ``find_spec`` locates scipy without
+#: importing it.
+_SCIPY = importlib.util.find_spec("scipy")
+if _SCIPY is None:
+    raise ImportError("gnflow needs scipy, which is not installed")
+_FLAPACK = _load_flapack(_SCIPY.submodule_search_locations[0])
+_POTRF, _POTRS = _FLAPACK.dpotrf, _FLAPACK.dpotrs
 
 
 def solve_regularized(A, eps: float, rhs) -> np.ndarray:

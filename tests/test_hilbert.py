@@ -1,4 +1,8 @@
+import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -165,6 +169,39 @@ class TestSolveRegularized:
             hilbert.solve_regularized(np.eye(2), 1.0, np.ones((3, 2)))
         with pytest.raises(ValueError, match="finite"):
             hilbert.solve_regularized(np.eye(2), 1.0, np.array([[1.0, np.inf], [0.0, 1.0]]))
+
+
+#: Run in a fresh interpreter with warnings as errors: the package and its
+#: command line load scipy's LAPACK extension without importing scipy.linalg,
+#: and a later import of scipy.linalg works and hands out the same routines.
+_IMPORT_PROBE = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import gnflow, gnflow.cli
+from gnflow import hilbert
+heavy = {"scipy.linalg", "numpy.f2py", "numpy.testing"} & set(sys.modules)
+assert not heavy, sorted(heavy)
+import numpy as np
+import scipy.linalg
+M = np.array([[4.0, 1.0], [1.0, 3.0]])
+y = scipy.linalg.cho_solve(scipy.linalg.cho_factor(M), np.ones(2))
+assert np.allclose(M @ y, np.ones(2))
+potrf, potrs = scipy.linalg.get_lapack_funcs(("potrf", "potrs"), (np.empty((1, 1)),))
+assert potrf is hilbert._POTRF and potrs is hilbert._POTRS
+"""
+
+
+class TestLapackExtension:
+    def test_import_leaves_scipy_linalg_out(self):
+        src = str(Path(hilbert.__file__).resolve().parent.parent)
+        done = subprocess.run([sys.executable, "-W", "error", "-c", _IMPORT_PROBE, src],
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+
+    def test_missing_extension_names_the_path_searched(self, tmp_path):
+        where = tmp_path / "linalg"
+        with pytest.raises(ImportError, match=f"not found in {re.escape(str(where))}$"):
+            hilbert._load_flapack(str(tmp_path))
 
 
 class TestOpNorm:

@@ -260,6 +260,28 @@ class TestPositive:
             hilbert.positive("x", math.nan)
 
 
+#: (rule, the words of its message): every scalar rule rejects an array of
+#: one or more dimensions, whatever its entries, with its own message
+SCALAR_RULES = [
+    pytest.param(hilbert.positive, "positive", id="positive"),
+    pytest.param(hilbert.nonnegative, "nonnegative", id="nonnegative"),
+]
+
+
+@pytest.mark.parametrize("rule, words", SCALAR_RULES)
+def test_scalar_rule_accepts_numpy_scalars(rule, words):
+    assert rule("h", np.float64(2.5)) == 2.5
+    value = np.array(2.5)  # a 0-d array is a scalar
+    assert rule("h", value) is value
+
+
+@pytest.mark.parametrize("shape", [(1,), (2,)], ids=str)
+@pytest.mark.parametrize("rule, words", SCALAR_RULES)
+def test_scalar_rule_rejects_an_array(rule, words, shape):
+    with pytest.raises(ValueError, match=f"^h must be {words} and finite, got \\[1"):
+        rule("h", np.full(shape, 1e-6))
+
+
 class TestReturned:
     def test_converts_to_float64(self):
         arr = hilbert.returned("F", [1, 2], (2,))
