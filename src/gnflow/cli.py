@@ -93,18 +93,17 @@ def cmd_run(cfg: RunConfig) -> int:
     ]
     lines.extend(_config_echo(cfg))
     if cfg.certify:
-        if xhat is None:
-            lines.append("certificate.error = problem has no known solution")
-        else:
-            try:
+        try:
+            # non-finite values raise, reported below, as at the B0 build of a run
+            with np.errstate(all="ignore"):
                 if B0 is None:  # the direct method tracks no inverse
                     B0 = initial_inverse(entry.problem, x0, sched.eps(0.0))
                 cert, _ = theory.certify_with_canonical_R(
                     entry.problem, xhat, x0, sched, B0, seed=cfg.seed
                 )
-                lines.extend(_certificate_lines(cert))
-            except (ValueError, FactorizationError) as exc:
-                lines.append(f"certificate.error = {exc}")
+            lines.extend(_certificate_lines(cert))
+        except (ValueError, FactorizationError) as exc:
+            lines.append(f"certificate.error = {exc}")
     write_lines(cfg.out_summary, lines)
     print(f"{cfg.problem}: {traj.termination} after {len(traj.records)} records "
           f"-> {cfg.out_trajectory}")
@@ -144,9 +143,7 @@ def cmd_compare(cfg_a: RunConfig, cfg_b: Optional[RunConfig], out: str, out_summ
 
     fin_d = traj_d.records[-1][1]
     fin_c = traj_c.records[-1][1]
-    ratio = None
-    if fin_d.err_norm is not None and fin_d.err_norm > 0 and fin_c.err_norm is not None:
-        ratio = fin_c.err_norm / fin_d.err_norm
+    ratio = fin_c.err_norm / fin_d.err_norm if fin_d.err_norm > 0 else None
     summary = [
         f"termination.direct = {traj_d.termination}",
         f"termination.coupled = {traj_c.termination}",
@@ -184,8 +181,7 @@ def _verify_lemmas() -> list:
     for seed in range(20):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 9))
-        Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-        base = Q @ np.diag(rng.uniform(0.5, 2.0, size=n)) @ Q.T
+        base = gallery.random_spd(n, rng)
         S = rng.standard_normal((n, n))
         S = 0.2 * (S + S.T) / 2.0
         A_path = lambda t, base=base, S=S: base + np.sin(t) * S
@@ -331,8 +327,9 @@ def _parser() -> argparse.ArgumentParser:
 
     p_cmp = sub.add_parser("compare", help="direct vs coupled on the same problem")
     _add_run_flags(p_cmp)
-    p_cmp.add_argument("--config-b", help="optional second config; must match "
-                                          "problem and schedule")
+    p_cmp.add_argument("--config-b", help="optional second config; must match the first in "
+                                          + ", ".join(CONFIG_KEYS[name]
+                                                      for name in COMPARE_SHARED))
     p_cmp.add_argument("--out", default="compare.csv")
 
     p_ver = sub.add_parser("verify", help="run a verification battery")

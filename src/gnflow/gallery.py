@@ -11,9 +11,8 @@ published experiment.
 
 from __future__ import annotations
 
-import functools
 import importlib.resources
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -66,15 +65,9 @@ def _leading_eigenvector(M: np.ndarray) -> np.ndarray:
     return np.linalg.eigh(M)[1][:, -1]
 
 
-def _affine_problem(A: np.ndarray, xhat: np.ndarray, label: str, noise: float = 0.0,
-                    noise_seed: int = 0) -> NonlinearProblem:
-    """F(x) = A (x - xhat) with constant Jacobian A; ``noise`` shifts the anchor
-    xhat by a fixed Gaussian perturbation, keeping the clean solution. The
-    Jacobian is :func:`~gnflow.problem.rowwise`."""
-    anchor = xhat.copy()
-    if noise > 0.0:
-        rng = np.random.default_rng(noise_seed)
-        anchor = anchor + noise * rng.standard_normal(xhat.size)
+def _affine_problem(A: np.ndarray, xhat: np.ndarray, label: str) -> NonlinearProblem:
+    """F(x) = A (x - xhat) with constant Jacobian A, which is
+    :func:`~gnflow.problem.rowwise`."""
 
     @rowwise
     def jac(x, A=A):
@@ -85,23 +78,20 @@ def _affine_problem(A: np.ndarray, xhat: np.ndarray, label: str, noise: float = 
 
     return NonlinearProblem(
         dim=xhat.size,
-        f=lambda x, A=A, c=anchor: A @ (x - c),
+        f=lambda x, A=A, c=xhat.copy(): A @ (x - c),
         jac=jac,
         known_solution=xhat,
         label=label,
-        validate_solution=(noise == 0.0),
     )
 
 
-def make_affine(n: int, kind: str, noise: float = 0.0, noise_seed: int = 0) -> GalleryEntry:
+def make_affine(n: int, kind: str) -> GalleryEntry:
     """F(x) = A (x - xhat) with constant Jacobian A and xhat the default solution.
 
     Kinds: "identity" (well-posed sanity instance); "hilbert_matrix"
     (A_ij = 1/(i+j-1), the classic ill-conditioned test matrix; the
     default x0 satisfies the source condition); "rank_deficient"
     (diag(1,...,1,0); the default offset lies outside range(A*A)).
-    ``noise`` shifts the anchor by a fixed Gaussian perturbation while
-    keeping the clean solution for error reporting.
     """
     n = hilbert.count("n", n)
     if kind not in _AFFINE_MATRICES:
@@ -115,7 +105,7 @@ def make_affine(n: int, kind: str, noise: float = 0.0, noise_seed: int = 0) -> G
         offset = -M @ (0.1 * _leading_eigenvector(M))  # in-range offset
     else:
         offset = 0.1 * np.eye(n)[-1]  # null-space direction: source fails
-    problem = _affine_problem(A, xhat, f"affine-{kind}-{n}", noise, noise_seed)
+    problem = _affine_problem(A, xhat, f"affine-{kind}-{n}")
     return GalleryEntry(problem=problem, default_x0=xhat + offset)
 
 
@@ -146,7 +136,7 @@ def _autoconvolve(x: np.ndarray, ds: float, index: np.ndarray) -> np.ndarray:
     return ds * np.add.reduce(T, axis=-1)
 
 
-def make_autoconvolution(n: int, noise: float = 0.0, noise_seed: int = 0) -> GalleryEntry:
+def make_autoconvolution(n: int) -> GalleryEntry:
     """Discrete autoconvolution F(x)_i = ds * sum_{k=0..i} x_{i-k} x_k - y_i (0-based).
 
     The first-kind autoconvolution benchmark: F is bilinear, so its
@@ -173,12 +163,9 @@ def make_autoconvolution(n: int, noise: float = 0.0, noise_seed: int = 0) -> Gal
     # leading zeros above the diagonal.
     toeplitz_index = (n - 1) + np.arange(n)[:, None] - np.arange(n)
     y = _autoconvolve(xhat, ds, toeplitz_index)
-    if noise > 0.0:
-        rng = np.random.default_rng(noise_seed)
-        y = y + noise * rng.standard_normal(n)
 
     @rowwise
-    def f(x, y=y.copy(), ds=ds, index=toeplitz_index):
+    def f(x, y=y, ds=ds, index=toeplitz_index):
         return _autoconvolve(x, ds, index) - y
 
     @rowwise
@@ -191,7 +178,6 @@ def make_autoconvolution(n: int, noise: float = 0.0, noise_seed: int = 0) -> Gal
         jac=jac,
         known_solution=xhat,
         label=f"autoconv-{n}",
-        validate_solution=(noise == 0.0),
     )
     return GalleryEntry(problem=problem, default_x0=np.ones(n))
 
@@ -390,7 +376,7 @@ def make_feigenbaum_like(n: int) -> GalleryEntry:
 # --- certificate-compliant instances ---------------------------------------
 
 
-def _random_spd(n: int, rng) -> np.ndarray:
+def random_spd(n: int, rng) -> np.ndarray:
     """Q diag(d) Q^T: Q from the QR of a Gaussian matrix, d uniform in [0.5, 2]."""
     Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
     return Q @ np.diag(rng.uniform(0.5, 2.0, size=n)) @ Q.T
@@ -403,7 +389,7 @@ def _base_instance(n: int, kind: str, rng) -> tuple[NonlinearProblem, np.ndarray
     certificate samples its ball bounds with two Jacobian calls."""
     xhat = _default_xhat(n)
     if kind in ("spd", "quadratic"):
-        A = _random_spd(n, rng)
+        A = random_spd(n, rng)
     elif kind in _AFFINE_MATRICES:
         A = _AFFINE_MATRICES[kind](n)
     else:
@@ -526,39 +512,14 @@ def compliant_suite() -> list:
     return [(label, *_compliant(label)) for label in _COMPLIANT_SPECS]
 
 
-def _feigenbaum_6(noise: float, noise_seed: int) -> GalleryEntry:
-    if noise > 0.0:
-        raise ValueError("feigenbaum-6 does not support noise injection")
-    return make_feigenbaum_like(6)
-
-
-def _compliant_entry(label: str, noise: float, noise_seed: int) -> GalleryEntry:
-    """The certified entry behind a compliant label; with noise, the same
-    problem with F shifted by a fixed Gaussian draw."""
-    entry = _compliant(label)[0]
-    if noise == 0.0:
-        return entry
-    rng = np.random.default_rng(noise_seed)
-    shift = noise * rng.standard_normal(entry.problem.dim)
-    noisy = NonlinearProblem(
-        dim=entry.problem.dim,
-        f=lambda x, f=entry.problem.f, c=shift: f(x) - c,
-        jac=entry.problem.jac,
-        known_solution=entry.problem.known_solution,
-        label=entry.problem.label + "-noisy",
-        validate_solution=False,
-    )
-    return GalleryEntry(problem=noisy, default_x0=entry.default_x0)
-
-
-#: Builder of each entry by label, called with noise= and noise_seed=.
+#: Builder of each clean entry by label.
 _ENTRIES = {
-    "identity-8": lambda **noise: make_affine(8, "identity", **noise),
-    "hilbert-8": lambda **noise: make_affine(8, "hilbert_matrix", **noise),
-    "rank-deficient-8": lambda **noise: make_affine(8, "rank_deficient", **noise),
-    "autoconv-16": lambda **noise: make_autoconvolution(16, **noise),
-    "feigenbaum-6": _feigenbaum_6,
-    **{label: functools.partial(_compliant_entry, label) for label in _COMPLIANT_SPECS},
+    "identity-8": lambda: make_affine(8, "identity"),
+    "hilbert-8": lambda: make_affine(8, "hilbert_matrix"),
+    "rank-deficient-8": lambda: make_affine(8, "rank_deficient"),
+    "autoconv-16": lambda: make_autoconvolution(16),
+    "feigenbaum-6": lambda: make_feigenbaum_like(6),
+    **{label: lambda label=label: _compliant(label)[0] for label in _COMPLIANT_SPECS},
 }
 
 
@@ -566,8 +527,33 @@ def available_labels() -> list:
     return list(_ENTRIES)
 
 
+def _with_data_noise(entry: GalleryEntry, noise: float, noise_seed: int) -> GalleryEntry:
+    """The entry with noisy data: F_delta(x) = F(x) - noise * g, g a fixed
+    standard normal draw of ``noise_seed``.
+
+    The clean solution stays the known solution, for error reporting, and
+    is not checked as a root. The Jacobian is the clean one, and F keeps
+    the :func:`~gnflow.problem.rowwise` marker of the clean F. No noise
+    returns the entry itself.
+    """
+    if noise == 0.0:
+        return entry
+    clean = entry.problem
+    shift = noise * np.random.default_rng(noise_seed).standard_normal(clean.dim)
+    clean_f = clean.f
+
+    def f(x):
+        return clean_f(x) - shift
+
+    if getattr(clean_f, "rowwise", False):
+        rowwise(f)
+    noisy = replace(clean, f=f, label=clean.label + "-noisy", validate_solution=False)
+    return GalleryEntry(problem=noisy, default_x0=entry.default_x0)
+
+
 def get_entry(label: str, noise: float = 0.0, noise_seed: int = 0) -> GalleryEntry:
-    """Look up a gallery entry by label, optionally with data noise.
+    """Look up a gallery entry by label, optionally with data noise
+    (:func:`_with_data_noise`, the same rule for every label).
 
     Raises:
         ValueError: ``noise`` is negative or not finite.
@@ -579,4 +565,4 @@ def get_entry(label: str, noise: float = 0.0, noise_seed: int = 0) -> GalleryEnt
         raise KeyError(
             f"unknown problem label {label!r}; available: {', '.join(available_labels())}"
         )
-    return build(noise=noise, noise_seed=noise_seed)
+    return _with_data_noise(build(), noise, noise_seed)

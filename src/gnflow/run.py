@@ -155,13 +155,8 @@ def _build_run(cfg: RunConfig) -> tuple:
 
     if not math.isfinite(cfg.x0_scale):
         raise ConfigError(f"x0_scale must be finite, got {cfg.x0_scale}")
-    xhat = entry.problem.known_solution
-    if xhat is not None:
-        x0 = xhat + cfg.x0_scale * (entry.default_x0 - xhat)
-    else:
-        x0 = entry.default_x0
-    if cfg.ball_radius is not None and xhat is None:
-        raise ConfigError("ball_radius requires a problem with a known solution")
+    xhat = entry.xhat
+    x0 = xhat + cfg.x0_scale * (entry.default_x0 - xhat)
 
     B0 = None
     if cfg.method == "coupled":

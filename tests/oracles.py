@@ -347,13 +347,13 @@ FAMILIES = {
     "identity": lambda n, rng: gallery.make_affine(n, "identity").problem,
     "hilbert-matrix": lambda n, rng: gallery.make_affine(n, "hilbert_matrix").problem,
     "rank-deficient": lambda n, rng: gallery.make_affine(n, "rank_deficient").problem,
-    "affine-noisy": lambda n, rng: gallery.make_affine(n, "hilbert_matrix", noise=1e-3,
-                                                       noise_seed=n).problem,
+    "affine-noisy": lambda n, rng: gallery._with_data_noise(
+        gallery.make_affine(n, "hilbert_matrix"), 1e-3, n).problem,
     "spd": lambda n, rng: gallery._base_instance(n, "spd", rng)[0],
     "quadratic": lambda n, rng: gallery._base_instance(n, "quadratic", rng)[0],
     "autoconv": lambda n, rng: gallery.make_autoconvolution(n).problem,
-    "autoconv-noisy": lambda n, rng: gallery.make_autoconvolution(n, noise=1e-3,
-                                                                  noise_seed=n).problem,
+    "autoconv-noisy": lambda n, rng: gallery._with_data_noise(
+        gallery.make_autoconvolution(n), 1e-3, n).problem,
     "compliant-noisy": lambda n, rng: gallery.get_entry("compliant-quadratic-4", noise=1e-3,
                                                         noise_seed=n).problem,
 }

@@ -474,6 +474,18 @@ class TestUnusableStart:
         assert summary["termination"] == "numerical_error"
         assert summary["certificate.error"].startswith("shift 0.1*I is lost in rounding")
 
+    def test_certificate_error_leaks_no_warning(self, tmp_path):
+        # the coupled run starts; the certificate's ball samples overflow the
+        # renormalization Jacobian, which is reported, not warned about
+        with warnings.catch_warnings(record=True) as emitted:
+            warnings.simplefilter("always")
+            code = run_cli(["run", "--problem", "feigenbaum-6", "--method", "coupled",
+                            "--certify", "--x0-scale", "3e3", "--horizon-T", "0.1"])
+        assert [str(w.message) for w in emitted] == []
+        summary = read_summary(tmp_path / "summary.txt")
+        assert code == int(summary["exit_code"])
+        assert summary["certificate.error"].startswith("jacobian returned a non-finite entry")
+
     def test_sweep_row_tagged(self, tmp_path):
         out = tmp_path / "sweep.csv"
         assert run_cli(["sweep", "--problem", "feigenbaum-6", "--param", "x0_scale",

@@ -44,13 +44,6 @@ class TestMakeAffine:
         w = np.linalg.lstsq(M, off, rcond=None)[0]
         assert np.linalg.norm(M @ w - off) == pytest.approx(np.abs(off[-1]), rel=1e-12)
 
-    def test_anchor_noise_keeps_clean_solution(self):
-        clean = gallery.make_affine(4, "identity")
-        noisy = gallery.make_affine(4, "identity", noise=1e-3, noise_seed=5)
-        assert np.array_equal(noisy.xhat, clean.xhat)
-        res = np.linalg.norm(eval_F(noisy.problem, noisy.xhat))
-        assert 0.0 < res < 1e-2
-
 
 class TestAutoconvolution:
     def test_solution_is_exact_root(self):
@@ -81,14 +74,6 @@ class TestAutoconvolution:
         b1 = estimate_bounds(entry.problem, entry.xhat, 0.5, samples=64, seed=1)
         b2 = estimate_bounds(entry.problem, entry.xhat + 0.6, 0.5, samples=64, seed=1)
         assert b1.N2 == pytest.approx(b2.N2, rel=0.10)
-
-    def test_data_noise_perturbs_data_only(self):
-        clean = gallery.make_autoconvolution(8)
-        noisy = gallery.make_autoconvolution(8, noise=1e-3, noise_seed=7)
-        rng = np.random.default_rng(7)
-        eta = 1e-3 * rng.standard_normal(8)
-        x = clean.default_x0
-        assert np.allclose(eval_F(noisy.problem, x), eval_F(clean.problem, x) - eta)
 
 
 class TestFeigenbaumLike:
@@ -204,9 +189,35 @@ class TestRegistry:
         assert 0.0 < np.linalg.norm(delta) < 1e-1
         assert np.array_equal(noisy.xhat, clean.xhat)
 
-    def test_feigenbaum_noise_rejected(self):
-        with pytest.raises(ValueError, match="noise"):
-            gallery.get_entry("feigenbaum-6", noise=1e-3)
+    @pytest.mark.parametrize("label", gallery.available_labels())
+    def test_data_noise_rule(self, label):
+        # one rule for every label: F_delta(x) = F(x) - delta*g, the clean
+        # solution, the clean Jacobian object and the clean F's rowwise marker
+        clean = gallery.get_entry(label)
+        assert gallery._with_data_noise(clean, 0.0, 3) is clean
+        for delta in (1e-3, 0.5):
+            for seed in (0, 7):
+                g = np.random.default_rng(seed).standard_normal(clean.problem.dim)
+                noisy = gallery._with_data_noise(clean, delta, seed)
+                looked_up = gallery.get_entry(label, noise=delta, noise_seed=seed)
+                for x in (clean.default_x0, clean.xhat):
+                    want = clean.problem.f(x) - delta * g
+                    assert np.array_equal(noisy.problem.f(x), want)
+                    assert np.array_equal(looked_up.problem.f(x), want)
+                for entry in (noisy, looked_up):
+                    assert np.array_equal(entry.xhat, clean.xhat)
+                    assert np.array_equal(entry.default_x0, clean.default_x0)
+                    assert not entry.problem.validate_solution
+                    assert (hasattr(entry.problem.f, "rowwise")
+                            == hasattr(clean.problem.f, "rowwise"))
+                assert noisy.problem.jac is clean.problem.jac
+
+    @pytest.mark.parametrize("label", gallery.available_labels())
+    def test_every_entry_has_a_finite_known_solution(self, label):
+        for noise in (0.0, 1e-3):
+            entry = gallery.get_entry(label, noise=noise, noise_seed=1)
+            assert entry.xhat.shape == (entry.problem.dim,)
+            assert np.all(np.isfinite(entry.xhat))
 
     @pytest.mark.parametrize("label", gallery.available_labels())
     def test_xhat_is_the_known_solution(self, label):

@@ -181,7 +181,7 @@ def test_poly_kernels_keep_the_bits_of_array_horner(coeffs, s):
 def test_autoconvolution_jacobian_matches_toeplitz(n):
     rng = np.random.default_rng(n)
     for noise in (0.0, 1e-3):
-        p = gallery.make_autoconvolution(n, noise=noise, noise_seed=n).problem
+        p = gallery._with_data_noise(gallery.make_autoconvolution(n), noise, n).problem
         for _ in range(200):
             x = rng.standard_normal(n) * 10.0 ** rng.uniform(-3.0, 3.0)
             assert np.array_equal(p.jac(x), reference_autoconv_jacobian(x, n))

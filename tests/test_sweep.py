@@ -70,10 +70,12 @@ class TestSweep:
             assert a["termination"] == b["termination"]
 
     def test_failures_recorded_not_raised(self):
-        # noise unsupported on this entry: second row errs
-        rows = sweep(base_config(problem="feigenbaum-6"), "noise", [0.0, 1e-3])
+        # the second start overflows the renormalization Jacobian on every
+        # BLAS kernel: that row errs, and the sweep goes on
+        rows = sweep(base_config(problem="feigenbaum-6"), "x0_scale", [1.0, 1e100])
         assert rows[0]["termination"] == "horizon_reached"
         assert rows[1]["termination"].startswith("error:")
+        assert "jacobian returned a non-finite entry" in rows[1]["termination"]
 
     def test_row_grid_is_values_times_seeds(self):
         rows = sweep(base_config(), "eps0", [0.01, 0.1], [0, 1, 2])
