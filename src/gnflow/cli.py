@@ -76,6 +76,8 @@ def _certificate_lines(cert: theory.Certificate) -> list:
 
 
 def cmd_run(cfg: RunConfig) -> int:
+    if cfg.method == "direct":
+        _reject_certify("the direct method", cfg)
     traj, (entry, sched, x0, B0, xhat) = execute_run(cfg)
     write_trajectory_csv(cfg.out_trajectory, traj)
 
@@ -96,8 +98,6 @@ def cmd_run(cfg: RunConfig) -> int:
         try:
             # non-finite values raise, reported below, as at the B0 build of a run
             with np.errstate(all="ignore"):
-                if B0 is None:  # the direct method tracks no inverse
-                    B0 = initial_inverse(entry.problem, x0, sched.eps(0.0))
                 cert, _ = theory.certify_with_canonical_R(
                     entry.problem, xhat, x0, sched, B0, seed=cfg.seed
                 )
@@ -111,9 +111,11 @@ def cmd_run(cfg: RunConfig) -> int:
 
 
 def _reject_certify(command: str, *cfgs: RunConfig) -> None:
-    """Only ``run`` certifies; a command that would drop ``certify`` refuses it."""
+    """Only ``run`` of the coupled flow, from the B0 it starts with, certifies;
+    anything else that would drop ``certify`` refuses it."""
     if any(cfg.certify for cfg in cfgs):
-        raise ConfigError(f"{command} does not certify; certify is only for run")
+        raise ConfigError(f"{command} does not certify; certify is only for run "
+                          f"with the coupled method")
 
 
 #: The RunConfig fields both sides of ``compare`` must share: the data, the

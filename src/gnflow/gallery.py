@@ -26,9 +26,9 @@ from .schedule import PowerSchedule
 #: the contraction hypothesis, so compliant instances use large c1.
 COMPLIANT_B = 0.05
 
-#: Initial offset-to-eps ratio for compliant instances. Joint halving of
-#: the offset and eps(0) preserves this ratio, which must stay below
-#: 1/lambda for the initial-offset check.
+#: ||x0 - xhat|| / eps(0) at the first attempt of a compliant instance.
+#: The offset is fixed and eps(0) halves, so the ratio doubles with each
+#: halving; the initial-offset check needs it below 1/lambda.
 OFFSET_RATIO = 0.01
 
 MAX_HALVINGS = 60
@@ -91,7 +91,10 @@ def make_affine(n: int, kind: str) -> GalleryEntry:
     Kinds: "identity" (well-posed sanity instance); "hilbert_matrix"
     (A_ij = 1/(i+j-1), the classic ill-conditioned test matrix; the
     default x0 satisfies the source condition); "rank_deficient"
-    (diag(1,...,1,0); the default offset lies outside range(A*A)).
+    (diag(1,...,1,0); the default offset lies in the null space of A*A).
+    No certificate exists for the rank-deficient kind at any x0: A*A has
+    the eigenvalue 0, so by the scope lemma of :mod:`gnflow.theory` its
+    radius numerator is negative.
     """
     n = hilbert.count("n", n)
     if kind not in _AFFINE_MATRICES:
@@ -104,7 +107,7 @@ def make_affine(n: int, kind: str) -> GalleryEntry:
         M = A @ A
         offset = -M @ (0.1 * _leading_eigenvector(M))  # in-range offset
     else:
-        offset = 0.1 * np.eye(n)[-1]  # null-space direction: source fails
+        offset = 0.1 * np.eye(n)[-1]  # null-space direction
     problem = _affine_problem(A, xhat, f"affine-{kind}-{n}")
     return GalleryEntry(problem=problem, default_x0=xhat + offset)
 
@@ -426,19 +429,15 @@ def compliant_instance(
     seed: int,
     kind: str = "spd",
 ) -> tuple[GalleryEntry, PowerSchedule, np.ndarray, float]:
-    """Build an instance whose certificate passes, by geometric shrinking.
+    """Build an instance whose certificate passes, by halving eps(0).
 
-    Starts from eps(0) = 0.1 and an offset x0 = xhat - M w with
-    ||M w|| = OFFSET_RATIO * eps(0). Each failed certification halves the
-    quantity the failure implicates: eps(0) (through the schedule's c1)
-    when the contraction or radius check fails, the offset w when an
-    offset- or source-type check fails. Lockstep halving would drive the
-    offset below float cancellation noise on ill-conditioned instances
-    long before their contraction constant comes down; targeting keeps
-    the source condition numerically meaningful. At most MAX_HALVINGS
-    rounds. For the rank-deficient kind a null-space component is mixed
-    into the offset, so the source check keeps failing and the
-    constructor reports exhaustion, as intended for that instance.
+    The start x0 = xhat - M w, with M = F'(xhat)* F'(xhat) and ||M w|| =
+    OFFSET_RATIO * 0.1, is built once. From eps(0) = 0.1, every attempt
+    that fails, by a raised error or a certificate that does not pass,
+    halves eps(0) (through the schedule's c1), at most MAX_HALVINGS
+    times. The rank-deficient kind exhausts them: by the scope lemma of
+    :mod:`gnflow.theory`, the radius numerator is at most λmin ||B0|| -
+    b(1 + eps0), and λmin = 0 there, so every attempt raises on it.
 
     Returns (entry, schedule, B0, R) with B0 the exact initial inverse
     and R the certified (canonically chosen, slightly inflated) radius.
@@ -452,36 +451,23 @@ def compliant_instance(
 
     M = solution_gram(p, xhat)
     Mw_dir = M @ w_dir
-    null_mix = np.zeros(n)
-    if kind == "rank_deficient":
-        null_mix = np.eye(n)[-1]  # outside range(M): unsatisfiable source
-
     c0 = 1.0 / COMPLIANT_B
     eps0 = 0.1
     scale = OFFSET_RATIO * eps0 / max(np.linalg.norm(Mw_dir), np.finfo(float).tiny)
-    w = scale * w_dir
+    x0 = xhat - M @ (scale * w_dir)
 
     for _ in range(MAX_HALVINGS + 1):
         sched = PowerSchedule(c0=c0, c1=c0 / eps0, a=1.0)
-        x0 = xhat - (M @ w + np.linalg.norm(M @ w) * null_mix)
         try:
             B0 = initial_inverse(p, x0, eps0)
             cert, _ = theory.certify_with_canonical_R(
                 p, xhat, x0, sched, B0, seed=seed
             )
+            if cert.overall:
+                return GalleryEntry(problem=p, default_x0=x0), sched, B0, cert.R
         except (hilbert.FactorizationError, ValueError):
-            eps0 *= 0.5  # constants too large or factorization lost: eps-side
-            continue
-        if cert.overall:
-            return GalleryEntry(problem=p, default_x0=x0), sched, B0, cert.R
-        contraction_side = not (cert.checks["contraction"] and cert.checks["radius"])
-        offset_side = not (cert.checks["source_norm"]
-                           and cert.checks["initial_offset"]
-                           and cert.checks["source_residual"])
-        if contraction_side:
-            eps0 *= 0.5
-        if offset_side:
-            w = 0.5 * w
+            pass
+        eps0 *= 0.5
     raise ValueError(f"no compliant configuration at this dimension/seed (n={n}, seed={seed})")
 
 

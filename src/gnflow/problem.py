@@ -49,9 +49,8 @@ class NonlinearProblem:
         known_solution: a root of F, when one is known. Enables the error
             monitors and certificate features.
         label: identifier used by the gallery registry and the CLI.
-        validate_solution: check at construction that F(known_solution)
-            passes :func:`hilbert.returned` and has a norm of at most
-            1e-8 (1 + ||known_solution||). Noisy data variants keep the
+        validate_solution: check at construction that known_solution is
+            a root (:func:`check_root`). Noisy data variants keep the
             clean solution for error reporting and disable the check.
     """
 
@@ -69,13 +68,7 @@ class NonlinearProblem:
             xhat = hilbert.as_vector(self.known_solution, dim=self.dim)
             object.__setattr__(self, "known_solution", xhat)
             if self.validate_solution:
-                res = np.linalg.norm(hilbert.returned("F", self.f(xhat), (self.dim,)))
-                bound = 1e-8 * (1.0 + np.linalg.norm(xhat))
-                if res > bound:
-                    raise ValueError(
-                        f"known_solution is not a root: ||F(xhat)|| = {res:.3e} "
-                        f"> {bound:.3e}"
-                    )
+                check_root(self, xhat, "known_solution")
 
     def constant(self, key, build: Callable[[], object]):
         """``build()``, called at the first request for ``key`` only: ``key``
@@ -99,6 +92,16 @@ class BallBounds:
     N1: float
     N2: float
     samples: int
+
+
+def check_root(p: NonlinearProblem, xhat: np.ndarray, name: str = "xhat") -> None:
+    """Raise ValueError unless the checked vector ``xhat`` is a root of F:
+    F(xhat) must pass :func:`hilbert.returned` and have a norm of at most
+    1e-8 (1 + ||xhat||). The error names ``name``, ||F(xhat)|| and the bound."""
+    res = np.linalg.norm(hilbert.returned("F", p.f(xhat), (p.dim,)))
+    bound = 1e-8 * (1.0 + np.linalg.norm(xhat))
+    if res > bound:
+        raise ValueError(f"{name} is not a root: ||F(xhat)|| = {res:.3e} > {bound:.3e}")
 
 
 def eval_F(p: NonlinearProblem, x) -> np.ndarray:

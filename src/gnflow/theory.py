@@ -9,6 +9,18 @@ constant is computed once per call, and each inequality is defined once,
 in ``_evaluate``. The two ``*_check`` functions numerically verify the
 estimates that argument rests on: a Riccati-type envelope and an
 operator Gronwall bound.
+
+Scope. For every B0, eps0 ||B0|| + ||Λ0|| >= 1 - λmin ||B0||, where Λ0 =
+I - B0 (M + eps0 I), M = F'(xhat)* F'(xhat) and λmin is the smallest
+eigenvalue of M: apply Λ0 to a unit eigenvector of λmin. So the radius
+numerator 1 - b - eps0 ||B0|| - ||Λ0|| - b eps0 of :func:`canonical_R`
+is at most λmin ||B0|| - b (1 + eps0), and a certificate needs λmin >
+b (1 + eps0) / ||B0||: F'(xhat) must be well-posed at the scale of eps0,
+and no certificate exists when F'(xhat) has a null space. This sits
+uneasily with the paper's ill-posed equations. Whether the theorem needs
+it, or the constant k as transcribed here (which adds eps0 ||B0|| and
+||Λ0||) is wrong, is an open question that the paper's abstract alone
+cannot settle.
 """
 
 from __future__ import annotations
@@ -22,7 +34,7 @@ import numpy as np
 from . import hilbert
 from .flow import mismatch_operator, solution_gram
 from .integrator import advance, step_count
-from .problem import BallBounds, NonlinearProblem, estimate_bounds
+from .problem import BallBounds, NonlinearProblem, check_root, estimate_bounds
 
 #: Relative spectral cutoff for the source-condition pseudo-inverse, and
 #: the relative residual that decides the source check. The range of
@@ -126,8 +138,10 @@ class _InstanceConstants(NamedTuple):
 
 
 def _instance_constants(p: NonlinearProblem, xhat, x0, s, B0) -> _InstanceConstants:
-    """Validate the instance and compute its constants, each once."""
+    """Validate the instance and compute its constants, each once. xhat must
+    be a root of F, since no constant depends on F's values."""
     xhat = hilbert.as_vector(xhat, dim=p.dim)
+    check_root(p, xhat)
     x0 = hilbert.as_vector(x0, dim=p.dim)
     B0 = hilbert.as_operator(B0, dim=p.dim)
     eps0 = hilbert.positive("eps0", s.eps(0.0))
@@ -226,7 +240,8 @@ def certify(
     undefined (recorded as inf) and the lambda-based checks fail.
     Shares its constants pass and inequality code with
     :func:`certify_with_canonical_R`, so the two agree exactly at its
-    ``bounds`` and R. Raises ValueError when N1, N2, R, b or eps0 is not
+    ``bounds`` and R. Raises ValueError when xhat is not a root of F
+    (:func:`~gnflow.problem.check_root`), when N1, N2, R, b or eps0 is not
     positive and finite, and then when ``bounds`` does not cover the
     certified ball: its center must be a finite vector of the problem's
     dimension, and ||bounds.center - xhat|| + R*eps0 at most
@@ -272,12 +287,13 @@ def certify_with_canonical_R(
     sampled bounds depend only on the problem, ``xhat``, the sampling
     radius and ``seed``, and problems are immutable, so they
     are sampled once per problem and key and reused by later calls: the
-    halvings of ``gallery.compliant_instance`` change eps(0) and x0, which
+    halvings of ``gallery.compliant_instance`` change only eps(0), which
     mostly leaves the sampling radius at its starting value. The result
     is the same as sampling afresh.
 
-    Raises ValueError when no positive canonical radius exists or the
-    radius iteration does not close.
+    Raises ValueError when xhat is not a root of F
+    (:func:`~gnflow.problem.check_root`), when no positive canonical
+    radius exists, or when the radius iteration does not close.
     """
     c = _instance_constants(p, xhat, x0, s, B0)
     radius = max(1.0, 2.0 * c.offset)

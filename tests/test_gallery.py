@@ -45,7 +45,16 @@ class TestMakeAffine:
         assert np.linalg.norm(M @ w - off) == pytest.approx(np.abs(off[-1]), rel=1e-12)
 
 
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="^unknown affine kind 'nope'$"):
+            gallery.make_affine(4, "nope")
+
+
 class TestAutoconvolution:
+    def test_one_point_rejected(self):
+        with pytest.raises(ValueError, match="^n must be >= 2, got 1$"):
+            gallery.make_autoconvolution(1)
+
     def test_solution_is_exact_root(self):
         entry = gallery.make_autoconvolution(16)
         assert np.linalg.norm(eval_F(entry.problem, entry.xhat)) <= 1e-14
@@ -135,9 +144,21 @@ class TestCompliantInstance:
         with pytest.raises(ValueError, match="no compliant configuration"):
             gallery.compliant_instance(8, seed=0, kind="hilbert_matrix")
 
-    def test_rank_deficient_source_unsatisfiable(self):
+    def test_rank_deficient_source_unsatisfiable(self, record_calls):
+        # not the source check: A*A has the eigenvalue 0, so by the scope
+        # lemma of theory the radius numerator is at most -b(1 + eps0), and
+        # every attempt raises on it, whatever eps(0)
+        calls = record_calls(theory.canonical_R)
         with pytest.raises(ValueError, match="no compliant configuration"):
             gallery.compliant_instance(4, seed=0, kind="rank_deficient")
+        assert len(calls["canonical_R"]) == gallery.MAX_HALVINGS + 1
+        for N1, N2, b, eps0, B0_norm, Lambda0_norm in calls["canonical_R"]:
+            numerator = 1.0 - b - eps0 * B0_norm - Lambda0_norm - b * eps0
+            assert numerator == pytest.approx(-b * (1.0 + eps0), rel=1e-12)
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="^unknown compliant kind 'nope'$"):
+            gallery.compliant_instance(4, seed=0, kind="nope")
 
     def test_deterministic_given_seed(self):
         e1, s1, B1, R1 = gallery.compliant_instance(3, seed=9, kind="spd")

@@ -6,14 +6,19 @@ import weakref
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import (
+    FAMILIES,
     affine_problem,
     compliant,
     frozen,
     gronwall_reference,
     identity_problem,
     lemma_battery_path,
+    log_uniform,
+    near,
     planted_source,
+    problems,
     random_spd_path,
     seeds,
 )
@@ -105,6 +110,29 @@ class TestCanonicalR:
         with pytest.raises(ValueError,
                            match=f"^{name} must be nonnegative and finite, got {value}$"):
             theory.canonical_R(**kw)
+
+
+class TestScopeLemma:
+    """eps0 ||B0|| + ||Λ0|| >= 1 - λmin ||B0|| for every B0, with Λ0 = I -
+    B0 (M + eps0 I), M = F'(xhat)* F'(xhat) and λmin its smallest eigenvalue."""
+
+    @settings(max_examples=100)
+    @given(p=problems(kinds=tuple(FAMILIES)), eps0=log_uniform(-3.0, 0.0), data=st.data())
+    def test_holds_to_rounding(self, p, eps0, data):
+        xhat = p.known_solution
+        if data.draw(st.booleans()):
+            B0 = initial_inverse(p, data.draw(near(xhat)), eps0)
+        else:
+            B0 = np.random.default_rng(data.draw(seeds)).standard_normal((p.dim, p.dim))
+            B0 *= data.draw(log_uniform(-3.0, 3.0))
+        M = flow.solution_gram(p, xhat)
+        lam_min = np.linalg.eigvalsh(0.5 * (M + M.T))[0]
+        B0_norm, Lambda0_norm = hilbert.op_norms(
+            np.stack([B0, mismatch_operator(p, xhat, B0, eps0)]))
+        lhs = eps0 * B0_norm + Lambda0_norm
+        # eigvalsh finds lam_min to about u ||M||
+        scale = 1.0 + lhs + op_norm(M) * B0_norm
+        assert lhs - (1.0 - lam_min * B0_norm) >= -16.0 * np.finfo(float).eps * scale
 
 
 class TestSolveSource:
@@ -315,6 +343,12 @@ class TestRiccatiEnvelope:
                                              rf"got {v}$"):
             theory.riccati_envelope_check(samples, lambda t: 1.0)
 
+    @pytest.mark.parametrize("m", [0.0, -1.0, math.nan])
+    def test_nonpositive_mu_rejected(self, m):
+        with pytest.raises(ValueError, match=rf"^mu\(t\) must be positive, got {m} at t=0.5$"):
+            theory.riccati_envelope_check([(0.0, 0.1), (0.5, 0.1)],
+                                          lambda t: 1.0 if t == 0.0 else m)
+
     def test_compliant_trajectory_with_certificate_rate(self):
         entry, sched, B0, R = compliant("compliant-quadratic-4")
         cert, _ = theory.certify_with_canonical_R(
@@ -510,6 +544,32 @@ class TestGronwall:
         theory.gronwall_check(lambda t: 1.3 * np.eye(3), lambda t: np.zeros((3, 3)),
                               np.eye(3), gamma=lambda t: 1.3, T=1.0, h=0.1)
         assert shapes == [(11, 3, 3)]  # the step times 0, 0.1, ..., 1.0
+
+
+class TestRootPremise:
+    """No certificate constant depends on F's values, so xhat must be a root
+    of the certified F, checked by both entry points."""
+
+    def test_noisy_data_refused(self):
+        entry, sched, B0, R = compliant("compliant-quadratic-4")
+        noisy = gallery._with_data_noise(entry, 1e-3, 0).problem
+        xhat = entry.xhat
+        res = np.linalg.norm(noisy.f(xhat))
+        bound = 1e-8 * (1.0 + np.linalg.norm(xhat))
+        message = f"^xhat is not a root: \\|\\|F\\(xhat\\)\\|\\| = {res:.3e} > {bound:.3e}$"
+        args = (noisy, xhat, entry.default_x0, sched, B0)
+        with pytest.raises(ValueError, match=message):
+            theory.certify_with_canonical_R(*args)
+        with pytest.raises(ValueError, match=message):
+            theory.certify(*args, hand_bounds(xhat, 1.0, 1.0), R)
+
+    def test_non_finite_residual_named(self):
+        p, xhat = identity_problem()
+        p = dataclasses.replace(p, f=lambda x: np.full(3, np.nan), validate_solution=False)
+        B0 = initial_inverse(p, xhat, 0.1)
+        with pytest.raises(ValueError, match="^F returned a non-finite entry"):
+            theory.certify(p, xhat, xhat, PowerSchedule(c0=20.0, c1=200.0), B0,
+                           hand_bounds(xhat, 1.0, 1.0), 1.0)
 
 
 class TestCertifyWithCanonicalR:
