@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from . import hilbert
-from .problem import NonlinearProblem, eval_F, jacobian
+from .problem import NonlinearProblem, eval_F, fd_jacobian, jacobian
 
 
 @dataclass
@@ -59,18 +59,19 @@ class FlowDiagnostics:
     D_norm: Optional[float] = None
 
 
-def _linearize(p: NonlinearProblem, s, x0, x, t: float) -> tuple:
-    """(eps(t), J = F'(x), the regularized gradient J* F(x) + eps(t)(x - x0)).
+def _shaped(name: str, value, shape: tuple) -> np.ndarray:
+    """What the caller's function ``name`` returned, as a float64 array of
+    ``shape``: a wrong shape raises ValueError through
+    :func:`hilbert.returned`, in its wording; the entries are not checked."""
+    arr = np.asarray(value, dtype=float)
+    if arr.shape != shape:
+        hilbert.returned(name, arr, shape)
+    return arr
 
-    ``x`` is checked once, by :func:`problem.jacobian`, and F is evaluated
-    at the array it checked (:func:`hilbert.returned` checks the value).
-    """
-    x0 = hilbert.as_vector(x0, dim=p.dim)
-    eps = s.eps(t)
-    x = np.asarray(x, dtype=float)  # the very array jacobian checks
-    J = jacobian(p, x)
-    grad = J.T @ hilbert.returned("F", p.f(x), (p.dim,)) + eps * (x - x0)
-    return eps, J, grad
+
+def _gradient(p: NonlinearProblem, x0, x, J: np.ndarray, eps: float) -> np.ndarray:
+    """The regularized gradient J* F(x) + eps (x - x0), with J = F'(x)."""
+    return J.T @ _shaped("F", p.f(x), (p.dim,)) + eps * (x - x0)
 
 
 def _inverse_velocity(J: np.ndarray, eps: float, B: np.ndarray) -> np.ndarray:
@@ -86,18 +87,43 @@ def _mismatch(gram: np.ndarray, B: np.ndarray, eps: float) -> np.ndarray:
 
 
 def direct_rhs(p: NonlinearProblem, s, x0, x, t: float) -> np.ndarray:
-    """x-velocity of the inversion-based flow at time t."""
-    eps, J, grad = _linearize(p, s, x0, x, t)
-    return -hilbert.solve_regularized(J.T @ J, eps, grad)
+    """x-velocity of the inversion-based flow at time t: the stage kernel
+    of a run that :func:`integrate` has checked.
+
+    ``x0`` and ``x`` are float64 vectors of the problem's dimension, and
+    ``x0`` is taken as it is. ``s.eps(t)`` checks the time. ``x`` and
+    F'(x) are checked by :func:`problem.jacobian` before F is called, so
+    neither F nor F' sees a non-finite point. F's value is checked for
+    shape only: :func:`hilbert.solve_regularized` checks what it
+    factorizes and solves, so a non-finite F'* F' or gradient raises
+    ValueError there.
+    """
+    eps = s.eps(t)
+    J = jacobian(p, x)
+    return -hilbert.solve_regularized(J.T @ J, eps, _gradient(p, x0, x, J, eps))
 
 
 def coupled_rhs(p: NonlinearProblem, s, x0, x, B, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """(x', B') of the inverse-tracking flow at the point (x, B) and time t."""
+    """(x', B') of the inverse-tracking flow at the point (x, B) and time
+    t: the stage kernel of a run that :func:`integrate` has checked.
+
+    ``x0`` and ``x`` are float64 vectors and ``B`` a float64 matrix of the
+    problem's dimension, taken as they are; a missing ``B`` raises
+    ValueError and ``s.eps(t)`` checks the time. F'(x) is ``p.jac(x)``,
+    checked for shape only like F's value, so F and F' may be called at a
+    non-finite stage point; without ``p.jac`` it is
+    :func:`problem.fd_jacobian`, which rejects such a point. A non-finite
+    point, F, F' or B makes the velocities non-finite, and the step's
+    result with them, which :func:`integrator.advance` rejects.
+    """
     if B is None:
         raise ValueError("coupled flow needs the inverse track B")
-    B = hilbert.as_operator(B, dim=p.dim)
-    eps, J, grad = _linearize(p, s, x0, x, t)
-    return -B @ grad, _inverse_velocity(J, eps, B)
+    eps = s.eps(t)
+    if p.jac is None:
+        J = fd_jacobian(p, x)
+    else:
+        J = _shaped("jacobian", p.jac(x), (p.dim, p.dim))
+    return -B @ _gradient(p, x0, x, J, eps), _inverse_velocity(J, eps, B)
 
 
 def solution_gram(p: NonlinearProblem, xhat: np.ndarray) -> np.ndarray:

@@ -1,15 +1,26 @@
 """Fixed-step explicit integration of the flows, with event monitors.
 
 The pair (x, B) is advanced jointly in a single stage loop; B is just a
-flat block of extra state. Every stage goes through the validated flow
-right-hand sides on bare arrays, and every step through the public
-``step``. Each array is checked once on that path: the right-hand sides
-check each stage point, ``advance`` the finiteness of the step's result
-and ``step`` its shape and dtype against the incoming state's, so the
-step's ``SolverState`` is built without checking them again. One RK4
-implementation, ``advance``, serves ``step`` and the Gronwall lemma
-check in ``theory``. Monitors watch for the ball-exit event
-||x - xhat|| >= R * eps(t) and for divergence.
+flat block of extra state. One RK4 implementation, ``advance``, serves
+``step`` and the Gronwall lemma check in ``theory``. Monitors watch for
+the ball-exit event ||x - xhat|| >= R * eps(t) and for divergence.
+
+What a run of ``integrate`` checks, and where:
+
+- once, at entry: the start state (checked when its ``SolverState`` was
+  built) against the problem, and F, with F' for the coupled flow, at
+  x0, by the diagnostics of the first record, which refuse a start where
+  either is not finite;
+- at each stage, nothing of x0 or B: the flow kernels on bare arrays
+  check the shapes of F and F', and ``direct_rhs`` also checks the stage
+  point and F' through ``jacobian``, and its solve what it factorizes;
+- at each step: ``advance`` checks that the new pair is finite, which a
+  non-finite stage point, F, F' or velocity prevents, so such a step
+  ends the run in ``numerical_error``; ``step`` compares the pair's
+  shape and dtype with the incoming state's, so the step's
+  ``SolverState`` is built without checking them again;
+- at each record: the diagnostics check F, with F' for the coupled
+  flow, at the recorded state.
 """
 
 from __future__ import annotations

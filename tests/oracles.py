@@ -3,11 +3,11 @@ share, and the hypothesis strategies that draw their inputs.
 
 Every fast path of the package is held to one oracle below: the
 column-by-column derivative kernels, the per-sample ball bounds, the
-scipy Cholesky solve, the step-by-step integration and the per-step
-Gronwall norms. A comparison against an oracle is exact
-(``np.array_equal`` or ``==``, and for the derivative kernels and the
-finite-difference points a comparison of the bits, which tells -0.0 from
-0.0): each oracle does the same arithmetic as its fast path, in the
+scipy Cholesky solve, the step-by-step integration over the checked
+stage and the per-step Gronwall norms. A comparison against an oracle is
+exact (``np.array_equal`` or ``==``, and for the derivative kernels and
+the finite-difference points a comparison of the bits, which tells -0.0
+from 0.0): each oracle does the same arithmetic as its fast path, in the
 plainest order.
 
 The module is not named ``reference``: ``bench/run.py`` imports its own
@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from gnflow import gallery, hilbert
-from gnflow.flow import SolverState, coupled_rhs, diagnostics, direct_rhs
+from gnflow.flow import SolverState, diagnostics
 from gnflow.hilbert import FactorizationError, op_norm
 from gnflow.integrator import DIVERGENCE_LIMIT, advance, integrate, step
 from gnflow.problem import (
@@ -139,11 +139,40 @@ def reference_solve(G, eps, b):
 # --- oracles: integration ------------------------------------------------
 
 
+def _checked_linearize(p, s, x0, x, t):
+    """(eps(t), J = F'(x), the regularized gradient J* F(x) + eps(t)(x - x0)),
+    with x0, x, F'(x) and F(x) each checked."""
+    x0 = hilbert.as_vector(x0, dim=p.dim)
+    eps = s.eps(t)
+    x = np.asarray(x, dtype=float)  # the very array jacobian checks
+    J = jacobian(p, x)
+    grad = J.T @ hilbert.returned("F", p.f(x), (p.dim,)) + eps * (x - x0)
+    return eps, J, grad
+
+
+def checked_direct_rhs(p, s, x0, x, t):
+    """``flow.direct_rhs`` with every input and every value of F and F' checked."""
+    eps, J, grad = _checked_linearize(p, s, x0, x, t)
+    return -hilbert.solve_regularized(J.T @ J, eps, grad)
+
+
+def checked_coupled_rhs(p, s, x0, x, B, t):
+    """``flow.coupled_rhs`` with every input and every value of F and F' checked."""
+    if B is None:
+        raise ValueError("coupled flow needs the inverse track B")
+    B = hilbert.as_operator(B, dim=p.dim)
+    eps, J, grad = _checked_linearize(p, s, x0, x, t)
+    I = hilbert.identity(len(B))
+    return -B @ grad, -((J.T @ J + eps * I) @ B - I)
+
+
 def reference_integrate(p, s, st0, cfg, xhat=None, R=None):
     """Reference for ``integrate``: a plain loop of the public ``step``
-    over the validated right-hand sides, with a SolverState rebuilt for
-    every stage and step. Any leaner path through ``integrate`` must
-    record these states bit for bit.
+    over the checked right-hand sides above, with a SolverState rebuilt
+    for every stage and step, so that every stage point, every value of F
+    and F' and x0 and B are checked at every stage. ``integrate`` checks a
+    run once and runs the flow's stage kernels on bare arrays; it must
+    record these states bit for bit and end with the same tag.
 
     Returns the recorded (t, x, B) triples and the termination tag.
     """
@@ -152,8 +181,8 @@ def reference_integrate(p, s, st0, cfg, xhat=None, R=None):
     def rhs(t, x, B):
         st = SolverState(t=t, x=x, B=B)
         if st.B is None:
-            return direct_rhs(p, s, x0, st.x, st.t), None
-        return coupled_rhs(p, s, x0, st.x, st.B, st.t)
+            return checked_direct_rhs(p, s, x0, st.x, st.t), None
+        return checked_coupled_rhs(p, s, x0, st.x, st.B, st.t)
 
     def ball_exit(st):
         return "ball" in cfg.monitors and np.linalg.norm(st.x - xhat) >= R * s.eps(st.t)

@@ -84,6 +84,16 @@ class TestAllFinite:
                 hilbert.as_operator(A)
 
 
+class TestValidatorShapes:
+    def test_empty_vector(self):
+        with pytest.raises(ValueError, match=r"^vector must have length >= 1$"):
+            hilbert.as_vector(np.empty(0))
+
+    def test_operator_of_the_wrong_size(self):
+        with pytest.raises(ValueError, match=r"^operator is 2x2, expected 3x3$"):
+            hilbert.as_operator(np.eye(2), dim=3)
+
+
 class TestSolveRegularized:
     def test_zero_matrix(self):
         rhs = np.array([1.0, -2.0, 0.5])

@@ -91,6 +91,11 @@ class TestStep:
         with pytest.raises(ValueError):
             step(rhs, SolverState(t=0.0, x=np.ones(1)), 0.0, -0.1, "rk4")
 
+    def test_unknown_method(self):
+        rhs = lambda t, x, B: (-x, None)
+        with pytest.raises(ValueError, match=r"^unknown method 'midpoint'$"):
+            step(rhs, SolverState(t=0.0, x=np.ones(1)), 0.0, 0.1, "midpoint")
+
 
 class TestIntegrate:
     def test_identity_stationary_at_solution(self):
@@ -296,6 +301,18 @@ class TestMatchesStepByStepReference:
         assert tag == "horizon_reached"
 
     @pytest.mark.parametrize("record_every", [1, 10])
+    def test_coupled_autoconvolution_by_finite_differences(self, record_every):
+        entry = gallery.get_entry("autoconv-16")
+        p = without_jacobian(entry.problem)
+        s = PowerSchedule(c0=0.1, c1=1.0)
+        x0 = entry.default_x0 + 0.02 * np.random.default_rng(0).standard_normal(16)
+        st0 = SolverState(t=0.0, x=x0, B=initial_inverse(p, x0, s.eps(0.0)))
+        cfg = IntegratorConfig(method="rk4", step_h=0.01, horizon_T=0.3,
+                               record_every=record_every)
+        tag = assert_same_run(p, s, st0, cfg, xhat=entry.xhat)
+        assert tag == "horizon_reached"
+
+    @pytest.mark.parametrize("record_every", [1, 10])
     @pytest.mark.parametrize("coupled", [False, True], ids=["direct", "coupled"])
     def test_feigenbaum(self, record_every, coupled):
         entry = gallery.get_entry("feigenbaum-6")
@@ -373,6 +390,61 @@ class TestMatchesStepByStepReference:
         assert len(traj.records) > 2
         assert traj.final_state.x[0] >= 0.8
 
+    @pytest.mark.parametrize("coupled, where, bad, method", [
+        pytest.param(True, "jacobian", np.inf, "rk4", id="coupled-jacobian"),
+        pytest.param(False, "F", np.nan, "rk4", id="direct-F"),
+        # an Euler step evaluates F and F' at its start only, so the first
+        # state where they are not finite is a recorded one, whose
+        # diagnostics fail
+        pytest.param(True, "jacobian", np.nan, "euler", id="coupled-jacobian-at-record"),
+        pytest.param(False, "F", np.inf, "euler", id="direct-F-at-record"),
+    ])
+    def test_value_turning_non_finite_mid_run(self, coupled, where, bad, method):
+        # F(x) = x and F'(x) = I, except that F or F' gets a non-finite
+        # entry once the iterate has moved a few steps towards the root
+        def f(x):
+            y = x.copy()
+            if where == "F" and x[0] < 0.8:
+                y[0] = bad
+            return y
+
+        def jac(x):
+            J = np.eye(2)
+            if where == "jacobian" and x[0] < 0.8:
+                J[0, 1] = bad
+            return J
+
+        p = NonlinearProblem(dim=2, f=f, jac=jac)
+        s = PowerSchedule(c0=0.1, c1=1.0)
+        x0 = np.ones(2)
+        B0 = initial_inverse(p, x0, s.eps(0.0)) if coupled else None
+        cfg = IntegratorConfig(method=method, step_h=0.05, horizon_T=2.0, record_every=1)
+        st0 = SolverState(t=0.0, x=x0, B=B0)
+        tag = assert_same_run(p, s, st0, cfg)
+        traj = integrate(p, s, st0, cfg)
+        assert tag == "numerical_error"
+        assert len(traj.records) > 2
+        assert traj.final_state.x[0] >= 0.8
+
+    def test_jacobian_changing_shape_mid_run(self):
+        # F' is 2 x 2 until the iterate has moved a few steps, then 2 x 3
+        def jac(x):
+            return np.eye(2) if x[0] >= 0.8 else np.eye(2, 3)
+
+        p = NonlinearProblem(dim=2, f=lambda x: x.copy(), jac=jac)
+        s = PowerSchedule(c0=0.1, c1=1.0)
+        x0 = np.ones(2)
+        st0 = SolverState(t=0.0, x=x0, B=initial_inverse(p, x0, s.eps(0.0)))
+        cfg = IntegratorConfig(method="rk4", step_h=0.05, horizon_T=2.0, record_every=1)
+        tag = assert_same_run(p, s, st0, cfg)
+        assert tag == "numerical_error"
+        with pytest.raises(ValueError, match=re.escape("jacobian returned shape (2, 3), "
+                                                       "expected (2, 2)")):
+            flow.coupled_rhs(p, s, x0, np.zeros(2), st0.B, 0.0)
+        traj = integrate(p, s, st0, cfg)
+        assert len(traj.records) > 2
+        assert traj.final_state.x[0] >= 0.8
+
 
 class TestStageCost:
     def test_coupled_run_builds_no_validated_state_in_the_step_loop(self, monkeypatch):
@@ -413,11 +485,16 @@ class TestTracedCallGraph:
         st0 = SolverState(t=0.0, x=entry.default_x0, B=B0)
         cfg = IntegratorConfig(step_h=0.01, horizon_T=0.1, record_every=5,
                                monitors=frozenset({"ball", "divergence"}))
-        calls = record_calls(integrator.step, flow.direct_rhs, flow.coupled_rhs)
-        integrate(entry.problem, sched, st0, cfg, xhat=entry.xhat, R=R)
+        calls = record_calls(integrator.step, flow.direct_rhs, flow.coupled_rhs,
+                             problem.jacobian)
+        traj = integrate(entry.problem, sched, st0, cfg, xhat=entry.xhat, R=R)
         assert len(calls["step"]) == 10
         assert len(calls["coupled_rhs"]) == 4 * len(calls["step"])
         assert calls["direct_rhs"] == []
+        # the stages take F' from the problem itself; only the diagnostics
+        # of each record call the checked jacobian
+        assert len(traj.records) == 3
+        assert len(calls["jacobian"]) == len(traj.records)
 
 
 class TestFactorizationFailure:
