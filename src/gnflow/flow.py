@@ -94,13 +94,15 @@ def direct_rhs(p: NonlinearProblem, s, x0, x, t: float) -> np.ndarray:
     ``x0`` is taken as it is. ``s.eps(t)`` checks the time. ``x`` and
     F'(x) are checked by :func:`problem.jacobian` before F is called, so
     neither F nor F' sees a non-finite point. F's value is checked for
-    shape only: :func:`hilbert.solve_regularized` checks what it
-    factorizes and solves, so a non-finite F'* F' or gradient raises
-    ValueError there.
+    shape only, and the solve, :func:`hilbert.solve_shifted`, checks no
+    array. So a non-finite F'* F' (a finite F' whose square overflows) or
+    gradient either makes the factorization fail, which raises
+    FactorizationError, or makes the velocity non-finite, which
+    :func:`integrator.advance` rejects at the end of the step.
     """
     eps = s.eps(t)
     J = jacobian(p, x)
-    return -hilbert.solve_regularized(J.T @ J, eps, _gradient(p, x0, x, J, eps))
+    return -hilbert.solve_shifted(J.T @ J, eps, _gradient(p, x0, x, J, eps))
 
 
 def coupled_rhs(p: NonlinearProblem, s, x0, x, B, t: float) -> tuple[np.ndarray, np.ndarray]:

@@ -196,67 +196,73 @@ def _chebyshev_nodes(n: int) -> np.ndarray:
     return 0.5 * (1.0 + np.cos((2 * k - 1) * np.pi / (2 * n)))
 
 
-def _poly_eval(coeffs: np.ndarray, s) -> np.ndarray:
-    """g(s) = 1 + sum_j coeffs[j] * s^(2(j+1)) for even trial functions.
+def _horner_terms(coeffs: np.ndarray) -> tuple[list, list]:
+    """The Horner coefficients of g and g' in z = s*s, highest power first,
+    as Python floats: ``coeffs[j]`` and ``2(j+1) * coeffs[j]``."""
+    cl = coeffs.tolist()
+    return cl[::-1], [2.0 * (j + 1) * c for j, c in enumerate(cl)][::-1]
 
-    Horner in z = s*s, one point at a time on Python floats, returned as a
-    float64 array of the shape of ``s``. Each step is the correctly rounded
-    multiply and add that the same loop over numpy arrays makes (``s ** 2``
-    is ``s * s``), so the bits are those of the array form; at these sizes
-    (6 to 18 points) the per-call cost of a ufunc exceeds its arithmetic.
-    Python floats overflow to inf and produce NaN without a warning.
+
+def _poly_values(cs: list, ws, s) -> tuple[list, list]:
+    """g(x) = 1 + sum_j coeffs[j] * x^(2(j+1)) and g'(x) at each Python
+    float x of ``s``, as two lists of Python floats; ``(cs, ws)`` is
+    ``_horner_terms(coeffs)``, and ``ws=None`` computes g alone (g' is
+    then an empty list).
+
+    One Horner pass in z = x*x per point: ``a = z*(a + c)`` over ``cs``,
+    then g = 1 + a, and ``d = z*d + w`` over ``ws``, then g' = x*d. Each
+    step is the correctly rounded multiply and add that the same loop
+    over numpy arrays makes (``x ** 2`` is ``x * x``), so the bits are
+    those of the array form; at these sizes (6 to 18 points) the per-call
+    cost of a ufunc exceeds its arithmetic. Python floats overflow to inf
+    and produce NaN without a warning.
     """
-    s = np.asarray(s, dtype=float)
-    cs = coeffs[::-1].tolist()
-    values = []
-    for x in s.ravel().tolist():
+    g, gp = [], []
+    for x in s:
         z = x * x
-        acc = 0.0
+        a = 0.0
         for c in cs:
-            acc = z * (acc + c)
-        values.append(1.0 + acc)
-    return np.array(values).reshape(s.shape)
-
-
-def _poly_deriv(coeffs: np.ndarray, s) -> np.ndarray:
-    """g'(s) = sum_j 2(j+1) coeffs[j] s^(2(j+1)-1).
-
-    Horner in z = s*s on Python floats, as :func:`_poly_eval` and with the
-    same bits as the array form: ``acc = z*acc + 2(j+1)*coeffs[j]`` from
-    the highest j down, then ``s * acc``.
-    """
-    s = np.asarray(s, dtype=float)
-    weights = [2.0 * (j + 1) * c for j, c in enumerate(coeffs.tolist())][::-1]
-    values = []
-    for x in s.ravel().tolist():
-        z = x * x
-        acc = 0.0
-        for w in weights:
-            acc = z * acc + w
-        values.append(x * acc)
-    return np.array(values).reshape(s.shape)
+            a = z * (a + c)
+        g.append(1.0 + a)
+        if ws is not None:
+            d = 0.0
+            for w in ws:
+                d = z * d + w
+            gp.append(x * d)
+    return g, gp
 
 
 def _renorm_points(c: np.ndarray, nodes: np.ndarray):
-    """lam = -g(1), g at the nodes, v = lam * nodes and u = g(v).
+    """Everything F and F' read of c: ``(lam, g_s, uv, g_u, gp_u, gp_v)``.
 
-    g is evaluated once, on the stacked points [nodes, v]. The sum of c is
-    ``np.add.reduce``, the reduction ``np.sum`` runs, without its wrapper.
+    lam = -g(1) (the sum of c is ``np.add.reduce``, the reduction
+    ``np.sum`` runs, without its wrapper), g_s = g(nodes), v = lam*nodes,
+    u = g(v), uv = [u, v] (2n entries), g_u = g(u) and gp_u, gp_v = g'(u),
+    g'(v). One :func:`_poly_values` pass per point set: g at the nodes,
+    g and g' at v, then g and g' at u, on Python floats; lam*x on Python
+    floats has the bits of ``lam * nodes``. The arrays are read-only views
+    of one buffer.
     """
     n = len(nodes)
     lam = -(1.0 + np.add.reduce(c))
-    v = lam * nodes
-    g = _poly_eval(c, np.concatenate((nodes, v)))
-    return lam, g[:n], v, g[n:]
+    cs, ws = _horner_terms(c)
+    s = nodes.tolist()
+    g_s, _ = _poly_values(cs, None, s)
+    lam_f = float(lam)
+    v = [lam_f * x for x in s]
+    u, gp_v = _poly_values(cs, ws, v)
+    g_u, gp_u = _poly_values(cs, ws, u)
+    buf = np.array(g_s + u + v + g_u + gp_u + gp_v)
+    buf.setflags(write=False)
+    return lam, buf[:n], buf[n:3 * n], buf[3 * n:4 * n], buf[4 * n:5 * n], buf[5 * n:]
 
 
-def _renorm_residual(c: np.ndarray, nodes: np.ndarray, points) -> np.ndarray:
-    """Collocation residual of lam*g(s) + g(g(lam*s)) = 0 with lam = -g(1).
-
-    ``points`` is ``_renorm_points(c, nodes)``.
-    """
-    lam, g_s, _, u = points
-    return lam * g_s + _poly_eval(c, u)
+def _renorm_residual(points) -> np.ndarray:
+    """Collocation residual lam*g(s) + g(u) of lam*g(s) + g(g(lam*s)) = 0,
+    with lam = -g(1) and u = g(lam*s), read from ``points =
+    _renorm_points(c, nodes)``."""
+    lam, g_s, _, g_u, _, _ = points
+    return lam * g_s + g_u
 
 
 def _node_powers(nodes: np.ndarray) -> np.ndarray:
@@ -266,33 +272,29 @@ def _node_powers(nodes: np.ndarray) -> np.ndarray:
     return P
 
 
-def _renorm_jacobian(c: np.ndarray, nodes: np.ndarray, node_powers: np.ndarray,
-                     points) -> np.ndarray:
+def _renorm_jacobian(nodes: np.ndarray, node_powers: np.ndarray, points) -> np.ndarray:
     """Derivative of :func:`_renorm_residual` in c, a C-contiguous n x n matrix.
 
     Column j, for the power p = 2(j+1), is
     -g(s) + lam*s^p + u^p + g'(u) (v^p - g'(v) s). All columns are built
     at once: ``node_powers`` (:func:`_node_powers`) holds the powers of
     the fixed nodes, and row j of one (n, 2n) buffer receives
-    ``[u, v] ** p``, written by ``np.square`` and ``np.power(S, p,
-    out=row)``, the calls ``S ** p`` makes. The exponent p must stay a
+    ``[u, v] ** p``, written by ``np.square`` and ``np.power(uv, p,
+    out=row)``, the calls ``uv ** p`` makes. The exponent p must stay a
     scalar: numpy's SIMD ``power`` with an array of exponents
-    (``S[:, None] ** P``) does not always round as ``S ** p`` does, and
+    (``uv[:, None] ** P``) does not always round as ``uv ** p`` does, and
     libm's ``pow`` (Python ``**``, ``math.pow``) differs from numpy's in
     the last bit on a few percent of inputs, so the Jacobian would lose
     its bits either way. A point's power does not depend on the length of
     the array it sits in, which lets the node powers be built apart.
     ``points`` is ``_renorm_points(c, nodes)``.
     """
-    n = len(c)
-    lam, g_s, v, u = points
-    S = np.concatenate((u, v))
-    gp = _poly_deriv(c, S)
-    gp_u, gp_v = gp[:n], gp[n:]
-    W = np.empty((n, 2 * n))  # row j: S ** (2(j+1))
-    np.square(S, out=W[0])
+    n = len(nodes)
+    lam, g_s, uv, _, gp_u, gp_v = points
+    W = np.empty((n, 2 * n))  # row j: uv ** (2(j+1))
+    np.square(uv, out=W[0])
     for j in range(1, n):
-        np.power(S, 2 * (j + 1), out=W[j])
+        np.power(uv, 2 * (j + 1), out=W[j])
     JT = -g_s + lam * node_powers + W[:, :n] + gp_u * (W[:, n:] - gp_v * nodes)
     return np.ascontiguousarray(JT.T)
 
@@ -320,21 +322,27 @@ def make_feigenbaum_like(n: int) -> GalleryEntry:
     as data files (one value per line, 17 significant digits, accurate to
     well below 1e-12 in residual).
 
-    F and F' both start from the renormalization points of c (lam, g at
-    the nodes, v = lam * nodes and u = g(v)), and the direct flow
-    evaluates both at every point it visits. So the two share a cache of
-    one slot: the tuple ``(c.tobytes(), points)`` of the last c seen,
-    replaced by a single assignment, so that a key is never read with
-    another c's points. The key is the bits of c, and the cached arrays
-    are read-only; F and F' return fresh arrays. The cache rests on F and
-    F' being pure functions of c: the same bits give the same points.
+    F and F' both start from the renormalization points of c
+    (:func:`_renorm_points`: lam, g at the nodes, v = lam * nodes, u =
+    g(v), g(u), g'(u) and g'(v)), and the direct flow evaluates both at
+    every point it visits. So the two share a cache of one slot: the
+    tuple ``(c.tobytes(), points)`` of the last c seen, replaced by a
+    single assignment, so that a key is never read with another c's
+    points. Filling the slot is one Horner pass per point set, g at the n
+    nodes and g with g' at the n points v and the n points u (3n point
+    evaluations); F is then ``lam * g_s + g(u)`` and F' reads g'(u) and
+    g'(v), so neither runs Horner on a filled slot. The key is the bits
+    of c, and the cached arrays are read-only; F and F' return fresh
+    arrays. The cache rests on F and F' being pure functions of c: the
+    same bits give the same points.
 
     The powers of the nodes in every Jacobian column are built once per
     problem (:func:`_node_powers`) and kept read-only; each F' call
     computes only the powers of u and v. Powers stay numpy calls with a
     scalar exponent, whose bits differ from libm's ``pow`` and from an
     array exponent's (see :func:`_renorm_jacobian`). g and g' run Horner
-    on Python floats with the bits of the array form (:func:`_poly_eval`).
+    on Python floats with the bits of the array form
+    (:func:`_poly_values`).
     """
     n = hilbert.count("n", n)
     if n not in _FEIGENBAUM_SIZES:
@@ -352,18 +360,14 @@ def make_feigenbaum_like(n: int) -> GalleryEntry:
         cached_key, cached = slot
         if cached_key != key:
             cached = _renorm_points(c, nodes)
-            for arr in cached[1:]:  # g_s, v, u; lam is a numpy scalar
-                arr.setflags(write=False)
             slot = (key, cached)
         return cached
 
     def f(c):
-        c = np.asarray(c, dtype=float)
-        return _renorm_residual(c, nodes, points(c))
+        return _renorm_residual(points(np.asarray(c, dtype=float)))
 
     def jac(c):
-        c = np.asarray(c, dtype=float)
-        return _renorm_jacobian(c, nodes, node_powers, points(c))
+        return _renorm_jacobian(nodes, node_powers, points(np.asarray(c, dtype=float)))
 
     problem = NonlinearProblem(
         dim=n,

@@ -188,17 +188,12 @@ _POTRF, _POTRS = _FLAPACK.dpotrf, _FLAPACK.dpotrs
 
 
 def solve_regularized(A, eps: float, rhs) -> np.ndarray:
-    """Solve (A + eps*I) y = rhs by Cholesky factorization.
+    """Solve (A + eps*I) y = rhs by Cholesky factorization: the checked
+    entry point of :func:`solve_shifted`.
 
-    ``A`` must be such that A + eps*I is symmetric positive definite (the
-    Gram form F'*F' always is). One step of iterative refinement keeps the
-    residual near 1e-16 * ||rhs|| / relative conditioning.
-
-    The factorization is LAPACK ``potrf`` (lower triangle, as
-    ``scipy.linalg.cho_factor`` computes it) and each solve ``potrs``. A
-    matrix ``rhs`` is factorized once and solved column by column, so
-    every column of the result equals the solution for that column alone,
-    bit for bit.
+    ``A`` is checked as a finite square matrix and ``rhs`` as a finite
+    vector of its size, or a finite matrix with as many rows; then
+    :func:`solve_shifted` solves, with the same bits.
 
     Args:
         A: square matrix, Gram form or otherwise SPD-compatible.
@@ -207,9 +202,9 @@ def solve_regularized(A, eps: float, rhs) -> np.ndarray:
             right-hand sides.
 
     Raises:
-        FactorizationError: A + eps*I is not positive definite in floating
-            point; the message reports its smallest eigenvalue and says
-            whether eps was lost in rounding against the largest.
+        ValueError: a non-finite or wrongly shaped ``A`` or ``rhs``, or an
+            ``eps`` that is not positive and finite.
+        FactorizationError: as :func:`solve_shifted`.
     """
     A = as_operator(A)
     n = A.shape[0]
@@ -220,10 +215,48 @@ def solve_regularized(A, eps: float, rhs) -> np.ndarray:
                              f"got shape {rhs.shape}")
     else:
         rhs = as_vector(rhs, dim=n)
+    return solve_shifted(A, eps, rhs)
+
+
+def solve_shifted(A: np.ndarray, eps: float, rhs: np.ndarray) -> np.ndarray:
+    """Solve (A + eps*I) y = rhs by Cholesky factorization, on bare arrays.
+
+    ``A`` must be such that A + eps*I is symmetric positive definite (the
+    Gram form F'*F' always is). One step of iterative refinement keeps the
+    residual near 1e-16 * ||rhs|| / relative conditioning.
+
+    The kernel of :func:`solve_regularized` and of the direct flow's stage
+    (:func:`flow.direct_rhs`). It checks ``eps``, a scalar, and no array:
+    ``A`` must be a square float64 matrix and ``rhs`` a float64 vector of
+    its size or a float64 matrix with as many rows, as
+    :func:`solve_regularized` checks them. Their entries are not checked.
+    A non-finite entry either makes ``potrf`` fail, which raises
+    FactorizationError naming the non-finite operator, or makes the
+    result non-finite (the refinement multiplies by A + eps*I), which the
+    caller must test: :func:`integrator.advance` does so at the end of
+    every step.
+
+    The factorization is LAPACK ``potrf`` (lower triangle, as
+    ``scipy.linalg.cho_factor`` computes it) and each solve ``potrs``. A
+    matrix ``rhs`` is factorized once and solved column by column, so
+    every column of the result equals the solution for that column alone,
+    bit for bit.
+
+    Raises:
+        ValueError: ``eps`` is not positive and finite.
+        FactorizationError: A + eps*I is not positive definite in floating
+            point; the message reports its smallest eigenvalue and says
+            whether eps was lost in rounding against the largest, or that
+            it has a non-finite entry.
+    """
+    n = A.shape[0]
     M = A + positive("eps", eps) * identity(n)
     M = 0.5 * (M + M.T)
     chol, info = _POTRF(M, lower=1, clean=0)
     if info > 0:
+        if not all_finite(M):  # only a caller that skipped the checks gets here
+            raise FactorizationError(f"operator plus {eps}*I has a non-finite entry",
+                                     smallest_pivot=math.nan)
         eigs = np.linalg.eigvalsh(M)
         smallest = float(eigs[0])
         # n * u * max|eigenvalue|, u the unit round-off: a shift at or below it

@@ -13,12 +13,15 @@ What a run of ``integrate`` checks, and where:
   either is not finite;
 - at each stage, nothing of x0 or B: the flow kernels on bare arrays
   check the shapes of F and F', and ``direct_rhs`` also checks the stage
-  point and F' through ``jacobian``, and its solve what it factorizes;
+  point and F' through ``jacobian``; its solve checks no array, so a
+  non-finite F'* F' or gradient either fails the factorization
+  (FactorizationError) or makes the velocity non-finite;
 - at each step: ``advance`` checks that the new pair is finite, which a
   non-finite stage point, F, F' or velocity prevents, so such a step
-  ends the run in ``numerical_error``; ``step`` compares the pair's
-  shape and dtype with the incoming state's, so the step's
-  ``SolverState`` is built without checking them again;
+  ends the run in ``numerical_error``, as a failed factorization does;
+  ``step`` compares the pair's shape and dtype with the incoming
+  state's, so the step's ``SolverState`` is built without checking them
+  again;
 - at each record: the diagnostics check F, with F' for the coupled
   flow, at the recorded state.
 """

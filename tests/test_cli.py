@@ -213,6 +213,13 @@ class TestConfigFile:
         err = capsys.readouterr().err
         assert "argument --certify" in err and "'ture'" in err
 
+    @pytest.mark.parametrize("raw", ["none", "None", ""])
+    def test_ball_radius_none(self, tmp_path, raw):
+        # a config file can switch the ball monitor off again
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"ball_radius = 0.5\nball_radius = {raw}\n")
+        assert cli.load_config(str(cfg), {}).ball_radius is None
+
     def test_malformed_line_rejected(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("problem identity-8\n")
@@ -366,6 +373,22 @@ class TestSweep:
         assert err.startswith("error: ") and "sweep does not certify" in err
         assert not out.exists()
 
+    def test_eps0_preset(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        code = run_cli(["sweep", "--problem", "compliant-affine-4", "--preset", "eps0-range",
+                        "--horizon-T", "1.0", "--out", str(out)])
+        assert code == 0
+        header, rows = read_csv(out)
+        assert [float(r[0]) for r in rows] == [0.001, 0.01, 0.1]
+        assert all(r[1] == "0" and r[4] == "horizon_reached" for r in rows)
+
+    def test_needs_values_or_preset(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        code = run_cli(["sweep", "--problem", "identity-8", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == "error: sweep needs --values or --preset\n"
+        assert not out.exists()
+
 
 class TestUsageErrors:
     # argparse's own exit code 2 is the documented ball-exit code
@@ -399,6 +422,12 @@ class TestBadValues:
                      id="flags2-None-horizon_T must be at least one step"),
         pytest.param([], "integrator.method = foo\n", "unknown method 'foo'",
                      id="flags3-integrator.method = foo\n-unknown method 'foo'"),
+        # argparse checks a choice given as a flag; one from a config file is
+        # checked when the run is built
+        pytest.param([], "method = foo\n", "error: unknown method 'foo'",
+                     id="config-unknown-method"),
+        pytest.param([], "b0_mode = bar\n", "error: unknown b0_mode 'bar'",
+                     id="config-unknown-b0_mode"),
         pytest.param([], "problem = identity-8\nseed = abc\n", "run.cfg:2: bad value for 'seed'",
                      id="flags4-problem = identity-8\nseed = abc\n"
                         "-run.cfg:2: bad value for 'seed'"),

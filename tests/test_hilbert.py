@@ -1,3 +1,4 @@
+import math
 import re
 import subprocess
 import sys
@@ -180,6 +181,73 @@ class TestSolveRegularized:
         with pytest.raises(ValueError, match="finite"):
             hilbert.solve_regularized(np.eye(2), 1.0, np.array([[1.0, np.inf], [0.0, 1.0]]))
 
+
+
+class TestSolveShifted:
+    """The unchecked kernel behind ``solve_regularized`` and the direct stage."""
+
+    @settings(max_examples=60)
+    @given(n=st.integers(1, 16), eps=log_uniform(-6.0, 1.0), skew=log_uniform(-3.0, 1.0),
+           cols=st.integers(1, 4), seed=seeds)
+    def test_same_bits_as_checked_solve_and_reference(self, n, eps, skew, cols, seed):
+        # A = J* J + skew (K - K*) is not symmetric; both solves symmetrize
+        # A + eps I, as the reference does
+        rng = np.random.default_rng(seed)
+        J = rng.standard_normal((n, n))
+        K = rng.standard_normal((n, n))
+        A = J.T @ J + skew * (K - K.T)
+        rhs = rng.standard_normal((n, cols))
+        want = np.column_stack([reference_solve(A, eps, b) for b in rhs.T])
+        for b, y in zip(rhs.T, want.T):
+            assert np.array_equal(hilbert.solve_shifted(A, eps, b), y)
+            assert np.array_equal(hilbert.solve_regularized(A, eps, b), y)
+        assert np.array_equal(hilbert.solve_shifted(A, eps, rhs), want)
+        assert np.array_equal(hilbert.solve_regularized(A, eps, rhs), want)
+
+    def test_checks_eps_only(self):
+        with pytest.raises(ValueError, match=r"^eps must be positive and finite, got 0\.0$"):
+            hilbert.solve_shifted(np.eye(2), 0.0, np.ones(2))
+        with np.errstate(all="ignore"):
+            y = hilbert.solve_shifted(np.eye(2), 1.0, np.array([np.nan, 1.0]))
+        assert np.isnan(y[0])
+
+    def test_non_finite_operator_named(self):
+        # an infinite negative pivot fails the factorization; the diagnosis
+        # does not take the eigenvalues of a non-finite matrix
+        with pytest.raises(hilbert.FactorizationError,
+                           match=r"^operator plus 0\.5\*I has a non-finite entry$") as exc:
+            hilbert.solve_shifted(np.diag([-np.inf, 1.0]), 0.5, np.ones(2))
+        assert np.isnan(exc.value.smallest_pivot)
+
+    @settings(max_examples=200)
+    @given(n=st.integers(1, 6), seed=seeds,
+           bad=st.sampled_from([math.inf, -math.inf, math.nan, 1e200, -1e200, sys.float_info.max]),
+           where=st.sampled_from(["diagonal", "pair", "one", "rhs"]))
+    def test_non_finite_input_fails_or_shows(self, n, seed, bad, where):
+        # the contract the direct stage rests on: a non-finite operator or
+        # right-hand side raises FactorizationError or gives a non-finite
+        # solution, without a warning under the integrator's errstate; a
+        # Python float's square overflows to inf without one
+        rng = np.random.default_rng(seed)
+        J = rng.standard_normal((n, n))
+        A = J.T @ J
+        b = rng.standard_normal(n)
+        i, j = rng.integers(0, n, size=2)
+        if where == "diagonal":
+            A[i, i] = bad * bad  # squares overflow, as in J* J
+        elif where == "pair":
+            A[i, j] = A[j, i] = bad * bad
+        elif where == "one":
+            A[i, j] = bad * bad
+        else:
+            b[i] = bad * bad
+        with warnings.catch_warnings(), np.errstate(all="ignore"):
+            warnings.simplefilter("error")
+            try:
+                y = hilbert.solve_shifted(A, 0.1, b)
+            except hilbert.FactorizationError:
+                return
+        assert not hilbert.all_finite(y)
 
 #: Run in a fresh interpreter with warnings as errors: the package and its
 #: command line load scipy's LAPACK extension without importing scipy.linalg,

@@ -17,7 +17,7 @@ from oracles import (
     without_jacobian,
 )
 
-from gnflow import cli, flow, gallery, integrator, problem
+from gnflow import cli, flow, gallery, hilbert, integrator, problem
 from gnflow.flow import SolverState, direct_rhs, initial_inverse
 from gnflow.hilbert import FactorizationError, op_norm
 from gnflow.integrator import (
@@ -398,10 +398,15 @@ class TestMatchesStepByStepReference:
         # diagnostics fail
         pytest.param(True, "jacobian", np.nan, "euler", id="coupled-jacobian-at-record"),
         pytest.param(False, "F", np.inf, "euler", id="direct-F-at-record"),
+        # F' stays finite, but its square overflows in F'* F', which the
+        # direct stage solves with without checking it
+        *[pytest.param(False, "gram", big, "rk4", id=f"direct-gram-{big:.0e}")
+          for big in (1e155, 1e160, 1e200, np.finfo(float).max)],
     ])
     def test_value_turning_non_finite_mid_run(self, coupled, where, bad, method):
-        # F(x) = x and F'(x) = I, except that F or F' gets a non-finite
-        # entry once the iterate has moved a few steps towards the root
+        # F(x) = x and F'(x) = I, except that F or F' gets a non-finite (or,
+        # for the Gram case, a huge) entry once the iterate has moved a few
+        # steps towards the root
         def f(x):
             y = x.copy()
             if where == "F" and x[0] < 0.8:
@@ -412,6 +417,8 @@ class TestMatchesStepByStepReference:
             J = np.eye(2)
             if where == "jacobian" and x[0] < 0.8:
                 J[0, 1] = bad
+            if where == "gram" and x[0] < 0.8:
+                J[0, 0] = bad
             return J
 
         p = NonlinearProblem(dim=2, f=f, jac=jac)
@@ -420,8 +427,12 @@ class TestMatchesStepByStepReference:
         B0 = initial_inverse(p, x0, s.eps(0.0)) if coupled else None
         cfg = IntegratorConfig(method=method, step_h=0.05, horizon_T=2.0, record_every=1)
         st0 = SolverState(t=0.0, x=x0, B=B0)
-        tag = assert_same_run(p, s, st0, cfg)
-        traj = integrate(p, s, st0, cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # the reference's overflow
+            tag = assert_same_run(p, s, st0, cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = integrate(p, s, st0, cfg)
         assert tag == "numerical_error"
         assert len(traj.records) > 2
         assert traj.final_state.x[0] >= 0.8
@@ -464,6 +475,30 @@ class TestStageCost:
         assert traj.termination == "horizon_reached"
         assert len(traj.records) == 21
         assert built == []
+
+    def test_direct_stage_checks_only_the_stage_point(self, record_calls, monkeypatch):
+        # the stage's one check is jacobian's as_vector of the stage point;
+        # its solve checks neither F'* F' nor the gradient
+        entry = gallery.get_entry("autoconv-16")
+        st0 = SolverState(t=0.0, x=entry.default_x0)
+        cfg = IntegratorConfig(method="rk4", step_h=0.01, horizon_T=0.05, record_every=1)
+        calls = record_calls(hilbert.as_vector, hilbert.as_operator)
+        in_steps = {name: 0 for name in calls}
+        recorded_step = integrator.step
+
+        def counted_step(*args):
+            before = {name: len(seen) for name, seen in calls.items()}
+            try:
+                return recorded_step(*args)
+            finally:
+                for name, seen in calls.items():
+                    in_steps[name] += len(seen) - before[name]
+
+        monkeypatch.setattr(integrator, "step", counted_step)
+        traj = integrate(entry.problem, default_schedule(), st0, cfg)
+        assert traj.termination == "horizon_reached"
+        assert len(traj.records) == 6
+        assert in_steps == {"as_vector": 4 * 5, "as_operator": 0}
 
 
 class TestTracedCallGraph:

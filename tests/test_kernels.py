@@ -94,9 +94,8 @@ def test_feigenbaum_kernels_match_column_loop(n):
     node_powers = gallery._node_powers(nodes)
     for c in feigenbaum_points(n, 1000, seed=n):
         points = gallery._renorm_points(c, nodes)
-        assert_same_bits(gallery._renorm_residual(c, nodes, points),
-                         reference_renorm_residual(c, nodes))
-        assert_same_bits(gallery._renorm_jacobian(c, nodes, node_powers, points),
+        assert_same_bits(gallery._renorm_residual(points), reference_renorm_residual(c, nodes))
+        assert_same_bits(gallery._renorm_jacobian(nodes, node_powers, points),
                          reference_renorm_jacobian(c, nodes))
 
 
@@ -107,9 +106,8 @@ def test_renorm_kernels_keep_the_bits_of_the_column_loop(inputs):
     c, nodes = inputs
     with np.errstate(all="ignore"):
         points = gallery._renorm_points(c, nodes)
-        assert_same_bits(gallery._renorm_residual(c, nodes, points),
-                         reference_renorm_residual(c, nodes))
-        assert_same_bits(gallery._renorm_jacobian(c, nodes, gallery._node_powers(nodes), points),
+        assert_same_bits(gallery._renorm_residual(points), reference_renorm_residual(c, nodes))
+        assert_same_bits(gallery._renorm_jacobian(nodes, gallery._node_powers(nodes), points),
                          reference_renorm_jacobian(c, nodes))
 
 
@@ -152,13 +150,27 @@ def test_direct_stage_computes_feigenbaum_points_once(record_calls):
     assert np.array_equal(calls["_renorm_points"][0][0], x)
 
 
+def poly_values(coeffs, s):
+    """g and g' of the fused Horner pass at the points of the array ``s``,
+    as two arrays of its shape; with them, g alone (``ws=None``)."""
+    s = np.asarray(s, dtype=float)
+    cs, ws = gallery._horner_terms(coeffs)
+    g, gp = gallery._poly_values(cs, ws, s.ravel().tolist())
+    g_alone, none = gallery._poly_values(cs, None, s.ravel().tolist())
+    assert none == []
+    return (np.array(g).reshape(s.shape), np.array(gp).reshape(s.shape),
+            np.array(g_alone).reshape(s.shape))
+
+
 @pytest.mark.parametrize("n", [4, 6, 8])
 def test_feigenbaum_polynomials_match_array_horner(n):
     rng = np.random.default_rng(100 + n)
     for c in feigenbaum_points(n, 50, seed=200 + n):
         s = rng.uniform(-1.5, 1.5, size=2 * n)
-        assert_same_bits(gallery._poly_eval(c, s), reference_poly_eval(c, s))
-        assert_same_bits(gallery._poly_deriv(c, s), reference_poly_deriv(c, s))
+        g, gp, g_alone = poly_values(c, s)
+        assert_same_bits(g, reference_poly_eval(c, s))
+        assert_same_bits(gp, reference_poly_deriv(c, s))
+        assert_same_bits(g_alone, g)
 
 
 @settings(max_examples=300)
@@ -166,15 +178,30 @@ def test_feigenbaum_polynomials_match_array_horner(n):
        s=arrays(np.float64, array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=18),
                 elements=kernel_floats))
 def test_poly_kernels_keep_the_bits_of_array_horner(coeffs, s):
-    # the array oracle may warn of overflow; the Python-float kernels may not
-    for kernel, oracle in ((gallery._poly_eval, reference_poly_eval),
-                           (gallery._poly_deriv, reference_poly_deriv)):
-        with warnings.catch_warnings(), np.errstate(all="warn"):
-            warnings.simplefilter("error")
-            got = kernel(coeffs, s)
-        with np.errstate(all="ignore"):
-            want = oracle(coeffs, s)
-        assert_same_bits(got, want)
+    # the array oracle may warn of overflow; the Python-float kernel may not
+    with warnings.catch_warnings(), np.errstate(all="warn"):
+        warnings.simplefilter("error")
+        g, gp, g_alone = poly_values(coeffs, s)
+    with np.errstate(all="ignore"):
+        want_g, want_gp = reference_poly_eval(coeffs, s), reference_poly_deriv(coeffs, s)
+    assert_same_bits(g, want_g)
+    assert_same_bits(gp, want_gp)
+    assert_same_bits(g_alone, want_g)
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_f_after_jacobian_runs_no_horner_pass(n, record_calls):
+    # F' fills the slot with g(u) as well, so F at the same c only reads it
+    p = gallery.make_feigenbaum_like(n).problem
+    nodes = gallery._chebyshev_nodes(n)
+    cs = feigenbaum_points(n, 5, seed=400 + n)
+    calls = record_calls(gallery._poly_values)
+    for c in cs:
+        p.jac(c)
+        passes = len(calls["_poly_values"])
+        assert_same_bits(p.f(c), reference_renorm_residual(c, nodes))
+        assert len(calls["_poly_values"]) == passes
+    assert len(calls["_poly_values"]) == 3 * 5
 
 
 @pytest.mark.parametrize("n", [2, 6, 16])
