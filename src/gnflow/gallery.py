@@ -428,36 +428,20 @@ def _base_instance(n: int, kind: str, rng) -> tuple[NonlinearProblem, np.ndarray
     return problem, w_dir / np.linalg.norm(w_dir)
 
 
-def compliant_instance(
-    n: int,
-    seed: int,
-    kind: str = "spd",
-) -> tuple[GalleryEntry, PowerSchedule, np.ndarray, float]:
-    """Build an instance whose certificate passes, by halving eps(0).
+def _halving_search(p: NonlinearProblem, w_dir: np.ndarray, seed: int) -> tuple:
+    """Certify ``p`` along the unit direction ``w_dir`` by halving eps(0).
 
     The start x0 = xhat - M w, with M = F'(xhat)* F'(xhat) and ||M w|| =
     OFFSET_RATIO * 0.1, is built once. From eps(0) = 0.1, every attempt
     that fails, by a raised error or a certificate that does not pass,
     halves eps(0) (through the schedule's c1), at most MAX_HALVINGS
-    times. The rank-deficient kind exhausts them: by the scope lemma of
-    :mod:`gnflow.theory`, the radius numerator is at most λmin ||B0|| -
-    b(1 + eps0), and λmin = 0 there, so every attempt raises on it.
-
-    Returns (entry, schedule, B0, R) with B0 the exact initial inverse
-    and R the certified (canonically chosen, slightly inflated) radius.
+    times. ``seed`` seeds the sampled ball bounds.
     """
-    n = hilbert.count("n", n)
-    if n > 16:
-        raise ValueError(f"compliant construction is desk-scale only (n <= 16), got {n}")
-    rng = np.random.default_rng(seed)
-    p, w_dir = _base_instance(n, kind, rng)
     xhat = p.known_solution
-
     M = solution_gram(p, xhat)
-    Mw_dir = M @ w_dir
     c0 = 1.0 / COMPLIANT_B
     eps0 = 0.1
-    scale = OFFSET_RATIO * eps0 / max(np.linalg.norm(Mw_dir), np.finfo(float).tiny)
+    scale = OFFSET_RATIO * eps0 / max(np.linalg.norm(M @ w_dir), np.finfo(float).tiny)
     x0 = xhat - M @ (scale * w_dir)
 
     for _ in range(MAX_HALVINGS + 1):
@@ -472,7 +456,30 @@ def compliant_instance(
         except (hilbert.FactorizationError, ValueError):
             pass
         eps0 *= 0.5
-    raise ValueError(f"no compliant configuration at this dimension/seed (n={n}, seed={seed})")
+    raise ValueError(f"no compliant configuration at this dimension/seed (n={p.dim}, seed={seed})")
+
+
+def compliant_instance(
+    n: int,
+    seed: int,
+    kind: str = "spd",
+) -> tuple[GalleryEntry, PowerSchedule, np.ndarray, float]:
+    """Build an instance whose certificate passes: :func:`_halving_search`
+    over the problem and unit w direction that ``seed`` draws.
+
+    The rank-deficient kind exhausts the halvings: by the scope lemma of
+    :mod:`gnflow.theory`, the radius numerator is at most λmin ||B0|| -
+    b(1 + eps0), and λmin = 0 there, so every attempt raises on it
+    before any bound is sampled.
+
+    Returns (entry, schedule, B0, R) with B0 the exact initial inverse
+    and R the certified (canonically chosen, slightly inflated) radius.
+    """
+    n = hilbert.count("n", n)
+    if n > 16:
+        raise ValueError(f"compliant construction is desk-scale only (n <= 16), got {n}")
+    p, w_dir = _base_instance(n, kind, np.random.default_rng(seed))
+    return _halving_search(p, w_dir, seed)
 
 
 # --- registry ---------------------------------------------------------------

@@ -33,9 +33,8 @@ class NonlinearProblem:
 
     Problems are immutable: assigning to a field raises
     ``dataclasses.FrozenInstanceError``. Each owns one memo of the
-    constants that depend only on it (:meth:`constant`), such as
-    F'(xhat)* F'(xhat) and sampled ball bounds; it lives exactly as long
-    as the problem.
+    constants that depend only on it (:meth:`constant`), which holds
+    F'(xhat)* F'(xhat); it lives exactly as long as the problem.
 
     Args:
         dim: ambient dimension n, an integer >= 1 (the count rule of

@@ -73,20 +73,12 @@ class Certificate:
         return all(self.checks.values())
 
 
-def canonical_R(N1, N2, b, eps0, B0_norm, Lambda0_norm) -> float:
-    """The ball radius that makes the radius inequality sharp.
-
-    R = (1 - b - eps0*||B0|| - ||Lambda0|| - b*eps0)
-        / ((5 + 3*eps0*||B0||) * N1 * N2)
-
-    With this R the contraction check is equivalent to the numerator
-    being positive, and the lower bound 1/R <= lambda holds with
-    equality. N1, N2, b and eps0 must be positive and finite, and the two
-    norms nonnegative and finite; a NaN would otherwise pass the
-    numerator test and come back as R.
-    """
-    for name, val in (("N1", N1), ("N2", N2), ("b", b), ("eps0", eps0)):
-        hilbert.positive(name, val)
+def _radius_numerator(b, eps0, B0_norm, Lambda0_norm) -> float:
+    """The numerator of :func:`canonical_R`, which no derivative bound enters.
+    Raises ValueError unless it is positive, b and eps0 positive and finite,
+    and the norms nonnegative and finite (a NaN would pass ``<= 0``)."""
+    hilbert.positive("b", b)
+    hilbert.positive("eps0", eps0)
     hilbert.nonnegative("B0_norm", B0_norm)
     hilbert.nonnegative("Lambda0_norm", Lambda0_norm)
     numerator = 1.0 - b - eps0 * B0_norm - Lambda0_norm - b * eps0
@@ -95,6 +87,23 @@ def canonical_R(N1, N2, b, eps0, B0_norm, Lambda0_norm) -> float:
             "constants too large for a convergence certificate "
             f"(radius numerator {numerator:.6e} <= 0)"
         )
+    return numerator
+
+
+def canonical_R(N1, N2, b, eps0, B0_norm, Lambda0_norm) -> float:
+    """The ball radius that makes the radius inequality sharp.
+
+    R = (1 - b - eps0*||B0|| - ||Lambda0|| - b*eps0)
+        / ((5 + 3*eps0*||B0||) * N1 * N2)
+
+    With this R the contraction check is equivalent to the numerator
+    being positive, and the lower bound 1/R <= lambda holds with
+    equality. N1 and N2 must be positive and finite; the numerator's
+    inputs and sign are checked by :func:`_radius_numerator`.
+    """
+    hilbert.positive("N1", N1)
+    hilbert.positive("N2", N2)
+    numerator = _radius_numerator(b, eps0, B0_norm, Lambda0_norm)
     return numerator / ((5.0 + 3.0 * eps0 * B0_norm) * N1 * N2)
 
 
@@ -250,22 +259,6 @@ def certify(
     return _evaluate(p, _instance_constants(p, xhat, x0, s, B0), bounds, R)
 
 
-def _ball_bounds(p: NonlinearProblem, xhat: np.ndarray, radius: float,
-                 seed: int) -> BallBounds:
-    """``estimate_bounds`` on U(xhat, radius), sampled once per problem and
-    key, in the problem's memo (:meth:`NonlinearProblem.constant`).
-
-    Every caller gets the same bounds object, so its center is a
-    read-only copy of ``xhat``.
-    """
-    def build():
-        center = xhat.copy()
-        center.flags.writeable = False
-        return estimate_bounds(p, center, radius, seed=seed)
-
-    return p.constant(("ball_bounds", xhat.tobytes(), radius, seed), build)
-
-
 def certify_with_canonical_R(
     p: NonlinearProblem,
     xhat,
@@ -283,22 +276,22 @@ def certify_with_canonical_R(
     sharp radius inequality holds strictly in floating point (a larger R
     keeps the certificate valid).
 
-    The instance constants are computed once, before the radius loop. The
-    sampled bounds depend only on the problem, ``xhat``, the sampling
-    radius and ``seed``, and problems are immutable, so they
-    are sampled once per problem and key and reused by later calls: the
-    halvings of ``gallery.compliant_instance`` change only eps(0), which
-    mostly leaves the sampling radius at its starting value. The result
-    is the same as sampling afresh.
+    The instance constants are computed once, before the radius loop, and
+    the radius numerator of :func:`canonical_R` from them: no derivative
+    bound enters it, so an instance whose numerator is not positive
+    raises before any bound is sampled. Each pass samples afresh, centred
+    on a copy of ``xhat``, so changing the returned bounds cannot change
+    the problem's known solution.
 
     Raises ValueError when xhat is not a root of F
     (:func:`~gnflow.problem.check_root`), when no positive canonical
     radius exists, or when the radius iteration does not close.
     """
     c = _instance_constants(p, xhat, x0, s, B0)
+    _radius_numerator(c.b, c.eps0, c.B0_norm, c.Lambda0_norm)
     radius = max(1.0, 2.0 * c.offset)
     for _ in range(8):
-        bounds = _ball_bounds(p, c.xhat, radius, seed)
+        bounds = estimate_bounds(p, c.xhat.copy(), radius, seed=seed)
         R = canonical_R(bounds.N1, bounds.N2, c.b, c.eps0, c.B0_norm, c.Lambda0_norm)
         R_used = R * (1.0 + R_INFLATION)
         if R_used * c.eps0 <= radius:

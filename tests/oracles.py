@@ -34,6 +34,7 @@ from gnflow.problem import (
     NonlinearProblem,
     _ball_points,
     jacobian,
+    rowwise,
 )
 from gnflow.schedule import PowerSchedule
 
@@ -366,6 +367,48 @@ def compliant(label):
     """The certified instance of ``gallery.compliant_suite`` with this label:
     (entry, schedule, B0, R)."""
     return next(rest for name, *rest in gallery.compliant_suite() if name == label)
+
+
+def _orthogonal(n, rng):
+    return np.linalg.qr(rng.standard_normal((n, n)))[0]
+
+
+def _indefinite(n, rng):
+    """Q diag(d) Q^T with |d| uniform in [0.5, 2] and alternating signs."""
+    Q = _orthogonal(n, rng)
+    return Q @ np.diag(rng.uniform(0.5, 2.0, size=n) * np.resize([1.0, -1.0], n)) @ Q.T
+
+
+#: The linear part A of each family whose spectrum leaves the positive
+#: half-line, by name: (n, rng) -> A. The non-normal family is upper
+#: triangular with the eigenvalues 1, -1, 1, ... and a standard normal
+#: strict upper part.
+SPECTRUM_FAMILIES = {
+    "indefinite": _indefinite,
+    "orthogonal": _orthogonal,
+    "negative-definite": lambda n, rng: -gallery.random_spd(n, rng),
+    "non-normal": lambda n, rng: (np.diag(np.resize([1.0, -1.0], n))
+                                  + np.triu(rng.standard_normal((n, n)), 1)),
+}
+
+
+def spectrum_instance(family, n, seed):
+    """F(x) = A (x - xhat) + 0.05 (x - xhat)**2 with A from
+    ``SPECTRUM_FAMILIES[family]`` and the gallery's default xhat, and a unit
+    w direction, both drawn at ``seed``: the inputs of the gallery's halving
+    search. Returns (problem, w_dir)."""
+    rng = np.random.default_rng(seed)
+    A = SPECTRUM_FAMILIES[family](n, rng)
+    xhat, nu = gallery._default_xhat(n), 0.05
+
+    @rowwise
+    def jac(x):
+        return A + 2.0 * nu * (x - xhat)[..., :, None] * np.eye(n)
+
+    p = NonlinearProblem(dim=n, f=lambda x: A @ (x - xhat) + nu * (x - xhat) ** 2, jac=jac,
+                         known_solution=xhat, label=f"{family}-{n}")
+    w_dir = rng.standard_normal(n)
+    return p, w_dir / np.linalg.norm(w_dir)
 
 
 #: Every gallery Jacobian marked rowwise, by kind: (n, rng) -> problem with a

@@ -524,8 +524,10 @@ class TestUnusableStart:
         assert err.count("\n") == 1
 
     def test_certificate_error_leaks_no_warning(self, tmp_path):
-        # the coupled run starts; the certificate's ball samples overflow the
-        # renormalization Jacobian, which is reported, not warned about
+        # the coupled run starts; the certificate's radius numerator at this
+        # x0 is negative, which is reported, not warned about. It is decided
+        # before the ball samples, whose Jacobian overflows here too (that
+        # error is pinned in test_theory's TestCertifyWithCanonicalR)
         with warnings.catch_warnings(record=True) as emitted:
             warnings.simplefilter("always")
             code = run_cli(["run", "--problem", "feigenbaum-6", "--method", "coupled",
@@ -533,7 +535,8 @@ class TestUnusableStart:
         assert [str(w.message) for w in emitted] == []
         summary = read_summary(tmp_path / "summary.txt")
         assert code == int(summary["exit_code"])
-        assert summary["certificate.error"].startswith("jacobian returned a non-finite entry")
+        assert summary["certificate.error"].startswith(
+            "constants too large for a convergence certificate (radius numerator -")
 
     def test_sweep_row_tagged(self, tmp_path):
         # 1e5, not 1e4: see the kernel note above test_reported_as_config_error

@@ -147,14 +147,16 @@ class TestCompliantInstance:
     def test_rank_deficient_source_unsatisfiable(self, record_calls):
         # not the source check: A*A has the eigenvalue 0, so by the scope
         # lemma of theory the radius numerator is at most -b(1 + eps0), and
-        # every attempt raises on it, whatever eps(0)
-        calls = record_calls(theory.canonical_R)
+        # every attempt raises on it, whatever eps(0), before any bound is
+        # sampled
+        calls = record_calls(theory._radius_numerator, estimate_bounds)
         with pytest.raises(ValueError, match="no compliant configuration"):
             gallery.compliant_instance(4, seed=0, kind="rank_deficient")
-        assert len(calls["canonical_R"]) == gallery.MAX_HALVINGS + 1
-        for N1, N2, b, eps0, B0_norm, Lambda0_norm in calls["canonical_R"]:
+        assert len(calls["_radius_numerator"]) == gallery.MAX_HALVINGS + 1
+        for b, eps0, B0_norm, Lambda0_norm in calls["_radius_numerator"]:
             numerator = 1.0 - b - eps0 * B0_norm - Lambda0_norm - b * eps0
             assert numerator == pytest.approx(-b * (1.0 + eps0), rel=1e-12)
+        assert calls["estimate_bounds"] == []
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="^unknown compliant kind 'nope'$"):

@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import math
+import warnings
 import weakref
 
 import numpy as np
@@ -21,6 +22,7 @@ from oracles import (
     problems,
     random_spd_path,
     seeds,
+    spectrum_instance,
 )
 
 from gnflow import flow, gallery, hilbert, problem, theory
@@ -586,15 +588,83 @@ class TestCertifyWithCanonicalR:
         with pytest.raises(ValueError):
             theory.certify_with_canonical_R(p, xhat, xhat, s, B0)
 
+    def test_jacobian_overflow_in_ball_reported_without_warning(self):
+        # the numerator is positive (F'(xhat) = 2I, x0 = xhat), but F' = I +
+        # diag(exp(1000 (x - xhat))) overflows where a sample's coordinate
+        # exceeds xhat's by 0.71, as some of the 64 in the unit ball do
+        xhat = np.ones(3)
+
+        def jac(x):
+            with np.errstate(over="ignore"):
+                return np.diag(1.0 + np.exp(1e3 * (x - xhat)))
+
+        p = problem.NonlinearProblem(
+            dim=3, f=lambda x: x - xhat + np.expm1(1e3 * (x - xhat)) / 1e3, jac=jac,
+            known_solution=xhat)
+        s = PowerSchedule(c0=20.0, c1=200.0, a=1.0)
+        B0 = initial_inverse(p, xhat, s.eps(0.0))
+        with warnings.catch_warnings(record=True) as emitted:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match=r"^jacobian returned a non-finite entry at "
+                                                 r"index \(\d, \d\) at sample \d+$"):
+                theory.certify_with_canonical_R(p, xhat, xhat, s, B0)
+        assert [str(w.message) for w in emitted] == []
+
+    def test_radius_iteration_that_does_not_close(self, monkeypatch):
+        # bounds N1 = N2 = 0.01/sqrt(radius) make R proportional to the
+        # sampling radius, with R*eps0 about 160 times it: every pass grows
+        # the radius, which stays finite over the 8 passes
+        def bounds(p, center, radius, seed=0):
+            N = 0.01 / math.sqrt(radius)
+            return BallBounds(center=center, radius=radius, N1=N, N2=N, samples=0)
+
+        monkeypatch.setattr(theory, "estimate_bounds", bounds)
+        p, xhat = identity_problem()
+        s = PowerSchedule(c0=20.0, c1=200.0, a=1.0)
+        B0 = initial_inverse(p, xhat, s.eps(0.0))
+        with pytest.raises(ValueError,
+                           match="^ball radius iteration did not close after 8 passes$"):
+            theory.certify_with_canonical_R(p, xhat, xhat, s, B0)
+
+
+class TestSpectrumAnywhere:
+    """The paper assumes nothing about where the spectrum of F'(x) lies. The
+    gallery's halving search certifies instances whose F'(xhat) is
+    indefinite, orthogonal, negative definite or non-normal, and an RK4 run
+    from each, at a stable step until eps has halved, stays in the ball."""
+
+    @pytest.mark.parametrize("family, n", [("indefinite", 4), ("orthogonal", 4),
+                                           ("negative-definite", 4), ("non-normal", 8)])
+    def test_certified_run_stays_in_the_ball(self, family, n):
+        p, w_dir = spectrum_instance(family, n, seed=0)
+        xhat = p.known_solution
+        assert np.linalg.eigvals(problem.jacobian(p, xhat)).real.min() < 0.0
+        entry, sched, B0, R = gallery._halving_search(p, w_dir, seed=0)
+        x0 = entry.default_x0
+        cert, _ = theory.certify_with_canonical_R(p, xhat, x0, sched, B0, seed=0)
+        assert cert.overall and cert.R == R
+        # 2.785: how far RK4's stability region reaches along the negative
+        # real axis; eps(t) = c0 / (c1 + t) halves at t = c1
+        h = 0.9 * 2.785 / (cert.N1**2 + cert.eps0)
+        cfg = IntegratorConfig(method="rk4", step_h=h, horizon_T=sched.c1, record_every=1,
+                               monitors=frozenset({"ball", "divergence"}))
+        traj = integrate(p, sched, SolverState(t=0.0, x=x0, B=B0), cfg, xhat=xhat, R=R)
+        assert traj.termination == "horizon_reached"
+        assert max(d.err_norm / (R * d.eps) for _, d in traj.records) < 1.0
+
 
 class TestSinglePass:
     def test_constants_computed_once(self, record_calls):
         entry, sched, B0, R = compliant("compliant-affine-8")
         calls = record_calls(hilbert.op_norm, hilbert.op_norms, flow.mismatch_operator,
-                             theory.solve_source)
+                             theory.solve_source, problem.estimate_bounds)
         theory.certify_with_canonical_R(entry.problem, entry.xhat, entry.default_x0, sched, B0)
+        # each radius pass samples bounds with two op_norms calls; the
+        # instance constants take one in all
+        passes = len(calls.pop("estimate_bounds"))
+        assert passes >= 1
         assert {name: len(seen) for name, seen in calls.items()} == {
-            "op_norm": 0, "op_norms": 1, "mismatch_operator": 1, "solve_source": 1}
+            "op_norm": 0, "op_norms": 1 + 2 * passes, "mismatch_operator": 1, "solve_source": 1}
 
     def test_certify_at_canonical_R_matches_field_for_field(self):
         for label, entry, sched, B0, R in gallery.compliant_suite():
@@ -613,26 +683,40 @@ class TestSinglePass:
 
 
 class TestMemoizedBounds:
+    """No sampled bound outlives its certificate: each call samples afresh."""
+
     @pytest.mark.parametrize("kind, n", [("rank_deficient", 4), ("hilbert_matrix", 8)])
-    def test_exhaustion_samples_each_radius_once(self, record_calls, kind, n):
+    def test_exhaustion_samples_no_bounds(self, record_calls, kind, n):
+        # every attempt that reaches the certificate raises on its radius
+        # numerator, which is decided before any bound is sampled
         calls = record_calls(problem.estimate_bounds, theory.certify_with_canonical_R)
         with pytest.raises(ValueError, match="no compliant configuration"):
             gallery.compliant_instance(n, seed=0, kind=kind)
-        radii = [args[2] for args in calls["estimate_bounds"]]
-        assert len(radii) == len(set(radii))
-        assert len(radii) < len(calls["certify_with_canonical_R"])
+        assert calls["certify_with_canonical_R"]
+        assert calls["estimate_bounds"] == []
 
-    def test_reused_bounds_equal_fresh_sampling(self):
+    def test_repeated_certificates_equal_fresh_sampling(self):
         entry, sched, B0, R = compliant("compliant-quadratic-4")
         args = (entry.problem, entry.xhat, entry.default_x0, sched, B0)
-        cert1, bounds1 = theory.certify_with_canonical_R(*args, seed=5)
-        cert2, bounds2 = theory.certify_with_canonical_R(*args, seed=5)
-        assert bounds2 is bounds1 and cert2.R == cert1.R
+        (cert1, bounds1), (cert2, bounds2) = (
+            theory.certify_with_canonical_R(*args, seed=5) for _ in range(2))
         fresh = estimate_bounds(entry.problem, entry.xhat, bounds1.radius, seed=5)
-        assert (bounds1.N1, bounds1.N2, bounds1.radius, bounds1.samples) == (
-            fresh.N1, fresh.N2, fresh.radius, fresh.samples)
-        assert np.array_equal(bounds1.center, fresh.center)
-        assert not bounds1.center.flags.writeable
+        for bounds in (bounds1, bounds2):
+            for f in dataclasses.fields(BallBounds):
+                a, b = getattr(bounds, f.name), getattr(fresh, f.name)
+                assert np.array_equal(a, b) if f.name == "center" else a == b, f.name
+        for f in dataclasses.fields(theory.Certificate):
+            a, b = getattr(cert1, f.name), getattr(cert2, f.name)
+            assert np.array_equal(a, b) if f.name == "w" else a == b, f.name
+
+    def test_bounds_center_is_a_copy(self):
+        p, xhat = identity_problem()
+        s = PowerSchedule(c0=20.0, c1=200.0, a=1.0)
+        _, bounds = theory.certify_with_canonical_R(
+            p, xhat, xhat, s, initial_inverse(p, xhat, s.eps(0.0)))
+        before = p.known_solution.copy()
+        bounds.center[:] = 0.0
+        assert np.array_equal(p.known_solution, before)
 
     def test_bounds_do_not_keep_the_problem_alive(self):
         p, xhat = identity_problem()
