@@ -205,11 +205,13 @@ def _verify_lemmas() -> list:
 
 def _verify_certificate() -> list:
     results = []
-    for label, entry, sched, B0, R in gallery.compliant_suite():
+    for label, entry, sched, B0, R, seed in gallery.compliant_suite():
         p, xhat = entry.problem, entry.xhat
-        cert, _ = theory.certify_with_canonical_R(p, xhat, entry.default_x0, sched, B0)
+        # at the build seed, the certificate rests on the bounds that gave R
+        cert, _ = theory.certify_with_canonical_R(p, xhat, entry.default_x0, sched, B0,
+                                                  seed=seed)
         results.append((f"{label}: certificate overall", cert.overall,
-                        f"k+b*eps0 = {cert.k + cert.b * cert.eps0:.4f}"))
+                        f"R = {cert.R:.6g}, k+b*eps0 = {cert.k + cert.b * cert.eps0:.4f}"))
         st0 = SolverState(t=0.0, x=entry.default_x0, B=B0)
         icfg = IntegratorConfig(method="rk4", step_h=0.01, horizon_T=50.0,
                                 record_every=10,

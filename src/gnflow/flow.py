@@ -77,7 +77,7 @@ def _gradient(p: NonlinearProblem, x0, x, J: np.ndarray, eps: float) -> np.ndarr
 def _inverse_velocity(J: np.ndarray, eps: float, B: np.ndarray) -> np.ndarray:
     """B' = -[(J* J + eps I) B - I], the inverse track's velocity."""
     I = hilbert.identity(len(B))
-    return -((J.T @ J + eps * I) @ B - I)
+    return -(np.dot(np.dot(J.T, J) + eps * I, B) - I)
 
 
 def _mismatch(gram: np.ndarray, B: np.ndarray, eps: float) -> np.ndarray:
@@ -102,7 +102,7 @@ def direct_rhs(p: NonlinearProblem, s, x0, x, t: float) -> np.ndarray:
     """
     eps = s.eps(t)
     J = jacobian(p, x)
-    return -hilbert.solve_shifted(J.T @ J, eps, _gradient(p, x0, x, J, eps))
+    return -hilbert.solve_shifted(np.dot(J.T, J), eps, _gradient(p, x0, x, J, eps))
 
 
 def coupled_rhs(p: NonlinearProblem, s, x0, x, B, t: float) -> tuple[np.ndarray, np.ndarray]:
@@ -125,7 +125,7 @@ def coupled_rhs(p: NonlinearProblem, s, x0, x, B, t: float) -> tuple[np.ndarray,
         J = fd_jacobian(p, x)
     else:
         J = _shaped("jacobian", p.jac(x), (p.dim, p.dim))
-    return -B @ _gradient(p, x0, x, J, eps), _inverse_velocity(J, eps, B)
+    return np.dot(-B, _gradient(p, x0, x, J, eps)), _inverse_velocity(J, eps, B)
 
 
 def solution_gram(p: NonlinearProblem, xhat: np.ndarray) -> np.ndarray:

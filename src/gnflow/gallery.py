@@ -78,7 +78,7 @@ def _affine_problem(A: np.ndarray, xhat: np.ndarray, label: str) -> NonlinearPro
 
     return NonlinearProblem(
         dim=xhat.size,
-        f=lambda x, A=A, c=xhat.copy(): A @ (x - c),
+        f=lambda x, A=A, c=xhat.copy(): np.dot(A, x - c),
         jac=jac,
         known_solution=xhat,
         label=label,
@@ -412,9 +412,13 @@ def _base_instance(n: int, kind: str, rng) -> tuple[NonlinearProblem, np.ndarray
             D.reshape(x.shape[:-1] + (n * n,))[..., ::n + 1] = 2.0 * nu * (x - c)
             return A + D
 
+        def f(x, A=A, c=xhat.copy(), nu=nu):
+            d = x - c
+            return np.dot(A, d) + nu * d ** 2
+
         problem = NonlinearProblem(
             dim=n,
-            f=lambda x, A=A, c=xhat.copy(), nu=nu: A @ (x - c) + nu * (x - c) ** 2,
+            f=f,
             jac=jac,
             known_solution=xhat,
             label=f"quadratic-{n}",
@@ -504,9 +508,14 @@ def _compliant(label: str) -> tuple:
 def compliant_suite() -> list:
     """The certified instances used by the verification batteries.
 
-    Returns a list of (label, GalleryEntry, PowerSchedule, B0, R).
+    Returns a list of (label, GalleryEntry, PowerSchedule, B0, R, seed),
+    with seed the instance's build seed: R is the radius that
+    :func:`~gnflow.theory.certify_with_canonical_R` certified at that
+    seed, so certifying the instance again at ``seed`` gives R again, bit
+    for bit, and the same sampled bounds.
     """
-    return [(label, *_compliant(label)) for label in _COMPLIANT_SPECS]
+    return [(label, *_compliant(label), _COMPLIANT_SPECS[label][1])
+            for label in _COMPLIANT_SPECS]
 
 
 #: Builder of each clean entry by label.

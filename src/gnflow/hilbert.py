@@ -5,6 +5,25 @@ matrices, and the inner product is the Euclidean one (so the adjoint is
 the transpose). Quadrature weights of discretized integral operators are
 folded into the operator entries by the problem definitions, never into
 the inner product.
+
+The product rule of the stage path: each product that an integration
+stage forms (in ``flow.direct_rhs`` and ``flow.coupled_rhs``, the
+refinement of :func:`solve_shifted`, the Gronwall check's right-hand side
+and the gallery's affine and quadratic F) is ``np.dot``, not ``@``. At
+n <= 16 the call costs more than the arithmetic, and ``np.dot`` reaches
+the same BLAS routine with less per-call work, giving the same bits with
+two exceptions:
+
+- a strided matrix times a vector is summed by ``@`` in numpy's own
+  loop, but copied by ``np.dot`` for BLAS, which rounds differently. So
+  the regularized gradient ``J.T @ F(x)``, whose J is the caller's F' as
+  it comes, keeps ``@``; every other matrix-vector product of a stage
+  has a matrix that the stage built or the gallery holds in C order;
+- a 1 x 1 product is one multiplication under ``np.dot`` but is added to
+  +0.0 under ``@``, so the sign of an exact zero can differ at n = 1.
+
+A negation stays on its operand, as in ``np.dot(-B, g)``: moved after
+the product, it would turn the +0.0 of an exactly zero entry into -0.0.
 """
 
 from __future__ import annotations
@@ -274,7 +293,7 @@ def solve_shifted(A: np.ndarray, eps: float, rhs: np.ndarray) -> np.ndarray:
         y = _POTRS(chol, b, lower=1)[0]
         # One refinement pass; cheap and tightens the residual for
         # ill-conditioned shifts.
-        return y + _POTRS(chol, b - M @ y, lower=1)[0]
+        return y + _POTRS(chol, b - np.dot(M, y), lower=1)[0]
 
     if rhs.ndim == 1:
         return refined(rhs)

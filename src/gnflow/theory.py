@@ -415,7 +415,7 @@ def gronwall_check(
 
     def rhs(t, qr, V):
         i = index[t]
-        dV = G_stack[i] - A_stack[i] @ V
+        dV = G_stack[i] - np.dot(A_stack[i], V)
         dqr = np.array([gammas[i], g_norms[i] * math.exp(qr[0])])
         return dqr, dV
 

@@ -4,11 +4,12 @@ share, and the hypothesis strategies that draw their inputs.
 Every fast path of the package is held to one oracle below: the
 column-by-column derivative kernels, the per-sample ball bounds, the
 scipy Cholesky solve, the step-by-step integration over the checked
-stage and the per-step Gronwall norms. A comparison against an oracle is
-exact (``np.array_equal`` or ``==``, and for the derivative kernels and
-the finite-difference points a comparison of the bits, which tells -0.0
-from 0.0): each oracle does the same arithmetic as its fast path, in the
-plainest order.
+stage and the per-step Gronwall norms. Each oracle does the same
+arithmetic as its fast path, in the plainest order, so the comparison is
+exact: :func:`assert_same_bits` for the arrays of the derivative kernels,
+the finite-difference points, the solves, the flow stages and the
+integration, which tells -0.0 from 0.0 where ``np.array_equal`` does
+not, and ``np.array_equal`` or ``==`` elsewhere.
 
 The module is not named ``reference``: ``bench/run.py`` imports its own
 ``reference`` module, and one pytest process runs both suites.
@@ -37,6 +38,19 @@ from gnflow.problem import (
     rowwise,
 )
 from gnflow.schedule import PowerSchedule
+
+
+def assert_same_bits(got, want):
+    """Equal shape, float64 and NaN at the same places; every other entry
+    (inf included) with the same bits, so -0.0 differs from 0.0. A NaN's
+    payload is not compared."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert got.dtype == want.dtype == np.float64
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got.view(np.uint64)[~nan], want.view(np.uint64)[~nan])
+
 
 # --- oracles: derivative kernels -----------------------------------------
 
@@ -245,10 +259,10 @@ def assert_same_run(p, s, st0, cfg, xhat=None, R=None):
     assert len(traj.records) == len(ref)
     for (st, _), (t, x, B) in zip(traj.records, ref):
         assert st.t == t
-        assert np.array_equal(st.x, x)
+        assert_same_bits(st.x, x)
         assert (st.B is None) == (B is None)
         if B is not None:
-            assert np.array_equal(st.B, B)
+            assert_same_bits(st.B, B)
     return tag
 
 
@@ -366,7 +380,7 @@ def unmarked(p):
 def compliant(label):
     """The certified instance of ``gallery.compliant_suite`` with this label:
     (entry, schedule, B0, R)."""
-    return next(rest for name, *rest in gallery.compliant_suite() if name == label)
+    return next(tuple(rest) for name, *rest, _ in gallery.compliant_suite() if name == label)
 
 
 def _orthogonal(n, rng):

@@ -30,10 +30,10 @@ def compliant_runs():
     """Certified instances with their certificates and integrated runs."""
     out = []
     start = time.perf_counter()
-    for label, entry, sched, B0, R in gallery.compliant_suite():
+    for label, entry, sched, B0, R, seed in gallery.compliant_suite():
         cert, _ = theory.certify_with_canonical_R(
-            entry.problem, entry.xhat, entry.default_x0, sched, B0)
-        assert cert.overall, f"{label} must certify"
+            entry.problem, entry.xhat, entry.default_x0, sched, B0, seed=seed)
+        assert cert.overall and cert.R == R, f"{label} must certify with the suite's R"
         assert sched.eps(HORIZON) >= 1e-3, "horizon must stay in the stable range"
         cfg = IntegratorConfig(method="rk4", step_h=0.01, horizon_T=HORIZON,
                                record_every=10,

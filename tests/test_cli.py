@@ -332,6 +332,10 @@ class TestVerify:
         assert run_cli(["verify", "--suite", "certificate"]) == 0
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
+        # each certificate row is certified at the build seed, so its R is
+        # the suite's R, the radius of the ball the run is monitored in
+        printed = dict(re.findall(r"PASS  (\S+): certificate overall +R = (\S+),", out))
+        assert printed == {label: f"{R:.6g}" for label, _, _, _, R, _ in gallery.compliant_suite()}
 
     def test_unknown_suite(self):
         with pytest.raises(SystemExit):

@@ -3,7 +3,18 @@ import weakref
 
 import numpy as np
 import pytest
-from oracles import affine_problem, compliant, frozen, identity_problem
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import (
+    affine_problem,
+    assert_same_bits,
+    checked_coupled_rhs,
+    checked_direct_rhs,
+    compliant,
+    frozen,
+    identity_problem,
+    seeds,
+)
 
 from gnflow import gallery, hilbert, problem, theory
 from gnflow.flow import (
@@ -19,6 +30,38 @@ from gnflow.flow import (
 from gnflow.integrator import IntegratorConfig, integrate
 from gnflow.problem import jacobian
 from gnflow.schedule import PowerSchedule
+
+
+def strided_9():
+    """(problem, xhat, x0) of an affine problem whose F' is a strided view:
+    every other row and column of an 18 x 18 matrix."""
+    rng = np.random.default_rng(9)
+    A = (np.eye(18) + 0.2 * rng.standard_normal((18, 18)))[::2, ::2]
+    xhat = rng.standard_normal(9)
+    p = problem.NonlinearProblem(dim=9, f=lambda x: A @ (x - xhat), jac=lambda x: A,
+                                 known_solution=xhat)
+    return p, xhat, xhat + 0.1
+
+
+def laid_out(M, layout):
+    """M with its entries in the memory ``layout``: "C" or "F" order (F is
+    also the layout of the transpose of a C-order matrix), "strided" (every
+    other row and column of a C-order buffer twice the size) or
+    "transposed-strided" (the transpose of such a view)."""
+    if layout == "C":
+        return np.ascontiguousarray(M)
+    if layout == "F":
+        return np.asfortranarray(M)
+    n = len(M)
+    buffer = np.zeros((2 * n, 2 * n))
+    if layout == "strided":
+        buffer[::2, ::2] = M
+        return buffer[::2, ::2]
+    buffer[::2, ::2] = M.T
+    return buffer[::2, ::2].T
+
+
+LAYOUTS = ("C", "F", "strided", "transposed-strided")
 
 
 class TestDirectRhs:
@@ -100,6 +143,63 @@ class TestCoupledRhs:
             coupled_rhs(p, s, xhat, xhat, None, 0.0)
 
 
+class TestStageBits:
+    """Both stage kernels against the checked stage of ``tests/oracles.py``,
+    bit for bit, over the memory layouts of F' and B. A run's records
+    can hide a last-place difference of one stage, which rounding x
+    absorbs, so the stages are compared on their own."""
+
+    def test_strided_jacobian_and_inverse_track(self):
+        p, xhat, x0 = strided_9()
+        s = PowerSchedule(c0=0.1, c1=1.0, a=1.0)
+        B0 = initial_inverse(p, x0, s.eps(0.0))
+        rng = np.random.default_rng(90)
+        for layout in ("F", "strided", "transposed-strided"):
+            B = laid_out(B0 + 0.01 * rng.standard_normal((9, 9)), layout)
+            for t in (0.0, 0.37, 4.0):
+                x = x0 + 0.1 * rng.standard_normal(9)
+                assert_same_bits(direct_rhs(p, s, x0, x, t), checked_direct_rhs(p, s, x0, x, t))
+                for got, want in zip(coupled_rhs(p, s, x0, x, B, t),
+                                     checked_coupled_rhs(p, s, x0, x, B, t)):
+                    assert_same_bits(got, want)
+
+    @settings(max_examples=120)
+    @given(n=st.integers(1, 16), jac_layout=st.sampled_from(LAYOUTS),
+           B_layout=st.sampled_from(LAYOUTS), t=st.floats(0.0, 10.0), seed=seeds)
+    def test_any_layout(self, n, jac_layout, B_layout, t, seed):
+        rng = np.random.default_rng(seed)
+        A = laid_out(np.eye(n) + rng.standard_normal((n, n)), jac_layout)
+        xhat, x0, x = rng.standard_normal((3, n))
+        p = problem.NonlinearProblem(dim=n, f=lambda x: A @ (x - xhat), jac=lambda x: A)
+        B = laid_out(rng.standard_normal((n, n)), B_layout)
+        s = PowerSchedule(c0=0.1, c1=1.0, a=1.0)
+        assert_same_bits(direct_rhs(p, s, x0, x, t), checked_direct_rhs(p, s, x0, x, t))
+        for got, want in zip(coupled_rhs(p, s, x0, x, B, t),
+                             checked_coupled_rhs(p, s, x0, x, B, t)):
+            assert_same_bits(got, want)
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_zero_gradient(self, n):
+        # at x = x0 = xhat the gradient is +0.0. np.dot and the matmul
+        # operator call the same BLAS routine for n >= 2, and then agree bit
+        # for bit here too; a 1 x 1 product is one multiplication under
+        # np.dot, (-b) * 0.0 = -0.0, where matmul adds it to +0.0. So at
+        # n = 1 the coupled x-velocity is -0.0 where the checked stage's is
+        # +0.0: equal values, the one bit the stage kernels do not keep.
+        rng = np.random.default_rng(n)
+        xhat = rng.standard_normal(n)
+        p = affine_problem(np.eye(n) + 0.1 * rng.standard_normal((n, n)), xhat)
+        s = PowerSchedule(c0=0.1, c1=1.0, a=1.0)
+        B = initial_inverse(p, xhat, s.eps(0.0))
+        assert_same_bits(direct_rhs(p, s, xhat, xhat, 0.0),
+                         checked_direct_rhs(p, s, xhat, xhat, 0.0))
+        x_dot, B_dot = coupled_rhs(p, s, xhat, xhat, B, 0.0)
+        want_x, want_B = checked_coupled_rhs(p, s, xhat, xhat, B, 0.0)
+        assert_same_bits(B_dot, want_B)
+        assert np.array_equal(x_dot, want_x) and not x_dot.any()
+        assert_same_bits(x_dot, -want_x if n == 1 else want_x)
+
+
 class TestInitialInverse:
     def test_matches_dense_inverse(self):
         rng = np.random.default_rng(4)
@@ -118,7 +218,7 @@ class TestInitialInverse:
         for eps0 in (1e-3, 0.1):
             reference = np.column_stack(
                 [hilbert.solve_regularized(G, eps0, e) for e in np.eye(p.dim)])
-            assert np.array_equal(initial_inverse(p, x0, eps0), reference), label
+            assert_same_bits(initial_inverse(p, x0, eps0), reference)
 
     def test_scaled_identity_mode(self):
         p, xhat = identity_problem()
@@ -169,12 +269,7 @@ class TestDiagnostics:
         # Haswell and Prescott kernels (odd n >= 9), so no symmetrized copy of
         # the flow's operator may stand in for it.
         if label == "strided-9":
-            rng = np.random.default_rng(9)
-            A = (np.eye(18) + 0.2 * rng.standard_normal((18, 18)))[::2, ::2]
-            xhat = rng.standard_normal(9)
-            p = problem.NonlinearProblem(dim=9, f=lambda x: A @ (x - xhat), jac=lambda x: A,
-                                         known_solution=xhat)
-            x0 = xhat + 0.1
+            p, xhat, x0 = strided_9()
         else:
             entry = gallery.get_entry(label)
             p, xhat, x0 = entry.problem, entry.xhat, entry.default_x0

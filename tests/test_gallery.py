@@ -195,10 +195,12 @@ class TestRegistry:
             assert np.max(np.abs(J - J_fd)) <= 1e-6 * scale, label
 
     def test_compliant_suite_certifies(self):
-        for label, entry, sched, B0, R in gallery.compliant_suite():
+        # at its build seed each instance certifies again with its own R
+        for label, entry, sched, B0, R, seed in gallery.compliant_suite():
             cert, _ = theory.certify_with_canonical_R(
-                entry.problem, entry.xhat, entry.default_x0, sched, B0)
+                entry.problem, entry.xhat, entry.default_x0, sched, B0, seed=seed)
             assert cert.overall, label
+            assert cert.R == R, label
 
     def test_unknown_label(self):
         with pytest.raises(KeyError, match="unknown problem label"):

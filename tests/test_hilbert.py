@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
-from oracles import log_uniform, reference_solve, seeds
+from oracles import assert_same_bits, log_uniform, reference_solve, seeds
 
 from gnflow import gallery, hilbert
 from gnflow.flow import direct_rhs
@@ -170,10 +170,10 @@ class TestSolveRegularized:
         G = J.T @ J
         rhs = rng.standard_normal((n, 3))
         for b in rhs.T:
-            assert np.array_equal(hilbert.solve_regularized(G, eps, b), reference_solve(G, eps, b))
+            assert_same_bits(hilbert.solve_regularized(G, eps, b), reference_solve(G, eps, b))
         # a matrix right-hand side: one factorization, every column as alone
         Y = hilbert.solve_regularized(G, eps, rhs)
-        assert np.array_equal(Y, np.column_stack([reference_solve(G, eps, b) for b in rhs.T]))
+        assert_same_bits(Y, np.column_stack([reference_solve(G, eps, b) for b in rhs.T]))
 
     def test_matrix_rhs_validated(self):
         with pytest.raises(ValueError, match="2 rows"):
@@ -199,10 +199,10 @@ class TestSolveShifted:
         rhs = rng.standard_normal((n, cols))
         want = np.column_stack([reference_solve(A, eps, b) for b in rhs.T])
         for b, y in zip(rhs.T, want.T):
-            assert np.array_equal(hilbert.solve_shifted(A, eps, b), y)
-            assert np.array_equal(hilbert.solve_regularized(A, eps, b), y)
-        assert np.array_equal(hilbert.solve_shifted(A, eps, rhs), want)
-        assert np.array_equal(hilbert.solve_regularized(A, eps, rhs), want)
+            assert_same_bits(hilbert.solve_shifted(A, eps, b), y)
+            assert_same_bits(hilbert.solve_regularized(A, eps, b), y)
+        assert_same_bits(hilbert.solve_shifted(A, eps, rhs), want)
+        assert_same_bits(hilbert.solve_regularized(A, eps, rhs), want)
 
     def test_checks_eps_only(self):
         with pytest.raises(ValueError, match=r"^eps must be positive and finite, got 0\.0$"):

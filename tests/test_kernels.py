@@ -36,6 +36,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 from oracles import (
     FAMILIES,
+    assert_same_bits,
     kernel_floats,
     log_uniform,
     near,
@@ -66,18 +67,6 @@ from gnflow.problem import (
     rowwise,
 )
 from gnflow.schedule import PowerSchedule
-
-
-def assert_same_bits(got, want):
-    """Equal shape, float64 and NaN at the same places; every other entry
-    (inf included) with the same bits, so -0.0 differs from 0.0. A NaN's
-    payload is not compared."""
-    got, want = np.asarray(got), np.asarray(want)
-    assert got.shape == want.shape
-    assert got.dtype == want.dtype == np.float64
-    nan = np.isnan(want)
-    assert np.array_equal(np.isnan(got), nan)
-    assert np.array_equal(got.view(np.uint64)[~nan], want.view(np.uint64)[~nan])
 
 
 def feigenbaum_points(n, count, seed):
@@ -211,7 +200,7 @@ def test_autoconvolution_jacobian_matches_toeplitz(n):
         p = gallery._with_data_noise(gallery.make_autoconvolution(n), noise, n).problem
         for _ in range(200):
             x = rng.standard_normal(n) * 10.0 ** rng.uniform(-3.0, 3.0)
-            assert np.array_equal(p.jac(x), reference_autoconv_jacobian(x, n))
+            assert_same_bits(p.jac(x), reference_autoconv_jacobian(x, n))
 
 
 @settings(max_examples=100)

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
     FAMILIES,
+    SPECTRUM_FAMILIES,
     affine_problem,
     compliant,
     frozen,
@@ -116,25 +117,36 @@ class TestCanonicalR:
 
 class TestScopeLemma:
     """eps0 ||B0|| + ||Λ0|| >= 1 - λmin ||B0|| for every B0, with Λ0 = I -
-    B0 (M + eps0 I), M = F'(xhat)* F'(xhat) and λmin its smallest eigenvalue."""
+    B0 (M + eps0 I), M = F'(xhat)* F'(xhat) and λmin its smallest eigenvalue:
+    apply Λ0 to the unit eigenvector of λmin. The exact inverse of M +
+    eps0 I makes both sides equal."""
 
-    @settings(max_examples=100)
-    @given(p=problems(kinds=tuple(FAMILIES)), eps0=log_uniform(-3.0, 0.0), data=st.data())
-    def test_holds_to_rounding(self, p, eps0, data):
-        xhat = p.known_solution
-        if data.draw(st.booleans()):
+    @settings(max_examples=150)
+    @given(p=problems(kinds=tuple(FAMILIES)) | st.builds(
+               lambda family, n, seed: spectrum_instance(family, n, seed)[0],
+               st.sampled_from(tuple(SPECTRUM_FAMILIES)), st.integers(1, 16), seeds),
+           eps0=log_uniform(-4.0, 0.0), B0_kind=st.sampled_from(["exact", "near", "drawn"]),
+           data=st.data())
+    def test_holds_to_rounding(self, p, eps0, B0_kind, data):
+        xhat, n = p.known_solution, p.dim
+        if B0_kind == "exact":
+            B0 = initial_inverse(p, xhat, eps0)
+        elif B0_kind == "near":
             B0 = initial_inverse(p, data.draw(near(xhat)), eps0)
         else:
-            B0 = np.random.default_rng(data.draw(seeds)).standard_normal((p.dim, p.dim))
+            B0 = np.random.default_rng(data.draw(seeds)).standard_normal((n, n))
             B0 *= data.draw(log_uniform(-3.0, 3.0))
         M = flow.solution_gram(p, xhat)
         lam_min = np.linalg.eigvalsh(0.5 * (M + M.T))[0]
-        B0_norm, Lambda0_norm = hilbert.op_norms(
-            np.stack([B0, mismatch_operator(p, xhat, B0, eps0)]))
-        lhs = eps0 * B0_norm + Lambda0_norm
-        # eigvalsh finds lam_min to about u ||M||
-        scale = 1.0 + lhs + op_norm(M) * B0_norm
-        assert lhs - (1.0 - lam_min * B0_norm) >= -16.0 * np.finfo(float).eps * scale
+        B0_norm, Lambda0_norm, M_norm = hilbert.op_norms(
+            np.stack([B0, mismatch_operator(p, xhat, B0, eps0), M]))
+        slack = eps0 * B0_norm + Lambda0_norm - (1.0 - lam_min * B0_norm)
+        # Λ0 carries the rounding of one product of B0 with M + eps0 I, and
+        # λmin ||B0|| that of eigvalsh on M: each about n u ||B0|| (||M|| +
+        # eps0), u the unit round-off. The worst of 30 000 drawn cases
+        # reached 1.4 of this scale.
+        scale = n * (np.finfo(float).eps / 2.0) * (1.0 + B0_norm * (M_norm + eps0))
+        assert slack >= -4.0 * scale
 
 
 class TestSolveSource:
@@ -270,9 +282,9 @@ class TestCertify:
     def test_lambda_consistency_with_checks(self):
         # the recorded lambda must satisfy exactly the inequalities the
         # checks claim, recomputed here from certificate fields
-        for label, entry, sched, B0, R in gallery.compliant_suite():
+        for label, entry, sched, B0, R, seed in gallery.compliant_suite():
             cert, _ = theory.certify_with_canonical_R(
-                entry.problem, entry.xhat, entry.default_x0, sched, B0)
+                entry.problem, entry.xhat, entry.default_x0, sched, B0, seed=seed)
             margin = 1.0 - cert.k - cert.b * cert.eps0
             lam = 3.0 * cert.N1 * cert.N2 * (1.0 + cert.eps0 * cert.B0_norm) / margin
             assert cert.lam == pytest.approx(lam, rel=1e-14)
@@ -667,9 +679,9 @@ class TestSinglePass:
             "op_norm": 0, "op_norms": 1 + 2 * passes, "mismatch_operator": 1, "solve_source": 1}
 
     def test_certify_at_canonical_R_matches_field_for_field(self):
-        for label, entry, sched, B0, R in gallery.compliant_suite():
+        for label, entry, sched, B0, R, seed in gallery.compliant_suite():
             args = (entry.problem, entry.xhat, entry.default_x0, sched, B0)
-            cert, bounds = theory.certify_with_canonical_R(*args)
+            cert, bounds = theory.certify_with_canonical_R(*args, seed=seed)
             again = theory.certify(*args, bounds, cert.R)
             for f in dataclasses.fields(theory.Certificate):
                 a, b = getattr(cert, f.name), getattr(again, f.name)
