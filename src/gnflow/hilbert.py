@@ -114,11 +114,14 @@ def returned(name: str, value, shape: tuple, at=None) -> np.ndarray:
     at several points, each of ``shape``; they are stacked into one array of
     shape ``(len(value), *shape)``, and an error names the first failing
     value i by ``at(i)``, as in ``A_path(t) returned shape (2, 3) at t=0.1,
-    expected (2, 2)``.
+    expected (2, 2)``; an empty sequence raises ``A_path(t) returned no
+    values, expected at least one``.
 
     The test that passes is one conversion, one shape comparison and one
     :func:`all_finite`; the failing value is looked for only after it fails.
     """
+    if at is not None and len(value) == 0:
+        raise ValueError(f"{name} returned no values, expected at least one")
     try:
         arr = np.asarray(value, dtype=float)
     except ValueError:

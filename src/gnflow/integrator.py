@@ -1,9 +1,12 @@
 """Fixed-step explicit integration of the flows, with event monitors.
 
 The pair (x, B) is advanced jointly in a single stage loop; B is just a
-flat block of extra state. One RK4 implementation, ``advance``, serves
-``step`` and the Gronwall lemma check in ``theory``. Monitors watch for
-the ball-exit event ||x - xhat|| >= R * eps(t) and for divergence.
+flat block of extra state. One RK4 formula, the unchecked ``rk4``, serves
+``advance``, which adds the finiteness test of a step, and through it
+``step``; the Gronwall lemma check in ``theory`` calls ``rk4`` on the
+stacked steps of its two quadratures and ``advance`` on its operator,
+step by step. Monitors watch for the ball-exit event
+||x - xhat|| >= R * eps(t) and for divergence.
 
 What a run of ``integrate`` checks, and where:
 
@@ -39,6 +42,10 @@ from .flow import SolverState, coupled_rhs, diagnostics, direct_rhs
 from .problem import NonlinearProblem
 
 DIVERGENCE_LIMIT = 1e12
+
+#: The message of the FloatingPointError that ends a step with a
+#: non-finite new state.
+NON_FINITE_STEP = "non-finite state after step"
 
 #: rhs callback signature: (t, x, B) -> (x_dot, B_dot); B and B_dot are
 #: None for the direct flow.
@@ -95,9 +102,29 @@ def _stage(x, B, xd, Bd, h):
     return xs, Bs
 
 
+def rk4(rhs: RhsFn, x: np.ndarray, B: Optional[np.ndarray], t: float, h: float) -> tuple:
+    """One classical RK4 step of the pair (x, B), unchecked.
+
+    Works on bare arrays of any shape, elementwise; ``B`` is None when the
+    flow carries no inverse track. ``rhs`` is called at the stage times
+    t, t+h/2 (twice) and t+h, in that order. Returns the new pair, which
+    may hold non-finite entries.
+    """
+    k1x, k1B = rhs(t, x, B)
+    x2, B2 = _stage(x, B, k1x, k1B, h / 2.0)
+    k2x, k2B = rhs(t + h / 2.0, x2, B2)
+    x3, B3 = _stage(x, B, k2x, k2B, h / 2.0)
+    k3x, k3B = rhs(t + h / 2.0, x3, B3)
+    x4, B4 = _stage(x, B, k3x, k3B, h)
+    k4x, k4B = rhs(t + h, x4, B4)
+    xn = x + (h / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
+    Bn = None if B is None else B + (h / 6.0) * (k1B + 2.0 * k2B + 2.0 * k3B + k4B)
+    return xn, Bn
+
+
 def advance(rhs: RhsFn, x: np.ndarray, B: Optional[np.ndarray], t: float, h: float,
             method: str) -> tuple:
-    """One explicit Euler or classical RK4 step of the pair (x, B).
+    """One explicit Euler or classical RK4 (:func:`rk4`) step of the pair (x, B).
 
     Works on bare arrays and checks none of its inputs; ``B`` is None when
     the flow carries no inverse track. The schedule inside ``rhs`` is
@@ -109,19 +136,11 @@ def advance(rhs: RhsFn, x: np.ndarray, B: Optional[np.ndarray], t: float, h: flo
     if method == "euler":
         xn, Bn = _stage(x, B, *rhs(t, x, B), h)
     elif method == "rk4":
-        k1x, k1B = rhs(t, x, B)
-        x2, B2 = _stage(x, B, k1x, k1B, h / 2.0)
-        k2x, k2B = rhs(t + h / 2.0, x2, B2)
-        x3, B3 = _stage(x, B, k2x, k2B, h / 2.0)
-        k3x, k3B = rhs(t + h / 2.0, x3, B3)
-        x4, B4 = _stage(x, B, k3x, k3B, h)
-        k4x, k4B = rhs(t + h, x4, B4)
-        xn = x + (h / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-        Bn = None if B is None else B + (h / 6.0) * (k1B + 2.0 * k2B + 2.0 * k3B + k4B)
+        xn, Bn = rk4(rhs, x, B, t, h)
     else:
         raise ValueError(f"unknown method {method!r}")
     if not hilbert.all_finite(xn) or (Bn is not None and not hilbert.all_finite(Bn)):
-        raise FloatingPointError("non-finite state after step")
+        raise FloatingPointError(NON_FINITE_STEP)
     return xn, Bn
 
 

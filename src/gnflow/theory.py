@@ -33,7 +33,7 @@ import numpy as np
 
 from . import hilbert
 from .flow import mismatch_operator, solution_gram
-from .integrator import advance, step_count
+from .integrator import NON_FINITE_STEP, advance, rk4, step_count
 from .problem import BallBounds, NonlinearProblem, check_root, estimate_bounds
 
 #: Relative spectral cutoff for the source-condition pseudo-inverse, and
@@ -338,29 +338,70 @@ def gronwall_check(
         ||V(t)|| <= exp(-int_0^t gamma) * [int_0^t ||G(s)|| exp(int_0^s gamma) ds + ||V0||].
 
     V and both accumulated integrals q = int gamma and
-    r = int ||G|| exp(q) are advanced together by the integrator's RK4
-    step, so the quadrature matches the integration order; the constant
-    coefficient case A = gamma*I, G = 0 then meets the bound with
-    equality to integrator precision. ``gamma`` must lower-bound the
-    symmetric part of A at every step time, verified by eigenvalue (one
-    batched ``eigvalsh`` over all step times, before the first step) and
-    reported as an error naming the first failing time; a step that fails
-    before that time ends the check first. ``A_path``,
-    ``G_path`` and ``gamma`` are evaluated once per distinct stage time,
-    all before the first step, and must return n x n operators like V0.
-    The values of each path are stacked and checked once by
-    :func:`hilbert.returned`, G's before A's, before the first step; a
-    ValueError names the path and the first time at which it fails. Then
-    every value of ``gamma`` must pass :func:`hilbert.positive`, and the
-    first that does not is named with its time, as in ``gamma(0.6) must be
-    positive and finite, got inf``.
+    r = int ||G|| exp(q) are integrated by the integrator's one RK4
+    formula on the same step grid, so the quadrature matches the
+    integration order; the constant coefficient case A = gamma*I, G = 0
+    then meets the bound with equality to integrator precision. Neither
+    integral depends on V, and q' = gamma(t) not on q, so the
+    quadratures run before the step loop: one ``rk4`` call over every
+    step at once gives q's increments, whose running sum is q, and a
+    second, at those q, gives r's (each exp(q) is ``math.exp`` of one
+    value). Only V is advanced step by step, by ``advance``. The values
+    are those of stepping q, r and V together, bit for bit.
+
+    ``gamma`` must lower-bound the symmetric part of A at every step
+    time, verified by eigenvalue (one batched ``eigvalsh`` over all step
+    times, before the first step) and reported as an error naming the
+    first failing time; a step that fails before that time ends the check
+    first, and a step fails when its V, q or r is not finite, as when
+    exp(q) overflows. ``A_path``, ``G_path`` and ``gamma`` are evaluated
+    once per distinct stage time, all before the first step, and must
+    return n x n operators like V0. The values of each path are stacked
+    and checked once by :func:`hilbert.returned`, G's before A's, before
+    the first step; a ValueError names the path and the first time at
+    which it fails. Then every value of ``gamma`` must pass
+    :func:`hilbert.positive`, and the first that does not is named with
+    its time, as in ``gamma(0.6) must be positive and finite, got inf``.
 
     Returns max over step times of ||V(t)|| - bound(t); the lemma holds
     when this is at most a small positive tolerance. Raises ValueError
     unless ``T`` and ``h`` are positive and finite with ``T`` at least
-    one step, and FloatingPointError when the integrated state leaves the
-    finite range.
+    one step, and FloatingPointError at the first step whose V, q or r
+    leaves the finite range.
     """
+    q, r, Vs = _gronwall_steps(A_path, G_path, V0, gamma, T, h)
+    v0_norm, *v_norms = hilbert.op_norms(Vs).tolist()
+    # 0.0 is the violation at t = 0, where ||V0|| equals the bound
+    return float(max([0.0] + [v - math.exp(-qk) * (rk + v0_norm)
+                              for v, qk, rk in zip(v_norms, q[1:].tolist(), r[1:].tolist())]))
+
+
+def _exps(q: np.ndarray) -> np.ndarray:
+    """``math.exp`` of each entry, as an array; an exp that overflows is inf.
+
+    numpy's vectorized exp can differ from ``math.exp`` in the last place,
+    so each value goes through ``math.exp``, one at a time, and the check's
+    values do not depend on which exp numpy dispatches to.
+    """
+    values = q.tolist()
+    try:
+        return np.array([math.exp(v) for v in values])
+    except OverflowError:
+        return np.array([_exp(v) for v in values])
+
+
+def _exp(v: float) -> float:
+    try:
+        return math.exp(v)
+    except OverflowError:
+        return math.inf
+
+
+def _gronwall_steps(A_path, G_path, V0, gamma, T, h) -> tuple:
+    """The per-step values that :func:`gronwall_check` reduces to its
+    violation, with its checks and its errors: q and r at every step time
+    k*h, k = 0..n_steps (float64 arrays), and the list of V there, V0
+    first."""
     V0 = hilbert.as_operator(V0)
     n = V0.shape[0]
     n_steps = step_count("T", hilbert.positive("T", T), hilbert.positive("h", h))
@@ -371,9 +412,9 @@ def gronwall_check(
     # time k*h, which usually equal the next step's start. Each distinct
     # time is evaluated once, in that order, into one stack per path, and
     # every ||G(t)|| comes from one batched norm call.
+    starts = [(k - 1) * h for k in range(1, n_steps + 1)]
     times = [0.0]
-    for k in range(1, n_steps + 1):
-        t = (k - 1) * h
+    for k, t in enumerate(starts, 1):
         times += [t, t + h / 2.0, t + h, k * h]
     index, Gs, As, gammas = {}, [], [], []
     for t in times:
@@ -395,7 +436,7 @@ def gronwall_check(
     if not all(0 < g < math.inf for g in gammas):
         for t, g in zip(distinct, gammas):
             hilbert.positive(f"gamma({t})", g)
-    g_norms = hilbert.op_norms(G_stack).tolist()
+    g_norms = hilbert.op_norms(G_stack)
 
     # The smallest symmetric eigenvalue at every step time k*h, from one
     # batched eigvalsh; each is checked only when the loop reaches its time.
@@ -413,23 +454,43 @@ def gronwall_check(
                 f"{smallest:.6e} < gamma {g:.6e}"
             )
 
-    def rhs(t, qr, V):
-        i = index[t]
-        dV = G_stack[i] - np.dot(A_stack[i], V)
-        dqr = np.array([gammas[i], g_norms[i] * math.exp(qr[0])])
-        return dqr, dV
+    # The quadratures, every step at once: ``rk4`` from t = 0 calls its
+    # rate at the stage offsets 0, h/2 and h, which pick out each step's
+    # start, midpoint and end. q's rate is gamma alone, so the step
+    # increments are summed in step order; r's rate reads q at its stages,
+    # which ride as the B block from each step's starting q. A non-finite
+    # value is left for the loop to raise at its step.
+    stage = {offset: np.array([index[t + offset] for t in starts])
+             for offset in (0.0, h / 2.0, h)}
+    gamma_all = np.array(gammas)
 
-    # (q, r) rides as the vector block of the integrator's state, V as its
-    # matrix block. V0 and each step's V are kept for one batched norm call.
-    qr, V = np.zeros(2), V0
+    def q_rate(offset, _q, _):
+        return gamma_all[stage[offset]], None
+
+    def r_rate(offset, _r, q_stage):
+        i = stage[offset]
+        return g_norms[i] * _exps(q_stage), gamma_all[i]
+
+    zeros = np.zeros(n_steps)
+    with np.errstate(all="ignore"):
+        dq, _ = rk4(q_rate, zeros, None, 0.0, h)
+        q = np.add.accumulate(np.concatenate(([0.0], dq)))
+        dr, _ = rk4(r_rate, zeros, q[:-1], 0.0, h)
+        r = np.add.accumulate(np.concatenate(([0.0], dr)))
+    finite = np.isfinite(q) & np.isfinite(r)
+    first_bad = int(np.argmin(finite)) if not finite.all() else None
+
+    def rhs(t, V, _):
+        i = index[t]
+        return G_stack[i] - np.dot(A_stack[i], V), None
+
+    V = V0
     check_coercive(0)
-    Vs, qrs = [V0], []
+    Vs = [V0]
     for k in range(1, n_steps + 1):
-        qr, V = advance(rhs, qr, V, (k - 1) * h, h, "rk4")
+        V, _ = advance(rhs, V, None, (k - 1) * h, h, "rk4")
+        if k == first_bad:
+            raise FloatingPointError(NON_FINITE_STEP)
         check_coercive(k)
         Vs.append(V)
-        qrs.append(qr)
-    v0_norm, *v_norms = hilbert.op_norms(Vs)
-    # 0.0 is the violation at t = 0, where ||V0|| equals the bound
-    return float(max([0.0] + [v - math.exp(-q) * (r + v0_norm)
-                              for v, (q, r) in zip(v_norms, qrs)]))
+    return q, r, Vs

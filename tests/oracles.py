@@ -300,17 +300,32 @@ def lemma_battery_path(i):
 
 
 def gronwall_reference(A_path, G_path, V0, gamma, T, h):
-    """The Gronwall violation with one op_norm per step, in step order."""
+    """q = int gamma, r = int ||G|| exp(q) and V of the Gronwall check at
+    every step time k*h, k = 0..n_steps, stepped together: (q, r) as a
+    2-vector beside V through one ``advance`` per step, with one op_norm of
+    G per stage. Returns q and r of shape (n_steps + 1,) and V of shape
+    (n_steps + 1, n, n)."""
     def rhs(t, qr, V):
         A, G = A_path(t), G_path(t)
         return np.array([gamma(t), op_norm(G) * math.exp(qr[0])]), G - A @ V
 
-    qr, V = np.zeros(2), V0
-    v0_norm = op_norm(V0)
-    worst = 0.0
+    qr, V = np.zeros(2), np.asarray(V0, dtype=float)
+    qrs, Vs = [qr], [V]
     for k in range(1, int(math.floor(T / h + 1e-9)) + 1):
         qr, V = advance(rhs, qr, V, (k - 1) * h, h, "rk4")
-        worst = max(worst, op_norm(V) - math.exp(-qr[0]) * (qr[1] + v0_norm))
+        qrs.append(qr)
+        Vs.append(V)
+    q, r = np.array(qrs).T
+    return q, r, np.array(Vs)
+
+
+def gronwall_violation(q, r, V):
+    """The Gronwall violation of per-step (q, r, V) as ``gronwall_reference``
+    returns them, with one op_norm per step, in step order."""
+    v0_norm = op_norm(V[0])
+    worst = 0.0
+    for qk, rk, Vk in zip(q[1:], r[1:], V[1:]):
+        worst = max(worst, op_norm(Vk) - math.exp(-qk) * (rk + v0_norm))
     return worst
 
 

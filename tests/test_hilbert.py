@@ -94,6 +94,14 @@ class TestValidatorShapes:
         with pytest.raises(ValueError, match=r"^operator is 2x2, expected 3x3$"):
             hilbert.as_operator(np.eye(2), dim=3)
 
+    @pytest.mark.parametrize("empty", [[], (), np.empty((0, 2, 2))], ids=["list", "tuple", "array"])
+    def test_no_returned_values(self, empty):
+        # an empty sequence of values names the function rather than
+        # passing as None
+        with pytest.raises(ValueError, match=r"^A_path\(t\) returned no values, "
+                                             r"expected at least one$"):
+            hilbert.returned("A_path(t)", empty, (2, 2), at=lambda i: f"t={i}")
+
 
 class TestSolveRegularized:
     def test_zero_matrix(self):

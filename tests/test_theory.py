@@ -12,9 +12,11 @@ from oracles import (
     FAMILIES,
     SPECTRUM_FAMILIES,
     affine_problem,
+    assert_same_bits,
     compliant,
     frozen,
     gronwall_reference,
+    gronwall_violation,
     identity_problem,
     lemma_battery_path,
     log_uniform,
@@ -429,19 +431,37 @@ class TestGronwall:
             assert len(seen) == len(set(seen)), name
             assert len(seen) <= 3 * 10 + 1, name
 
+    @staticmethod
+    def assert_steps_match_reference(A_path, G_path, V0, gamma, T, h=0.01):
+        """q, r and V at every step time bit for bit as the stepped reference
+        has them, and the violation equal to the reference's; returns it."""
+        q, r, V = theory._gronwall_steps(A_path, G_path, V0, gamma, T, h)
+        q_ref, r_ref, V_ref = gronwall_reference(A_path, G_path, V0, gamma, T, h)
+        assert_same_bits(q, q_ref)
+        assert_same_bits(r, r_ref)
+        assert_same_bits(np.array(V), V_ref)
+        violation = theory.gronwall_check(A_path, G_path, V0, gamma, T=T, h=h)
+        assert violation == gronwall_violation(q_ref, r_ref, V_ref)
+        return violation
+
     @pytest.mark.parametrize("path", range(22))
     def test_matches_per_step_norm_reference(self, path):
-        A_path, G_path, V0, gamma, T = lemma_battery_path(path)
-        expected = gronwall_reference(A_path, G_path, V0, gamma, T, h=0.01)
-        assert theory.gronwall_check(A_path, G_path, V0, gamma, T=T, h=0.01) == expected
+        self.assert_steps_match_reference(*lemma_battery_path(path))
 
     @settings(max_examples=5)
     @given(seed=seeds)
     def test_random_spd_path_within_bound(self, seed):
-        A_path, G_path, V0, gamma, T = random_spd_path(seed)
-        violation = theory.gronwall_check(A_path, G_path, V0, gamma, T=T, h=0.01)
-        assert violation == gronwall_reference(A_path, G_path, V0, gamma, T, h=0.01)
-        assert violation <= 1e-6
+        assert self.assert_steps_match_reference(*random_spd_path(seed)) <= 1e-6
+
+    @settings(max_examples=5)
+    @given(seed=seeds)
+    def test_forced_random_spd_path_within_bound(self, seed):
+        # the battery's SPD paths have G = 0, so r stays 0 along them; a
+        # forcing that varies in time makes every step add to r
+        A_path, _, V0, gamma, T = random_spd_path(seed)
+        C = np.random.default_rng(seed).standard_normal(V0.shape)
+        G_path = lambda t: np.cos(3.0 * t) * C
+        assert self.assert_steps_match_reference(A_path, G_path, V0, gamma, T) <= 1e-6
 
     def test_coercivity_failure_names_time(self):
         A_path = lambda t: (1.0 - t) * np.eye(2)  # loses coercivity past t=0.5
@@ -493,6 +513,30 @@ class TestGronwall:
                 lambda t: -np.eye(2) if t > 0.75 else np.eye(2),
                 lambda t: 1e308 * np.eye(2) if t > 0.25 else np.zeros((2, 2)), np.eye(2),
                 gamma=lambda t: 0.5, T=1.0, h=0.1)
+
+    def test_overflowing_exp_is_a_step_failure(self):
+        # int gamma passes 709 within the first step, so exp(q) overflows
+        # there; the check raises FloatingPointError, not OverflowError
+        with pytest.raises(FloatingPointError, match="^non-finite state after step$"):
+            theory.gronwall_check(
+                lambda t: 1e5 * np.eye(2), lambda t: np.zeros((2, 2)), np.eye(2),
+                gamma=lambda t: 1e5, T=0.05, h=0.01)
+
+    def test_coercivity_failure_before_an_overflowing_exp(self):
+        # exp(q) overflows in the third step (q reaches 750 at its first
+        # midpoint), coercivity fails at the end of the second
+        with pytest.raises(ValueError, match=r"^coercivity fails at t=0\.02: "):
+            theory.gronwall_check(
+                lambda t: 3e4 * np.eye(2) if t < 0.015 else np.zeros((2, 2)),
+                lambda t: np.eye(2), np.eye(2), gamma=lambda t: 3e4, T=0.05, h=0.01)
+
+    def test_overflowing_exp_before_a_coercivity_failure(self):
+        # the same overflow in the third step, with coercivity failing only
+        # at the end of the fourth
+        with pytest.raises(FloatingPointError, match="^non-finite state after step$"):
+            theory.gronwall_check(
+                lambda t: 3e4 * np.eye(2) if t < 0.035 else np.zeros((2, 2)),
+                lambda t: np.eye(2), np.eye(2), gamma=lambda t: 3e4, T=0.05, h=0.01)
 
     @staticmethod
     def _bad_after(t0, good, bad, seen):
@@ -558,6 +602,24 @@ class TestGronwall:
         theory.gronwall_check(lambda t: 1.3 * np.eye(3), lambda t: np.zeros((3, 3)),
                               np.eye(3), gamma=lambda t: 1.3, T=1.0, h=0.1)
         assert shapes == [(11, 3, 3)]  # the step times 0, 0.1, ..., 1.0
+
+    @pytest.mark.parametrize("T", [0.1, 1.0, 2.0])
+    def test_quadratures_in_two_rk4_calls(self, monkeypatch, T):
+        # q and r take two rk4 calls over every step at once; only V is
+        # advanced step by step
+        calls = {"rk4": 0, "advance": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kw):
+                calls[name] += 1
+                return fn(*args, **kw)
+            return wrapper
+
+        monkeypatch.setattr(theory, "rk4", counted("rk4", theory.rk4))
+        monkeypatch.setattr(theory, "advance", counted("advance", theory.advance))
+        theory.gronwall_check(lambda t: 1.3 * np.eye(3), lambda t: 0.1 * np.eye(3),
+                              np.eye(3), gamma=lambda t: 1.3, T=T, h=0.1)
+        assert calls == {"rk4": 2, "advance": round(T / 0.1)}
 
 
 class TestRootPremise:

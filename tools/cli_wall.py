@@ -28,6 +28,17 @@ prints instead one JSON object ``{scenario: {"parent": ..., "change":
 shape of ``cli_wall_s`` in a ``BENCH_*.json``. A scenario whose exit
 code differs between the checkouts is marked, since the two then did
 different work.
+
+``--calls`` counts work instead of timing it: each scenario runs once
+per side, with ``sys.setprofile`` installed from the start of ``main``
+to its return (interpreter start-up and ``import gnflow`` are left
+out), and one line gives each side's count of Python-level ``call``
+events and of C-level ``c_call`` events. The counts do not depend on the
+host's speed, but they do on the Python and numpy versions. With
+``--json`` they print as ``{scenario: {"parent": {"call": ...,
+"c_call": ...}, "change": ...}}``.
+
+    python3 tools/cli_wall.py /path/to/parent --calls --only verify/lemmas
 """
 
 from __future__ import annotations
@@ -46,6 +57,24 @@ SUITES = ("lemmas", "certificate", "order")
 METHODS = ("direct", "coupled")
 _CLI = "import sys; from gnflow.cli import main; sys.exit(main(sys.argv[1:]))"
 _LABELS = "from gnflow.gallery import available_labels; print(*available_labels())"
+# Runs ``main`` under a profile function that counts its events by kind and
+# writes the counts as JSON to the file named by the first argument, also
+# when ``main`` raises.
+_COUNT = """import collections, json, sys
+from gnflow.cli import main
+out, argv = sys.argv[1], sys.argv[2:]
+counts = collections.Counter()
+def profile(frame, event, arg):
+    counts[event] += 1
+sys.setprofile(profile)
+try:
+    code = main(argv)
+finally:
+    sys.setprofile(None)
+    with open(out, "w") as f:
+        json.dump({"call": counts["call"], "c_call": counts["c_call"]}, f)
+sys.exit(code)
+"""
 
 
 def _env(root: Path) -> dict:
@@ -83,6 +112,18 @@ def wall(root: Path, argv: list) -> tuple:
         return time.perf_counter() - start, done.returncode
 
 
+def calls(root: Path, argv: list) -> dict:
+    """The ``call`` and ``c_call`` event counts of one ``gnflow`` command
+    from ``root``, profiled in a fresh interpreter and an empty temporary
+    directory, with its exit code under ``exit``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "calls.json")
+        done = subprocess.run([sys.executable, "-c", _COUNT, out, *argv], cwd=tmp,
+                              env=_env(root), stdout=subprocess.DEVNULL, check=False)
+        with open(out) as f:
+            return dict(json.load(f), exit=done.returncode)
+
+
 def summary(runs: list) -> dict:
     q1, median, q3 = statistics.quantiles(runs, n=4, method="inclusive")
     return {"q1": round(q1, 4), "median": round(median, 4), "q3": round(q3, 4),
@@ -103,6 +144,26 @@ def measure(parent: Path, change: Path, argv: list, repeats: int) -> tuple:
     return {side: summary(runs) for side, runs in times.items()}, len(codes) == 1
 
 
+def count(parent: Path, change: Path, argv: list) -> tuple:
+    """Both sides' event counts of one profiled run of ``argv``, and
+    whether the two runs ended with the same exit code."""
+    sides = {"parent": calls(parent, argv), "change": calls(change, argv)}
+    return sides, sides["parent"].pop("exit") == sides["change"].pop("exit")
+
+
+def time_line(p: dict, c: dict) -> str:
+    rel = (c["median"] - p["median"]) / p["median"]
+    return (f"parent {p['median']:.3f} [{p['q1']:.3f}, {p['q3']:.3f}]  "
+            f"change {c['median']:.3f} [{c['q1']:.3f}, {c['q3']:.3f}]  {rel:+.1%}")
+
+
+def count_line(p: dict, c: dict) -> str:
+    rel = {k: (c[k] - p[k]) / p[k] for k in ("call", "c_call")}
+    return (f"parent {p['call']:>9} call {p['c_call']:>9} c_call  "
+            f"change {c['call']:>9} call {c['c_call']:>9} c_call  "
+            f"{rel['call']:+.1%} call  {rel['c_call']:+.1%} c_call")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path)
@@ -113,8 +174,11 @@ def main(argv=None) -> int:
     parser.add_argument("--only", default="",
                         help="comma-separated scenario name prefixes, such as run/autoconv-16,verify")
     parser.add_argument("--json", action="store_true", help="print one JSON object")
+    parser.add_argument("--calls", action="store_true",
+                        help="count call and c_call profile events, one run per side, "
+                             "instead of timing")
     args = parser.parse_args(argv)
-    if args.repeats < 2:
+    if not args.calls and args.repeats < 2:
         parser.error("--repeats must be at least 2, for quartiles")
     parent, change = args.parent.resolve(), args.change.resolve()
     in_parent = set(labels(parent))
@@ -122,17 +186,18 @@ def main(argv=None) -> int:
     prefixes = [p for p in args.only.split(",") if p]
     if prefixes:
         todo = {k: v for k, v in todo.items() if k.startswith(tuple(prefixes))}
+    if args.calls:
+        run, line = (lambda argv: count(parent, change, argv)), count_line
+    else:
+        run, line = (lambda argv: measure(parent, change, argv, args.repeats)), time_line
     result = {}
     for name, command in todo.items():
-        sides, same_exit = measure(parent, change, command, args.repeats)
+        sides, same_exit = run(command)
         result[name] = sides
         if not same_exit:
             result[name]["exit_codes_differ"] = True
         if not args.json:
-            p, c = sides["parent"], sides["change"]
-            rel = (c["median"] - p["median"]) / p["median"]
-            print(f"{name:<36} parent {p['median']:.3f} [{p['q1']:.3f}, {p['q3']:.3f}]  "
-                  f"change {c['median']:.3f} [{c['q1']:.3f}, {c['q3']:.3f}]  {rel:+.1%}"
+            print(f"{name:<36} {line(sides['parent'], sides['change'])}"
                   + ("  EXIT CODES DIFFER" if not same_exit else ""), flush=True)
     if args.json:
         print(json.dumps(result, indent=1))
