@@ -27,11 +27,12 @@ from .gallery import (
     make_autoconvolution,
     make_feigenbaum_like,
 )
-from .hilbert import FactorizationError, op_norm, solve_regularized
+from .hilbert import FactorizationError, solve_regularized
 from .integrator import IntegratorConfig, Trajectory, convergence_order, integrate, step
 from .problem import (
     BallBounds,
     NonlinearProblem,
+    constant_jacobian,
     estimate_bounds,
     eval_F,
     fd_jacobian,

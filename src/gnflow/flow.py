@@ -163,7 +163,7 @@ def scaled_identity_inverse(p: NonlinearProblem, x0, eps0: float) -> np.ndarray:
     """I / (||F'(x0)||^2 + eps0), the no-initial-inversion start."""
     hilbert.positive("eps0", eps0)
     x0 = hilbert.as_vector(x0, dim=p.dim)
-    n1 = hilbert.op_norm(jacobian(p, x0))
+    n1 = float(hilbert.op_norms(jacobian(p, x0)[None])[0])
     return hilbert.identity(p.dim) / (n1**2 + eps0)
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import hilbert, theory
 from .flow import initial_inverse, solution_gram
-from .problem import NonlinearProblem, rowwise
+from .problem import NonlinearProblem, constant_jacobian, rowwise
 from .schedule import PowerSchedule
 
 #: Decay constant used for certificate-compliant schedules. The popular
@@ -67,9 +67,12 @@ def _leading_eigenvector(M: np.ndarray) -> np.ndarray:
 
 def _affine_problem(A: np.ndarray, xhat: np.ndarray, label: str) -> NonlinearProblem:
     """F(x) = A (x - xhat) with constant Jacobian A, which is
-    :func:`~gnflow.problem.rowwise`."""
+    :func:`~gnflow.problem.rowwise` and marked
+    :func:`~gnflow.problem.constant_jacobian`, so its ball bounds are
+    exact and drawn from no sample."""
 
     @rowwise
+    @constant_jacobian
     def jac(x, A=A):
         # a copy of A per point; on one vector a plain copy, the cheapest form
         if x.ndim == 1:
@@ -393,7 +396,9 @@ def _base_instance(n: int, kind: str, rng) -> tuple[NonlinearProblem, np.ndarray
     """Base problem for the compliant constructor plus the unit w direction.
 
     The Jacobian of every kind is :func:`~gnflow.problem.rowwise`, so the
-    certificate samples its ball bounds with two Jacobian calls."""
+    certificate samples the quadratic kind's ball bounds with two Jacobian
+    calls; the affine kinds (spd among them) are
+    :func:`~gnflow.problem.constant_jacobian` and sample none."""
     xhat = _default_xhat(n)
     if kind in ("spd", "quadratic"):
         A = random_spd(n, rng)
@@ -439,7 +444,7 @@ def _halving_search(p: NonlinearProblem, w_dir: np.ndarray, seed: int) -> tuple:
     OFFSET_RATIO * 0.1, is built once. From eps(0) = 0.1, every attempt
     that fails, by a raised error or a certificate that does not pass,
     halves eps(0) (through the schedule's c1), at most MAX_HALVINGS
-    times. ``seed`` seeds the sampled ball bounds.
+    times. ``seed`` seeds the sampled ball bounds (exact bounds draw none).
     """
     xhat = p.known_solution
     M = solution_gram(p, xhat)
@@ -538,8 +543,9 @@ def _with_data_noise(entry: GalleryEntry, noise: float, noise_seed: int) -> Gall
     standard normal draw of ``noise_seed``.
 
     The clean solution stays the known solution, for error reporting, and
-    is not checked as a root. The Jacobian is the clean one, and F keeps
-    the :func:`~gnflow.problem.rowwise` marker of the clean F. No noise
+    is not checked as a root. The Jacobian is the clean one, with its
+    markers (a shift leaves F' as it is), and F keeps the
+    :func:`~gnflow.problem.rowwise` marker of the clean F. No noise
     returns the entry itself.
     """
     if noise == 0.0:

@@ -33,8 +33,8 @@ class NonlinearProblem:
 
     Problems are immutable: assigning to a field raises
     ``dataclasses.FrozenInstanceError``. Each owns one memo of the
-    constants that depend only on it (:meth:`constant`), which holds
-    F'(xhat)* F'(xhat); it lives exactly as long as the problem.
+    constants that depend only on it (:meth:`constant`); it lives exactly
+    as long as the problem.
 
     Args:
         dim: ambient dimension n, an integer >= 1 (the count rule of
@@ -71,7 +71,13 @@ class NonlinearProblem:
 
     def constant(self, key, build: Callable[[], object]):
         """``build()``, called at the first request for ``key`` only: ``key``
-        must encode every input of ``build`` but the problem itself."""
+        must encode every input of ``build`` but the problem itself.
+
+        Two constants live here: F'(xhat)* F'(xhat) per point xhat
+        (:func:`gnflow.flow.solution_gram`), and ||F'|| of a
+        :func:`constant_jacobian` (:func:`estimate_bounds`), which depends
+        on no point at all.
+        """
         if key not in self._constants:
             self._constants[key] = build()
         return self._constants[key]
@@ -79,11 +85,14 @@ class NonlinearProblem:
 
 @dataclass(frozen=True)
 class BallBounds:
-    """Sampled derivative bounds on a closed ball around ``center``.
+    """Derivative bounds on a closed ball around ``center``.
 
     N1 bounds ||F'(x)|| and N2 bounds the second-derivative norm over the
     ball, both inflated by :data:`BOUND_INFLATION`. Sampling certifies the
     bounds only statistically; ``samples`` records how hard we looked.
+    For a :func:`constant_jacobian` the bounds are exact and no point is
+    drawn; ``samples`` is then the count that was asked for, so the
+    record equals the sampled one field for field.
     """
 
     center: np.ndarray
@@ -124,6 +133,20 @@ def rowwise(fn):
     """
     fn.rowwise = True
     return fn
+
+
+def constant_jacobian(jac):
+    """Mark a Jacobian as constant: it returns the same matrix, bit for bit,
+    at every point, as the Jacobian of an affine F does.
+
+    :func:`estimate_bounds` then draws no sample: N1 is the inflated
+    ||F'||, taken once per problem, and N2 is :data:`N2_FLOOR`, the very
+    values sampling gives. The marker sits on the callable, as
+    :func:`rowwise` does, so a problem rebuilt from the same ``jac`` keeps
+    it. Nothing checks the claim. Returns ``jac``.
+    """
+    jac.constant_jacobian = True
+    return jac
 
 
 def _on_rows(name: str, fn, points: np.ndarray, shape: tuple, at) -> np.ndarray:
@@ -201,7 +224,8 @@ def estimate_bounds(
     samples: int = 64,
     seed: int = 0,
 ) -> BallBounds:
-    """Sample derivative norms over the ball U(center, radius).
+    """Derivative norm bounds over the ball U(center, radius), sampled
+    unless the Jacobian is a :func:`constant_jacobian`.
 
     N1 is the largest sampled ||F'(x)||; N2 differences the Jacobian
     along sampled unit directions with step 1e-4 * radius. Both are
@@ -217,24 +241,38 @@ def estimate_bounds(
     Each batched norm equals :func:`hilbert.op_norm` of the same matrix
     exactly. Raises ValueError unless ``radius`` is positive and finite
     and ``samples`` is an integer >= 1.
+
+    A constant Jacobian takes the exact path once the arguments are
+    checked: no point is drawn, and ``seed`` and ``samples`` select
+    nothing (``samples`` is recorded as given). Every sampled Jacobian
+    would be F' and every difference zero, so N1 is the inflated ||F'||
+    and N2 the floor, the bits of the sampled path. ||F'|| is taken once
+    per problem, at ``center``, by :func:`hilbert.op_norms` on a
+    one-matrix stack (the SVD that a constant stack costs), and kept in
+    :meth:`NonlinearProblem.constant`: later calls evaluate no Jacobian.
     """
     center = hilbert.as_vector(center, dim=p.dim)
     hilbert.positive("radius", radius)
     samples = hilbert.count("samples", samples)
-    rng = np.random.default_rng(seed)
-    points = _ball_points(center, radius, samples, rng)
-    dirs = rng.standard_normal((samples, p.dim))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    delta = 1e-4 * radius
-    shifted = points + delta * dirs
+    if getattr(p.jac, "constant_jacobian", False):
+        n1 = p.constant("jacobian_norm",
+                        lambda: float(hilbert.op_norms(jacobian(p, center)[None])[0]))
+        n2 = 0.0
+    else:
+        rng = np.random.default_rng(seed)
+        points = _ball_points(center, radius, samples, rng)
+        dirs = rng.standard_normal((samples, p.dim))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        delta = 1e-4 * radius
+        shifted = points + delta * dirs
 
-    jac = p.jac if p.jac is not None else lambda x: fd_jacobian(p, x)
-    shape = (p.dim, p.dim)
-    jacs = _on_rows("jacobian", jac, points, shape, at=lambda i: f"sample {i}")
-    diffs = (_on_rows("jacobian", jac, shifted, shape, at=lambda i: f"shifted sample {i}")
-             - jacs) / delta
-    n1 = float(np.max(hilbert.op_norms(jacs)))
-    n2 = float(np.max(hilbert.op_norms(diffs)))
+        jac = p.jac if p.jac is not None else lambda x: fd_jacobian(p, x)
+        shape = (p.dim, p.dim)
+        jacs = _on_rows("jacobian", jac, points, shape, at=lambda i: f"sample {i}")
+        diffs = (_on_rows("jacobian", jac, shifted, shape, at=lambda i: f"shifted sample {i}")
+                 - jacs) / delta
+        n1 = float(np.max(hilbert.op_norms(jacs)))
+        n2 = float(np.max(hilbert.op_norms(diffs)))
     return BallBounds(
         center=center,
         radius=float(radius),

@@ -272,9 +272,10 @@ def certify_with_canonical_R(
     The derivative bounds must cover U(xhat, R*eps(0)) while R itself
     depends on them, so the sampling radius is grown until it contains
     the certified ball, which ``estimate_bounds`` samples at its default
-    64 points. R is inflated by ``R_INFLATION`` relative so the
-    sharp radius inequality holds strictly in floating point (a larger R
-    keeps the certificate valid).
+    64 points; the bounds of a constant Jacobian are exact, draw no
+    sample, and take its norm once per problem. R is inflated by
+    ``R_INFLATION`` relative so the sharp radius inequality holds strictly
+    in floating point (a larger R keeps the certificate valid).
 
     The instance constants are computed once, before the radius loop, and
     the radius numerator of :func:`canonical_R` from them: no derivative

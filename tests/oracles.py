@@ -388,7 +388,8 @@ def without_jacobian(p):
 
 
 def unmarked(p):
-    """The same problem with its Jacobian behind a wrapper that is not rowwise."""
+    """The same problem with its Jacobian behind a wrapper that carries no
+    marker: not rowwise, and not constant, so ``estimate_bounds`` samples it."""
     return dataclasses.replace(p, jac=lambda x, jac=p.jac: jac(x))
 
 
@@ -458,6 +459,10 @@ FAMILIES = {
     "compliant-noisy": lambda n, rng: gallery.get_entry("compliant-quadratic-4", noise=1e-3,
                                                         noise_seed=n).problem,
 }
+
+#: The families of FAMILIES whose Jacobian the gallery marks constant: every affine one.
+CONSTANT_FAMILIES = ("affine", "identity", "hilbert-matrix", "rank-deficient", "affine-noisy",
+                     "spd")
 
 
 # --- strategies -----------------------------------------------------------

@@ -225,6 +225,17 @@ class TestInitialInverse:
         B0 = scaled_identity_inverse(p, xhat, 0.5)
         assert np.allclose(B0, np.eye(3) / 1.5, atol=1e-8)
 
+    @pytest.mark.parametrize("label", gallery.available_labels())
+    def test_scaled_identity_norm_from_one_matrix_stack(self, label, record_calls):
+        # the one-matrix stack of op_norms, with the bits of op_norm
+        entry = gallery.get_entry(label)
+        p, x0 = entry.problem, entry.default_x0
+        calls = record_calls(hilbert.op_norms)
+        got = scaled_identity_inverse(p, x0, 1e-3)
+        assert [np.shape(args[0]) for args in calls["op_norms"]] == [(1, p.dim, p.dim)]
+        n1 = hilbert.op_norm(jacobian(p, x0))
+        assert_same_bits(got, np.eye(p.dim) / (n1**2 + 1e-3))
+
     @pytest.mark.parametrize("eps0", [-1.0, -3.0, 0.0, np.inf, np.nan])
     def test_scaled_identity_rejects_bad_eps0(self, eps0):
         # eps0 = -1 used to divide by zero and eps0 = -3 to return -0.5*I;

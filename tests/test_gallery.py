@@ -1,6 +1,16 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import (
+    CONSTANT_FAMILIES,
+    FAMILIES,
+    assert_same_bits,
+    log_uniform,
+    point_stacks,
+    seeds,
+)
 
 from gnflow import gallery, theory
 from gnflow.problem import estimate_bounds, eval_F, fd_jacobian, jacobian
@@ -255,3 +265,38 @@ class TestRegistry:
             with pytest.raises(ValueError, match=f"^noise must be nonnegative and finite, "
                                                  f"got {noise}$"):
                 gallery.get_entry(label, noise=noise)
+
+
+COMPLIANT_AFFINE = [label for label in gallery.available_labels()
+                    if label.startswith("compliant-affine-")]
+
+
+class TestConstantJacobianMarker:
+    """The marker tells the truth: every Jacobian the gallery marks
+    ``constant_jacobian`` returns the bits of F'(xhat) everywhere."""
+
+    @settings(max_examples=60)
+    @given(kind=st.sampled_from([*CONSTANT_FAMILIES, *COMPLIANT_AFFINE]), n=st.integers(1, 16),
+           seed=seeds, noise=st.sampled_from([0.0, 1e-3]), scale=log_uniform(-3.0, 3.0),
+           data=st.data())
+    def test_marked_jacobian_is_constant(self, kind, n, seed, noise, scale, data):
+        if kind in FAMILIES:
+            p = FAMILIES[kind](n, np.random.default_rng(seed))
+        else:  # a noisy entry keeps the clean Jacobian, and its marker
+            p = gallery.get_entry(kind, noise=noise, noise_seed=seed % 100).problem
+        assert p.jac.constant_jacobian
+        xhat = p.known_solution
+        J = p.jac(xhat)
+        unit = np.random.default_rng(seed).uniform(-1.0, 1.0, p.dim)
+        assert_same_bits(p.jac(xhat + scale * unit), J)
+        stack = data.draw(point_stacks(xhat))
+        assert_same_bits(p.jac(stack), np.broadcast_to(J, stack.shape + (p.dim,)))
+
+    @pytest.mark.parametrize("kind", [
+        *(kind for kind in FAMILIES if kind not in CONSTANT_FAMILIES), "feigenbaum"])
+    def test_varying_jacobians_are_not_marked(self, kind):
+        if kind == "feigenbaum":
+            p = gallery.make_feigenbaum_like(6).problem
+        else:
+            p = FAMILIES[kind](6, np.random.default_rng(0))
+        assert not hasattr(p.jac, "constant_jacobian")

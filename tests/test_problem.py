@@ -2,9 +2,17 @@ import dataclasses
 
 import numpy as np
 import pytest
-from oracles import affine_problem, identity_problem, reference_bounds
+from oracles import (
+    CONSTANT_FAMILIES,
+    FAMILIES,
+    affine_problem,
+    assert_same_bits,
+    identity_problem,
+    reference_bounds,
+    unmarked,
+)
 
-from gnflow import gallery
+from gnflow import gallery, problem
 from gnflow.problem import (
     BOUND_INFLATION,
     NonlinearProblem,
@@ -328,10 +336,56 @@ class TestEstimateBounds:
         ("compliant-quadratic-4", 4, 64),  # the Jacobian's diagonal moves with x
     ], ids=["spd", "quadratic"])
     def test_one_svd_per_constant_stack(self, label, n, stack, svd_shapes):
+        # the unmarked twin: the gallery's affine Jacobian is marked constant
+        # and would take the exact path, which samples nothing
         entry = gallery.get_entry(label)
+        p = unmarked(entry.problem)
         svd_shapes.clear()
-        estimate_bounds(entry.problem, entry.xhat, 0.5)
+        estimate_bounds(p, entry.xhat, 0.5)
         assert svd_shapes == [(stack, n, n)] * 2
+
+
+class TestConstantJacobianBounds:
+    """A :func:`constant_jacobian` takes exact bounds with the bits of sampling."""
+
+    @pytest.mark.parametrize("samples", [1, 64])
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("radius", [0.5, 1.0, 1e6])
+    @pytest.mark.parametrize("kind", CONSTANT_FAMILIES)
+    def test_equal_to_unmarked(self, kind, radius, seed, samples):
+        p = FAMILIES[kind](6, np.random.default_rng(3))
+        assert p.jac.constant_jacobian
+        twin = unmarked(p)
+        assert not hasattr(twin.jac, "constant_jacobian")
+        center = p.known_solution + 0.25
+        exact = estimate_bounds(p, center, radius, samples=samples, seed=seed)
+        sampled = estimate_bounds(twin, center, radius, samples=samples, seed=seed)
+        assert_same_bits(exact.N1, sampled.N1)
+        assert_same_bits(exact.N2, sampled.N2)
+        assert_same_bits(exact.center, sampled.center)
+        assert (exact.radius, exact.samples) == (sampled.radius, sampled.samples)
+
+    @pytest.mark.parametrize("kind", CONSTANT_FAMILIES)
+    def test_norm_taken_once_per_problem(self, kind, record_calls, svd_shapes):
+        p = FAMILIES[kind](6, np.random.default_rng(3))
+        calls = record_calls(problem.jacobian)
+        first = estimate_bounds(p, p.known_solution, 1.0)
+        assert len(calls["jacobian"]) == 1
+        assert svd_shapes == [(1, p.dim, p.dim)]
+        calls["jacobian"].clear()
+        svd_shapes.clear()
+        again = estimate_bounds(p, p.known_solution - 3.0, 1e6, samples=5, seed=7)
+        assert calls["jacobian"] == []
+        assert svd_shapes == []
+        assert (again.N1, again.N2) == (first.N1, first.N2)
+
+    def test_arguments_checked_first(self):
+        p = FAMILIES["identity"](3, None)
+        for kwargs in ({"radius": 0.0}, {"radius": 1.0, "samples": 0}):
+            with pytest.raises(ValueError):
+                estimate_bounds(p, p.known_solution, **kwargs)
+        with pytest.raises(ValueError):
+            estimate_bounds(p, np.ones(p.dim + 1), 1.0)
 
 
 def _batching_problem(kind):

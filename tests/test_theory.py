@@ -728,17 +728,23 @@ class TestSpectrumAnywhere:
 
 
 class TestSinglePass:
-    def test_constants_computed_once(self, record_calls):
-        entry, sched, B0, R = compliant("compliant-affine-8")
+    @pytest.mark.parametrize("label, norms_per_pass", [
+        # exact bounds: ||F'|| was taken, once, when the suite certified it
+        ("compliant-affine-8", 0),
+        # sampled bounds: one op_norms call for N1 and one for N2 per pass
+        ("compliant-quadratic-4", 2),
+    ], ids=["compliant-affine-8", "compliant-quadratic-4"])
+    def test_constants_computed_once(self, record_calls, label, norms_per_pass):
+        entry, sched, B0, R = compliant(label)
         calls = record_calls(hilbert.op_norm, hilbert.op_norms, flow.mismatch_operator,
                              theory.solve_source, problem.estimate_bounds)
         theory.certify_with_canonical_R(entry.problem, entry.xhat, entry.default_x0, sched, B0)
-        # each radius pass samples bounds with two op_norms calls; the
-        # instance constants take one in all
+        # the instance constants take one op_norms call in all
         passes = len(calls.pop("estimate_bounds"))
         assert passes >= 1
         assert {name: len(seen) for name, seen in calls.items()} == {
-            "op_norm": 0, "op_norms": 1 + 2 * passes, "mismatch_operator": 1, "solve_source": 1}
+            "op_norm": 0, "op_norms": 1 + norms_per_pass * passes,
+            "mismatch_operator": 1, "solve_source": 1}
 
     def test_certify_at_canonical_R_matches_field_for_field(self):
         for label, entry, sched, B0, R, seed in gallery.compliant_suite():

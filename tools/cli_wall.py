@@ -5,12 +5,17 @@ three workloads leave out:
 
 - ``gnflow run`` on every gallery label under both methods;
 - ``gnflow verify --suite lemmas|certificate|order``;
-- ``gnflow sweep --preset eps0-range``.
+- ``gnflow sweep --preset eps0-range``;
+- ``tier1``, the checkout's own test suite, as ``ROADMAP.md`` states its
+  Tier-1 command, without pytest's cache. It is the longest scenario
+  (tens of seconds a run), and each side runs its own tests, so a change
+  that adds tests reads slower by them.
 
-Each command runs in a fresh interpreter, in an empty temporary
+Each ``gnflow`` command runs in a fresh interpreter, in an empty temporary
 directory, with the checkout's ``src`` first on the import path, so a
 time includes interpreter start-up and ``import gnflow``, as a user sees
-it. The two checkouts take turns: in repeat i the parent runs first when
+it; the test suite runs the same way, but from the checkout's root. The
+two checkouts take turns: in repeat i the parent runs first when
 i is even and the change first when i is odd, so a drift of the host's
 speed falls on both alike. Usage, from anywhere:
 
@@ -34,7 +39,9 @@ per side, with ``sys.setprofile`` installed from the start of ``main``
 to its return (interpreter start-up and ``import gnflow`` are left
 out), and one line gives each side's count of Python-level ``call``
 events and of C-level ``c_call`` events. The counts do not depend on the
-host's speed, but they do on the Python and numpy versions. With
+host's speed, but they do on the Python and numpy versions. ``tier1`` is
+timed only: it has no ``main`` to profile, and its count would be
+pytest's work more than the package's. With
 ``--json`` they print as ``{scenario: {"parent": {"call": ...,
 "c_call": ...}, "change": ...}}``.
 
@@ -56,6 +63,8 @@ from pathlib import Path
 SUITES = ("lemmas", "certificate", "order")
 METHODS = ("direct", "coupled")
 _CLI = "import sys; from gnflow.cli import main; sys.exit(main(sys.argv[1:]))"
+#: The interpreter arguments of the ``tier1`` scenario, run from the checkout's root.
+TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider")
 _LABELS = "from gnflow.gallery import available_labels; print(*available_labels())"
 # Runs ``main`` under a profile function that counts its events by kind and
 # writes the counts as JSON to the file named by the first argument, also
@@ -89,7 +98,8 @@ def labels(root: Path) -> list:
 
 
 def scenarios(names: list) -> dict:
-    """The command line of each scenario, by name, for the labels ``names``."""
+    """The command line of each scenario, by name, for the labels ``names``:
+    the arguments of ``gnflow``, or :data:`TIER1` for the test suite."""
     out = {}
     for label in names:
         for method in METHODS:
@@ -99,15 +109,18 @@ def scenarios(names: list) -> dict:
     for suite in SUITES:
         out[f"verify/{suite}"] = ["verify", "--suite", suite]
     out["sweep/eps0-range"] = ["sweep", "--preset", "eps0-range", "--out", "sweep.csv"]
+    out["tier1"] = TIER1
     return out
 
 
-def wall(root: Path, argv: list) -> tuple:
-    """(seconds, exit code) of one ``gnflow`` command from ``root``, in a
-    fresh interpreter and an empty temporary directory."""
+def wall(root: Path, argv) -> tuple:
+    """(seconds, exit code) of one scenario of :func:`scenarios` from
+    ``root``, in a fresh interpreter: a ``gnflow`` command in an empty
+    temporary directory, :data:`TIER1` in ``root`` itself."""
     with tempfile.TemporaryDirectory() as tmp:
+        command, cwd = ((TIER1, root) if argv is TIER1 else (("-c", _CLI, *argv), tmp))
         start = time.perf_counter()
-        done = subprocess.run([sys.executable, "-c", _CLI, *argv], cwd=tmp, env=_env(root),
+        done = subprocess.run([sys.executable, *command], cwd=cwd, env=_env(root),
                               stdout=subprocess.DEVNULL, check=False)
         return time.perf_counter() - start, done.returncode
 
@@ -187,6 +200,7 @@ def main(argv=None) -> int:
     if prefixes:
         todo = {k: v for k, v in todo.items() if k.startswith(tuple(prefixes))}
     if args.calls:
+        todo.pop("tier1", None)
         run, line = (lambda argv: count(parent, change, argv)), count_line
     else:
         run, line = (lambda argv: measure(parent, change, argv, args.repeats)), time_line
