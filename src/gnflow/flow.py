@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from . import hilbert
-from .problem import NonlinearProblem, eval_F, fd_jacobian, jacobian
+from .problem import NonlinearProblem, eval_F, fd_jacobian, fixed_jacobian, jacobian
 
 
 @dataclass
@@ -74,10 +74,11 @@ def _gradient(p: NonlinearProblem, x0, x, J: np.ndarray, eps: float) -> np.ndarr
     return J.T @ _shaped("F", p.f(x), (p.dim,)) + eps * (x - x0)
 
 
-def _inverse_velocity(J: np.ndarray, eps: float, B: np.ndarray) -> np.ndarray:
-    """B' = -[(J* J + eps I) B - I], the inverse track's velocity."""
+def _inverse_velocity(G: np.ndarray, eps: float, B: np.ndarray) -> np.ndarray:
+    """B' = -[(G + eps I) B - I], the inverse track's velocity, with the
+    Gram G = ``np.dot(J.T, J)`` of J = F'(x)."""
     I = hilbert.identity(len(B))
-    return -(np.dot(np.dot(J.T, J) + eps * I, B) - I)
+    return -(np.dot(G + eps * I, B) - I)
 
 
 def _mismatch(gram: np.ndarray, B: np.ndarray, eps: float) -> np.ndarray:
@@ -117,22 +118,34 @@ def coupled_rhs(p: NonlinearProblem, s, x0, x, B, t: float) -> tuple[np.ndarray,
     :func:`problem.fd_jacobian`, which rejects such a point. A non-finite
     point, F, F' or B makes the velocities non-finite, and the step's
     result with them, which :func:`integrator.advance` rejects.
+
+    For a :func:`problem.constant_jacobian`, F' and its Gram are the pair
+    that :func:`problem.fixed_jacobian` keeps, checked once per problem,
+    so no stage calls ``p.jac`` or forms F'* F'; the marker's promise
+    keeps the bits.
     """
     if B is None:
         raise ValueError("coupled flow needs the inverse track B")
     eps = s.eps(t)
-    if p.jac is None:
-        J = fd_jacobian(p, x)
+    if p._constant_jac:
+        J, G = fixed_jacobian(p, x)
     else:
-        J = _shaped("jacobian", p.jac(x), (p.dim, p.dim))
-    return np.dot(-B, _gradient(p, x0, x, J, eps)), _inverse_velocity(J, eps, B)
+        if p.jac is None:
+            J = fd_jacobian(p, x)
+        else:
+            J = _shaped("jacobian", p.jac(x), (p.dim, p.dim))
+        G = np.dot(J.T, J)
+    return np.dot(-B, _gradient(p, x0, x, J, eps)), _inverse_velocity(G, eps, B)
 
 
 def solution_gram(p: NonlinearProblem, xhat: np.ndarray) -> np.ndarray:
     """F'(xhat)* F'(xhat) for a validated point ``xhat``, read-only: formed
-    once per problem and point, in the problem's memo, and shared."""
+    once per problem and point, in the problem's memo, and shared. For a
+    :func:`problem.constant_jacobian` F'(xhat) is the kept F' of
+    :func:`problem.fixed_jacobian`, so a problem evaluates it once for the
+    stages and every solution point alike."""
     def build():
-        Jh = jacobian(p, xhat)
+        Jh = fixed_jacobian(p, xhat)[0] if p._constant_jac else jacobian(p, xhat)
         gram = Jh.T @ Jh
         gram.flags.writeable = False
         return gram
@@ -185,7 +198,8 @@ def diagnostics(
         out.err_norm = float(np.linalg.norm(st.x - xhat))
     if st.B is not None:
         hilbert.positive("eps", eps)
-        ops = [st.B, _inverse_velocity(jacobian(p, st.x), eps, st.B)]
+        J = jacobian(p, st.x)
+        ops = [st.B, _inverse_velocity(np.dot(J.T, J), eps, st.B)]
         if xhat is not None:
             Gh = solution_gram(p, xhat)
             ops += [_mismatch(Gh, st.B, eps), st.B @ Gh]

@@ -69,7 +69,8 @@ def _affine_problem(A: np.ndarray, xhat: np.ndarray, label: str) -> NonlinearPro
     """F(x) = A (x - xhat) with constant Jacobian A, which is
     :func:`~gnflow.problem.rowwise` and marked
     :func:`~gnflow.problem.constant_jacobian`, so its ball bounds are
-    exact and drawn from no sample."""
+    exact and drawn from no sample, and its coupled stages read the one
+    F' the problem keeps."""
 
     @rowwise
     @constant_jacobian

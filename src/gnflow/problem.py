@@ -34,7 +34,9 @@ class NonlinearProblem:
     Problems are immutable: assigning to a field raises
     ``dataclasses.FrozenInstanceError``. Each owns one memo of the
     constants that depend only on it (:meth:`constant`); it lives exactly
-    as long as the problem.
+    as long as the problem. The :func:`constant_jacobian` marker is read
+    once, at construction, into ``_constant_jac``: one attribute lookup
+    decides the coupled stage's branch.
 
     Args:
         dim: ambient dimension n, an integer >= 1 (the count rule of
@@ -63,6 +65,8 @@ class NonlinearProblem:
     def __post_init__(self):
         object.__setattr__(self, "dim", hilbert.count("dim", self.dim))
         object.__setattr__(self, "_constants", {})
+        object.__setattr__(self, "_constant_jac",
+                           bool(getattr(self.jac, "constant_jacobian", False)))
         if self.known_solution is not None:
             xhat = hilbert.as_vector(self.known_solution, dim=self.dim)
             object.__setattr__(self, "known_solution", xhat)
@@ -73,10 +77,16 @@ class NonlinearProblem:
         """``build()``, called at the first request for ``key`` only: ``key``
         must encode every input of ``build`` but the problem itself.
 
-        Two constants live here: F'(xhat)* F'(xhat) per point xhat
-        (:func:`gnflow.flow.solution_gram`), and ||F'|| of a
-        :func:`constant_jacobian` (:func:`estimate_bounds`), which depends
-        on no point at all.
+        The keys:
+
+        - ``"jacobian"``: the pair (F', F'* F') of a
+          :func:`constant_jacobian`, both read-only (:func:`fixed_jacobian`);
+        - ``"jacobian_norm"``: ||F'|| of a :func:`constant_jacobian`
+          (:func:`estimate_bounds`);
+        - ``("solution_gram", xhat.tobytes())``: F'(xhat)* F'(xhat) per
+          point xhat (:func:`gnflow.flow.solution_gram`).
+
+        The first two depend on no point at all.
         """
         if key not in self._constants:
             self._constants[key] = build()
@@ -139,11 +149,14 @@ def constant_jacobian(jac):
     """Mark a Jacobian as constant: it returns the same matrix, bit for bit,
     at every point, as the Jacobian of an affine F does.
 
-    :func:`estimate_bounds` then draws no sample: N1 is the inflated
-    ||F'||, taken once per problem, and N2 is :data:`N2_FLOOR`, the very
-    values sampling gives. The marker sits on the callable, as
-    :func:`rowwise` does, so a problem rebuilt from the same ``jac`` keeps
-    it. Nothing checks the claim. Returns ``jac``.
+    A problem built on a marked ``jac`` evaluates F' once and keeps it
+    (:func:`fixed_jacobian`), which the coupled stage and
+    :func:`gnflow.flow.solution_gram` read. :func:`estimate_bounds` then
+    draws no sample: N1 is the inflated ||F'||, taken once per problem,
+    and N2 is :data:`N2_FLOOR`, the very values sampling gives. The marker
+    sits on the callable, as :func:`rowwise` does, so a problem rebuilt
+    from the same ``jac`` keeps it. Nothing checks the claim: a false
+    marker changes coupled trajectories as well as bounds. Returns ``jac``.
     """
     jac.constant_jacobian = True
     return jac
@@ -208,6 +221,25 @@ def jacobian(p: NonlinearProblem, x) -> np.ndarray:
     return hilbert.returned("jacobian", p.jac(x), (p.dim, p.dim))
 
 
+def fixed_jacobian(p: NonlinearProblem, x) -> tuple[np.ndarray, np.ndarray]:
+    """(F', F'* F') of a problem whose ``jac`` is a :func:`constant_jacobian`,
+    both read-only and kept in :meth:`NonlinearProblem.constant`.
+
+    F' is :func:`jacobian` at ``x`` on the first call for the problem, a
+    read-only view of what it returned, so its layout, and the bits of
+    every product formed from it, are those of a call of ``jac``; the Gram
+    is ``np.dot(F'.T, F')``, the product the coupled stage forms. Later
+    calls evaluate nothing and do not read ``x``.
+    """
+    def build():
+        J = jacobian(p, x).view()
+        gram = np.dot(J.T, J)
+        J.flags.writeable = gram.flags.writeable = False
+        return J, gram
+
+    return p.constant("jacobian", build)
+
+
 def _ball_points(center: np.ndarray, radius: float, samples: int, rng) -> np.ndarray:
     """Uniform samples in the closed ball, rows are points."""
     n = center.size
@@ -247,16 +279,18 @@ def estimate_bounds(
     nothing (``samples`` is recorded as given). Every sampled Jacobian
     would be F' and every difference zero, so N1 is the inflated ||F'||
     and N2 the floor, the bits of the sampled path. ||F'|| is taken once
-    per problem, at ``center``, by :func:`hilbert.op_norms` on a
-    one-matrix stack (the SVD that a constant stack costs), and kept in
-    :meth:`NonlinearProblem.constant`: later calls evaluate no Jacobian.
+    per problem by :func:`hilbert.op_norms` on a one-matrix stack (the SVD
+    that a constant stack costs) of the kept F' of :func:`fixed_jacobian`,
+    which evaluates F' at ``center`` only if nothing has asked for it yet,
+    and is kept in :meth:`NonlinearProblem.constant`: later calls evaluate
+    no Jacobian.
     """
     center = hilbert.as_vector(center, dim=p.dim)
     hilbert.positive("radius", radius)
     samples = hilbert.count("samples", samples)
-    if getattr(p.jac, "constant_jacobian", False):
-        n1 = p.constant("jacobian_norm",
-                        lambda: float(hilbert.op_norms(jacobian(p, center)[None])[0]))
+    if p._constant_jac:
+        n1 = p.constant("jacobian_norm", lambda: float(
+            hilbert.op_norms(fixed_jacobian(p, center)[0][None])[0]))
         n2 = 0.0
     else:
         rng = np.random.default_rng(seed)

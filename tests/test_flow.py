@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import weakref
 
@@ -6,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
+    CONSTANT_FAMILIES,
+    FAMILIES,
     affine_problem,
     assert_same_bits,
     checked_coupled_rhs,
@@ -14,6 +17,7 @@ from oracles import (
     frozen,
     identity_problem,
     seeds,
+    unmarked,
 )
 
 from gnflow import gallery, hilbert, problem, theory
@@ -177,6 +181,25 @@ class TestStageBits:
         for got, want in zip(coupled_rhs(p, s, x0, x, B, t),
                              checked_coupled_rhs(p, s, x0, x, B, t)):
             assert_same_bits(got, want)
+
+    @settings(max_examples=60)
+    @given(kind=st.sampled_from(CONSTANT_FAMILIES), n=st.integers(1, 16),
+           B_layout=st.sampled_from(("C", "strided", "transposed-strided")), seed=seeds)
+    def test_constant_jacobian_as_unmarked(self, kind, n, B_layout, seed):
+        # the marked problem keeps F' from its first stage point and reads it
+        # at the later ones; its unmarked twin calls jac at every stage
+        rng = np.random.default_rng(seed)
+        p = FAMILIES[kind](n, rng)
+        twin = unmarked(p)
+        xhat = p.known_solution
+        s = PowerSchedule(c0=0.1, c1=1.0, a=1.0)
+        x0 = xhat + 0.1 * rng.standard_normal(n)
+        for t in (0.0, 0.37, 4.0):
+            x = x0 + 0.1 * rng.standard_normal(n)
+            B = laid_out(rng.standard_normal((n, n)), B_layout)
+            for got, want in zip(coupled_rhs(p, s, x0, x, B, t),
+                                 coupled_rhs(twin, s, x0, x, B, t)):
+                assert_same_bits(got, want)
 
     @pytest.mark.parametrize("n", [1, 2, 5])
     def test_zero_gradient(self, n):
@@ -430,8 +453,14 @@ class TestSolutionGram:
             assert d.lambda_norm == hilbert.op_norm(I - st.B @ (Gh + d.eps * I))
 
     def test_certificate_evaluates_jacobian_at_xhat_at_most_once(self, record_calls):
+        # the suite's instance has its memo filled by its build; a copy
+        # starts empty, and its solution Gram and its exact ball bounds
+        # share the one F' that the memo keeps
         entry, sched, B0, R = compliant("compliant-affine-8")
         calls = record_calls(problem.jacobian)
-        theory.certify_with_canonical_R(entry.problem, entry.xhat, entry.default_x0, sched, B0)
-        at_xhat = [args for args in calls["jacobian"] if np.array_equal(args[1], entry.xhat)]
-        assert len(at_xhat) <= 1
+        for p in (entry.problem, dataclasses.replace(entry.problem)):
+            calls["jacobian"].clear()
+            theory.certify_with_canonical_R(p, entry.xhat, entry.default_x0, sched, B0)
+            at_xhat = [args for args in calls["jacobian"]
+                       if np.array_equal(args[1], entry.xhat)]
+            assert len(at_xhat) <= 1

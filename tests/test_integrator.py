@@ -1,3 +1,4 @@
+import dataclasses
 import re
 import warnings
 
@@ -288,6 +289,21 @@ class TestMatchesStepByStepReference:
         tag = assert_same_run(entry.problem, sched, st0, cfg, xhat=entry.xhat, R=R)
         assert tag == "horizon_reached"
 
+    @pytest.mark.parametrize("with_xhat", [True, False], ids=["xhat", "no-xhat"])
+    @pytest.mark.parametrize("label", ["compliant-affine-2", "compliant-affine-8"])
+    def test_coupled_constant_jacobian_on_a_fresh_problem(self, label, with_xhat):
+        # identity-2 and spd-8, copied so that the memo of F' is empty: the
+        # run fills it at xhat (solution_gram) or at x0 (the first stage)
+        entry, sched, B0, R = compliant(label)
+        p = dataclasses.replace(entry.problem)
+        st0 = SolverState(t=0.0, x=entry.default_x0, B=B0)
+        monitors = frozenset({"ball", "divergence"} if with_xhat else {"divergence"})
+        cfg = IntegratorConfig(method="rk4", step_h=0.01, horizon_T=0.5, record_every=10,
+                               monitors=monitors)
+        xhat, R = (entry.xhat, R) if with_xhat else (None, None)
+        tag = assert_same_run(p, sched, st0, cfg, xhat=xhat, R=R)
+        assert tag == "horizon_reached"
+
     @pytest.mark.parametrize("record_every", [1, 10])
     @pytest.mark.parametrize("analytic", [True, False], ids=["analytic", "fd"])
     def test_direct_autoconvolution(self, record_every, analytic):
@@ -526,10 +542,30 @@ class TestTracedCallGraph:
         assert len(calls["step"]) == 10
         assert len(calls["coupled_rhs"]) == 4 * len(calls["step"])
         assert calls["direct_rhs"] == []
-        # the stages take F' from the problem itself; only the diagnostics
-        # of each record call the checked jacobian
+        # the suite's certificate filled the problem's memo of its constant
+        # F' (problem.fixed_jacobian), so the stages read it and evaluate no
+        # Jacobian; only the diagnostics of each record call the checked one
         assert len(traj.records) == 3
         assert len(calls["jacobian"]) == len(traj.records)
+
+    def test_constant_jacobian_evaluated_once_per_run_and_record(self):
+        # a copy of the certified instance starts with an empty memo: its
+        # coupled run evaluates F' once to fill it, then once per record
+        entry, sched, B0, R = compliant("compliant-affine-8")
+        points = []
+
+        @problem.constant_jacobian
+        def jac(x, inner=entry.problem.jac):
+            points.append(x)
+            return inner(x)
+
+        p = dataclasses.replace(entry.problem, jac=jac)
+        st0 = SolverState(t=0.0, x=entry.default_x0, B=B0)
+        cfg = IntegratorConfig(step_h=0.01, horizon_T=0.1, record_every=5,
+                               monitors=frozenset({"ball", "divergence"}))
+        traj = integrate(p, sched, st0, cfg, xhat=entry.xhat, R=R)
+        assert len(traj.records) == 3
+        assert len(points) == len(traj.records) + 1
 
 
 class TestFactorizationFailure:
