@@ -87,6 +87,30 @@ def _mismatch(gram: np.ndarray, B: np.ndarray, eps: float) -> np.ndarray:
     return I - B @ (gram + eps * I)
 
 
+def _symmetric_gram(J: np.ndarray) -> np.ndarray:
+    """F'* F' of J = F'(x) as ``np.dot(J.T, J)``, exactly symmetric: the
+    precondition of :func:`hilbert.solve_shifted`.
+
+    The rule of the package's Gram products, ``np.dot`` and ``@`` alike:
+    for a J that is aligned and C- or F-contiguous, numpy hands the
+    product to BLAS ``syrk``, which forms one triangle and mirrors it, so
+    the Gram is symmetric bit for bit and is returned as it is. Any other
+    J (strided, transposed strided, or contiguous but not aligned) is
+    copied and multiplied by ``gemm``, whose two triangles can differ in
+    the last bit: on OpenBLAS's Haswell and Prescott kernels at n = 9, 11,
+    13 and 15, on Nehalem at n = 5-7, 9-11 and 13-15 (SkylakeX and
+    Sandybridge measured symmetric, n 1-16). Such a Gram is returned as
+    0.5 (G + G*), which, with the shift added after it, gives the bits of
+    symmetrizing G + eps*I (:func:`hilbert.solve_regularized` states the
+    one zero whose sign differs).
+    """
+    G = np.dot(J.T, J)
+    flags = J.flags
+    if flags.aligned and (flags.c_contiguous or flags.f_contiguous):
+        return G
+    return 0.5 * (G + G.T)
+
+
 def direct_rhs(p: NonlinearProblem, s, x0, x, t: float) -> np.ndarray:
     """x-velocity of the inversion-based flow at time t: the stage kernel
     of a run that :func:`integrate` has checked.
@@ -95,15 +119,16 @@ def direct_rhs(p: NonlinearProblem, s, x0, x, t: float) -> np.ndarray:
     ``x0`` is taken as it is. ``s.eps(t)`` checks the time. ``x`` and
     F'(x) are checked by :func:`problem.jacobian` before F is called, so
     neither F nor F' sees a non-finite point. F's value is checked for
-    shape only, and the solve, :func:`hilbert.solve_shifted`, checks no
-    array. So a non-finite F'* F' (a finite F' whose square overflows) or
-    gradient either makes the factorization fail, which raises
-    FactorizationError, or makes the velocity non-finite, which
+    shape only, the Gram F'* F' is made exactly symmetric by
+    :func:`_symmetric_gram`, and the solve, :func:`hilbert.solve_shifted`,
+    checks no array. So a non-finite F'* F' (a finite F' whose square
+    overflows) or gradient either makes the factorization fail, which
+    raises FactorizationError, or makes the velocity non-finite, which
     :func:`integrator.advance` rejects at the end of the step.
     """
     eps = s.eps(t)
     J = jacobian(p, x)
-    return -hilbert.solve_shifted(np.dot(J.T, J), eps, _gradient(p, x0, x, J, eps))
+    return -hilbert.solve_shifted(_symmetric_gram(J), eps, _gradient(p, x0, x, J, eps))
 
 
 def coupled_rhs(p: NonlinearProblem, s, x0, x, B, t: float) -> tuple[np.ndarray, np.ndarray]:

@@ -24,6 +24,13 @@ two exceptions:
 
 A negation stays on its operand, as in ``np.dot(-B, g)``: moved after
 the product, it would turn the +0.0 of an exactly zero entry into -0.0.
+
+The Gram rule beside it: :func:`solve_shifted` takes an exactly
+symmetric ``A`` and symmetrizes nothing, so each caller hands it one.
+:func:`solve_regularized` symmetrizes the caller's matrix once, before the
+shift, and the direct stage's Gram ``np.dot(J.T, J)`` is symmetric by
+construction for most layouts of J; ``flow._symmetric_gram`` states for
+which, and symmetrizes the rest.
 """
 
 from __future__ import annotations
@@ -42,8 +49,10 @@ class FactorizationError(RuntimeError):
     """Raised when a matrix is not positive definite within tolerance.
 
     Attributes:
-        smallest_pivot: smallest eigenvalue of the symmetrized matrix,
-            evaluated after the failed factorization attempt.
+        smallest_pivot: smallest eigenvalue of the shifted matrix A + eps*I
+            (of its lower triangle, the one ``potrf`` reads), evaluated
+            after the failed factorization attempt; NaN when the matrix
+            has a non-finite entry.
     """
 
     def __init__(self, message: str, smallest_pivot: float):
@@ -62,8 +71,12 @@ def all_finite(arr: np.ndarray) -> bool:
     (|a| above about 1e154), so only then are the finite entries counted.
     One dot, without the boolean array and reduction of the count, is the
     cheaper test at n <= 16.
+
+    An array that is not aligned goes straight to the count: ``np.vdot``
+    hands its data to BLAS as it is, and OpenBLAS's Prescott kernel
+    crashes the interpreter on an unaligned float64 vector.
     """
-    if math.isfinite(np.vdot(arr, arr)):
+    if arr.flags.aligned and math.isfinite(np.vdot(arr, arr)):
         return True
     return bool(np.count_nonzero(np.isfinite(arr)) == arr.size)
 
@@ -215,10 +228,15 @@ def solve_regularized(A, eps: float, rhs) -> np.ndarray:
 
     ``A`` is checked as a finite square matrix and ``rhs`` as a finite
     vector of its size, or a finite matrix with as many rows; then
-    :func:`solve_shifted` solves, with the same bits.
+    :func:`solve_shifted` solves 0.5 (A + A*) + eps*I, the symmetric part
+    of A shifted. Symmetrizing before the shift gives the bits of
+    symmetrizing A + eps*I after it, signed zeros and subnormals included,
+    but for one sign: an off-diagonal pair that sums to -5e-324 halves to
+    a zero that is now +0.0, where the other order gave -0.0.
 
     Args:
-        A: square matrix, Gram form or otherwise SPD-compatible.
+        A: square matrix, Gram form or otherwise SPD-compatible; only its
+            symmetric part is solved with.
         eps: positive, finite shift.
         rhs: right-hand side vector, or a matrix whose columns are
             right-hand sides.
@@ -237,15 +255,20 @@ def solve_regularized(A, eps: float, rhs) -> np.ndarray:
                              f"got shape {rhs.shape}")
     else:
         rhs = as_vector(rhs, dim=n)
-    return solve_shifted(A, eps, rhs)
+    return solve_shifted(0.5 * (A + A.T), eps, rhs)
 
 
 def solve_shifted(A: np.ndarray, eps: float, rhs: np.ndarray) -> np.ndarray:
     """Solve (A + eps*I) y = rhs by Cholesky factorization, on bare arrays.
 
-    ``A`` must be such that A + eps*I is symmetric positive definite (the
-    Gram form F'*F' always is). One step of iterative refinement keeps the
-    residual near 1e-16 * ||rhs|| / relative conditioning.
+    ``A`` must be exactly symmetric, bit for bit, and such that A + eps*I
+    is positive definite (the Gram form F'*F' always is). Nothing
+    symmetrizes it here: :func:`solve_regularized` and the direct flow's
+    stage hand it a symmetric matrix (the Gram rule of this module). The
+    factorization reads the lower triangle only, but the refinement
+    multiplies by the whole matrix, so an ``A`` that is not symmetric gives
+    other bits. One step of iterative refinement keeps the residual near
+    1e-16 * ||rhs|| / relative conditioning.
 
     The kernel of :func:`solve_regularized` and of the direct flow's stage
     (:func:`flow.direct_rhs`). It checks ``eps``, a scalar, and no array:
@@ -273,7 +296,6 @@ def solve_shifted(A: np.ndarray, eps: float, rhs: np.ndarray) -> np.ndarray:
     """
     n = A.shape[0]
     M = A + positive("eps", eps) * identity(n)
-    M = 0.5 * (M + M.T)
     chol, info = _POTRF(M, lower=1, clean=0)
     if info > 0:
         if not all_finite(M):  # only a caller that skipped the checks gets here

@@ -229,15 +229,17 @@ def fixed_jacobian(p: NonlinearProblem, x) -> tuple[np.ndarray, np.ndarray]:
     read-only view of what it returned, so its layout, and the bits of
     every product formed from it, are those of a call of ``jac``; the Gram
     is ``np.dot(F'.T, F')``, the product the coupled stage forms. Later
-    calls evaluate nothing and do not read ``x``.
+    calls evaluate nothing and do not read ``x``: they are one lookup in
+    the memo, since the coupled stage makes one at every stage.
     """
-    def build():
+    try:
+        return p._constants["jacobian"]
+    except KeyError:
         J = jacobian(p, x).view()
         gram = np.dot(J.T, J)
         J.flags.writeable = gram.flags.writeable = False
+        p._constants["jacobian"] = J, gram
         return J, gram
-
-    return p.constant("jacobian", build)
 
 
 def _ball_points(center: np.ndarray, radius: float, samples: int, rng) -> np.ndarray:

@@ -121,9 +121,9 @@ def solve_source(p: NonlinearProblem, xhat, x0) -> tuple[np.ndarray, float]:
     if np.linalg.norm(rhs) == 0.0:
         return np.zeros(p.dim), 0.0
     M = solution_gram(p, xhat)
-    # Not dead code: J.T @ J is exactly symmetric on OpenBLAS's SkylakeX
-    # kernels for C, F, transposed and strided J (n 1-16), but not on its
-    # Haswell and Prescott kernels for strided J at odd n >= 9.
+    # Not dead code: the Gram of a strided or unaligned J need not be
+    # exactly symmetric on every BLAS kernel (the rule is stated once, in
+    # the docstring of flow._symmetric_gram).
     M = 0.5 * (M + M.T)
     evals, evecs = np.linalg.eigh(M)
     cutoff = SOURCE_TOL * max(float(evals[-1]), 0.0)

@@ -332,6 +332,15 @@ def gronwall_violation(q, r, V):
 # --- builders -------------------------------------------------------------
 
 
+def unaligned(a):
+    """A C-order copy of the array ``a`` one byte into a byte buffer, so not
+    aligned for its dtype."""
+    a = np.asarray(a)
+    out = np.ndarray(a.shape, a.dtype, buffer=np.zeros(a.nbytes + 1, np.uint8)[1:])
+    out[...] = a
+    return out
+
+
 def affine_problem(A, xhat):
     """F(x) = A (x - xhat) with the constant Jacobian A, not rowwise."""
     A = np.asarray(A, dtype=float)

@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import warnings
 import weakref
 
 import numpy as np
@@ -17,10 +18,11 @@ from oracles import (
     frozen,
     identity_problem,
     seeds,
+    unaligned,
     unmarked,
 )
 
-from gnflow import gallery, hilbert, problem, theory
+from gnflow import flow, gallery, hilbert, problem, theory
 from gnflow.flow import (
     SolverState,
     coupled_rhs,
@@ -50,12 +52,15 @@ def strided_9():
 def laid_out(M, layout):
     """M with its entries in the memory ``layout``: "C" or "F" order (F is
     also the layout of the transpose of a C-order matrix), "strided" (every
-    other row and column of a C-order buffer twice the size) or
-    "transposed-strided" (the transpose of such a view)."""
+    other row and column of a C-order buffer twice the size),
+    "transposed-strided" (the transpose of such a view) or "unaligned"
+    (C order, one byte into a byte buffer, so not aligned for float64)."""
     if layout == "C":
         return np.ascontiguousarray(M)
     if layout == "F":
         return np.asfortranarray(M)
+    if layout == "unaligned":
+        return unaligned(M)
     n = len(M)
     buffer = np.zeros((2 * n, 2 * n))
     if layout == "strided":
@@ -65,7 +70,7 @@ def laid_out(M, layout):
     return buffer[::2, ::2].T
 
 
-LAYOUTS = ("C", "F", "strided", "transposed-strided")
+LAYOUTS = ("C", "F", "strided", "transposed-strided", "unaligned")
 
 
 class TestDirectRhs:
@@ -99,6 +104,25 @@ class TestDirectRhs:
             oracle = -np.linalg.inv(A.T @ A + eps * np.eye(n)) @ rhs
             got = direct_rhs(p, s, x0, x, t)
             assert np.linalg.norm(got - oracle) <= 1e-9 * (1 + np.linalg.norm(oracle))
+
+    def test_gram_entry_above_half_the_largest_double(self):
+        # F'* F' has the entry 1.2e154**2 = 1.44e308: finite, but twice it
+        # overflows. The stage's Gram is exactly symmetric and is solved as
+        # it is, so the run goes on, without a warning; a symmetrizing pass
+        # would have made the entry inf and ended the run in numerical_error
+        A = np.array([[1.2e154, 0.0], [1.0, 1.0]])
+        big = np.dot(A.T, A)[0, 0]
+        assert np.finfo(float).max / 2 < big < np.inf
+        xhat = np.ones(2)
+        s = PowerSchedule(c0=0.1, c1=1.0, a=1.0)
+        cfg = IntegratorConfig(method="rk4", step_h=0.01, horizon_T=0.1, record_every=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = integrate(affine_problem(A, xhat), s, SolverState(t=0.0, x=xhat + 1e-3),
+                             cfg, xhat=xhat)
+        assert traj.termination == "horizon_reached" and len(traj.records) == 11
+        errors = [d.err_norm for _, d in traj.records]
+        assert all(np.isfinite(errors)) and errors[-1] < errors[0]
 
 
 class TestCoupledRhs:
@@ -181,6 +205,22 @@ class TestStageBits:
         for got, want in zip(coupled_rhs(p, s, x0, x, B, t),
                              checked_coupled_rhs(p, s, x0, x, B, t)):
             assert_same_bits(got, want)
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_direct_gram_is_symmetric(self, layout):
+        # the precondition of hilbert.solve_shifted, for every layout of F'
+        # and every n the package serves: the direct stage's Gram equals its
+        # transpose bit for bit, whichever branch of the layout rule it
+        # takes, and is the symmetric part of J* J that solve_regularized
+        # solves with
+        rng = np.random.default_rng(LAYOUTS.index(layout))
+        for n in range(1, 17):
+            for _ in range(6):
+                J = laid_out(rng.standard_normal((n, n)), layout)
+                G = flow._symmetric_gram(J)
+                H = J.T @ J
+                assert_same_bits(G, G.T)
+                assert_same_bits(G, 0.5 * (H + H.T))
 
     @settings(max_examples=60)
     @given(kind=st.sampled_from(CONSTANT_FAMILIES), n=st.integers(1, 16),
@@ -299,9 +339,9 @@ class TestDiagnostics:
     def test_norms_are_of_the_flow_operators(self, label):
         # inverse_residual is ||B'|| of the B' the coupled flow integrates, and
         # lambda_norm ||Lambda|| of mismatch_operator, bit for bit at every record.
-        # J.T @ J of the strided Jacobian is not exactly symmetric on OpenBLAS's
-        # Haswell and Prescott kernels (odd n >= 9), so no symmetrized copy of
-        # the flow's operator may stand in for it.
+        # J.T @ J of the strided Jacobian need not be exactly symmetric (the
+        # layout rule of flow._symmetric_gram's docstring), so no symmetrized
+        # copy of the flow's operator may stand in for it.
         if label == "strided-9":
             p, xhat, x0 = strided_9()
         else:

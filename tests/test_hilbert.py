@@ -1,4 +1,5 @@
 import math
+import os
 import re
 import subprocess
 import sys
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
-from oracles import assert_same_bits, log_uniform, reference_solve, seeds
+from oracles import assert_same_bits, log_uniform, reference_solve, seeds, unaligned
 
 from gnflow import gallery, hilbert
 from gnflow.flow import direct_rhs
@@ -47,13 +48,48 @@ _ENTRIES = st.one_of(
     st.floats(),
 )
 
-#: The array as drawn and views of it that are not C-contiguous.
+#: The array as drawn and views of it that are not C-contiguous or not aligned.
 _VIEWS = {
     "whole": lambda a: a,
     "transposed": lambda a: a.T,
     "strided": lambda a: a[..., ::2] if a.ndim else a,
     "reversed": lambda a: a[::-1] if a.ndim else a,
+    "unaligned": unaligned,
 }
+
+#: Run in a fresh interpreter under OpenBLAS's Prescott kernel, whose
+#: ``np.vdot`` of an unaligned float64 vector of two or more entries kills
+#: the interpreter: the finiteness test, and through it a direct stage
+#: whose F' comes unaligned, must not reach it.
+_UNALIGNED_PROBE = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+from gnflow import hilbert, problem
+from gnflow.flow import direct_rhs
+from gnflow.schedule import PowerSchedule
+def unaligned(a):  # as tests/oracles.py builds it, without its imports
+    out = np.ndarray(a.shape, a.dtype, buffer=np.zeros(a.nbytes + 1, np.uint8)[1:])
+    out[...] = a
+    return out
+for n in range(1, 17):
+    u = unaligned(np.ones(n))
+    assert not u.flags.aligned and hilbert.all_finite(u)
+    u[-1] = np.nan
+    assert not hilbert.all_finite(u)
+A = unaligned(np.eye(9) + 0.1 * np.arange(81.0).reshape(9, 9) / 81.0)
+p = problem.NonlinearProblem(dim=9, f=lambda x: A @ x, jac=lambda x: A)
+v = direct_rhs(p, PowerSchedule(c0=0.1, c1=1.0, a=1.0), np.zeros(9), np.ones(9), 0.5)
+assert hilbert.all_finite(v)
+"""
+
+
+#: Entries of both signs from 1e-310 (subnormal) to 1e300, and signed zeros.
+_SHIFT_ENTRIES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324]),
+    st.builds(lambda sign, e: sign * 10.0**e, st.sampled_from([1.0, -1.0]),
+              st.floats(-310.0, 300.0)),
+)
 
 
 class TestAllFinite:
@@ -72,6 +108,14 @@ class TestAllFinite:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # an overflowing self-dot may not warn
             assert hilbert.all_finite(a) is bool(np.isfinite(a).all())
+
+    def test_unaligned_array_on_the_prescott_kernel(self):
+        # np.vdot of such an array crashed the interpreter with SIGSEGV
+        src = str(Path(hilbert.__file__).resolve().parent.parent)
+        env = dict(os.environ, OPENBLAS_CORETYPE="Prescott")
+        done = subprocess.run([sys.executable, "-c", _UNALIGNED_PROBE, src],
+                              env=env, capture_output=True, text=True)
+        assert done.returncode == 0, (done.returncode, done.stderr)
 
     def test_validators_reject_a_single_bad_entry(self):
         for bad in (np.nan, np.inf, -np.inf):
@@ -198,19 +242,41 @@ class TestSolveShifted:
     @given(n=st.integers(1, 16), eps=log_uniform(-6.0, 1.0), skew=log_uniform(-3.0, 1.0),
            cols=st.integers(1, 4), seed=seeds)
     def test_same_bits_as_checked_solve_and_reference(self, n, eps, skew, cols, seed):
-        # A = J* J + skew (K - K*) is not symmetric; both solves symmetrize
-        # A + eps I, as the reference does
+        # A = J* J + skew (K - K*) is not symmetric. The reference symmetrizes
+        # A + eps I; the checked solve symmetrizes A before the shift, with
+        # the same bits, and the kernel is handed the symmetric part, which
+        # is its precondition
         rng = np.random.default_rng(seed)
         J = rng.standard_normal((n, n))
         K = rng.standard_normal((n, n))
         A = J.T @ J + skew * (K - K.T)
+        S = 0.5 * (A + A.T)
         rhs = rng.standard_normal((n, cols))
         want = np.column_stack([reference_solve(A, eps, b) for b in rhs.T])
         for b, y in zip(rhs.T, want.T):
-            assert_same_bits(hilbert.solve_shifted(A, eps, b), y)
+            assert_same_bits(hilbert.solve_shifted(S, eps, b), y)
             assert_same_bits(hilbert.solve_regularized(A, eps, b), y)
-        assert_same_bits(hilbert.solve_shifted(A, eps, rhs), want)
+        assert_same_bits(hilbert.solve_shifted(S, eps, rhs), want)
         assert_same_bits(hilbert.solve_regularized(A, eps, rhs), want)
+
+    @settings(max_examples=300)
+    @given(A=arrays(float, array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=6)
+                    .map(lambda shape: (shape[0], shape[0])), elements=_SHIFT_ENTRIES),
+           eps=_SHIFT_ENTRIES.filter(lambda e: e > 0.0))
+    def test_symmetrizing_before_the_shift_keeps_the_bits(self, A, eps):
+        # the identity solve_regularized rests on: adding eps I only turns an
+        # off-diagonal -0.0 into +0.0, and halving a doubled diagonal entry
+        # is exact, so the order of the two passes does not show, signed
+        # zeros, subnormals and exponents up to 1e300 included. One sign
+        # differs: an off-diagonal pair that sums to -5e-324 halves to -0.0,
+        # which the shift's +0.0 then turns into +0.0
+        I = np.eye(len(A))
+        M = A + eps * I
+        got, want = 0.5 * (A + A.T) + eps * I, 0.5 * (M + M.T)
+        assert np.array_equal(got, want)
+        underflow = A + A.T == -math.ulp(0.0)
+        assert_same_bits(got[~underflow], want[~underflow])
+        assert not np.signbit(got[underflow]).any() and np.signbit(want[underflow]).all()
 
     def test_checks_eps_only(self):
         with pytest.raises(ValueError, match=r"^eps must be positive and finite, got 0\.0$"):

@@ -16,7 +16,12 @@ fingerprinted with this copy. The lines cover
   through the workload's own ``Job.digest`` (``bench/workloads.py``);
 - the stdout and exit code of ``gnflow verify --suite lemmas|certificate|order``;
 - the ``gnflow run`` summary, without its ``config.out.*`` lines, and the
-  trajectory CSV, for every gallery label under both methods.
+  trajectory CSV, for every gallery label under both methods;
+- every record of a direct and a coupled run on an affine n = 9 problem
+  whose F' is a strided view, and on one whose F' is C-ordered but not
+  aligned. Every gallery Jacobian is C-contiguous and aligned, so only
+  these runs reach the direct stage's symmetrizing branch
+  (``flow._symmetric_gram``).
 
 Each ``gnflow`` command runs in a fresh interpreter, in an empty temporary
 directory, with the checkout's ``src`` first on the import path.
@@ -52,6 +57,36 @@ def job_digests():
                 yield f"job/{workload.name}/seed{seed}/{job.name}", sha256(job.digest(job.run()))
 
 
+def layout_runs():
+    """(name, sha256) of every record of the runs on a strided and on an
+    unaligned F', under both methods."""
+    import numpy as np
+    from gnflow.flow import SolverState, initial_inverse
+    from gnflow.integrator import IntegratorConfig, integrate
+    from gnflow.problem import NonlinearProblem
+    from gnflow.schedule import PowerSchedule
+
+    rng = np.random.default_rng(9)
+    strided = (np.eye(18) + 0.2 * rng.standard_normal((18, 18)))[::2, ::2]
+    xhat = rng.standard_normal(9)
+    unaligned = np.ndarray((9, 9), float, buffer=np.zeros(strided.nbytes + 1, np.uint8)[1:])
+    unaligned[...] = strided
+    s = PowerSchedule(c0=0.1, c1=1.0, a=1.0)
+    cfg = IntegratorConfig(method="rk4", step_h=0.01, horizon_T=1.0, record_every=10)
+    x0 = xhat + 0.1
+    for layout, A in (("strided", strided), ("unaligned", unaligned)):
+        p = NonlinearProblem(dim=9, f=lambda x, A=A: A @ (x - xhat), jac=lambda x, A=A: A,
+                             known_solution=xhat)
+        for method in METHODS:
+            B0 = initial_inverse(p, x0, s.eps(0.0)) if method == "coupled" else None
+            traj = integrate(p, s, SolverState(t=0.0, x=x0, B=B0), cfg, xhat=xhat)
+            parts = [traj.termination.encode()]
+            for st, d in traj.records:
+                parts += [np.float64(st.t).tobytes(), st.x.tobytes(),
+                          b"" if st.B is None else st.B.tobytes(), repr(d).encode()]
+            yield f"layout/{layout}/{method}", sha256(b"|".join(parts))
+
+
 def gnflow(root: Path, cwd: str, *argv: str) -> tuple:
     """Exit code and stdout of one ``gnflow`` command."""
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
@@ -85,7 +120,8 @@ def main(argv=None) -> int:
     sys.path[:0] = [str(root / "src"), str(root / "bench")]
     from gnflow.gallery import available_labels
 
-    for name, digest in itertools.chain(job_digests(), cli_outputs(root, available_labels())):
+    for name, digest in itertools.chain(job_digests(), layout_runs(),
+                                        cli_outputs(root, available_labels())):
         print(name, digest, flush=True)
     return 0
 
