@@ -32,6 +32,7 @@ from .integrator import IntegratorConfig, Trajectory, convergence_order, integra
 from .problem import (
     BallBounds,
     NonlinearProblem,
+    analytic_bounds,
     constant_jacobian,
     estimate_bounds,
     eval_F,

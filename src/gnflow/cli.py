@@ -98,10 +98,11 @@ def cmd_run(cfg: RunConfig) -> int:
         try:
             # non-finite values raise, reported below, as at the B0 build of a run
             with np.errstate(all="ignore"):
-                cert, _ = theory.certify_with_canonical_R(
+                cert, bounds = theory.certify_with_canonical_R(
                     entry.problem, xhat, x0, sched, B0, seed=cfg.seed
                 )
             lines.extend(_certificate_lines(cert))
+            lines.append(f"certificate.bounds_source = {bounds.source}")
         except (ValueError, FactorizationError) as exc:
             lines.append(f"certificate.error = {exc}")
     write_lines(cfg.out_summary, lines)

@@ -100,15 +100,17 @@ def _symmetric_gram(J: np.ndarray) -> np.ndarray:
     the last bit: on OpenBLAS's Haswell and Prescott kernels at n = 9, 11,
     13 and 15, on Nehalem at n = 5-7, 9-11 and 13-15 (SkylakeX and
     Sandybridge measured symmetric, n 1-16). Such a Gram is returned as
-    0.5 (G + G*), which, with the shift added after it, gives the bits of
-    symmetrizing G + eps*I (:func:`hilbert.solve_regularized` states the
-    one zero whose sign differs).
+    0.5 (G + G*) by :func:`hilbert.symmetric_part`, as
+    :func:`hilbert.solve_regularized` symmetrizes: finite for a finite G,
+    and, with the shift added after it, the bits of symmetrizing G + eps*I
+    (:func:`hilbert.solve_regularized` states the one zero whose sign
+    differs).
     """
     G = np.dot(J.T, J)
     flags = J.flags
     if flags.aligned and (flags.c_contiguous or flags.f_contiguous):
         return G
-    return 0.5 * (G + G.T)
+    return hilbert.symmetric_part(G)
 
 
 def direct_rhs(p: NonlinearProblem, s, x0, x, t: float) -> np.ndarray:

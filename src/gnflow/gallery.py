@@ -18,7 +18,7 @@ import numpy as np
 
 from . import hilbert, theory
 from .flow import initial_inverse, solution_gram
-from .problem import NonlinearProblem, constant_jacobian, rowwise
+from .problem import NonlinearProblem, analytic_bounds, constant_jacobian, rowwise
 from .schedule import PowerSchedule
 
 #: Decay constant used for certificate-compliant schedules. The popular
@@ -32,6 +32,9 @@ COMPLIANT_B = 0.05
 OFFSET_RATIO = 0.01
 
 MAX_HALVINGS = 60
+
+#: The curvature nu of the quadratic compliant kind, F(x) = A d + nu d**2.
+QUADRATIC_NU = 0.05
 
 
 @dataclass
@@ -159,6 +162,11 @@ def make_autoconvolution(n: int) -> GalleryEntry:
     same lower-Toeplitz index, built once per problem; it returns a fresh
     C-contiguous matrix with the entries ``scipy.linalg.toeplitz`` gives,
     and is rowwise too: a stack of points gives the stack of matrices.
+
+    Its ball bounds are analytic (:func:`~gnflow.problem.analytic_bounds`):
+    F''(x)[h] = 2*ds*T(h) for every x, and ||T(v)|| <= ||v||_1 <= sqrt(n)
+    ||v|| (each diagonal of T(v) holds one entry of v), so N2 = 2*ds*sqrt(n)
+    and, over U(center, r), N1 = 2*ds*(||center||_1 + sqrt(n)*r).
     """
     n = hilbert.count("n", n)
     if n < 2:
@@ -175,7 +183,12 @@ def make_autoconvolution(n: int) -> GalleryEntry:
     def f(x, y=y, ds=ds, index=toeplitz_index):
         return _autoconvolve(x, ds, index) - y
 
+    def bounds(center, radius, ds=ds, root_n=float(np.sqrt(n))):
+        return (2.0 * ds * (float(np.linalg.norm(center, 1)) + root_n * radius),
+                2.0 * ds * root_n)
+
     @rowwise
+    @analytic_bounds(bounds)
     def jac(x, ds=ds, index=toeplitz_index):
         return _lower_toeplitz(2.0 * ds * x, index)
 
@@ -396,10 +409,13 @@ def random_spd(n: int, rng) -> np.ndarray:
 def _base_instance(n: int, kind: str, rng) -> tuple[NonlinearProblem, np.ndarray]:
     """Base problem for the compliant constructor plus the unit w direction.
 
-    The Jacobian of every kind is :func:`~gnflow.problem.rowwise`, so the
-    certificate samples the quadratic kind's ball bounds with two Jacobian
-    calls; the affine kinds (spd among them) are
-    :func:`~gnflow.problem.constant_jacobian` and sample none."""
+    The Jacobian of every kind is :func:`~gnflow.problem.rowwise`, and no
+    kind samples its ball bounds. The affine kinds (spd among them) are
+    :func:`~gnflow.problem.constant_jacobian`. The quadratic kind, F(x) =
+    A d + nu d**2 with d = x - xhat, has :func:`~gnflow.problem.analytic_bounds`:
+    F'(x) = A + 2 nu diag(d) and F''(x)[h, k] = 2 nu (h * k), so N2 = 2 nu
+    and, over U(center, r), N1 = ||A|| + 2 nu (||center - xhat|| + r), with
+    ||A|| taken once, here, by :func:`~gnflow.hilbert.op_norms`."""
     xhat = _default_xhat(n)
     if kind in ("spd", "quadratic"):
         A = random_spd(n, rng)
@@ -408,9 +424,15 @@ def _base_instance(n: int, kind: str, rng) -> tuple[NonlinearProblem, np.ndarray
     else:
         raise ValueError(f"unknown compliant kind {kind!r}")
     if kind == "quadratic":
-        nu = 0.05
+        nu = QUADRATIC_NU
+        a_norm = float(hilbert.op_norms(A[None])[0])
+
+        def bounds(center, radius, a_norm=a_norm, c=xhat.copy(), nu=nu):
+            return (a_norm + 2.0 * nu * (float(np.linalg.norm(center - c)) + radius),
+                    2.0 * nu)
 
         @rowwise
+        @analytic_bounds(bounds)
         def jac(x, A=A, c=xhat.copy(), nu=nu):
             # A + 2*nu*diag(x - c) for each row of x: the diagonal is written
             # through a strided view of a zero stack, no slower than np.diag
@@ -445,7 +467,8 @@ def _halving_search(p: NonlinearProblem, w_dir: np.ndarray, seed: int) -> tuple:
     OFFSET_RATIO * 0.1, is built once. From eps(0) = 0.1, every attempt
     that fails, by a raised error or a certificate that does not pass,
     halves eps(0) (through the schedule's c1), at most MAX_HALVINGS
-    times. ``seed`` seeds the sampled ball bounds (exact bounds draw none).
+    times. ``seed`` seeds the sampled ball bounds (analytic and exact
+    bounds draw none).
     """
     xhat = p.known_solution
     M = solution_gram(p, xhat)

@@ -30,7 +30,8 @@ symmetric ``A`` and symmetrizes nothing, so each caller hands it one.
 :func:`solve_regularized` symmetrizes the caller's matrix once, before the
 shift, and the direct stage's Gram ``np.dot(J.T, J)`` is symmetric by
 construction for most layouts of J; ``flow._symmetric_gram`` states for
-which, and symmetrizes the rest.
+which, and symmetrizes the rest. Both symmetrize by :func:`symmetric_part`,
+which stays finite on every finite matrix.
 """
 
 from __future__ import annotations
@@ -222,6 +223,27 @@ _FLAPACK = _load_flapack(_SCIPY.submodule_search_locations[0])
 _POTRF, _POTRS = _FLAPACK.dpotrf, _FLAPACK.dpotrs
 
 
+def symmetric_part(A: np.ndarray) -> np.ndarray:
+    """0.5 (A + A*) of a square float64 matrix, exactly symmetric, as a new
+    array.
+
+    Each entry is ``0.5 * (a + b)`` of the pair a = A[i, j], b = A[j, i],
+    the bits of the plain formula, wherever the sum a + b is finite. Where
+    it overflows (two entries above DBL_MAX/2 in magnitude, of one sign),
+    the entry is ``0.5*a + 0.5*b`` instead, which is finite: so the
+    symmetric part of a finite matrix is finite, where the plain formula
+    gives inf, and a solve after it NaN. A non-finite A keeps the
+    non-finite entries of the plain formula.
+    """
+    with np.errstate(over="ignore"):
+        S = A + A.T
+    S *= 0.5
+    if not all_finite(S):
+        spilled = ~np.isfinite(S)
+        S[spilled] = (0.5 * A + 0.5 * A.T)[spilled]
+    return S
+
+
 def solve_regularized(A, eps: float, rhs) -> np.ndarray:
     """Solve (A + eps*I) y = rhs by Cholesky factorization: the checked
     entry point of :func:`solve_shifted`.
@@ -229,10 +251,11 @@ def solve_regularized(A, eps: float, rhs) -> np.ndarray:
     ``A`` is checked as a finite square matrix and ``rhs`` as a finite
     vector of its size, or a finite matrix with as many rows; then
     :func:`solve_shifted` solves 0.5 (A + A*) + eps*I, the symmetric part
-    of A shifted. Symmetrizing before the shift gives the bits of
-    symmetrizing A + eps*I after it, signed zeros and subnormals included,
-    but for one sign: an off-diagonal pair that sums to -5e-324 halves to
-    a zero that is now +0.0, where the other order gave -0.0.
+    of A shifted (:func:`symmetric_part`, finite for every finite A, so an
+    entry above DBL_MAX/2 solves). Symmetrizing before the shift gives the
+    bits of symmetrizing A + eps*I after it, signed zeros and subnormals
+    included, but for one sign: an off-diagonal pair that sums to -5e-324
+    halves to a zero that is now +0.0, where the other order gave -0.0.
 
     Args:
         A: square matrix, Gram form or otherwise SPD-compatible; only its
@@ -255,7 +278,7 @@ def solve_regularized(A, eps: float, rhs) -> np.ndarray:
                              f"got shape {rhs.shape}")
     else:
         rhs = as_vector(rhs, dim=n)
-    return solve_shifted(0.5 * (A + A.T), eps, rhs)
+    return solve_shifted(symmetric_part(A), eps, rhs)
 
 
 def solve_shifted(A: np.ndarray, eps: float, rhs: np.ndarray) -> np.ndarray:

@@ -36,7 +36,8 @@ class NonlinearProblem:
     constants that depend only on it (:meth:`constant`); it lives exactly
     as long as the problem. The :func:`constant_jacobian` marker is read
     once, at construction, into ``_constant_jac``: one attribute lookup
-    decides the coupled stage's branch.
+    decides the coupled stage's branch. The :func:`analytic_bounds` hook
+    is read there too, into ``_analytic_bounds`` (None without one).
 
     Args:
         dim: ambient dimension n, an integer >= 1 (the count rule of
@@ -67,6 +68,8 @@ class NonlinearProblem:
         object.__setattr__(self, "_constants", {})
         object.__setattr__(self, "_constant_jac",
                            bool(getattr(self.jac, "constant_jacobian", False)))
+        object.__setattr__(self, "_analytic_bounds",
+                           getattr(self.jac, "analytic_bounds", None))
         if self.known_solution is not None:
             xhat = hilbert.as_vector(self.known_solution, dim=self.dim)
             object.__setattr__(self, "known_solution", xhat)
@@ -98,11 +101,19 @@ class BallBounds:
     """Derivative bounds on a closed ball around ``center``.
 
     N1 bounds ||F'(x)|| and N2 bounds the second-derivative norm over the
-    ball, both inflated by :data:`BOUND_INFLATION`. Sampling certifies the
-    bounds only statistically; ``samples`` records how hard we looked.
-    For a :func:`constant_jacobian` the bounds are exact and no point is
-    drawn; ``samples`` is then the count that was asked for, so the
-    record equals the sampled one field for field.
+    ball. ``source`` says where they came from:
+
+    - ``"analytic"``: the Jacobian's :func:`analytic_bounds` hook, taken
+      as it gives them, without inflation;
+    - ``"constant"``: a :func:`constant_jacobian`, whose bounds are exact
+      and draw no point: N1 is the inflated ||F'|| and N2 is
+      :data:`N2_FLOOR`, the values sampling gives;
+    - ``"sampled"``: the largest sampled norms, both inflated by
+      :data:`BOUND_INFLATION`, which certify the bounds only
+      statistically.
+
+    ``samples`` records how hard sampling looked, and is the count that
+    was asked for when nothing was sampled.
     """
 
     center: np.ndarray
@@ -110,6 +121,7 @@ class BallBounds:
     N1: float
     N2: float
     samples: int
+    source: str
 
 
 def check_root(p: NonlinearProblem, xhat: np.ndarray, name: str = "xhat") -> None:
@@ -152,14 +164,35 @@ def constant_jacobian(jac):
     A problem built on a marked ``jac`` evaluates F' once and keeps it
     (:func:`fixed_jacobian`), which the coupled stage and
     :func:`gnflow.flow.solution_gram` read. :func:`estimate_bounds` then
-    draws no sample: N1 is the inflated ||F'||, taken once per problem,
-    and N2 is :data:`N2_FLOOR`, the very values sampling gives. The marker
-    sits on the callable, as :func:`rowwise` does, so a problem rebuilt
-    from the same ``jac`` keeps it. Nothing checks the claim: a false
-    marker changes coupled trajectories as well as bounds. Returns ``jac``.
+    draws no sample, unless an :func:`analytic_bounds` hook answers
+    first: N1 is the inflated ||F'||, taken once per problem, and N2 is
+    :data:`N2_FLOOR`, the very values sampling gives, with the source
+    ``"constant"``. The marker sits on the callable, as :func:`rowwise`
+    does, so a problem rebuilt from the same ``jac`` keeps it. Nothing
+    checks the claim: a false marker changes coupled trajectories as well
+    as bounds. Returns ``jac``.
     """
     jac.constant_jacobian = True
     return jac
+
+
+def analytic_bounds(bounds):
+    """A marker that gives a Jacobian its ball bounds in closed form.
+
+    ``bounds(center, radius) -> (N1, N2)`` must bound ||F'(x)|| and the
+    norm of F''(x) over the closed ball U(center, radius) for every
+    checked center and every positive, finite radius; :func:`estimate_bounds`
+    consults it before anything else and draws no sample. The marker sits
+    on the callable, as :func:`rowwise` does: a problem rebuilt from the
+    same ``jac`` keeps it, which is right exactly when F' is unchanged (a
+    data shift of F), and a problem without ``jac`` (finite differences)
+    or with another callable samples. Nothing checks the claim. Returns
+    a decorator that marks ``jac`` and returns it.
+    """
+    def mark(jac):
+        jac.analytic_bounds = bounds
+        return jac
+    return mark
 
 
 def _on_rows(name: str, fn, points: np.ndarray, shape: tuple, at) -> np.ndarray:
@@ -258,42 +291,55 @@ def estimate_bounds(
     samples: int = 64,
     seed: int = 0,
 ) -> BallBounds:
-    """Derivative norm bounds over the ball U(center, radius), sampled
-    unless the Jacobian is a :func:`constant_jacobian`.
+    """Derivative norm bounds over the ball U(center, radius): analytic
+    when the Jacobian has an :func:`analytic_bounds` hook, exact when it
+    is a :func:`constant_jacobian`, sampled otherwise; ``source`` of the
+    result says which (:class:`BallBounds`).
 
-    N1 is the largest sampled ||F'(x)||; N2 differences the Jacobian
-    along sampled unit directions with step 1e-4 * radius. Both are
-    inflated by :data:`BOUND_INFLATION` (10%) against sampling optimism.
-    Deterministic per seed.
+    Raises ValueError unless ``center`` is a finite vector of the
+    problem's dimension, ``radius`` is positive and finite and
+    ``samples`` is an integer >= 1; every path checks them first.
 
-    The Jacobian is evaluated by :func:`_on_rows` at every sample point,
-    then at every shifted point (by finite differences when the problem has
-    none), and an error names the failing sample. The norms are then taken
-    by :func:`hilbert.op_norms` in two batched calls, one over the stacked
+    An analytic hook answers first. Its N1 and N2 are taken as they are,
+    not inflated by :data:`BOUND_INFLATION`, which is there against
+    sampling optimism; no point is drawn and no Jacobian evaluated, and
+    ``seed`` and ``samples`` select nothing (``samples`` is recorded as
+    given).
+
+    Sampled: N1 is the largest sampled ||F'(x)||; N2 differences the
+    Jacobian along sampled unit directions with step 1e-4 * radius. Both
+    are inflated by :data:`BOUND_INFLATION` (10%), and N2 is at least
+    :data:`N2_FLOOR`. Deterministic per seed. The Jacobian is evaluated by
+    :func:`_on_rows` at every sample point, then at every shifted point
+    (by finite differences when the problem has none), and an error names
+    the failing sample. The norms are then taken by
+    :func:`hilbert.op_norms` in two batched calls, one over the stacked
     Jacobians and one over the stacked differences (a non-finite
-    difference raises ValueError there).
-    Each batched norm equals :func:`hilbert.op_norm` of the same matrix
-    exactly. Raises ValueError unless ``radius`` is positive and finite
-    and ``samples`` is an integer >= 1.
+    difference raises ValueError there). Each batched norm equals
+    :func:`hilbert.op_norm` of the same matrix exactly.
 
-    A constant Jacobian takes the exact path once the arguments are
-    checked: no point is drawn, and ``seed`` and ``samples`` select
-    nothing (``samples`` is recorded as given). Every sampled Jacobian
-    would be F' and every difference zero, so N1 is the inflated ||F'||
-    and N2 the floor, the bits of the sampled path. ||F'|| is taken once
-    per problem by :func:`hilbert.op_norms` on a one-matrix stack (the SVD
+    A constant Jacobian takes the exact path: no point is drawn, and
+    ``seed`` and ``samples`` select nothing. Every sampled Jacobian would
+    be F' and every difference zero, so N1 is the inflated ||F'|| and N2
+    the floor, the bits of the sampled path. ||F'|| is taken once per
+    problem by :func:`hilbert.op_norms` on a one-matrix stack (the SVD
     that a constant stack costs) of the kept F' of :func:`fixed_jacobian`,
     which evaluates F' at ``center`` only if nothing has asked for it yet,
     and is kept in :meth:`NonlinearProblem.constant`: later calls evaluate
     no Jacobian.
     """
     center = hilbert.as_vector(center, dim=p.dim)
-    hilbert.positive("radius", radius)
+    radius = float(hilbert.positive("radius", radius))
     samples = hilbert.count("samples", samples)
+    if p._analytic_bounds is not None:
+        n1, n2 = p._analytic_bounds(center, radius)
+        return BallBounds(center=center, radius=radius, N1=float(n1), N2=float(n2),
+                          samples=samples, source="analytic")
     if p._constant_jac:
         n1 = p.constant("jacobian_norm", lambda: float(
             hilbert.op_norms(fixed_jacobian(p, center)[0][None])[0]))
         n2 = 0.0
+        source = "constant"
     else:
         rng = np.random.default_rng(seed)
         points = _ball_points(center, radius, samples, rng)
@@ -309,10 +355,12 @@ def estimate_bounds(
                  - jacs) / delta
         n1 = float(np.max(hilbert.op_norms(jacs)))
         n2 = float(np.max(hilbert.op_norms(diffs)))
+        source = "sampled"
     return BallBounds(
         center=center,
-        radius=float(radius),
+        radius=radius,
         N1=BOUND_INFLATION * n1,
         N2=max(BOUND_INFLATION * n2, N2_FLOOR),
         samples=samples,
+        source=source,
     )

@@ -270,19 +270,23 @@ def certify_with_canonical_R(
     """Certify with R chosen canonically, self-consistently with the ball.
 
     The derivative bounds must cover U(xhat, R*eps(0)) while R itself
-    depends on them, so the sampling radius is grown until it contains
-    the certified ball, which ``estimate_bounds`` samples at its default
-    64 points; the bounds of a constant Jacobian are exact, draw no
-    sample, and take its norm once per problem. R is inflated by
+    depends on them, so the bounds' radius is grown until it contains the
+    certified ball, at most 8 passes. Each pass takes the bounds of
+    ``estimate_bounds``: those of a Jacobian with an analytic hook
+    (:func:`~gnflow.problem.analytic_bounds`, the gallery's quadratic and
+    autoconvolution kinds) cost a few flops and draw no sample; those of
+    a constant Jacobian are exact, draw no sample, and take its norm once
+    per problem; any other Jacobian is sampled at the default 64 points.
+    The returned bounds' ``source`` says which. R is inflated by
     ``R_INFLATION`` relative so the sharp radius inequality holds strictly
     in floating point (a larger R keeps the certificate valid).
 
     The instance constants are computed once, before the radius loop, and
     the radius numerator of :func:`canonical_R` from them: no derivative
     bound enters it, so an instance whose numerator is not positive
-    raises before any bound is sampled. Each pass samples afresh, centred
-    on a copy of ``xhat``, so changing the returned bounds cannot change
-    the problem's known solution.
+    raises before any bound is taken. Each pass takes its bounds afresh,
+    centred on a copy of ``xhat``, so changing the returned bounds cannot
+    change the problem's known solution.
 
     Raises ValueError when xhat is not a root of F
     (:func:`~gnflow.problem.check_root`), when no positive canonical

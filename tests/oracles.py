@@ -123,7 +123,13 @@ def reference_fd_points(x, h):
 
 
 def reference_bounds(p, center, radius, samples, seed):
-    """``estimate_bounds`` with one jacobian and one op_norm per matrix, sample by sample."""
+    """``estimate_bounds`` with one jacobian and one op_norm per matrix, sample by sample.
+
+    It always samples, and labels the result as ``estimate_bounds`` labels
+    these bits: ``"constant"`` for a Jacobian marked constant, whose exact
+    bounds equal the sampled ones, else ``"sampled"``. It does not consult
+    an analytic hook; the twin :func:`sampled` of a problem with one is
+    what it matches."""
     center = np.asarray(center, dtype=float)
     rng = np.random.default_rng(seed)
     points = _ball_points(center, radius, samples, rng)
@@ -135,8 +141,9 @@ def reference_bounds(p, center, radius, samples, seed):
         J = jacobian(p, x)
         n1 = max(n1, op_norm(J))
         n2 = max(n2, op_norm((jacobian(p, x + delta * d) - J) / delta))
+    source = "constant" if getattr(p.jac, "constant_jacobian", False) else "sampled"
     return BallBounds(center=center, radius=float(radius), N1=BOUND_INFLATION * n1,
-                      N2=max(BOUND_INFLATION * n2, N2_FLOOR), samples=samples)
+                      N2=max(BOUND_INFLATION * n2, N2_FLOOR), samples=samples, source=source)
 
 
 # --- oracles: linear algebra ---------------------------------------------
@@ -398,8 +405,23 @@ def without_jacobian(p):
 
 def unmarked(p):
     """The same problem with its Jacobian behind a wrapper that carries no
-    marker: not rowwise, and not constant, so ``estimate_bounds`` samples it."""
+    marker: not rowwise, not constant and without analytic bounds, so
+    ``estimate_bounds`` samples it point by point."""
     return dataclasses.replace(p, jac=lambda x, jac=p.jac: jac(x))
+
+
+def sampled(p):
+    """The same problem with its Jacobian behind a wrapper that keeps the
+    rowwise and constant markers and drops the analytic bounds: the bounds
+    ``estimate_bounds`` takes of it are those of the Jacobian without its
+    hook (sampled on stacks, or exact for a constant one)."""
+    def jac(x, jac=p.jac):
+        return jac(x)
+
+    for marker in ("rowwise", "constant_jacobian"):
+        if getattr(p.jac, marker, False):
+            setattr(jac, marker, True)
+    return dataclasses.replace(p, jac=jac)
 
 
 def compliant(label):
@@ -438,7 +460,7 @@ def spectrum_instance(family, n, seed):
     search. Returns (problem, w_dir)."""
     rng = np.random.default_rng(seed)
     A = SPECTRUM_FAMILIES[family](n, rng)
-    xhat, nu = gallery._default_xhat(n), 0.05
+    xhat, nu = gallery._default_xhat(n), gallery.QUADRATIC_NU
 
     @rowwise
     def jac(x):
@@ -472,6 +494,9 @@ FAMILIES = {
 #: The families of FAMILIES whose Jacobian the gallery marks constant: every affine one.
 CONSTANT_FAMILIES = ("affine", "identity", "hilbert-matrix", "rank-deficient", "affine-noisy",
                      "spd")
+
+#: The families of FAMILIES whose Jacobian carries the gallery's analytic bounds.
+ANALYTIC_FAMILIES = ("quadratic", "autoconv", "autoconv-noisy", "compliant-noisy")
 
 
 # --- strategies -----------------------------------------------------------

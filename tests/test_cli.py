@@ -144,9 +144,18 @@ class TestRun:
                 "lambda", "w_norm", "source_residual",
                 "check.contraction", "check.radius", "check.source_norm",
                 "check.initial_offset", "check.source_residual",
-                "overall", "notes",
+                "overall", "notes", "bounds_source",
             )
         ]
+
+    @pytest.mark.parametrize("label, source", [("compliant-quadratic-4", "analytic"),
+                                               ("compliant-affine-4", "constant")])
+    def test_certificate_names_its_bounds_source(self, tmp_path, label, source):
+        assert run_cli(["run", "--problem", label, "--certify", "--schedule-c0", "20",
+                        "--schedule-c1", "200", "--horizon-T", "0.1"]) == 0
+        lines = (tmp_path / "summary.txt").read_text().splitlines()
+        assert lines[-1] == f"certificate.bounds_source = {source}"
+        assert lines[-2].startswith(("certificate.overall = ", "certificate.notes = "))
 
 
 class TestConfigFile:

@@ -207,6 +207,24 @@ class TestStageBits:
             assert_same_bits(got, want)
 
     @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_gram_entry_above_half_the_largest_double(self, layout):
+        # F'* F' has the entry 1.2e154**2 = 1.44e308, which a plain
+        # symmetrizing pass doubles to inf: the checked stage, through
+        # solve_regularized, gave NaN, and so did the kernel on a strided or
+        # unaligned F'. Both solve it now, with the same bits, and no warning
+        A = laid_out(np.array([[1.2e154, 0.0], [1.0, 1.0]]), layout)
+        xhat = np.ones(2)
+        p = problem.NonlinearProblem(dim=2, f=lambda x: A @ (x - xhat), jac=lambda x: A)
+        s = PowerSchedule(c0=0.1, c1=1.0, a=1.0)
+        x0, x = xhat + 1e-3, xhat - 2e-3
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = direct_rhs(p, s, x0, x, 0.3)
+            want = checked_direct_rhs(p, s, x0, x, 0.3)
+        assert np.isfinite(got).all()
+        assert_same_bits(got, want)
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
     def test_direct_gram_is_symmetric(self, layout):
         # the precondition of hilbert.solve_shifted, for every layout of F'
         # and every n the package serves: the direct stage's Gram equals its

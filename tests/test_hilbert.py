@@ -92,6 +92,15 @@ _SHIFT_ENTRIES = st.one_of(
 )
 
 
+#: Entries of any finite magnitude, half of them above DBL_MAX/2, where the
+#: sum of a pair of one sign overflows.
+_EDGE_ENTRIES = st.one_of(
+    _SHIFT_ENTRIES,
+    st.builds(lambda sign, m: sign * m, st.sampled_from([1.0, -1.0]),
+              st.floats(sys.float_info.max / 2.0, sys.float_info.max, exclude_min=True)),
+)
+
+
 class TestAllFinite:
     def test_agrees_with_a_full_reduction(self):
         with warnings.catch_warnings():
@@ -233,6 +242,34 @@ class TestSolveRegularized:
         with pytest.raises(ValueError, match="finite"):
             hilbert.solve_regularized(np.eye(2), 1.0, np.array([[1.0, np.inf], [0.0, 1.0]]))
 
+
+
+class TestSymmetricPart:
+    """The one symmetrizing pass, of ``solve_regularized`` and of the direct
+    stage's Gram of a strided or unaligned F'."""
+
+    @settings(max_examples=300)
+    @given(A=arrays(float, array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=6)
+                    .map(lambda shape: (shape[0], shape[0])), elements=_EDGE_ENTRIES))
+    def test_plain_formula_wherever_it_is_finite(self, A):
+        with np.errstate(over="ignore"):
+            plain = 0.5 * (A + A.T)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            S = hilbert.symmetric_part(A)
+        assert_same_bits(S, S.T)
+        assert np.isfinite(S).all()
+        spilled = ~np.isfinite(plain)
+        assert_same_bits(S[~spilled], plain[~spilled])
+        assert_same_bits(S[spilled], (0.5 * A + 0.5 * A.T)[spilled])
+
+    def test_entry_above_half_the_largest_double_solves(self):
+        # 0.5 * (A + A.T) made the entry inf, and the solve [nan, nan] with
+        # two RuntimeWarnings
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            y = hilbert.solve_regularized(np.diag([1.44e308, 1.0]), 0.1, np.ones(2))
+        assert np.allclose(y, [1.0 / (1.44e308 + 0.1), 1.0 / 1.1], rtol=1e-12, atol=0.0)
 
 
 class TestSolveShifted:

@@ -22,8 +22,9 @@ The autoconvolution F is also checked against itself: on a stack of
 points each row must get the bits it gets alone, the ``rowwise``
 contract that lets ``fd_jacobian`` evaluate all its points in one call.
 Every gallery Jacobian marked ``rowwise`` is held to the same contract,
-and ``estimate_bounds`` must equal its oracle on a marked Jacobian, an
-unmarked one and finite differences.
+and the sampled ``estimate_bounds`` must equal its oracle on a marked
+Jacobian (without its analytic hook, the :func:`oracles.sampled` twin),
+an unmarked one and finite differences.
 """
 
 import dataclasses
@@ -51,6 +52,7 @@ from oracles import (
     reference_renorm_jacobian,
     reference_renorm_residual,
     renorm_inputs,
+    sampled,
     seeds,
     unmarked,
     without_jacobian,
@@ -295,8 +297,9 @@ ROWWISE_KINDS = [kind for kind in FAMILIES if kind != "affine"]
 @pytest.mark.parametrize("kind", ROWWISE_KINDS)
 def test_stacked_bounds_match_per_sample_loop(kind, radius, samples, seed):
     # fixed cases at n = 6 around the solution: the stacked path of a
-    # marked Jacobian equals the per-sample loop field by field
-    p = FAMILIES[kind](6, np.random.default_rng(6))
+    # marked Jacobian equals the per-sample loop field by field; the twin
+    # drops an analytic hook, which would answer before any sample
+    p = sampled(FAMILIES[kind](6, np.random.default_rng(6)))
     assert p.jac.rowwise
     center = p.known_solution
     stacked = estimate_bounds(p, center, radius, samples=samples, seed=seed)
@@ -307,9 +310,10 @@ def test_stacked_bounds_match_per_sample_loop(kind, radius, samples, seed):
         assert np.array_equal(a, b), field.name
 
 
-#: The three ways estimate_bounds takes a Jacobian: a rowwise one on stacks,
-#: any other one point by point, and none (finite differences).
-BOUNDS_PATHS = {"marked": lambda p: p, "unmarked": unmarked, "fd": without_jacobian}
+#: The three ways estimate_bounds samples a Jacobian: a rowwise one on stacks
+#: (the twin without an analytic hook), any other one point by point, and none
+#: (finite differences).
+BOUNDS_PATHS = {"marked": sampled, "unmarked": unmarked, "fd": without_jacobian}
 
 
 @pytest.mark.parametrize("path", BOUNDS_PATHS)

@@ -55,7 +55,7 @@ class _Schedule:
 
 
 def _bounds(N1=1.0, N2=1.0):
-    return BallBounds(center=XHAT, radius=1.0, N1=N1, N2=N2, samples=1)
+    return BallBounds(center=XHAT, radius=1.0, N1=N1, N2=N2, samples=1, source="analytic")
 
 
 def _certify(s=SCHEDULE, bounds=None, R=1.0):

@@ -2,21 +2,32 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import (
+    ANALYTIC_FAMILIES,
     CONSTANT_FAMILIES,
     FAMILIES,
     affine_problem,
     assert_same_bits,
     identity_problem,
+    log_uniform,
+    near,
+    problems,
     reference_bounds,
+    sampled,
+    seeds,
     unmarked,
+    without_jacobian,
 )
 
 from gnflow import gallery, problem
 from gnflow.problem import (
     BOUND_INFLATION,
+    BallBounds,
     NonlinearProblem,
     _ball_points,
+    analytic_bounds,
     estimate_bounds,
     eval_F,
     fd_jacobian,
@@ -388,6 +399,125 @@ class TestConstantJacobianBounds:
             estimate_bounds(p, np.ones(p.dim + 1), 1.0)
 
 
+def _autoconv_ascent(p, steps=300):
+    """A unit h at which ||F''[h]|| of the autoconvolution p is locally
+    largest, by a power-style ascent: F' is linear in x, so F''[h] is
+    ``p.jac(h)``, and the gradient of its largest singular value u* J(h) v
+    is the sum of u_i v_k over each diagonal i - k."""
+    n = p.dim
+    h = np.ones(n) / np.sqrt(n)
+    for _ in range(steps):
+        U, _, Vt = np.linalg.svd(p.jac(h))
+        g = np.array([U[m:, 0] @ Vt[0, :n - m] for m in range(n)])
+        h = g / np.linalg.norm(g)
+    return h
+
+
+class TestAnalyticBounds:
+    """An :func:`analytic_bounds` hook answers first, with the bounds as it
+    gives them, and they bound what sampling finds."""
+
+    @pytest.mark.parametrize("kind", ANALYTIC_FAMILIES)
+    def test_hook_answers_unsampled(self, kind, svd_shapes):
+        p = FAMILIES[kind](6, np.random.default_rng(3))
+        hook = p.jac.analytic_bounds
+
+        @analytic_bounds(hook)
+        def jac(x):
+            raise AssertionError("no Jacobian is evaluated")
+
+        p = dataclasses.replace(p, jac=jac)
+        svd_shapes.clear()
+        center = p.known_solution + 0.25
+        got = estimate_bounds(p, center, 0.5, samples=7, seed=3)
+        N1, N2 = map(float, hook(center, 0.5))
+        want = BallBounds(center=center, radius=0.5, N1=N1, N2=N2, samples=7, source="analytic")
+        for field in dataclasses.fields(BallBounds):
+            a, b = getattr(got, field.name), getattr(want, field.name)
+            assert type(a) is type(b), field.name
+            assert np.array_equal(a, b), field.name
+        assert svd_shapes == []
+
+    def test_hooked_families_listed(self):
+        hooked = {kind for kind, build in FAMILIES.items()
+                  if build(6, np.random.default_rng(0))._analytic_bounds is not None}
+        assert hooked == set(ANALYTIC_FAMILIES)
+        assert gallery.make_feigenbaum_like(6).problem._analytic_bounds is None
+
+    def test_marker_rides_on_the_callable(self):
+        clean = gallery.get_entry("compliant-quadratic-4").problem
+        noisy = gallery.get_entry("compliant-quadratic-4", noise=1e-3).problem
+        # a data shift leaves F' and F'' as they are, and so the bounds
+        assert noisy._analytic_bounds is clean._analytic_bounds is not None
+        xhat = clean.known_solution
+        for a, b in zip(*(dataclasses.astuple(estimate_bounds(q, xhat, 1.0))
+                          for q in (noisy, clean))):
+            assert np.array_equal(a, b)
+        for twin in (without_jacobian(clean), unmarked(clean), sampled(clean)):
+            assert twin._analytic_bounds is None
+            assert estimate_bounds(twin, xhat, 1.0).source == "sampled"
+
+    def test_arguments_checked_first(self):
+        p = FAMILIES["quadratic"](3, np.random.default_rng(0))
+        for kwargs in ({"radius": 0.0}, {"radius": np.inf}, {"radius": 1.0, "samples": 0}):
+            with pytest.raises(ValueError):
+                estimate_bounds(p, p.known_solution, **kwargs)
+        with pytest.raises(ValueError):
+            estimate_bounds(p, np.ones(p.dim + 1), 1.0)
+
+    @settings(max_examples=60)
+    @given(p=problems(kinds=("quadratic", "autoconv")), radius=log_uniform(-2.0, 1.0),
+           samples=st.integers(1, 64), seed=seeds, data=st.data())
+    def test_sampling_never_exceeds_the_analytic_bounds(self, p, radius, samples, seed, data):
+        # The twin's raw bounds, before BOUND_INFLATION, against the
+        # analytic ones. The allowance is rounding, bounded from the
+        # difference step delta = 1e-4 * radius: with X = ||center||_inf +
+        # 2 radius, which bounds every coordinate of a sample or shifted
+        # sample, scale = N1 + X bounds every Jacobian entry and every
+        # rounded coordinate; each entry is formed with at most 3 roundings
+        # of size u * scale, and a difference of two such Jacobians, divided
+        # by delta, is off by at most 8 u scale / delta (the shift rounded
+        # into the point adds u X / delta). N1 is off by the entries'
+        # roundings and the SVD's, 4 n u scale.
+        center = data.draw(near(p.known_solution))
+        analytic = estimate_bounds(p, center, radius)
+        assert analytic.source == "analytic"
+        twin = estimate_bounds(unmarked(p), center, radius, samples=samples, seed=seed)
+        assert twin.source == "sampled"
+        u = np.finfo(float).eps / 2.0
+        scale = analytic.N1 + float(np.max(np.abs(center))) + 2.0 * radius
+        assert twin.N1 / BOUND_INFLATION <= analytic.N1 + 4 * p.dim * u * scale
+        assert twin.N2 / BOUND_INFLATION <= analytic.N2 + 8 * u * scale / (1e-4 * radius)
+
+    def test_sampling_misses_the_quadratic_sup(self):
+        # the sup of ||F''|| is 2 nu, reached along a coordinate axis; in 16
+        # dimensions no sampled direction comes near one, and the sampled
+        # N2, inflated, falls short of it: a certificate on it would claim
+        # a larger ball than its N2 supports
+        nu = gallery.QUADRATIC_NU
+        p = gallery._base_instance(16, "quadratic", np.random.default_rng(0))[0]
+        xhat = p.known_solution
+        twin = estimate_bounds(unmarked(p), xhat, 1.0)
+        analytic = estimate_bounds(p, xhat, 1.0)
+        e0 = np.eye(16)[0]
+        second = np.linalg.norm((p.jac(xhat + 1e-3 * e0) - p.jac(xhat)) / 1e-3, 2)
+        assert second == pytest.approx(2.0 * nu, rel=1e-9)
+        assert twin.N2 < 2.0 * nu == analytic.N2
+        assert second <= analytic.N2 * (1.0 + 1e-9)
+
+    def test_autoconv_ascent_within_N2(self):
+        # sampling gives N2 = 0.2815 on autoconv-16, and an ascent finds
+        # ||F''[h]|| = 0.35367 > 0.2815; the analytic N2 = 2 ds sqrt(n) = 0.5
+        # bounds both
+        p = gallery.make_autoconvolution(16).problem
+        xhat = p.known_solution
+        second = np.linalg.norm(p.jac(_autoconv_ascent(p)), 2)
+        twin = estimate_bounds(unmarked(p), xhat, 1.0)
+        analytic = estimate_bounds(p, xhat, 1.0)
+        assert second > 0.3536
+        assert twin.N2 < second <= analytic.N2 == 0.5
+
+
 def _batching_problem(kind):
     """(problem, radius) for the batching oracle."""
     rng = np.random.default_rng(21)
@@ -405,8 +535,8 @@ def _batching_problem(kind):
 @pytest.mark.parametrize("kind", ["affine", "quadratic", "autoconv"])
 def test_batched_norms_match_per_sample_loop(kind, jac_mode, seed):
     p, radius = _batching_problem(kind)
-    if jac_mode == "fd":
-        p = NonlinearProblem(dim=p.dim, f=p.f)
+    # the analytic Jacobian without the hook that would answer unsampled
+    p = NonlinearProblem(dim=p.dim, f=p.f) if jac_mode == "fd" else sampled(p)
     center = np.linspace(-0.2, 0.3, p.dim)
     bounds = estimate_bounds(p, center, radius, samples=24, seed=seed)
     oracle = reference_bounds(p, center, radius, 24, seed)

@@ -37,7 +37,7 @@ from gnflow.schedule import PowerSchedule
 
 
 def hand_bounds(xhat, N1, N2):
-    return BallBounds(center=xhat, radius=1.0, N1=N1, N2=N2, samples=0)
+    return BallBounds(center=xhat, radius=1.0, N1=N1, N2=N2, samples=0, source="analytic")
 
 
 class TestCertifyConstants:
@@ -690,7 +690,8 @@ class TestCertifyWithCanonicalR:
         # the radius, which stays finite over the 8 passes
         def bounds(p, center, radius, seed=0):
             N = 0.01 / math.sqrt(radius)
-            return BallBounds(center=center, radius=radius, N1=N, N2=N, samples=0)
+            return BallBounds(center=center, radius=radius, N1=N, N2=N, samples=0,
+                              source="analytic")
 
         monkeypatch.setattr(theory, "estimate_bounds", bounds)
         p, xhat = identity_problem()
@@ -731,8 +732,8 @@ class TestSinglePass:
     @pytest.mark.parametrize("label, norms_per_pass", [
         # exact bounds: ||F'|| was taken, once, when the suite certified it
         ("compliant-affine-8", 0),
-        # sampled bounds: one op_norms call for N1 and one for N2 per pass
-        ("compliant-quadratic-4", 2),
+        # analytic bounds: ||A|| was taken, once, when the problem was built
+        ("compliant-quadratic-4", 0),
     ], ids=["compliant-affine-8", "compliant-quadratic-4"])
     def test_constants_computed_once(self, record_calls, label, norms_per_pass):
         entry, sched, B0, R = compliant(label)

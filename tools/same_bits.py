@@ -1,4 +1,5 @@
-"""Print one ``name sha256`` line per output that a speed-only change must keep.
+"""Print one line per output that a speed-only change must keep: its name and
+a sha256, or, for derivative bounds, their values.
 
 A change that claims "bit-identical" runs this script in a checkout of the
 parent and in one of the change, on the same host and BLAS kernel, and
@@ -21,7 +22,15 @@ fingerprinted with this copy. The lines cover
   whose F' is a strided view, and on one whose F' is C-ordered but not
   aligned. Every gallery Jacobian is C-contiguous and aligned, so only
   these runs reach the direct stage's symmetrizing branch
-  (``flow._symmetric_gram``).
+  (``flow._symmetric_gram``);
+- the derivative bounds of every instance, in plain values rather than a
+  digest, so that a change to the bounds shows per instance: for each
+  gallery label, N1 and N2 of ``estimate_bounds`` at xhat with radius
+  :data:`BOUNDS_RADIUS` (R is ``-``), and for each ``compliant_suite``
+  label, N1, N2 and R of ``certify_with_canonical_R`` at its build seed.
+  Each line ends with the bounds' ``source``; a checkout older than that
+  field gets the label its path had, ``constant`` for a constant-Jacobian
+  problem and ``sampled`` otherwise.
 
 Each ``gnflow`` command runs in a fresh interpreter, in an empty temporary
 directory, with the checkout's ``src`` first on the import path.
@@ -38,6 +47,7 @@ import tempfile
 from pathlib import Path
 
 SEEDS = (1, 9001)
+BOUNDS_RADIUS = 0.1
 SUITES = ("lemmas", "certificate", "order")
 METHODS = ("direct", "coupled")
 _CLI = "import sys; from gnflow.cli import main; sys.exit(main(sys.argv[1:]))"
@@ -87,6 +97,32 @@ def layout_runs():
             yield f"layout/{layout}/{method}", sha256(b"|".join(parts))
 
 
+def _bounds_line(p, bounds, R) -> str:
+    source = getattr(bounds, "source", None) or (
+        "constant" if getattr(p, "_constant_jac", False) else "sampled")
+    return f"{bounds.N1!r} {bounds.N2!r} {R} {source}"
+
+
+def bounds_lines():
+    """(name, "N1 N2 R source") of the bounds of every gallery label at xhat
+    and of every certified instance's certificate."""
+    from gnflow import gallery, theory
+    from gnflow.problem import estimate_bounds
+
+    for label in gallery.available_labels():
+        entry = gallery.get_entry(label)
+        try:
+            bounds = estimate_bounds(entry.problem, entry.xhat, BOUNDS_RADIUS)
+        except ValueError as exc:
+            yield f"bounds/{label}", f"error: {exc}"
+            continue
+        yield f"bounds/{label}", _bounds_line(entry.problem, bounds, "-")
+    for label, entry, sched, B0, _, seed in gallery.compliant_suite():
+        cert, bounds = theory.certify_with_canonical_R(
+            entry.problem, entry.xhat, entry.default_x0, sched, B0, seed=seed)
+        yield f"certificate/{label}", _bounds_line(entry.problem, bounds, repr(cert.R))
+
+
 def gnflow(root: Path, cwd: str, *argv: str) -> tuple:
     """Exit code and stdout of one ``gnflow`` command."""
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
@@ -120,7 +156,7 @@ def main(argv=None) -> int:
     sys.path[:0] = [str(root / "src"), str(root / "bench")]
     from gnflow.gallery import available_labels
 
-    for name, digest in itertools.chain(job_digests(), layout_runs(),
+    for name, digest in itertools.chain(job_digests(), layout_runs(), bounds_lines(),
                                         cli_outputs(root, available_labels())):
         print(name, digest, flush=True)
     return 0
