@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import gallery, theory
+from . import gallery, hilbert, theory
 from .flow import FlowDiagnostics, SolverState, initial_inverse
 from .hilbert import FactorizationError
 from .integrator import IntegratorConfig, Trajectory, convergence_order, integrate
@@ -96,11 +96,9 @@ def cmd_run(cfg: RunConfig) -> int:
     lines.extend(_config_echo(cfg))
     if cfg.certify:
         try:
-            # non-finite values raise, reported below, as at the B0 build of a run
-            with np.errstate(all="ignore"):
-                cert, bounds = theory.certify_with_canonical_R(
-                    entry.problem, xhat, x0, sched, B0, seed=cfg.seed
-                )
+            cert, bounds = theory.certify_with_canonical_R(
+                entry.problem, xhat, x0, sched, B0, seed=cfg.seed
+            )
             lines.extend(_certificate_lines(cert))
             lines.append(f"certificate.bounds_source = {bounds.source}")
         except (ValueError, FactorizationError) as exc:
@@ -189,7 +187,7 @@ def _verify_lemmas() -> list:
         S = 0.2 * (S + S.T) / 2.0
         A_path = lambda t, base=base, S=S: base + np.sin(t) * S
         gamma = lambda t, A_path=A_path: float(
-            np.min(np.linalg.eigvalsh(0.5 * (A_path(t) + A_path(t).T))))
+            np.min(np.linalg.eigvalsh(hilbert.symmetric_part(A_path(t)))))
         V0 = rng.standard_normal((n, n))
         viol = theory.gronwall_check(
             A_path, lambda t, n=n: np.zeros((n, n)), V0, gamma, T=1.5, h=0.01)

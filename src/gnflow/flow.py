@@ -100,11 +100,8 @@ def _symmetric_gram(J: np.ndarray) -> np.ndarray:
     the last bit: on OpenBLAS's Haswell and Prescott kernels at n = 9, 11,
     13 and 15, on Nehalem at n = 5-7, 9-11 and 13-15 (SkylakeX and
     Sandybridge measured symmetric, n 1-16). Such a Gram is returned as
-    0.5 (G + G*) by :func:`hilbert.symmetric_part`, as
-    :func:`hilbert.solve_regularized` symmetrizes: finite for a finite G,
-    and, with the shift added after it, the bits of symmetrizing G + eps*I
-    (:func:`hilbert.solve_regularized` states the one zero whose sign
-    differs).
+    :func:`hilbert.symmetric_part` of it, which the shift follows, as in
+    :func:`hilbert.solve_regularized`.
     """
     G = np.dot(J.T, J)
     flags = J.flags
@@ -168,11 +165,14 @@ def coupled_rhs(p: NonlinearProblem, s, x0, x, B, t: float) -> tuple[np.ndarray,
 def solution_gram(p: NonlinearProblem, xhat: np.ndarray) -> np.ndarray:
     """F'(xhat)* F'(xhat) for a validated point ``xhat``, read-only: formed
     once per problem and point, in the problem's memo, and shared. For a
-    :func:`problem.constant_jacobian` F'(xhat) is the kept F' of
-    :func:`problem.fixed_jacobian`, so a problem evaluates it once for the
-    stages and every solution point alike."""
+    :func:`problem.constant_jacobian` it is the one Gram that
+    :func:`problem.fixed_jacobian` keeps, so a problem evaluates F' and
+    forms its Gram once for the stages and every solution point alike."""
+    if p._constant_jac:
+        return fixed_jacobian(p, xhat)[1]
+
     def build():
-        Jh = fixed_jacobian(p, xhat)[0] if p._constant_jac else jacobian(p, xhat)
+        Jh = jacobian(p, xhat)
         gram = Jh.T @ Jh
         gram.flags.writeable = False
         return gram
@@ -192,19 +192,26 @@ def initial_inverse(p: NonlinearProblem, x0, eps0: float) -> np.ndarray:
     """Exact regularized inverse at the initial iterate.
 
     One factorization of F'(x0)* F'(x0) + eps0 I, solved for the columns
-    of the identity; the standard start for the coupled flow.
+    of the identity; the standard start for the coupled flow. A Gram that
+    overflows raises ValueError, as a non-finite operator does.
     """
     x0 = hilbert.as_vector(x0, dim=p.dim)
     J = jacobian(p, x0)
-    return hilbert.solve_regularized(J.T @ J, eps0, hilbert.identity(p.dim))
+    with np.errstate(all="ignore"):
+        gram = J.T @ J
+    return hilbert.solve_regularized(gram, eps0, hilbert.identity(p.dim))
 
 
 def scaled_identity_inverse(p: NonlinearProblem, x0, eps0: float) -> np.ndarray:
-    """I / (||F'(x0)||^2 + eps0), the no-initial-inversion start."""
+    """I / (||F'(x0)||^2 + eps0), the no-initial-inversion start; a square
+    that overflows raises ValueError, as a Gram does in :func:`initial_inverse`."""
     hilbert.positive("eps0", eps0)
     x0 = hilbert.as_vector(x0, dim=p.dim)
     n1 = float(hilbert.op_norms(jacobian(p, x0)[None])[0])
-    return hilbert.identity(p.dim) / (n1**2 + eps0)
+    try:
+        return hilbert.identity(p.dim) / (n1**2 + eps0)
+    except OverflowError:
+        raise ValueError(f"||F'(x0)||^2 overflows, with ||F'(x0)|| = {n1}") from None
 
 
 def diagnostics(

@@ -30,8 +30,10 @@ symmetric ``A`` and symmetrizes nothing, so each caller hands it one.
 :func:`solve_regularized` symmetrizes the caller's matrix once, before the
 shift, and the direct stage's Gram ``np.dot(J.T, J)`` is symmetric by
 construction for most layouts of J; ``flow._symmetric_gram`` states for
-which, and symmetrizes the rest. Both symmetrize by :func:`symmetric_part`,
-which stays finite on every finite matrix.
+which, and symmetrizes the rest.
+
+The overflow contract: every symmetric part that the package solves with or
+takes eigenvalues of is :func:`symmetric_part`'s, finite for finite input.
 """
 
 from __future__ import annotations
@@ -47,13 +49,14 @@ import numpy as np
 
 
 class FactorizationError(RuntimeError):
-    """Raised when a matrix is not positive definite within tolerance.
+    """Raised when a matrix is not positive definite within tolerance, or
+    when a checked solve with it is not finite.
 
     Attributes:
         smallest_pivot: smallest eigenvalue of the shifted matrix A + eps*I
             (of its lower triangle, the one ``potrf`` reads), evaluated
             after the failed factorization attempt; NaN when the matrix
-            has a non-finite entry.
+            or the solution has a non-finite entry.
     """
 
     def __init__(self, message: str, smallest_pivot: float):
@@ -224,23 +227,23 @@ _POTRF, _POTRS = _FLAPACK.dpotrf, _FLAPACK.dpotrs
 
 
 def symmetric_part(A: np.ndarray) -> np.ndarray:
-    """0.5 (A + A*) of a square float64 matrix, exactly symmetric, as a new
-    array.
+    """0.5 (A + A*) of a square float64 matrix, or of each matrix of a
+    (k, n, n) stack, exactly symmetric, as a new array; a matrix gets the
+    same bits alone or in a stack.
 
-    Each entry is ``0.5 * (a + b)`` of the pair a = A[i, j], b = A[j, i],
-    the bits of the plain formula, wherever the sum a + b is finite. Where
-    it overflows (two entries above DBL_MAX/2 in magnitude, of one sign),
-    the entry is ``0.5*a + 0.5*b`` instead, which is finite: so the
-    symmetric part of a finite matrix is finite, where the plain formula
-    gives inf, and a solve after it NaN. A non-finite A keeps the
-    non-finite entries of the plain formula.
+    Each entry is ``0.5 * (a + b)`` of the pair a = A[..., i, j], b =
+    A[..., j, i], the bits of the plain formula, wherever a + b is finite.
+    Where it overflows (two entries above DBL_MAX/2 in magnitude, of one
+    sign), the entry is ``0.5*a + 0.5*b``, finite where the plain formula
+    gives inf. A non-finite A keeps the plain formula's non-finite entries.
     """
+    AT = np.swapaxes(A, -1, -2)
     with np.errstate(over="ignore"):
-        S = A + A.T
+        S = A + AT
     S *= 0.5
     if not all_finite(S):
         spilled = ~np.isfinite(S)
-        S[spilled] = (0.5 * A + 0.5 * A.T)[spilled]
+        S[spilled] = (0.5 * A + 0.5 * AT)[spilled]
     return S
 
 
@@ -250,24 +253,18 @@ def solve_regularized(A, eps: float, rhs) -> np.ndarray:
 
     ``A`` is checked as a finite square matrix and ``rhs`` as a finite
     vector of its size, or a finite matrix with as many rows; then
-    :func:`solve_shifted` solves 0.5 (A + A*) + eps*I, the symmetric part
-    of A shifted (:func:`symmetric_part`, finite for every finite A, so an
-    entry above DBL_MAX/2 solves). Symmetrizing before the shift gives the
-    bits of symmetrizing A + eps*I after it, signed zeros and subnormals
-    included, but for one sign: an off-diagonal pair that sums to -5e-324
-    halves to a zero that is now +0.0, where the other order gave -0.0.
-
-    Args:
-        A: square matrix, Gram form or otherwise SPD-compatible; only its
-            symmetric part is solved with.
-        eps: positive, finite shift.
-        rhs: right-hand side vector, or a matrix whose columns are
-            right-hand sides.
+    :func:`solve_shifted` solves 0.5 (A + A*) + eps*I, the
+    :func:`symmetric_part` of A shifted. Symmetrizing before the shift
+    gives the bits of symmetrizing A + eps*I after it, signed zeros and
+    subnormals included, but for one sign: an off-diagonal pair that sums
+    to -5e-324 halves to a zero that is now +0.0, where the other order
+    gave -0.0.
 
     Raises:
         ValueError: a non-finite or wrongly shaped ``A`` or ``rhs``, or an
             ``eps`` that is not positive and finite.
-        FactorizationError: as :func:`solve_shifted`.
+        FactorizationError: as :func:`solve_shifted`, or a solution that
+            overflowed or met a non-finite pivot that ``potrf`` passed.
     """
     A = as_operator(A)
     n = A.shape[0]
@@ -278,31 +275,32 @@ def solve_regularized(A, eps: float, rhs) -> np.ndarray:
                              f"got shape {rhs.shape}")
     else:
         rhs = as_vector(rhs, dim=n)
-    return solve_shifted(symmetric_part(A), eps, rhs)
+    with np.errstate(all="ignore"):
+        y = solve_shifted(symmetric_part(A), eps, rhs)
+    if not all_finite(y):
+        raise FactorizationError(f"solution of operator plus {eps}*I has a non-finite entry",
+                                 smallest_pivot=math.nan)
+    return y
 
 
 def solve_shifted(A: np.ndarray, eps: float, rhs: np.ndarray) -> np.ndarray:
-    """Solve (A + eps*I) y = rhs by Cholesky factorization, on bare arrays.
+    """Solve (A + eps*I) y = rhs by Cholesky factorization, on bare arrays:
+    the kernel of :func:`solve_regularized` and of the direct flow's stage.
 
-    ``A`` must be exactly symmetric, bit for bit, and such that A + eps*I
-    is positive definite (the Gram form F'*F' always is). Nothing
-    symmetrizes it here: :func:`solve_regularized` and the direct flow's
-    stage hand it a symmetric matrix (the Gram rule of this module). The
-    factorization reads the lower triangle only, but the refinement
-    multiplies by the whole matrix, so an ``A`` that is not symmetric gives
-    other bits. One step of iterative refinement keeps the residual near
-    1e-16 * ||rhs|| / relative conditioning.
+    ``A`` must be exactly symmetric, bit for bit (the Gram rule of this
+    module), and A + eps*I positive definite (the Gram form F'*F' always
+    is): the factorization reads the lower triangle only, but the
+    refinement multiplies by the whole matrix, so an ``A`` that is not
+    symmetric gives other bits. One step of iterative refinement keeps the
+    residual near 1e-16 * ||rhs|| / relative conditioning.
 
-    The kernel of :func:`solve_regularized` and of the direct flow's stage
-    (:func:`flow.direct_rhs`). It checks ``eps``, a scalar, and no array:
-    ``A`` must be a square float64 matrix and ``rhs`` a float64 vector of
-    its size or a float64 matrix with as many rows, as
-    :func:`solve_regularized` checks them. Their entries are not checked.
-    A non-finite entry either makes ``potrf`` fail, which raises
-    FactorizationError naming the non-finite operator, or makes the
-    result non-finite (the refinement multiplies by A + eps*I), which the
-    caller must test: :func:`integrator.advance` does so at the end of
-    every step.
+    It checks ``eps``, a scalar, and no array: ``A`` and ``rhs`` must have
+    the types and shapes that :func:`solve_regularized` checks, and their
+    entries are not checked. A non-finite entry either makes ``potrf``
+    fail, which raises FactorizationError naming the non-finite operator,
+    or makes the result non-finite (the refinement multiplies by A +
+    eps*I), which the caller must test: :func:`integrator.advance` does so
+    at the end of every step.
 
     The factorization is LAPACK ``potrf`` (lower triangle, as
     ``scipy.linalg.cho_factor`` computes it) and each solve ``potrs``. A

@@ -87,7 +87,7 @@ class NonlinearProblem:
         - ``"jacobian_norm"``: ||F'|| of a :func:`constant_jacobian`
           (:func:`estimate_bounds`);
         - ``("solution_gram", xhat.tobytes())``: F'(xhat)* F'(xhat) per
-          point xhat (:func:`gnflow.flow.solution_gram`).
+          point xhat of any other Jacobian (:func:`gnflow.flow.solution_gram`).
 
         The first two depend on no point at all.
         """
@@ -269,7 +269,8 @@ def fixed_jacobian(p: NonlinearProblem, x) -> tuple[np.ndarray, np.ndarray]:
         return p._constants["jacobian"]
     except KeyError:
         J = jacobian(p, x).view()
-        gram = np.dot(J.T, J)
+        with np.errstate(all="ignore"):  # a Gram that overflows is kept, as stages form it
+            gram = np.dot(J.T, J)
         J.flags.writeable = gram.flags.writeable = False
         p._constants["jacobian"] = J, gram
         return J, gram
@@ -298,13 +299,13 @@ def estimate_bounds(
 
     Raises ValueError unless ``center`` is a finite vector of the
     problem's dimension, ``radius`` is positive and finite and
-    ``samples`` is an integer >= 1; every path checks them first.
-
-    An analytic hook answers first. Its N1 and N2 are taken as they are,
-    not inflated by :data:`BOUND_INFLATION`, which is there against
-    sampling optimism; no point is drawn and no Jacobian evaluated, and
-    ``seed`` and ``samples`` select nothing (``samples`` is recorded as
-    given).
+    ``samples`` is an integer >= 1; every path checks them first. The
+    analytic and exact paths draw no point and evaluate at most one
+    Jacobian, so ``seed`` and ``samples`` select nothing there
+    (``samples`` is recorded as given). The exact path takes ||F'|| once
+    per problem, by :func:`hilbert.op_norms` on the kept F' of
+    :func:`fixed_jacobian`, and keeps it in
+    :meth:`NonlinearProblem.constant`.
 
     Sampled: N1 is the largest sampled ||F'(x)||; N2 differences the
     Jacobian along sampled unit directions with step 1e-4 * radius. Both
@@ -315,18 +316,8 @@ def estimate_bounds(
     the failing sample. The norms are then taken by
     :func:`hilbert.op_norms` in two batched calls, one over the stacked
     Jacobians and one over the stacked differences (a non-finite
-    difference raises ValueError there). Each batched norm equals
-    :func:`hilbert.op_norm` of the same matrix exactly.
-
-    A constant Jacobian takes the exact path: no point is drawn, and
-    ``seed`` and ``samples`` select nothing. Every sampled Jacobian would
-    be F' and every difference zero, so N1 is the inflated ||F'|| and N2
-    the floor, the bits of the sampled path. ||F'|| is taken once per
-    problem by :func:`hilbert.op_norms` on a one-matrix stack (the SVD
-    that a constant stack costs) of the kept F' of :func:`fixed_jacobian`,
-    which evaluates F' at ``center`` only if nothing has asked for it yet,
-    and is kept in :meth:`NonlinearProblem.constant`: later calls evaluate
-    no Jacobian.
+    difference raises ValueError there). Nothing on this path emits a
+    numpy floating-point warning.
     """
     center = hilbert.as_vector(center, dim=p.dim)
     radius = float(hilbert.positive("radius", radius))
@@ -342,17 +333,17 @@ def estimate_bounds(
         source = "constant"
     else:
         rng = np.random.default_rng(seed)
-        points = _ball_points(center, radius, samples, rng)
-        dirs = rng.standard_normal((samples, p.dim))
-        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        delta = 1e-4 * radius
-        shifted = points + delta * dirs
-
-        jac = p.jac if p.jac is not None else lambda x: fd_jacobian(p, x)
-        shape = (p.dim, p.dim)
-        jacs = _on_rows("jacobian", jac, points, shape, at=lambda i: f"sample {i}")
-        diffs = (_on_rows("jacobian", jac, shifted, shape, at=lambda i: f"shifted sample {i}")
-                 - jacs) / delta
+        with np.errstate(all="ignore"):  # overflow meets the checks of returned and op_norms
+            points = _ball_points(center, radius, samples, rng)
+            dirs = rng.standard_normal((samples, p.dim))
+            dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+            delta = 1e-4 * radius
+            shifted = points + delta * dirs
+            jac = p.jac if p.jac is not None else lambda x: fd_jacobian(p, x)
+            shape = (p.dim, p.dim)
+            jacs = _on_rows("jacobian", jac, points, shape, at=lambda i: f"sample {i}")
+            diffs = (_on_rows("jacobian", jac, shifted, shape,
+                              at=lambda i: f"shifted sample {i}") - jacs) / delta
         n1 = float(np.max(hilbert.op_norms(jacs)))
         n2 = float(np.max(hilbert.op_norms(diffs)))
         source = "sampled"

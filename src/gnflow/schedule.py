@@ -25,6 +25,10 @@ class PowerSchedule:
         hilbert.positive("c1", self.c1)
         if not 0 < self.a <= 1:
             raise ValueError(f"a must lie in (0, 1], got {self.a}")
+        try:  # each power is largest at t = 0, so no later eps(t) overflows
+            self.eps(0.0), self.b_constant()
+        except OverflowError:
+            raise ValueError(f"eps(0) or b overflows for {self}") from None
 
     def eps(self, t: float) -> float:
         return self.c0 * (self.c1 + hilbert.nonnegative("t", t)) ** (-self.a)

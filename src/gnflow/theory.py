@@ -113,24 +113,24 @@ def solve_source(p: NonlinearProblem, xhat, x0) -> tuple[np.ndarray, float]:
     Spectral pseudo-inverse with relative cutoff :data:`SOURCE_TOL`;
     returns the candidate w and the residual ||F'*F' w - (xhat - x0)||.
     The source condition is taken to hold when the residual is below
-    SOURCE_TOL * ||xhat - x0||.
+    SOURCE_TOL * ||xhat - x0||. Raises ValueError when w or the residual
+    is not finite (xhat - x0, F'(xhat)* F'(xhat) or w overflows).
     """
     xhat = hilbert.as_vector(xhat, dim=p.dim)
     x0 = hilbert.as_vector(x0, dim=p.dim)
-    rhs = xhat - x0
-    if np.linalg.norm(rhs) == 0.0:
-        return np.zeros(p.dim), 0.0
-    M = solution_gram(p, xhat)
-    # Not dead code: the Gram of a strided or unaligned J need not be
-    # exactly symmetric on every BLAS kernel (the rule is stated once, in
-    # the docstring of flow._symmetric_gram).
-    M = 0.5 * (M + M.T)
-    evals, evecs = np.linalg.eigh(M)
-    cutoff = SOURCE_TOL * max(float(evals[-1]), 0.0)
-    coeff = evecs.T @ rhs
-    inv = np.where(evals > cutoff, coeff / np.where(evals > cutoff, evals, 1.0), 0.0)
-    w = evecs @ inv
-    residual = float(np.linalg.norm(M @ w - rhs))
+    with np.errstate(all="ignore"):
+        rhs = xhat - x0
+        if np.linalg.norm(rhs) == 0.0:
+            return np.zeros(p.dim), 0.0
+        M = hilbert.symmetric_part(solution_gram(p, xhat))
+        evals, evecs = np.linalg.eigh(M)
+        cutoff = SOURCE_TOL * max(float(evals[-1]), 0.0)
+        coeff = evecs.T @ rhs
+        inv = np.where(evals > cutoff, coeff / np.where(evals > cutoff, evals, 1.0), 0.0)
+        w = evecs @ inv
+        residual = float(np.linalg.norm(M @ w - rhs))
+    if not (hilbert.all_finite(w) and math.isfinite(residual)):
+        raise ValueError(f"source element or its residual is not finite (residual {residual})")
     return w, residual
 
 
@@ -254,9 +254,12 @@ def certify(
     positive and finite, and then when ``bounds`` does not cover the
     certified ball: its center must be a finite vector of the problem's
     dimension, and ||bounds.center - xhat|| + R*eps0 at most
-    ``bounds.radius``, since N1 and N2 hold only on that ball.
+    ``bounds.radius``, since N1 and N2 hold only on that ball. An overflow
+    ends in inf, a failed check or ValueError, so numpy's floating-point
+    warnings are silenced once per call.
     """
-    return _evaluate(p, _instance_constants(p, xhat, x0, s, B0), bounds, R)
+    with np.errstate(all="ignore"):
+        return _evaluate(p, _instance_constants(p, xhat, x0, s, B0), bounds, R)
 
 
 def certify_with_canonical_R(
@@ -272,12 +275,8 @@ def certify_with_canonical_R(
     The derivative bounds must cover U(xhat, R*eps(0)) while R itself
     depends on them, so the bounds' radius is grown until it contains the
     certified ball, at most 8 passes. Each pass takes the bounds of
-    ``estimate_bounds``: those of a Jacobian with an analytic hook
-    (:func:`~gnflow.problem.analytic_bounds`, the gallery's quadratic and
-    autoconvolution kinds) cost a few flops and draw no sample; those of
-    a constant Jacobian are exact, draw no sample, and take its norm once
-    per problem; any other Jacobian is sampled at the default 64 points.
-    The returned bounds' ``source`` says which. R is inflated by
+    ``estimate_bounds`` at its default 64 samples, and the returned
+    bounds' ``source`` says which kind they are. R is inflated by
     ``R_INFLATION`` relative so the sharp radius inequality holds strictly
     in floating point (a larger R keeps the certificate valid).
 
@@ -290,18 +289,20 @@ def certify_with_canonical_R(
 
     Raises ValueError when xhat is not a root of F
     (:func:`~gnflow.problem.check_root`), when no positive canonical
-    radius exists, or when the radius iteration does not close.
+    radius exists, or when the radius iteration does not close; warnings
+    are silenced as in :func:`certify`.
     """
-    c = _instance_constants(p, xhat, x0, s, B0)
-    _radius_numerator(c.b, c.eps0, c.B0_norm, c.Lambda0_norm)
-    radius = max(1.0, 2.0 * c.offset)
-    for _ in range(8):
-        bounds = estimate_bounds(p, c.xhat.copy(), radius, seed=seed)
-        R = canonical_R(bounds.N1, bounds.N2, c.b, c.eps0, c.B0_norm, c.Lambda0_norm)
-        R_used = R * (1.0 + R_INFLATION)
-        if R_used * c.eps0 <= radius:
-            return _evaluate(p, c, bounds, R_used), bounds
-        radius = 1.1 * R_used * c.eps0
+    with np.errstate(all="ignore"):
+        c = _instance_constants(p, xhat, x0, s, B0)
+        _radius_numerator(c.b, c.eps0, c.B0_norm, c.Lambda0_norm)
+        radius = max(1.0, 2.0 * c.offset)
+        for _ in range(8):
+            bounds = estimate_bounds(p, c.xhat.copy(), radius, seed=seed)
+            R = canonical_R(bounds.N1, bounds.N2, c.b, c.eps0, c.B0_norm, c.Lambda0_norm)
+            R_used = R * (1.0 + R_INFLATION)
+            if R_used * c.eps0 <= radius:
+                return _evaluate(p, c, bounds, R_used), bounds
+            radius = 1.1 * R_used * c.eps0
     raise ValueError("ball radius iteration did not close after 8 passes")
 
 
@@ -347,12 +348,9 @@ def gronwall_check(
     formula on the same step grid, so the quadrature matches the
     integration order; the constant coefficient case A = gamma*I, G = 0
     then meets the bound with equality to integrator precision. Neither
-    integral depends on V, and q' = gamma(t) not on q, so the
-    quadratures run before the step loop: one ``rk4`` call over every
-    step at once gives q's increments, whose running sum is q, and a
-    second, at those q, gives r's (each exp(q) is ``math.exp`` of one
-    value). Only V is advanced step by step, by ``advance``. The values
-    are those of stepping q, r and V together, bit for bit.
+    integral depends on V, so both run before the step loop, every step
+    at once (:func:`_gronwall_steps`), with the bits of stepping q, r and
+    V together.
 
     ``gamma`` must lower-bound the symmetric part of A at every step
     time, verified by eigenvalue (one batched ``eigvalsh`` over all step
@@ -447,7 +445,7 @@ def _gronwall_steps(A_path, G_path, V0, gamma, T, h) -> tuple:
     # batched eigvalsh; each is checked only when the loop reaches its time.
     grid = [k * h for k in range(n_steps + 1)]
     A_grid = A_stack[[index[t] for t in grid]]
-    smallest_eig = np.linalg.eigvalsh(0.5 * (A_grid + A_grid.transpose(0, 2, 1))).min(axis=1)
+    smallest_eig = np.linalg.eigvalsh(hilbert.symmetric_part(A_grid)).min(axis=1)
 
     def check_coercive(k: int) -> None:
         t = grid[k]
@@ -492,10 +490,11 @@ def _gronwall_steps(A_path, G_path, V0, gamma, T, h) -> tuple:
     V = V0
     check_coercive(0)
     Vs = [V0]
-    for k in range(1, n_steps + 1):
-        V, _ = advance(rhs, V, None, (k - 1) * h, h, "rk4")
-        if k == first_bad:
-            raise FloatingPointError(NON_FINITE_STEP)
-        check_coercive(k)
-        Vs.append(V)
+    with np.errstate(all="ignore"):  # a V that overflows ends its step, unwarned
+        for k in range(1, n_steps + 1):
+            V, _ = advance(rhs, V, None, (k - 1) * h, h, "rk4")
+            if k == first_bad:
+                raise FloatingPointError(NON_FINITE_STEP)
+            check_coercive(k)
+            Vs.append(V)
     return q, r, Vs

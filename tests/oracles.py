@@ -17,6 +17,7 @@ The module is not named ``reference``: ``bench/run.py`` imports its own
 
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import scipy.linalg
@@ -527,6 +528,22 @@ def near(draw, center):
     """center + s u, with s from 1e-3 to 1 and u uniform in [-1, 1]^n."""
     unit = np.random.default_rng(draw(seeds)).uniform(-1.0, 1.0, center.shape)
     return center + draw(log_uniform(-3.0, 0.0)) * unit
+
+
+#: Entries of both signs from 1e-310 (subnormal) to 1e300, and signed zeros.
+shift_entries = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324]),
+    st.builds(lambda sign, e: sign * 10.0**e, st.sampled_from([1.0, -1.0]),
+              st.floats(-310.0, 300.0)),
+)
+
+#: The edge magnitudes: entries of any finite magnitude, half of them above
+#: DBL_MAX/2, where the sum of a pair of one sign overflows.
+edge_entries = st.one_of(
+    shift_entries,
+    st.builds(lambda sign, m: sign * m, st.sampled_from([1.0, -1.0]),
+              st.floats(sys.float_info.max / 2.0, sys.float_info.max, exclude_min=True)),
+)
 
 
 #: Floats for the derivative kernels: moderate ones, and now and then any

@@ -536,6 +536,14 @@ class TestUnusableStart:
         assert err.startswith("error: cannot start from x0: ") and message in err
         assert err.count("\n") == 1
 
+    def test_scaled_identity_square_that_overflows(self, capsys):
+        # ||F'(x0)||**2 raised OverflowError, and the command ended in a traceback
+        code = run_cli(["run", "--problem", "autoconv-16", "--b0-mode", "scaled_identity",
+                        "--x0-scale", "1e160", "--horizon-T", "0.1"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(
+            "error: cannot start from x0: ||F'(x0)||^2 overflows, with ||F'(x0)|| = ")
+
     def test_certificate_error_leaks_no_warning(self, tmp_path):
         # the coupled run starts; the certificate's radius numerator at this
         # x0 is negative, which is reported, not warned about. It is decided

@@ -483,6 +483,20 @@ class TestSolutionGram:
         assert solution_gram(p, xhat.copy()) is gram
         assert solution_gram(p, xhat + 1.0) is not gram
 
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_constant_jacobian_shares_the_kept_gram(self, layout):
+        # one Gram per problem, at every point: the one fixed_jacobian keeps,
+        # with the bits of the Gram formed per point by the unmarked twin
+        A = laid_out(np.random.default_rng(LAYOUTS.index(layout)).standard_normal((9, 9)),
+                     layout)
+        p = problem.NonlinearProblem(dim=9, f=lambda x: np.dot(A, x),
+                                     jac=problem.constant_jacobian(lambda x: A))
+        gram = solution_gram(p, np.zeros(9))
+        assert gram is problem.fixed_jacobian(p, np.zeros(9))[1]
+        assert solution_gram(p, np.ones(9)) is gram
+        assert not [key for key in p._constants if key[0] == "solution_gram"]
+        assert_same_bits(gram, solution_gram(unmarked(p), np.zeros(9)))
+
     def test_does_not_keep_the_problem_alive(self):
         p, xhat = identity_problem()
         solution_gram(p, xhat)

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
-from oracles import assert_same_bits, log_uniform, reference_solve, seeds, unaligned
+from oracles import (assert_same_bits, edge_entries, log_uniform, reference_solve, seeds,
+                     shift_entries, unaligned)
 
 from gnflow import gallery, hilbert
 from gnflow.flow import direct_rhs
@@ -82,23 +83,6 @@ p = problem.NonlinearProblem(dim=9, f=lambda x: A @ x, jac=lambda x: A)
 v = direct_rhs(p, PowerSchedule(c0=0.1, c1=1.0, a=1.0), np.zeros(9), np.ones(9), 0.5)
 assert hilbert.all_finite(v)
 """
-
-
-#: Entries of both signs from 1e-310 (subnormal) to 1e300, and signed zeros.
-_SHIFT_ENTRIES = st.one_of(
-    st.sampled_from([0.0, -0.0, 5e-324, -5e-324]),
-    st.builds(lambda sign, e: sign * 10.0**e, st.sampled_from([1.0, -1.0]),
-              st.floats(-310.0, 300.0)),
-)
-
-
-#: Entries of any finite magnitude, half of them above DBL_MAX/2, where the
-#: sum of a pair of one sign overflows.
-_EDGE_ENTRIES = st.one_of(
-    _SHIFT_ENTRIES,
-    st.builds(lambda sign, m: sign * m, st.sampled_from([1.0, -1.0]),
-              st.floats(sys.float_info.max / 2.0, sys.float_info.max, exclude_min=True)),
-)
 
 
 class TestAllFinite:
@@ -245,23 +229,30 @@ class TestSolveRegularized:
 
 
 class TestSymmetricPart:
-    """The one symmetrizing pass, of ``solve_regularized`` and of the direct
-    stage's Gram of a strided or unaligned F'."""
+    """The one symmetrizing pass of the package: of ``solve_regularized``,
+    the direct stage's Gram of a strided or unaligned F', ``solve_source``,
+    the Gronwall coercivity test and the lemma battery's gamma."""
 
-    @settings(max_examples=300)
-    @given(A=arrays(float, array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=6)
-                    .map(lambda shape: (shape[0], shape[0])), elements=_EDGE_ENTRIES))
+    @settings(max_examples=200)
+    @given(A=arrays(float, st.tuples(st.integers(0, 4), st.integers(1, 6)).map(
+                        lambda kn: (kn[0], kn[1], kn[1]) if kn[0] else (kn[1], kn[1])),
+                    elements=edge_entries))
     def test_plain_formula_wherever_it_is_finite(self, A):
+        # a matrix, or a stack of k = 1..4 of them
+        AT = np.swapaxes(A, -1, -2)
         with np.errstate(over="ignore"):
-            plain = 0.5 * (A + A.T)
+            plain = 0.5 * (A + AT)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             S = hilbert.symmetric_part(A)
-        assert_same_bits(S, S.T)
+            blocks = [hilbert.symmetric_part(block) for block in A] if A.ndim == 3 else []
+        assert_same_bits(S, np.swapaxes(S, -1, -2))
         assert np.isfinite(S).all()
         spilled = ~np.isfinite(plain)
         assert_same_bits(S[~spilled], plain[~spilled])
-        assert_same_bits(S[spilled], (0.5 * A + 0.5 * A.T)[spilled])
+        assert_same_bits(S[spilled], (0.5 * A + 0.5 * AT)[spilled])
+        for S_block, alone in zip(S, blocks):
+            assert_same_bits(S_block, alone)
 
     def test_entry_above_half_the_largest_double_solves(self):
         # 0.5 * (A + A.T) made the entry inf, and the solve [nan, nan] with
@@ -298,8 +289,8 @@ class TestSolveShifted:
 
     @settings(max_examples=300)
     @given(A=arrays(float, array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=6)
-                    .map(lambda shape: (shape[0], shape[0])), elements=_SHIFT_ENTRIES),
-           eps=_SHIFT_ENTRIES.filter(lambda e: e > 0.0))
+                    .map(lambda shape: (shape[0], shape[0])), elements=shift_entries),
+           eps=shift_entries.filter(lambda e: e > 0.0))
     def test_symmetrizing_before_the_shift_keeps_the_bits(self, A, eps):
         # the identity solve_regularized rests on: adding eps I only turns an
         # off-diagonal -0.0 into +0.0, and halving a doubled diagonal entry

@@ -186,6 +186,18 @@ class TestSolveSource:
         assert np.allclose(w, v, atol=1e-10)  # no null-space component
         assert res <= 1e-12
 
+    def test_gram_entry_above_half_the_largest_double(self):
+        # F'*F' = diag([1.44e308, 1.0]): 0.5 * (M + M.T) made the entry inf,
+        # and w = [0, 0] with a NaN residual after two RuntimeWarnings
+        xhat = np.zeros(2)
+        p = affine_problem(np.diag([1.2e154, 1.0]), xhat)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w, res = theory.solve_source(p, xhat, np.ones(2))
+        assert np.isfinite(w).all() and math.isfinite(res)
+        assert w[0] == pytest.approx(-1.0 / 1.44e308, rel=1e-12) and w[1] == 0.0
+        assert res == pytest.approx(1.0, rel=1e-12)
+
 
 class TestCertify:
     def _bounds(self, p, xhat, radius=1.0):
@@ -469,6 +481,17 @@ class TestGronwall:
             theory.gronwall_check(
                 A_path, lambda t: np.zeros((2, 2)), np.eye(2),
                 gamma=lambda t: 0.5, T=1.0, h=0.1)
+
+    def test_coercivity_failure_of_entries_above_half_the_largest_double(self):
+        # the symmetric part 0.5 * (A + A.T) overflowed to inf, so the check
+        # passed and the run ended in FloatingPointError after a warning
+        A = np.array([[0.9e308, 0.85e308], [0.85e308, 0.9e308]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^coercivity fails at t=0\.0: smallest "
+                                                 r"symmetric eigenvalue 5\.0+e\+306 <"):
+                theory.gronwall_check(lambda t: A, lambda t: np.zeros((2, 2)),
+                                      np.zeros((2, 2)), gamma=lambda t: 1e307, T=0.02, h=0.01)
 
     def test_nonpositive_gamma_rejected(self):
         with pytest.raises(ValueError, match="gamma"):
