@@ -225,11 +225,11 @@ def diagnostics(
     :func:`solution_gram`, and the operator norms from one batched norm call.
     """
     eps = s.eps(st.t)
-    residual = float(np.linalg.norm(eval_F(p, st.x)))
+    residual = hilbert.norm(eval_F(p, st.x))
     out = FlowDiagnostics(eps=eps, residual_norm=residual)
     if xhat is not None:
         xhat = hilbert.as_vector(xhat, dim=p.dim)
-        out.err_norm = float(np.linalg.norm(st.x - xhat))
+        out.err_norm = hilbert.norm(st.x - xhat)
     if st.B is not None:
         hilbert.positive("eps", eps)
         J = jacobian(p, st.x)

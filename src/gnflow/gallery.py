@@ -428,7 +428,7 @@ def _base_instance(n: int, kind: str, rng) -> tuple[NonlinearProblem, np.ndarray
         a_norm = float(hilbert.op_norms(A[None])[0])
 
         def bounds(center, radius, a_norm=a_norm, c=xhat.copy(), nu=nu):
-            return (a_norm + 2.0 * nu * (float(np.linalg.norm(center - c)) + radius),
+            return (a_norm + 2.0 * nu * (hilbert.norm(center - c) + radius),
                     2.0 * nu)
 
         @rowwise
@@ -457,7 +457,7 @@ def _base_instance(n: int, kind: str, rng) -> tuple[NonlinearProblem, np.ndarray
         w_dir = _leading_eigenvector(A @ A)  # keep the offset in the well-resolved range
     else:
         w_dir = rng.standard_normal(n)
-    return problem, w_dir / np.linalg.norm(w_dir)
+    return problem, w_dir / hilbert.norm(w_dir)
 
 
 def _halving_search(p: NonlinearProblem, w_dir: np.ndarray, seed: int) -> tuple:
@@ -474,7 +474,7 @@ def _halving_search(p: NonlinearProblem, w_dir: np.ndarray, seed: int) -> tuple:
     M = solution_gram(p, xhat)
     c0 = 1.0 / COMPLIANT_B
     eps0 = 0.1
-    scale = OFFSET_RATIO * eps0 / max(np.linalg.norm(M @ w_dir), np.finfo(float).tiny)
+    scale = OFFSET_RATIO * eps0 / max(hilbert.norm(M @ w_dir), np.finfo(float).tiny)
     x0 = xhat - M @ (scale * w_dir)
 
     for _ in range(MAX_HALVINGS + 1):

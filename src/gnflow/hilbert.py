@@ -33,7 +33,12 @@ construction for most layouts of J; ``flow._symmetric_gram`` states for
 which, and symmetrizes the rest.
 
 The overflow contract: every symmetric part that the package solves with or
-takes eigenvalues of is :func:`symmetric_part`'s, finite for finite input.
+takes eigenvalues of is :func:`symmetric_part`'s, finite for finite input,
+and every Euclidean norm of all the entries of one array is :func:`norm`'s,
+finite for finite input whose norm is representable. ``np.linalg.norm``
+stays only where it takes an ``axis`` or an ``ord``: the row norms of the
+Gaussian direction stacks that the bounds sample, and the autoconvolution's
+1-norm.
 """
 
 from __future__ import annotations
@@ -85,14 +90,43 @@ def all_finite(arr: np.ndarray) -> bool:
     return bool(np.count_nonzero(np.isfinite(arr)) == arr.size)
 
 
+def norm(v: np.ndarray) -> float:
+    """The Euclidean norm of all entries of the float64 array ``v``, of any
+    shape, as a Python float: the package's one vector norm.
+
+    Where the self-dot, the sum of the squared entries in memory order, is
+    finite, the norm is its square root, the bits of ``np.linalg.norm(v)``.
+    Where the self-dot overflows (an entry above about 1e154) but every
+    entry is finite, it is ``math.hypot`` of the entries, finite whenever
+    the norm is representable. A NaN entry gives NaN, and an infinite entry
+    without one gives inf, as ``np.linalg.norm`` does.
+
+    The self-dot is ``np.vdot``'s, the BLAS ddot that ``v.dot(v)`` also
+    calls, but without the overflow warning numpy raises after ``dot``. As
+    in :func:`all_finite`, an unaligned vector does not reach ``np.vdot``;
+    it is copied first.
+    """
+    v = v.ravel(order="K")
+    if not v.flags.aligned:
+        v = v.copy()
+    square = np.vdot(v, v)
+    if square == math.inf:  # squares that overflow, or an infinite entry
+        return math.hypot(*v.tolist())
+    return math.sqrt(square)
+
+
 def positive(name: str, value: float) -> float:
     """Return ``value`` if it is positive and finite, the rule of every scalar
-    parameter; otherwise (NaN, inf and arrays of one or more dimensions
-    included) raise ValueError naming it. Python and numpy floats and 0-d
-    arrays are scalars."""
-    if getattr(value, "ndim", 0) or not 0 < value < math.inf:
-        raise ValueError(f"{name} must be positive and finite, got {value}")
-    return value
+    parameter; otherwise (NaN, inf, arrays of one or more dimensions and
+    values that are not numbers, such as None or a string, included) raise
+    ValueError naming it. Python and numpy floats and 0-d arrays are
+    scalars."""
+    try:
+        if not getattr(value, "ndim", 0) and 0 < value < math.inf:
+            return value
+    except TypeError:  # not a number
+        pass
+    raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 def count(name: str, value) -> int:
@@ -113,11 +147,15 @@ def count(name: str, value) -> int:
 
 def nonnegative(name: str, value: float) -> float:
     """Return ``value`` if it is nonnegative and finite, the rule of every time
-    and noise level; otherwise (NaN, inf and arrays of one or more dimensions
-    included, as in :func:`positive`) raise ValueError naming it."""
-    if getattr(value, "ndim", 0) or not 0 <= value < math.inf:
-        raise ValueError(f"{name} must be nonnegative and finite, got {value}")
-    return value
+    and noise level; otherwise (NaN, inf, arrays of one or more dimensions and
+    values that are not numbers included, as in :func:`positive`) raise
+    ValueError naming it."""
+    try:
+        if not getattr(value, "ndim", 0) and 0 <= value < math.inf:
+            return value
+    except TypeError:  # not a number
+        pass
+    raise ValueError(f"{name} must be nonnegative and finite, got {value}")
 
 
 def returned(name: str, value, shape: tuple, at=None) -> np.ndarray:

@@ -6,7 +6,10 @@ flat block of extra state. One RK4 formula, the unchecked ``rk4``, serves
 ``step``; the Gronwall lemma check in ``theory`` calls ``rk4`` on the
 stacked steps of its two quadratures and ``advance`` on its operator,
 step by step. Monitors watch for the ball-exit event
-||x - xhat|| >= R * eps(t) and for divergence.
+||x - xhat|| >= R * eps(t) and for divergence, ||x|| or ||B|| above
+``DIVERGENCE_LIMIT``; each norm is :func:`hilbert.norm`'s, finite for a
+finite state, so a state with entries above about 1e154 diverges with a
+finite norm on record.
 
 What a run of ``integrate`` checks, and where:
 
@@ -77,7 +80,11 @@ class IntegratorConfig:
         if self.method not in ("euler", "rk4"):
             raise ValueError(f"unknown method {self.method!r}")
         hilbert.positive("step_h", self.step_h)
-        if not math.isfinite(self.horizon_T):
+        try:
+            finite = math.isfinite(self.horizon_T)
+        except TypeError:  # not a number
+            finite = False
+        if not finite:
             raise ValueError(f"horizon_T must be finite, got {self.horizon_T}")
         step_count("horizon_T", self.horizon_T, self.step_h)
         hilbert.count("record_every", self.record_every)
@@ -167,14 +174,6 @@ def step(rhs: RhsFn, st: SolverState, t: float, h: float, method: str) -> Solver
     return new
 
 
-def _norm(v: np.ndarray) -> float:
-    """The Euclidean norm of the entries of ``v``: the expression that
-    ``np.linalg.norm(v)`` evaluates for ``ord=None``, bit for bit, without
-    its dispatch."""
-    v = v.ravel(order="K")
-    return math.sqrt(v.dot(v))
-
-
 def _flow_rhs(p: NonlinearProblem, s, x0) -> RhsFn:
     def rhs(t, x, B):
         if B is None:
@@ -220,11 +219,11 @@ def integrate(
 
     def event(st: SolverState) -> Optional[str]:
         """The tag of the monitor that ``st`` triggers (the ball's first), or None."""
-        if "ball" in cfg.monitors and _norm(st.x - xhat) >= R * s.eps(st.t):
+        if "ball" in cfg.monitors and hilbert.norm(st.x - xhat) >= R * s.eps(st.t):
             return "ball_exit"
         if "divergence" in cfg.monitors and (
-                _norm(st.x) > DIVERGENCE_LIMIT
-                or st.B is not None and _norm(st.B) > DIVERGENCE_LIMIT):
+                hilbert.norm(st.x) > DIVERGENCE_LIMIT
+                or st.B is not None and hilbert.norm(st.B) > DIVERGENCE_LIMIT):
             return "divergence"
         return None
 
@@ -302,8 +301,8 @@ def convergence_order(
     out = []
     for h in steps:
         x, B = endpoint(h, cfg.method)
-        err = float(np.linalg.norm(x - ref_x))
+        err = hilbert.norm(x - ref_x)
         if B is not None:
-            err = float(np.hypot(err, np.linalg.norm(B - ref_B)))
+            err = float(np.hypot(err, hilbert.norm(B - ref_B)))
         out.append((float(h), err))
     return out

@@ -128,8 +128,8 @@ def check_root(p: NonlinearProblem, xhat: np.ndarray, name: str = "xhat") -> Non
     """Raise ValueError unless the checked vector ``xhat`` is a root of F:
     F(xhat) must pass :func:`hilbert.returned` and have a norm of at most
     1e-8 (1 + ||xhat||). The error names ``name``, ||F(xhat)|| and the bound."""
-    res = np.linalg.norm(hilbert.returned("F", p.f(xhat), (p.dim,)))
-    bound = 1e-8 * (1.0 + np.linalg.norm(xhat))
+    res = hilbert.norm(hilbert.returned("F", p.f(xhat), (p.dim,)))
+    bound = 1e-8 * (1.0 + hilbert.norm(xhat))
     if res > bound:
         raise ValueError(f"{name} is not a root: ||F(xhat)|| = {res:.3e} > {bound:.3e}")
 

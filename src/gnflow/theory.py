@@ -120,7 +120,7 @@ def solve_source(p: NonlinearProblem, xhat, x0) -> tuple[np.ndarray, float]:
     x0 = hilbert.as_vector(x0, dim=p.dim)
     with np.errstate(all="ignore"):
         rhs = xhat - x0
-        if np.linalg.norm(rhs) == 0.0:
+        if hilbert.norm(rhs) == 0.0:
             return np.zeros(p.dim), 0.0
         M = hilbert.symmetric_part(solution_gram(p, xhat))
         evals, evecs = np.linalg.eigh(M)
@@ -128,7 +128,7 @@ def solve_source(p: NonlinearProblem, xhat, x0) -> tuple[np.ndarray, float]:
         coeff = evecs.T @ rhs
         inv = np.where(evals > cutoff, coeff / np.where(evals > cutoff, evals, 1.0), 0.0)
         w = evecs @ inv
-        residual = float(np.linalg.norm(M @ w - rhs))
+        residual = hilbert.norm(M @ w - rhs)
     if not (hilbert.all_finite(w) and math.isfinite(residual)):
         raise ValueError(f"source element or its residual is not finite (residual {residual})")
     return w, residual
@@ -163,7 +163,7 @@ def _instance_constants(p: NonlinearProblem, xhat, x0, s, B0) -> _InstanceConsta
         b=hilbert.positive("b", s.b_constant()),
         B0_norm=float(b0_norm),
         Lambda0_norm=float(lambda0_norm),
-        offset=float(np.linalg.norm(x0 - xhat)),
+        offset=hilbert.norm(x0 - xhat),
     )
 
 
@@ -176,7 +176,7 @@ def _evaluate(p: NonlinearProblem, c: _InstanceConstants, bounds: BallBounds,
     # N1 and N2 bound F' and F'' only on the ball they were sampled on, so
     # it must hold the certified ball U(xhat, R*eps0).
     center = hilbert.as_vector(bounds.center, dim=p.dim)
-    reach = float(np.linalg.norm(center - c.xhat)) + R * eps0
+    reach = hilbert.norm(center - c.xhat) + R * eps0
     if not reach <= bounds.radius:
         raise ValueError(
             f"bounds do not cover the certified ball: ||center - xhat|| + R*eps0 = "
@@ -185,7 +185,7 @@ def _evaluate(p: NonlinearProblem, c: _InstanceConstants, bounds: BallBounds,
     k = 2.0 * N1 * N2 * R + b + eps0 * c.B0_norm + c.Lambda0_norm
     # Solved here, not with the other constants, so a failed radius search skips it.
     w, source_residual = solve_source(p, c.xhat, c.x0)
-    w_norm = float(np.linalg.norm(w))
+    w_norm = hilbert.norm(w)
     # Without a contraction margin lambda is undefined, recorded as inf, and
     # every lambda-based check fails.
     margin = 1.0 - k - b * eps0

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import math
 import re
 import warnings
 
@@ -324,6 +325,14 @@ class TestX0Scale:
 
         # doubling the start offset doubles the (linear) trajectory error
         assert final_err(2.0) == pytest.approx(2.0 * final_err(1.0), rel=1e-9)
+
+    def test_scale_whose_squares_overflow_keeps_a_finite_error(self, tmp_path):
+        # the error's sum of squares overflows: final.err_norm read inf
+        assert run_cli(["run", "--problem", "identity-8", "--x0-scale", "1e160",
+                        "--horizon-T", "0.1"]) == 3
+        summary = read_summary(tmp_path / "summary.txt")
+        assert summary["termination"] == "divergence"
+        assert math.isfinite(float(summary["final.err_norm"]))
 
 
 class TestVerify:

@@ -209,15 +209,38 @@ def test_found_case_is_typed(case):
 
 
 def test_offset_that_overflows_certifies_without_nan():
-    # ||x0 - xhat|| of x0 = [0, HALF_MAX] overflowed with a warning; it is
-    # inf now, which fails the initial-offset check
+    # ||x0 - xhat|| of x0 = [0, HALF_MAX] overflowed with a warning, and then
+    # read inf, as did ||w||; both are HALF_MAX now, and the offset still
+    # fails the initial-offset check
+    p = affine(np.eye(2), np.zeros(2), True)
+    args = (p, np.zeros(2), [0.0, HALF_MAX], PowerSchedule(1.0, 1.0), np.eye(2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cert = theory.certify(*args, _unit_bounds(2), 1.0)
+        offset = theory._instance_constants(*args).offset
+    assert not cert.checks["initial_offset"]
+    assert_no_nan(cert.w, cert.w_norm, cert.source_residual)
+    assert cert.w_norm == offset == HALF_MAX
+
+
+def test_root_whose_square_overflows_builds_without_warning():
+    # 1e-8 (1 + ||xhat||) of the root test overflowed with a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        p = affine_problem([[1.0]], np.array([9e307]))
+    assert p.known_solution[0] == 9e307
+
+
+def test_start_whose_squares_overflow_records_finite_norms():
+    # the first record's residual and error norms read inf
     p = affine(np.eye(2), np.zeros(2), True)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        cert = theory.certify(p, np.zeros(2), [0.0, HALF_MAX], PowerSchedule(1.0, 1.0),
-                              np.eye(2), _unit_bounds(2), 1.0)
-    assert not cert.checks["initial_offset"]
-    assert_no_nan(cert.w, cert.w_norm, cert.source_residual)
+        traj = integrate(p, PowerSchedule(1.0, 1.0), SolverState(x=[1e160, 0.0], t=0.0),
+                         IntegratorConfig(step_h=0.1, horizon_T=0.2), xhat=np.zeros(2))
+    assert traj.termination == "divergence"
+    (_, diag), = traj.records
+    assert diag.err_norm == diag.residual_norm == 1e160
 
 
 def test_sample_points_that_overflow_sample_without_warning():

@@ -60,8 +60,8 @@ _VIEWS = {
 
 #: Run in a fresh interpreter under OpenBLAS's Prescott kernel, whose
 #: ``np.vdot`` of an unaligned float64 vector of two or more entries kills
-#: the interpreter: the finiteness test, and through it a direct stage
-#: whose F' comes unaligned, must not reach it.
+#: the interpreter: the finiteness test and the norm, and through them a
+#: direct stage whose F' comes unaligned, must not reach it.
 _UNALIGNED_PROBE = """
 import sys
 sys.path.insert(0, sys.argv[1])
@@ -76,6 +76,7 @@ def unaligned(a):  # as tests/oracles.py builds it, without its imports
 for n in range(1, 17):
     u = unaligned(np.ones(n))
     assert not u.flags.aligned and hilbert.all_finite(u)
+    assert hilbert.norm(u) == n ** 0.5
     u[-1] = np.nan
     assert not hilbert.all_finite(u)
 A = unaligned(np.eye(9) + 0.1 * np.arange(81.0).reshape(9, 9) / 81.0)
@@ -261,6 +262,42 @@ class TestSymmetricPart:
             warnings.simplefilter("error")
             y = hilbert.solve_regularized(np.diag([1.44e308, 1.0]), 0.1, np.ones(2))
         assert np.allclose(y, [1.0 / (1.44e308 + 0.1), 1.0 / 1.1], rtol=1e-12, atol=0.0)
+
+
+class TestNorm:
+    """The package's one vector norm: of the monitors, the diagnostics, the
+    root test, the certificate's offsets and ||w||, and the gallery."""
+
+    @settings(max_examples=300)
+    @given(a=arrays(float, array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=8),
+                    elements=edge_entries),
+           view=st.sampled_from(sorted(_VIEWS)))
+    def test_plain_formula_wherever_it_is_finite(self, a, view):
+        a = _VIEWS[view](a)  # C-ordered, transposed, strided, reversed or unaligned
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = hilbert.norm(a)
+        assert type(got) is float
+        with np.errstate(over="ignore"):
+            plain = np.linalg.norm(a)
+        if math.isfinite(plain):  # the self-dot is finite
+            assert_same_bits(np.float64(got), plain)
+        else:  # it overflows, and every drawn entry is finite: a finite
+            # hypot is a finite norm
+            assert got == math.hypot(*a.ravel(order="K").tolist())
+
+    def test_non_finite_entries_give_what_np_linalg_norm_gives(self):
+        for a in _finiteness_cases():
+            if not np.isfinite(a).all():
+                assert_same_bits(np.float64(hilbert.norm(a)), np.linalg.norm(a))
+
+    def test_entries_whose_squares_overflow(self):
+        # np.linalg.norm gives inf for each, with an overflow warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert hilbert.norm(np.array([0.0, 9e307])) == 9e307
+            assert hilbert.norm(np.full((2, 2), 1e160)) == 2e160
+            assert hilbert.norm(unaligned(np.array([-9e307, 0.0, 0.0]))) == 9e307
 
 
 class TestSolveShifted:

@@ -107,6 +107,47 @@ def test_no_private_name_crosses_modules():
         assert not private, f"{name} uses private names of other modules: {sorted(private)}"
 
 
+def own_norms(source: str) -> set:
+    """The Euclidean norms a source takes itself, each as ``line:call``: every
+    ``np.linalg.norm`` call with neither an ``axis`` nor an ``ord`` argument,
+    and every square root of a dot product, a matrix product or a sum."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        name = ast.unparse(node.func)
+        if name.endswith("linalg.norm"):
+            own = len(node.args) < 2 and not {kw.arg for kw in node.keywords} & {"axis", "ord"}
+        else:
+            own = name.split(".")[-1] == "sqrt" and any(
+                isinstance(inner, ast.Call)
+                and ast.unparse(inner.func).split(".")[-1] in ("dot", "vdot", "inner", "sum")
+                or isinstance(inner, ast.BinOp) and isinstance(inner.op, ast.MatMult)
+                for arg in node.args for inner in ast.walk(arg))
+        if own:
+            found.add(f"{node.lineno}:{ast.unparse(node)}")
+    return found
+
+
+def test_norm_reader_sees_each_form():
+    source = ("a = np.linalg.norm(v) + np.linalg.norm(v, 1) + np.linalg.norm(A, ord=2)\n"
+              "b = np.linalg.norm(rows, axis=1) + hilbert.norm(v) + np.sqrt(n)\n"
+              "c = math.sqrt(v.dot(v)) + np.sqrt(np.vdot(v, v)) + math.sqrt(v @ v)\n"
+              "d = np.sqrt((v * v).sum())\n")
+    assert own_norms(source) == {"1:np.linalg.norm(v)", "3:math.sqrt(v.dot(v))",
+                                 "3:np.sqrt(np.vdot(v, v))", "3:math.sqrt(v @ v)",
+                                 "4:np.sqrt((v * v).sum())"}
+
+
+def test_one_euclidean_norm():
+    # hilbert.norm is the package's one norm of all the entries of an array;
+    # np.linalg.norm stays only for row norms (axis) and other orders (ord)
+    for name, path in sorted(layered_modules().items()):
+        if name != "hilbert":
+            own = own_norms(path.read_text())
+            assert not own, f"{name} takes its own norms, not hilbert.norm: {sorted(own)}"
+
+
 def module_constant(path: Path, name: str):
     """The literal a module assigns to ``name``, read without importing the module."""
     for node in ast.parse(path.read_text()).body:

@@ -32,7 +32,7 @@ from gnflow.problem import (
 from gnflow.run import ConfigError, RunConfig, _build_run, sweep
 from gnflow.schedule import PowerSchedule
 
-BAD_VALUES = [0.0, -1.0, math.inf, math.nan]
+BAD_VALUES = [0.0, -1.0, math.inf, math.nan, "0.1", None]
 
 XHAT = np.array([1.0, 2.0])
 PROBLEM = NonlinearProblem(dim=2, f=lambda x: x - XHAT, jac=lambda x: np.eye(2),
@@ -115,8 +115,15 @@ SITES = [
 ]
 
 
-@pytest.mark.parametrize("value", BAD_VALUES, ids=repr)
-@pytest.mark.parametrize("name, call, exc", SITES)
+#: The SITES rows whose parameter is optional, so that None there means "not
+#: given" and is no bad value: integrate's R and the run's ball_radius.
+OPTIONAL_SITES = {"5-R", "20-ball_radius"}
+
+
+@pytest.mark.parametrize("name, call, exc, value", [
+    pytest.param(*site.values, value, id=f"{site.id}-{value!r}")
+    for value in BAD_VALUES for site in SITES
+    if not (value is None and site.id in OPTIONAL_SITES)])
 def test_site_rejects_bad_value(name, call, exc, value):
     with pytest.raises(exc, match=f"^{name} must be positive and finite"):
         call(value)
@@ -170,7 +177,7 @@ NONNEGATIVE_IDS = ["SolverState", "PowerSchedule", "riccati-t", "riccati-v",
                    "canonical_R-B0_norm", "canonical_R-Lambda0_norm", "get_entry", "sweep"]
 
 
-@pytest.mark.parametrize("value", [-0.1, math.inf, math.nan], ids=repr)
+@pytest.mark.parametrize("value", [-0.1, math.inf, math.nan, "0.1", None], ids=repr)
 @pytest.mark.parametrize("name, call, exc", NONNEGATIVE_SITES, ids=NONNEGATIVE_IDS)
 def test_nonnegative_site_rejects_bad_value(name, call, exc, value):
     with pytest.raises(exc, match=f"^{re.escape(name)} must be nonnegative and finite, "
@@ -318,6 +325,12 @@ class TestStepGrid:
     def test_shorter_than_one_step_rejected(self):
         with pytest.raises(ValueError, match="^horizon_T must be at least one step$"):
             step_count("horizon_T", 0.05, 0.1)
+
+    @pytest.mark.parametrize("value", [math.inf, "0.1", None], ids=repr)
+    def test_horizon_not_finite_rejected(self, value):
+        # a value that is not a number escaped math.isfinite as TypeError
+        with pytest.raises(ValueError, match=f"^horizon_T must be finite, got {value}$"):
+            IntegratorConfig(horizon_T=value)
 
     def test_step_count_overflow_rejected(self):
         with pytest.raises(ValueError, match="^T must hold a finite number of steps"):
