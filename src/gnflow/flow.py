@@ -182,9 +182,9 @@ def solution_gram(p: NonlinearProblem, xhat: np.ndarray) -> np.ndarray:
 
 def mismatch_operator(p: NonlinearProblem, xhat, B, eps: float) -> np.ndarray:
     """I - B [F'(xhat)* F'(xhat) + eps*I], the inverse-tracking defect at
-    the solution point."""
-    xhat = hilbert.as_vector(xhat, dim=p.dim)
-    B = hilbert.as_operator(B, dim=p.dim)
+    the solution point, for a validated vector ``xhat`` and operator ``B`` of
+    the problem's dimension, as the certificate's instance constants hand
+    them."""
     return _mismatch(solution_gram(p, xhat), B, eps)
 
 
@@ -193,9 +193,9 @@ def initial_inverse(p: NonlinearProblem, x0, eps0: float) -> np.ndarray:
 
     One factorization of F'(x0)* F'(x0) + eps0 I, solved for the columns
     of the identity; the standard start for the coupled flow. A Gram that
-    overflows raises ValueError, as a non-finite operator does.
+    overflows raises ValueError, as a non-finite operator does; ``x0`` is
+    checked by :func:`jacobian`.
     """
-    x0 = hilbert.as_vector(x0, dim=p.dim)
     J = jacobian(p, x0)
     with np.errstate(all="ignore"):
         gram = J.T @ J
@@ -204,9 +204,9 @@ def initial_inverse(p: NonlinearProblem, x0, eps0: float) -> np.ndarray:
 
 def scaled_identity_inverse(p: NonlinearProblem, x0, eps0: float) -> np.ndarray:
     """I / (||F'(x0)||^2 + eps0), the no-initial-inversion start; a square
-    that overflows raises ValueError, as a Gram does in :func:`initial_inverse`."""
+    that overflows raises ValueError, as a Gram does in :func:`initial_inverse`;
+    ``x0`` is checked by :func:`jacobian`."""
     hilbert.positive("eps0", eps0)
-    x0 = hilbert.as_vector(x0, dim=p.dim)
     n1 = float(hilbert.op_norms(jacobian(p, x0)[None])[0])
     try:
         return hilbert.identity(p.dim) / (n1**2 + eps0)

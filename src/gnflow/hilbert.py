@@ -39,6 +39,15 @@ finite for finite input whose norm is representable. ``np.linalg.norm``
 stays only where it takes an ``axis`` or an ``ord``: the row norms of the
 Gaussian direction stacks that the bounds sample, and the autoconvolution's
 1-norm.
+
+The value rules: whether a value is acceptable is decided here, once per
+kind. Every scalar passes :func:`positive`, :func:`nonnegative`,
+:func:`finite` or :func:`count`, and every array a caller's function
+returns passes :func:`returned`; the scalars a caller's function returns
+(the Gronwall rate gamma, the Riccati envelope mu, the two values of a
+bounds hook) pass the scalar rules too. A value that fails raises
+ValueError naming it. Only a limit beyond a rule stays with its caller,
+such as a schedule exponent's a <= 1 or a horizon of at least one step.
 """
 
 from __future__ import annotations
@@ -115,47 +124,64 @@ def norm(v: np.ndarray) -> float:
     return math.sqrt(square)
 
 
+def _scalar(name: str, value, words: str, above, low: float) -> float:
+    """The one test of the scalar rules: ``value`` if it is a scalar number
+    with ``above(value, low)`` and ``value < inf``, else ValueError saying
+    that ``name`` must be ``words``."""
+    try:
+        if not getattr(value, "ndim", 0) and above(value, low) and value < math.inf:
+            return value
+    except TypeError:  # not a number
+        pass
+    raise ValueError(f"{name} must be {words}, got {value}")
+
+
 def positive(name: str, value: float) -> float:
     """Return ``value`` if it is positive and finite, the rule of every scalar
     parameter; otherwise (NaN, inf, arrays of one or more dimensions and
     values that are not numbers, such as None or a string, included) raise
     ValueError naming it. Python and numpy floats and 0-d arrays are
     scalars."""
+    return _scalar(name, value, "positive and finite", operator.gt, 0)
+
+
+def nonnegative(name: str, value: float) -> float:
+    """Return ``value`` if it is nonnegative and finite, the rule of every time,
+    noise level and ball bound; otherwise raise ValueError naming it, as
+    :func:`positive` does."""
+    return _scalar(name, value, "nonnegative and finite", operator.ge, 0)
+
+
+def finite(name: str, value: float) -> float:
+    """Return ``value`` if it is finite, the rule of a scalar of either sign
+    (the run's ``x0_scale``) or bounded below elsewhere (the integrator's
+    horizon, by its step grid); otherwise raise ValueError naming it, as
+    :func:`positive` does."""
+    return _scalar(name, value, "finite", operator.gt, -math.inf)
+
+
+def integer(value) -> int | None:
+    """``value`` as an int if it is an integer, else None: the integer test of
+    :func:`count` and of the run's seed. Integers are those
+    ``operator.index`` accepts, so numpy integers pass and bools do not."""
+    if isinstance(value, bool):
+        return None
     try:
-        if not getattr(value, "ndim", 0) and 0 < value < math.inf:
-            return value
-    except TypeError:  # not a number
-        pass
-    raise ValueError(f"{name} must be positive and finite, got {value}")
+        return operator.index(value)
+    except TypeError:
+        return None
 
 
 def count(name: str, value) -> int:
-    """Return ``value`` as an int if it is an integer >= 1, the rule of every
-    count parameter; otherwise (floats and bools included) raise ValueError
-    naming it. Integers are those ``operator.index`` accepts, so numpy
-    integers pass."""
-    try:
-        number = operator.index(value)
-    except TypeError:
-        number = None
-    if number is None or isinstance(value, bool):
+    """Return ``value`` as an int if it is an integer >= 1 (:func:`integer`),
+    the rule of every count parameter; otherwise (floats and bools included)
+    raise ValueError naming it."""
+    number = integer(value)
+    if number is None:
         raise ValueError(f"{name} must be an integer, got {value}")
     if number < 1:
         raise ValueError(f"{name} must be >= 1, got {value}")
     return number
-
-
-def nonnegative(name: str, value: float) -> float:
-    """Return ``value`` if it is nonnegative and finite, the rule of every time
-    and noise level; otherwise (NaN, inf, arrays of one or more dimensions and
-    values that are not numbers included, as in :func:`positive`) raise
-    ValueError naming it."""
-    try:
-        if not getattr(value, "ndim", 0) and 0 <= value < math.inf:
-            return value
-    except TypeError:  # not a number
-        pass
-    raise ValueError(f"{name} must be nonnegative and finite, got {value}")
 
 
 def returned(name: str, value, shape: tuple, at=None) -> np.ndarray:
@@ -403,8 +429,9 @@ def op_norms(stack) -> np.ndarray:
     A matrix gets the same norm alone or in a stack. Raises ValueError on
     non-finite entries anywhere in the stack.
 
-    A constant stack, every matrix bit for bit equal to the first (an
-    affine problem's sampled Jacobians, a zero forcing path), costs one
+    A constant stack, every matrix bit for bit equal to the first (the
+    zero forcing path G = 0 of the Gronwall checks that ``verify --suite
+    lemmas`` and the benchmark's certify-build workload run), costs one
     SVD: the first matrix's norm is repeated, which by the property above
     is each matrix's norm exactly. Equality is tested on the bits, so a
     stack that differs only in the sign of a zero is not constant, and the

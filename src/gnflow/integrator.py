@@ -35,6 +35,7 @@ What a run of ``integrate`` checks, and where:
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -80,14 +81,11 @@ class IntegratorConfig:
         if self.method not in ("euler", "rk4"):
             raise ValueError(f"unknown method {self.method!r}")
         hilbert.positive("step_h", self.step_h)
-        try:
-            finite = math.isfinite(self.horizon_T)
-        except TypeError:  # not a number
-            finite = False
-        if not finite:
-            raise ValueError(f"horizon_T must be finite, got {self.horizon_T}")
-        step_count("horizon_T", self.horizon_T, self.step_h)
+        step_count("horizon_T", hilbert.finite("horizon_T", self.horizon_T), self.step_h)
         hilbert.count("record_every", self.record_every)
+        # a string is iterable, but its letters are no flags
+        if isinstance(self.monitors, str) or not isinstance(self.monitors, Iterable):
+            raise ValueError(f"monitors must be a set of flags, got {self.monitors!r}")
         unknown = set(self.monitors) - {"ball", "divergence"}
         if unknown:
             raise ValueError(f"unknown monitor flags: {sorted(unknown)}")

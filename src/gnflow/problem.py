@@ -186,8 +186,9 @@ def analytic_bounds(bounds):
     on the callable, as :func:`rowwise` does: a problem rebuilt from the
     same ``jac`` keeps it, which is right exactly when F' is unchanged (a
     data shift of F), and a problem without ``jac`` (finite differences)
-    or with another callable samples. Nothing checks the claim. Returns
-    a decorator that marks ``jac`` and returns it.
+    or with another callable samples. Each value must pass
+    :func:`hilbert.nonnegative`, naming N1 or N2, but nothing checks the
+    claim. Returns a decorator that marks ``jac`` and returns it.
     """
     def mark(jac):
         jac.analytic_bounds = bounds
@@ -324,8 +325,9 @@ def estimate_bounds(
     samples = hilbert.count("samples", samples)
     if p._analytic_bounds is not None:
         n1, n2 = p._analytic_bounds(center, radius)
-        return BallBounds(center=center, radius=radius, N1=float(n1), N2=float(n2),
-                          samples=samples, source="analytic")
+        return BallBounds(center=center, radius=radius, N1=float(hilbert.nonnegative("N1", n1)),
+                          N2=float(hilbert.nonnegative("N2", n2)), samples=samples,
+                          source="analytic")
     if p._constant_jac:
         n1 = p.constant("jacobian_norm", lambda: float(
             hilbert.op_norms(fixed_jacobian(p, center)[0][None])[0]))

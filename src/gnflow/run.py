@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 import time
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -130,8 +129,10 @@ def load_config(config_path: Optional[str], overrides: dict) -> RunConfig:
 
 
 def _check_seed(seed: int) -> None:
-    """A seed draws the noise and the ball samples; numpy takes no negative one."""
-    if seed < 0:
+    """A seed draws the noise and the ball samples: an integer, by
+    :func:`hilbert.integer`, and not negative, as numpy takes it."""
+    number = hilbert.integer(seed)
+    if number is None or number < 0:
         raise ConfigError(f"seed must be a nonnegative integer, got {seed}")
 
 
@@ -145,6 +146,7 @@ def _build_run(cfg: RunConfig) -> tuple:
         entry = gallery.get_entry(cfg.problem, noise=cfg.noise, noise_seed=cfg.seed)
         if cfg.ball_radius is not None:
             hilbert.positive("ball_radius", cfg.ball_radius)
+        hilbert.finite("x0_scale", cfg.x0_scale)
     except (KeyError, ValueError) as exc:
         # args[0], not str(): str of a KeyError is the repr of its message
         raise ConfigError(exc.args[0]) from exc
@@ -153,8 +155,6 @@ def _build_run(cfg: RunConfig) -> tuple:
     except ValueError as exc:
         raise ConfigError(f"bad schedule: {exc}") from exc
 
-    if not math.isfinite(cfg.x0_scale):
-        raise ConfigError(f"x0_scale must be finite, got {cfg.x0_scale}")
     xhat = entry.xhat
     x0 = xhat + cfg.x0_scale * (entry.default_x0 - xhat)
 

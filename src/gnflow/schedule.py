@@ -23,7 +23,7 @@ class PowerSchedule:
     def __post_init__(self):
         hilbert.positive("c0", self.c0)
         hilbert.positive("c1", self.c1)
-        if not 0 < self.a <= 1:
+        if not hilbert.positive("a", self.a) <= 1:
             raise ValueError(f"a must lie in (0, 1], got {self.a}")
         try:  # each power is largest at t = 0, so no later eps(t) overflows
             self.eps(0.0), self.b_constant()

@@ -313,7 +313,8 @@ def riccati_envelope_check(v_samples, mu: Callable[[float], float]) -> bool:
     trajectory, ``mu`` the positive envelope function; the certificate
     argument instantiates mu(t) = lambda/eps(t) against v = ||x - xhat||.
     Raises ValueError, naming the sample, unless every t and every v is
-    nonnegative and finite.
+    nonnegative and finite and every mu(t) positive and finite, as in
+    ``mu(0.5) must be positive and finite, got 0.0``.
     """
     samples = list(v_samples)
     if not samples:
@@ -321,10 +322,7 @@ def riccati_envelope_check(v_samples, mu: Callable[[float], float]) -> bool:
     for t, v in samples:
         hilbert.nonnegative("t", t)
         hilbert.nonnegative(f"v({t})", v)
-        m = mu(t)
-        if not m > 0:
-            raise ValueError(f"mu(t) must be positive, got {m} at t={t}")
-        if not v < 1.0 / m:
+        if not v < 1.0 / hilbert.positive(f"mu({t})", mu(t)):
             return False
     return True
 
@@ -436,7 +434,10 @@ def _gronwall_steps(A_path, G_path, V0, gamma, T, h) -> tuple:
     del As
     # gamma too is checked at every time, before the first step; the names of
     # the times are formatted only when a value fails
-    if not all(0 < g < math.inf for g in gammas):
+    try:
+        for g in gammas:
+            hilbert.positive("gamma", g)
+    except ValueError:
         for t, g in zip(distinct, gammas):
             hilbert.positive(f"gamma({t})", g)
     g_norms = hilbert.op_norms(G_stack)

@@ -148,6 +148,38 @@ def test_one_euclidean_norm():
             assert not own, f"{name} takes its own norms, not hilbert.norm: {sorted(own)}"
 
 
+def own_positive_rules(source: str) -> set:
+    """The comparison chains a source writes from the literal 0, each as
+    ``line:chain``: ``0 < v < math.inf`` or ``0 < v <= 1`` is the rule of
+    ``hilbert.positive`` written by hand, and ``0 <= v < math.inf`` that of
+    ``hilbert.nonnegative``."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Compare) and len(node.ops) > 1
+                and isinstance(node.left, ast.Constant)
+                and type(node.left.value) in (int, float) and node.left.value == 0):
+            found.add(f"{node.lineno}:{ast.unparse(node)}")
+    return found
+
+
+def test_rule_reader_sees_each_chain():
+    source = ("a = 0 < v < math.inf or 0.0 < v <= 1\n"
+              "b = all(0 <= g < math.inf for g in gs)\n"
+              "c = 0 < v and v < 1 or 1 < v < 2 or v > 0 or False < v < 1\n"
+              "d = hilbert.positive('a', a) <= 1\n")
+    assert own_positive_rules(source) == {"1:0 < v < math.inf", "1:0.0 < v <= 1",
+                                          "2:0 <= g < math.inf"}
+
+
+def test_scalars_checked_by_the_rules():
+    # hilbert.positive, nonnegative and finite decide whether a scalar is
+    # acceptable; a chain from 0 elsewhere is one of them written by hand
+    for name, path in sorted(layered_modules().items()):
+        if name != "hilbert":
+            own = own_positive_rules(path.read_text())
+            assert not own, f"{name} checks scalars by hand, not by hilbert: {sorted(own)}"
+
+
 def module_constant(path: Path, name: str):
     """The literal a module assigns to ``name``, read without importing the module."""
     for node in ast.parse(path.read_text()).body:

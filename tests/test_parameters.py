@@ -1,13 +1,16 @@
 """Every scalar parameter obeys one rule: positive and finite.
 
-One table names each public site that takes such a parameter; each site
-must reject zero, a negative value, inf and NaN with a message naming the
+One table names each public site that takes such a parameter, or calls a
+caller's function that returns one (the Gronwall rate gamma and the Riccati
+envelope mu); each site must reject zero, a negative value, inf, NaN, a
+value that is not a number and a one-entry array with a message naming the
 parameter. A second table does the same for the count parameters, which
-must be integers >= 1, a third for the times and noise levels, which must
-be nonnegative and finite, and a fourth for the arrays a caller's function
-returns, which must have the expected shape and finite entries. The step
-grid that turns a horizon into a step count is shared by the integrator and
-the Gronwall check.
+must be integers >= 1, a third for the times, noise levels and a bounds
+hook's values, which must be nonnegative and finite, a fourth for the
+scalars of either sign, which must be finite, and a fifth for the arrays a
+caller's function returns, which must have the expected shape and finite
+entries. The step grid that turns a horizon into a step count is shared by
+the integrator and the Gronwall check.
 """
 
 import math
@@ -23,16 +26,17 @@ from gnflow.integrator import IntegratorConfig, integrate, step, step_count
 from gnflow.problem import (
     BallBounds,
     NonlinearProblem,
+    analytic_bounds,
     estimate_bounds,
     eval_F,
     fd_jacobian,
     jacobian,
     rowwise,
 )
-from gnflow.run import ConfigError, RunConfig, _build_run, sweep
+from gnflow.run import ConfigError, RunConfig, _build_run, execute_run, sweep
 from gnflow.schedule import PowerSchedule
 
-BAD_VALUES = [0.0, -1.0, math.inf, math.nan, "0.1", None]
+BAD_VALUES = [0.0, -1.0, math.inf, math.nan, "0.1", None, np.array([0.5])]
 
 XHAT = np.array([1.0, 2.0])
 PROBLEM = NonlinearProblem(dim=2, f=lambda x: x - XHAT, jac=lambda x: np.eye(2),
@@ -62,9 +66,9 @@ def _certify(s=SCHEDULE, bounds=None, R=1.0):
     return theory.certify(PROBLEM, XHAT, XHAT, s, B0, bounds or _bounds(), R)
 
 
-def _gronwall(T=1.0, h=0.1):
+def _gronwall(T=1.0, h=0.1, gamma=1.0):
     return theory.gronwall_check(lambda t: np.eye(2), lambda t: np.zeros((2, 2)), np.eye(2),
-                                 gamma=lambda t: 1.0, T=T, h=h)
+                                 gamma=lambda t: gamma, T=T, h=h)
 
 
 def _integrate_with_R(R):
@@ -112,6 +116,11 @@ SITES = [
                  id="21-b"),
     pytest.param("eps0", lambda v: theory.canonical_R(1.0, 1.0, 0.01, v, 1.0, 0.01), ValueError,
                  id="22-eps0"),
+    pytest.param("a", lambda v: PowerSchedule(c0=0.1, c1=1.0, a=v), ValueError, id="23-a"),
+    pytest.param("gamma(0.0)", lambda v: _gronwall(gamma=v), ValueError, id="24-gamma"),
+    pytest.param("mu(0.5)",
+                 lambda v: theory.riccati_envelope_check([(0.5, 0.1)], lambda t: v),
+                 ValueError, id="25-mu"),
 ]
 
 
@@ -125,7 +134,7 @@ OPTIONAL_SITES = {"5-R", "20-ball_radius"}
     for value in BAD_VALUES for site in SITES
     if not (value is None and site.id in OPTIONAL_SITES)])
 def test_site_rejects_bad_value(name, call, exc, value):
-    with pytest.raises(exc, match=f"^{name} must be positive and finite"):
+    with pytest.raises(exc, match=f"^{re.escape(name)} must be positive and finite"):
         call(value)
 
 
@@ -161,8 +170,14 @@ def test_count_site_rejects_below_one(name, call, value):
         call(value)
 
 
-#: (name, call taking the bad value, exception type): every time and noise
-#: level is nonnegative and finite
+def _hooked(n1, n2):
+    """The problem of the tables with a bounds hook that returns (n1, n2)."""
+    jac = analytic_bounds(lambda center, radius: (n1, n2))(lambda x: np.eye(2))
+    return NonlinearProblem(dim=2, f=lambda x: x - XHAT, jac=jac, known_solution=XHAT)
+
+
+#: (name, call taking the bad value, exception type): every time, noise
+#: level and value of a bounds hook is nonnegative and finite
 NONNEGATIVE_SITES = [
     ("t", lambda v: SolverState(t=v, x=np.ones(2)), ValueError),
     ("t", SCHEDULE.eps, ValueError),
@@ -172,17 +187,87 @@ NONNEGATIVE_SITES = [
     ("Lambda0_norm", lambda v: theory.canonical_R(1.0, 1.0, 0.01, 0.01, 1.0, v), ValueError),
     ("noise", lambda v: gallery.get_entry("identity-8", noise=v), ValueError),
     ("noise", lambda v: sweep(RunConfig(problem="identity-8"), "noise", [0.0, v]), ConfigError),
+    ("N1", lambda v: estimate_bounds(_hooked(v, 1.0), XHAT, 1.0), ValueError),
+    ("N2", lambda v: estimate_bounds(_hooked(1.0, v), XHAT, 1.0), ValueError),
 ]
 NONNEGATIVE_IDS = ["SolverState", "PowerSchedule", "riccati-t", "riccati-v",
-                   "canonical_R-B0_norm", "canonical_R-Lambda0_norm", "get_entry", "sweep"]
+                   "canonical_R-B0_norm", "canonical_R-Lambda0_norm", "get_entry", "sweep",
+                   "bounds-hook-N1", "bounds-hook-N2"]
 
 
-@pytest.mark.parametrize("value", [-0.1, math.inf, math.nan, "0.1", None], ids=repr)
+@pytest.mark.parametrize("value", [-0.1, math.inf, math.nan, "0.1", None, np.array([0.5])],
+                         ids=repr)
 @pytest.mark.parametrize("name, call, exc", NONNEGATIVE_SITES, ids=NONNEGATIVE_IDS)
 def test_nonnegative_site_rejects_bad_value(name, call, exc, value):
-    with pytest.raises(exc, match=f"^{re.escape(name)} must be nonnegative and finite, "
-                                  f"got {value}$"):
+    message = f"{name} must be nonnegative and finite, got {value}"
+    with pytest.raises(exc, match=f"^{re.escape(message)}$"):
         call(value)
+
+
+#: (name, call taking the bad value, exception type): a scalar of either sign,
+#: or one whose lower bound is checked elsewhere, is finite
+FINITE_SITES = [
+    pytest.param("horizon_T", lambda v: IntegratorConfig(horizon_T=v), ValueError,
+                 id="horizon_T"),
+    pytest.param("x0_scale", lambda v: _build_run(RunConfig(problem="identity-8", x0_scale=v)),
+                 ConfigError, id="x0_scale"),
+]
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, "0.1", None, np.array([0.5])],
+                         ids=repr)
+@pytest.mark.parametrize("name, call, exc", FINITE_SITES)
+def test_finite_site_rejects_bad_value(name, call, exc, value):
+    # the run's x0_scale let a value that is not a number escape math.isfinite
+    # as TypeError
+    with pytest.raises(exc, match=f"^{re.escape(f'{name} must be finite, got {value}')}$"):
+        call(value)
+
+
+@pytest.mark.parametrize("seed", [1.5, True, "3", None, np.array([3])], ids=repr)
+def test_run_seed_must_be_a_nonnegative_integer(seed):
+    # 1.5 passed a test of the sign alone and failed in numpy's SeedSequence
+    message = f"seed must be a nonnegative integer, got {seed}"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        execute_run(RunConfig(problem="identity-8", seed=seed, noise=0.01))
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        sweep(RunConfig(problem="identity-8"), "noise", [0.0], seeds=[0, seed])
+
+
+def test_run_seed_may_be_a_numpy_integer():
+    entry, *_ = _build_run(RunConfig(problem="identity-8", seed=np.int64(3), noise=0.01))
+    again, *_ = _build_run(RunConfig(problem="identity-8", seed=3, noise=0.01))
+    assert np.array_equal(entry.xhat, again.xhat)
+
+
+@pytest.mark.parametrize("monitors", [None, "ball", 3], ids=repr)
+def test_monitors_must_be_a_set_of_flags(monitors):
+    # None escaped set() as TypeError, and "ball" was read as the flags b, a and l
+    message = f"monitors must be a set of flags, got {monitors!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        IntegratorConfig(monitors=monitors)
+
+
+class TestScalarEscapes:
+    """Values that once passed a hand-written check, or none."""
+
+    def test_array_exponent_rejected(self):
+        # it was accepted, and eps(0.0) returned array([0.1])
+        with pytest.raises(ValueError, match=r"^a must be positive and finite, got \[0\.5\]$"):
+            PowerSchedule(0.1, 1.0, a=np.array([0.5]))
+
+    def test_array_gamma_rejected(self):
+        # it passed the check and failed later in np.concatenate, naming nothing
+        with pytest.raises(ValueError, match=r"^gamma\(0\.0\) must be positive and finite, "
+                                             r"got \[1\.3\]$"):
+            _gronwall(gamma=np.array([1.3]))
+
+    @pytest.mark.parametrize("a", [None, 0.0, 2.0], ids=repr)
+    def test_run_schedule_exponent_is_a_config_error(self, a):
+        words = "lie in (0, 1]" if a == 2.0 else "be positive and finite"
+        with pytest.raises(ConfigError, match=f"^bad schedule: a must {re.escape(words)}, "
+                                              f"got {a}$"):
+            execute_run(RunConfig(problem="identity-8", schedule_a=a))
 
 
 def _spoil(kind):
@@ -251,6 +336,13 @@ class TestCount:
         p = NonlinearProblem(dim=np.int64(2), f=lambda x: x)
         assert p.dim == 2 and type(p.dim) is int
 
+    def test_integer_test(self):
+        assert hilbert.integer(3) == 3 and hilbert.integer(-2) == -2
+        value = hilbert.integer(np.int32(5))
+        assert value == 5 and type(value) is int
+        for value in (True, 1.0, "1", None, np.array([1])):
+            assert hilbert.integer(value) is None
+
     def test_numpy_integer_samples_accepted(self):
         b = estimate_bounds(PROBLEM, np.ones(2), 1.0, samples=np.int32(4))
         assert b.samples == 4 and type(b.samples) is int
@@ -267,11 +359,23 @@ class TestPositive:
             hilbert.positive("x", math.nan)
 
 
+class TestFinite:
+    def test_returns_the_value_unchanged(self):
+        for value in (2.5, -2.5, 0.0, -0.0, 3, -1e308):
+            assert hilbert.finite("x", value) is value
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=repr)
+    def test_message_names_the_parameter_and_value(self, value):
+        with pytest.raises(ValueError, match=f"^x must be finite, got {value}$"):
+            hilbert.finite("x", value)
+
+
 #: (rule, the words of its message): every scalar rule rejects an array of
 #: one or more dimensions, whatever its entries, with its own message
 SCALAR_RULES = [
-    pytest.param(hilbert.positive, "positive", id="positive"),
-    pytest.param(hilbert.nonnegative, "nonnegative", id="nonnegative"),
+    pytest.param(hilbert.positive, "positive and finite", id="positive"),
+    pytest.param(hilbert.nonnegative, "nonnegative and finite", id="nonnegative"),
+    pytest.param(hilbert.finite, "finite", id="finite"),
 ]
 
 
@@ -285,7 +389,7 @@ def test_scalar_rule_accepts_numpy_scalars(rule, words):
 @pytest.mark.parametrize("shape", [(1,), (2,)], ids=str)
 @pytest.mark.parametrize("rule, words", SCALAR_RULES)
 def test_scalar_rule_rejects_an_array(rule, words, shape):
-    with pytest.raises(ValueError, match=f"^h must be {words} and finite, got \\[1"):
+    with pytest.raises(ValueError, match=f"^h must be {words}, got \\[1"):
         rule("h", np.full(shape, 1e-6))
 
 

@@ -373,7 +373,8 @@ class TestRiccatiEnvelope:
 
     @pytest.mark.parametrize("m", [0.0, -1.0, math.nan])
     def test_nonpositive_mu_rejected(self, m):
-        with pytest.raises(ValueError, match=rf"^mu\(t\) must be positive, got {m} at t=0.5$"):
+        with pytest.raises(ValueError, match=rf"^mu\(0\.5\) must be positive and finite, "
+                                             rf"got {m}$"):
             theory.riccati_envelope_check([(0.0, 0.1), (0.5, 0.1)],
                                           lambda t: 1.0 if t == 0.0 else m)
 
