@@ -42,12 +42,22 @@ Gaussian direction stacks that the bounds sample, and the autoconvolution's
 
 The value rules: whether a value is acceptable is decided here, once per
 kind. Every scalar passes :func:`positive`, :func:`nonnegative`,
-:func:`finite` or :func:`count`, and every array a caller's function
-returns passes :func:`returned`; the scalars a caller's function returns
+:func:`finite` or :func:`count`; the scalars a caller's function returns
 (the Gronwall rate gamma, the Riccati envelope mu, the two values of a
-bounds hook) pass the scalar rules too. A value that fails raises
-ValueError naming it. Only a limit beyond a rule stays with its caller,
-such as a schedule exponent's a <= 1 or a horizon of at least one step.
+bounds hook) pass them too. Every array passes one rule, :func:`_array`,
+through :func:`returned` (what a caller's function returns),
+:func:`as_vector`, :func:`as_operator`, the right-hand side of
+:func:`solve_regularized` or the stack of :func:`op_norms`: one
+conversion to float64 that refuses complex values, strings, None entries
+and ragged sequences, one shape test in which every size is at least 1
+(but for an empty stack of norms), and one :func:`all_finite`. A value
+that fails raises ValueError naming it, a string shown by its repr; an
+array's message has one template, ``<subject> shape S, expected E``,
+``<subject> a non-finite entry at index I`` or ``<subject> entries that
+are not real numbers``, whose subject is ``F returned``, ``vector has``,
+``operator has``, ``right-hand side has`` or ``operator stack has``. Only
+a limit beyond a rule stays with its caller, such as a schedule exponent's
+a <= 1 or a horizon of at least one step.
 """
 
 from __future__ import annotations
@@ -124,6 +134,13 @@ def norm(v: np.ndarray) -> float:
     return math.sqrt(square)
 
 
+def shown(value) -> str:
+    """``value`` as a rule's message shows it: a string by its repr, so that
+    ``"3"`` does not read as the number 3, and anything else by ``str``,
+    so that a numpy float reads ``0.1``."""
+    return repr(value) if isinstance(value, str) else str(value)
+
+
 def _scalar(name: str, value, words: str, above, low: float) -> float:
     """The one test of the scalar rules: ``value`` if it is a scalar number
     with ``above(value, low)`` and ``value < inf``, else ValueError saying
@@ -133,7 +150,7 @@ def _scalar(name: str, value, words: str, above, low: float) -> float:
             return value
     except TypeError:  # not a number
         pass
-    raise ValueError(f"{name} must be {words}, got {value}")
+    raise ValueError(f"{name} must be {words}, got {shown(value)}")
 
 
 def positive(name: str, value: float) -> float:
@@ -178,78 +195,124 @@ def count(name: str, value) -> int:
     raise ValueError naming it."""
     number = integer(value)
     if number is None:
-        raise ValueError(f"{name} must be an integer, got {value}")
+        raise ValueError(f"{name} must be an integer, got {shown(value)}")
     if number < 1:
         raise ValueError(f"{name} must be >= 1, got {value}")
     return number
 
 
+#: float64, the dtype of every array that passes the array rule as it is
+_FLOAT = np.dtype(float)
+
+#: The entries of an object array that are not real numbers, though
+#: ``float()`` takes a numeric string, and numpy turns None into NaN and
+#: drops an imaginary part with no more than a warning.
+_NOT_REAL = (type(None), str, bytes, complex, np.complexfloating)
+
+
+@functools.lru_cache(maxsize=256)
+def _fits(shape: tuple, pattern: tuple) -> bool:
+    """Whether ``shape`` fits ``pattern``, a tuple of sizes: an int stands for
+    itself, and a letter for any size >= 1, the same size wherever the
+    letter recurs, so ``("n", "n")`` is a square matrix. A tuple of
+    patterns is fitted by fitting any one of them. The answer depends on
+    the two tuples alone, so it is cached: a run meets few shapes."""
+    if pattern and pattern[0].__class__ is tuple:
+        return any(_fits(shape, one) for one in pattern)
+    sizes = {}
+    return len(shape) == len(pattern) and all(
+        size == (sizes.setdefault(want, size) if size and want.__class__ is str else want)
+        for want, size in zip(pattern, shape))
+
+
+def _text(pattern: tuple) -> str:
+    """``pattern`` as the shapes it stands for, letters bare: ``(n,) or (n, k)``."""
+    alternatives = pattern if pattern and pattern[0].__class__ is tuple else [pattern]
+    return " or ".join(str(one).replace("'", "") for one in alternatives)
+
+
+def _array(value, pattern, name: str, verb: str = "has", at=None, where: str = "") -> np.ndarray:
+    """The array rule, the one test of :func:`returned`, :func:`as_vector`,
+    :func:`as_operator`, :func:`solve_regularized` and :func:`op_norms`:
+    ``value`` as a float64 array whose shape fits ``pattern`` (:func:`_fits`)
+    and whose every entry is finite, else ValueError whose subject is
+    ``name`` and ``verb``:
+
+    - ``<subject> entries that are not real numbers``: complex values,
+      strings, None entries, a ragged sequence;
+    - ``<subject> shape S, expected E``;
+    - ``<subject> a non-finite entry at index I``.
+
+    Booleans, integers, floats of any precision and objects ``float()``
+    takes (such as fractions) convert as ``np.asarray(value, dtype=float)``
+    converts them, and a float64 array is returned as it is. With ``at``,
+    ``value`` is a nonempty sequence of values, each to fit the tuple
+    ``pattern``, which pass as one stack; only after the stack fails is
+    each value i checked alone, its message ending in ``where``, ``" at
+    <at(i)>"``, so the first failing value raises, as :func:`returned`
+    describes.
+
+    The test that passes is one conversion, one shape test and one
+    :func:`all_finite`; text is formatted only after a failure.
+    """
+    if at is not None and len(value) == 0:
+        raise ValueError(f"{name} {verb} no values, expected at least one")
+    whole = pattern if at is None else (len(value), *pattern)
+    try:
+        arr = np.asarray(value)
+        if arr.dtype is not _FLOAT:
+            real = arr.dtype.kind in "biuf" or arr.dtype.kind == "O" and not any(
+                isinstance(entry, _NOT_REAL) for entry in arr.flat)
+            arr = arr.astype(float, copy=False) if real else None
+    except (TypeError, ValueError):  # a ragged sequence, or objects float() refuses
+        arr = None
+    fits = arr is not None and (arr.shape == whole or _fits(arr.shape, whole))
+    if fits and all_finite(arr):
+        return arr
+    if at is not None:  # the first failing value raises
+        for i, item in enumerate(value):
+            _array(item, pattern, name, verb, where=f" at {at(i)}")
+    if arr is None:
+        raise ValueError(f"{name} {verb} entries that are not real numbers{where}")
+    if not fits:
+        raise ValueError(f"{name} {verb} shape {arr.shape}{where}, expected {_text(whole)}")
+    index = np.unravel_index(np.flatnonzero(~np.isfinite(arr))[0], arr.shape)
+    raise ValueError(f"{name} {verb} a non-finite entry at index "
+                     f"{tuple(map(int, index))}{where}")
+
+
 def returned(name: str, value, shape: tuple, at=None) -> np.ndarray:
     """Return what the caller's function ``name`` returned as a float64 array
-    of exactly ``shape`` with every entry finite, the rule of every returned
-    array; otherwise raise ValueError, as in ``F returned shape (3,),
-    expected (2,)`` or ``jacobian returned a non-finite entry at index
-    (3, 0, 1)``.
+    of exactly ``shape`` with every entry finite, by the array rule
+    (:func:`_array`), the rule of every returned array; otherwise raise
+    ValueError, as in ``F returned shape (3,), expected (2,)`` or
+    ``jacobian returned a non-finite entry at index (3, 0, 1)``.
 
     With ``at``, ``value`` is a nonempty sequence of the function's values
     at several points, each of ``shape``; they are stacked into one array of
     shape ``(len(value), *shape)``, and an error names the first failing
     value i by ``at(i)``, as in ``A_path(t) returned shape (2, 3) at t=0.1,
     expected (2, 2)``; an empty sequence raises ``A_path(t) returned no
-    values, expected at least one``.
-
-    The test that passes is one conversion, one shape comparison and one
-    :func:`all_finite`; the failing value is looked for only after it fails.
+    values, expected at least one``. The failing value is looked for only
+    after the stack fails.
     """
-    if at is not None and len(value) == 0:
-        raise ValueError(f"{name} returned no values, expected at least one")
-    try:
-        arr = np.asarray(value, dtype=float)
-    except ValueError:
-        arr = None  # values of unequal shapes, or not numbers: located below
-    stacked = shape if at is None else (len(value), *shape)
-    if arr is not None and arr.shape == stacked and all_finite(arr):
-        return arr
-    for i, item in enumerate([value] if at is None else value):
-        item = np.asarray(item, dtype=float)  # one that is not numbers raises here
-        where = "" if at is None else f" at {at(i)}"
-        if item.shape != shape:
-            raise ValueError(f"{name} returned shape {item.shape}{where}, expected {shape}")
-        if not all_finite(item):
-            index = np.unravel_index(np.flatnonzero(~np.isfinite(item))[0], shape)
-            raise ValueError(f"{name} returned a non-finite entry at index "
-                             f"{tuple(map(int, index))}{where}")
+    return _array(value, shape, name, "returned", at)
 
 
 def as_vector(v, dim: int | None = None) -> np.ndarray:
-    """Validate and return ``v`` as a 1-D float64 array.
-
-    Raises ValueError on wrong dimensionality, dimension mismatch with
-    ``dim``, or non-finite entries.
-    """
-    arr = np.asarray(v, dtype=float)
-    if arr.ndim != 1:
-        raise ValueError(f"expected a 1-D vector, got shape {arr.shape}")
-    if arr.size < 1:
-        raise ValueError("vector must have length >= 1")
-    if dim is not None and arr.size != dim:
-        raise ValueError(f"vector has length {arr.size}, expected {dim}")
-    if not all_finite(arr):
-        bad = int(np.flatnonzero(~np.isfinite(arr))[0])
-        raise ValueError(f"vector has non-finite entry at index {bad}")
-    return arr
+    """Return ``v`` as a 1-D float64 array of length ``dim``, or of any length
+    >= 1 without ``dim``, with every entry finite, by the array rule
+    (:func:`_array`); otherwise raise ValueError, as in ``vector has shape
+    (3,), expected (2,)``."""
+    return _array(v, ("n",) if dim is None else (dim,), "vector")
 
 
 def as_operator(A, dim: int | None = None) -> np.ndarray:
-    """Validate and return ``A`` as a dense square float64 matrix."""
-    arr = np.asarray(A, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {arr.shape}")
-    if dim is not None and arr.shape[0] != dim:
-        raise ValueError(f"operator is {arr.shape[0]}x{arr.shape[0]}, expected {dim}x{dim}")
-    if not all_finite(arr):
-        raise ValueError("operator has non-finite entries")
-    return arr
+    """Return ``A`` as a square float64 matrix of size ``dim``, or of any size
+    >= 1 without ``dim``, with every entry finite, by the array rule
+    (:func:`_array`); otherwise raise ValueError, as in ``operator has shape
+    (2, 3), expected (n, n)``."""
+    return _array(A, ("n", "n") if dim is None else (dim, dim), "operator")
 
 
 @functools.lru_cache(maxsize=None)
@@ -315,8 +378,9 @@ def solve_regularized(A, eps: float, rhs) -> np.ndarray:
     """Solve (A + eps*I) y = rhs by Cholesky factorization: the checked
     entry point of :func:`solve_shifted`.
 
-    ``A`` is checked as a finite square matrix and ``rhs`` as a finite
-    vector of its size, or a finite matrix with as many rows; then
+    ``A`` is checked as a finite square matrix (:func:`as_operator`) and
+    ``rhs``, by the array rule, as a finite vector of its size or a finite
+    matrix with as many rows and at least one column; then
     :func:`solve_shifted` solves 0.5 (A + A*) + eps*I, the
     :func:`symmetric_part` of A shifted. Symmetrizing before the shift
     gives the bits of symmetrizing A + eps*I after it, signed zeros and
@@ -331,14 +395,8 @@ def solve_regularized(A, eps: float, rhs) -> np.ndarray:
             overflowed or met a non-finite pivot that ``potrf`` passed.
     """
     A = as_operator(A)
-    n = A.shape[0]
-    rhs = np.asarray(rhs, dtype=float)
-    if rhs.ndim == 2:
-        if rhs.shape[0] != n or not all_finite(rhs):
-            raise ValueError(f"right-hand side must be a finite matrix with {n} rows, "
-                             f"got shape {rhs.shape}")
-    else:
-        rhs = as_vector(rhs, dim=n)
+    n = len(A)
+    rhs = _array(rhs, ((n,), (n, "k")), "right-hand side")
     with np.errstate(all="ignore"):
         y = solve_shifted(symmetric_part(A), eps, rhs)
     if not all_finite(y):
@@ -417,7 +475,7 @@ def op_norm(A) -> float:
     """Spectral norm of the square matrix ``A``, by :func:`op_norms` on a
     one-matrix stack. No package code calls it; it stays for the
     benchmark's tracer, which names it, and for the tests' oracles."""
-    return float(op_norms(np.asarray(A, dtype=float)[None])[0])
+    return float(op_norms([A])[0])
 
 
 def op_norms(stack) -> np.ndarray:
@@ -426,8 +484,9 @@ def op_norms(stack) -> np.ndarray:
     The one norm routine: a batched LAPACK SVD (singular values only),
     exact to round-off at any spectrum, including tightly clustered top
     singular values, and cheaper than ``np.linalg.norm(A, 2)`` at n <= 16.
-    A matrix gets the same norm alone or in a stack. Raises ValueError on
-    non-finite entries anywhere in the stack.
+    A matrix gets the same norm alone or in a stack. The stack passes the
+    array rule (:func:`_array`) as ``operator stack``: a stack of no
+    matrices has no norms, and a matrix of size 0 is refused.
 
     A constant stack, every matrix bit for bit equal to the first (the
     zero forcing path G = 0 of the Gronwall checks that ``verify --suite
@@ -438,11 +497,7 @@ def op_norms(stack) -> np.ndarray:
     test fails on the first against the last matrix for a mixed stack
     before it reads the rest.
     """
-    arr = np.asarray(stack, dtype=float)
-    if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
-        raise ValueError(f"expected a stack of square matrices, got shape {arr.shape}")
-    if not all_finite(arr):
-        raise ValueError("operator has non-finite entries")
+    arr = _array(stack, (("k", "n", "n"), (0, "n", "n")), "operator stack")
     if len(arr) > 1:
         bits = arr.view(np.uint64)
         if not np.count_nonzero(bits[-1] != bits[0]) and not np.count_nonzero(bits != bits[0]):

@@ -186,7 +186,8 @@ def analytic_bounds(bounds):
     on the callable, as :func:`rowwise` does: a problem rebuilt from the
     same ``jac`` keeps it, which is right exactly when F' is unchanged (a
     data shift of F), and a problem without ``jac`` (finite differences)
-    or with another callable samples. Each value must pass
+    or with another callable samples. The pair must pass
+    :func:`hilbert.returned` as ``analytic_bounds``, and each value
     :func:`hilbert.nonnegative`, naming N1 or N2, but nothing checks the
     claim. Returns a decorator that marks ``jac`` and returns it.
     """
@@ -324,7 +325,7 @@ def estimate_bounds(
     radius = float(hilbert.positive("radius", radius))
     samples = hilbert.count("samples", samples)
     if p._analytic_bounds is not None:
-        n1, n2 = p._analytic_bounds(center, radius)
+        n1, n2 = hilbert.returned("analytic_bounds", p._analytic_bounds(center, radius), (2,))
         return BallBounds(center=center, radius=radius, N1=float(hilbert.nonnegative("N1", n1)),
                           N2=float(hilbert.nonnegative("N2", n2)), samples=samples,
                           source="analytic")

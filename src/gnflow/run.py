@@ -133,7 +133,7 @@ def _check_seed(seed: int) -> None:
     :func:`hilbert.integer`, and not negative, as numpy takes it."""
     number = hilbert.integer(seed)
     if number is None or number < 0:
-        raise ConfigError(f"seed must be a nonnegative integer, got {seed}")
+        raise ConfigError(f"seed must be a nonnegative integer, got {hilbert.shown(seed)}")
 
 
 def _build_run(cfg: RunConfig) -> tuple:

@@ -4,6 +4,8 @@ import re
 import subprocess
 import sys
 import warnings
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -115,7 +117,7 @@ class TestAllFinite:
         for bad in (np.nan, np.inf, -np.inf):
             v = np.ones(4)
             v[3] = bad
-            with pytest.raises(ValueError, match="index 3"):
+            with pytest.raises(ValueError, match=r"index \(3,\)"):
                 hilbert.as_vector(v)
             A = np.eye(4)
             A[3, 0] = bad
@@ -125,11 +127,11 @@ class TestAllFinite:
 
 class TestValidatorShapes:
     def test_empty_vector(self):
-        with pytest.raises(ValueError, match=r"^vector must have length >= 1$"):
+        with pytest.raises(ValueError, match=r"^vector has shape \(0,\), expected \(n,\)$"):
             hilbert.as_vector(np.empty(0))
 
     def test_operator_of_the_wrong_size(self):
-        with pytest.raises(ValueError, match=r"^operator is 2x2, expected 3x3$"):
+        with pytest.raises(ValueError, match=r"^operator has shape \(2, 2\), expected \(3, 3\)$"):
             hilbert.as_operator(np.eye(2), dim=3)
 
     @pytest.mark.parametrize("empty", [[], (), np.empty((0, 2, 2))], ids=["list", "tuple", "array"])
@@ -139,6 +141,78 @@ class TestValidatorShapes:
         with pytest.raises(ValueError, match=r"^A_path\(t\) returned no values, "
                                              r"expected at least one$"):
             hilbert.returned("A_path(t)", empty, (2, 2), at=lambda i: f"t={i}")
+
+
+#: Arrays of real numbers that are not float64 arrays already, each converted
+#: by the array rule as ``np.asarray(value, dtype=float)`` converts it
+REAL_ARRAYS = {
+    "ints": [1, -2, 3],
+    "bools": [True, False],
+    "tuple": (1.5, -0.0, 2.5),
+    "float32": np.array([0.1, 1e-40, 3.4e38], dtype=np.float32),
+    "float16": np.array([0.1, 65504.0], dtype=np.float16),
+    "longdouble": np.array([0.1, 1e-310], dtype=np.longdouble),
+    "big-endian": np.array([0.1, -0.0], dtype=">f8"),
+    "uint64": np.array([2**64 - 1, 2**53 + 1], dtype=np.uint64),
+    "int8-strided": np.arange(12, dtype=np.int8)[::3],
+    "mixed-scalars": [np.float32(0.1), 0.2, np.int64(3)],
+    "big-ints": [2**70 + 1, 1],
+    "fractions": [Fraction(1, 3), 2],
+    "decimals": [Decimal("0.1"), Decimal("1e-320")],
+    "rows": [[1, 2], np.array([3.0, 4.0])],
+}
+
+
+class TestArrayRule:
+    """The one array rule, through its public entry points."""
+
+    @pytest.mark.parametrize("name", sorted(REAL_ARRAYS))
+    def test_real_values_keep_the_bits_of_a_float_conversion(self, name):
+        value = REAL_ARRAYS[name]
+        expected = np.asarray(value, dtype=float)
+        check = hilbert.as_vector if expected.ndim == 1 else hilbert.as_operator
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = check(value)
+        assert got.dtype == np.float64 and got.strides == expected.strides
+        assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("layout", ["contiguous", "strided", "unaligned", "read-only"])
+    def test_a_float64_array_passes_as_it_is(self, layout):
+        v = np.arange(1.0, 9.0)
+        v = {"contiguous": v, "strided": v[::2], "unaligned": unaligned(v),
+             "read-only": hilbert.identity(8)[0]}[layout]
+        assert hilbert.as_vector(v) is v
+        assert hilbert.returned("F", v, v.shape) is v
+
+    @pytest.mark.parametrize("value", [None, "1.5", 2j, [1.0, b"2"], [Fraction(1, 2), None],
+                                       [1.0, np.complex64(1)], np.array([1.0, None]),
+                                       np.array(["2020-01-01"], dtype="datetime64[D]"),
+                                       [1.0, object()]], ids=repr)
+    def test_values_that_are_not_real_numbers(self, value):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^vector has entries that are not real numbers$"):
+                hilbert.as_vector(value)
+
+    def test_a_scalar_is_no_vector(self):
+        with pytest.raises(ValueError, match=r"^vector has shape \(\), expected \(n,\)$"):
+            hilbert.as_vector(1.0)
+        assert hilbert.returned("g", 1.0, ()).shape == ()
+        with pytest.raises(ValueError, match=r"^g returned shape \(1,\), expected \(\)$"):
+            hilbert.returned("g", [1.0], ())
+
+    def test_a_square_operator_of_any_size(self):
+        assert hilbert.as_operator([[2.0]]).tolist() == [[2.0]]
+        with pytest.raises(ValueError, match=r"^operator has shape \(2, 3\), expected \(n, n\)$"):
+            hilbert.as_operator(np.ones((2, 3)))
+
+    def test_a_matrix_right_hand_side_has_as_many_rows(self):
+        y = hilbert.solve_regularized(np.eye(2), 1.0, [[2.0, 4.0], [6.0, 8.0]])
+        assert y.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        with pytest.raises(ValueError, match=r"^right-hand side has shape \(2, 0\), expected "
+                                             r"\(2,\) or \(2, k\)$"):
+            hilbert.solve_regularized(np.eye(2), 1.0, np.ones((2, 0)))
 
 
 class TestSolveRegularized:
@@ -222,7 +296,7 @@ class TestSolveRegularized:
         assert_same_bits(Y, np.column_stack([reference_solve(G, eps, b) for b in rhs.T]))
 
     def test_matrix_rhs_validated(self):
-        with pytest.raises(ValueError, match="2 rows"):
+        with pytest.raises(ValueError, match=r"expected \(2,\) or \(2, k\)$"):
             hilbert.solve_regularized(np.eye(2), 1.0, np.ones((3, 2)))
         with pytest.raises(ValueError, match="finite"):
             hilbert.solve_regularized(np.eye(2), 1.0, np.array([[1.0, np.inf], [0.0, 1.0]]))
@@ -486,12 +560,12 @@ class TestOpNorms:
             hilbert.op_norms([np.eye(2), np.array([[1.0, np.nan], [0.0, 1.0]])])
 
     def test_rejects_non_square(self):
-        with pytest.raises(ValueError, match="square"):
+        with pytest.raises(ValueError, match=r"expected \(k, n, n\) or \(0, n, n\)$"):
             hilbert.op_norms(np.ones((2, 3, 4)))
 
     def test_rejects_non_finite_constant_stack(self, svd_shapes):
         for bad in (np.nan, np.inf):
-            with pytest.raises(ValueError, match="operator has non-finite entries"):
+            with pytest.raises(ValueError, match="^operator stack has a non-finite entry"):
                 hilbert.op_norms(np.full((64, 3, 3), bad))
         assert svd_shapes == []
 

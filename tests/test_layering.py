@@ -180,6 +180,69 @@ def test_scalars_checked_by_the_rules():
             assert not own, f"{name} checks scalars by hand, not by hilbert: {sorted(own)}"
 
 
+def own_nodes(function: ast.AST):
+    """The nodes of a function's own body: those of nested functions,
+    lambdas and classes are left out, though the nested node itself is not."""
+    stack = list(function.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda,
+                                 ast.ClassDef)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def own_array_checks(source: str) -> set:
+    """The functions of a source, each as ``line:name``, whose own body both
+    converts an array (``np.asarray`` or ``numpy.asarray``) and raises
+    ValueError: each decides by itself whether an array is acceptable."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            body = list(own_nodes(node))
+            converts = any(isinstance(inner, ast.Call)
+                           and ast.unparse(inner.func) in ("np.asarray", "numpy.asarray")
+                           for inner in body)
+            raises = any(isinstance(inner, ast.Raise) and inner.exc is not None
+                         and ast.unparse(inner.exc).split("(")[0] == "ValueError"
+                         for inner in body)
+            if converts and raises:
+                found.add(f"{node.lineno}:{node.name}")
+    return found
+
+
+def test_array_check_reader_sees_each_form():
+    source = ("def both(v):\n"
+              "    if np.asarray(v).ndim:\n"
+              "        raise ValueError('bad')\n"
+              "def bare(v):\n"
+              "    a = numpy.asarray(v)\n"
+              "    raise ValueError\n"
+              "def converts_only(v):\n"
+              "    return np.asarray(v, dtype=float)\n"
+              "def raises_other(v):\n"
+              "    np.asarray(v)\n"
+              "    raise TypeError('bad')\n"
+              "def nested(v):\n"
+              "    def inner():\n"
+              "        return np.asarray(v)\n"
+              "    f = lambda: np.asarray(v)\n"
+              "    raise ValueError('bad')\n"
+              "class Holder:\n"
+              "    def method(self, v):\n"
+              "        raise ValueError(np.asarray(v))\n")
+    assert own_array_checks(source) == {"1:both", "4:bare", "18:method"}
+
+
+def test_arrays_checked_by_the_rules():
+    # hilbert._array alone decides whether an array is acceptable; a function
+    # that converts an array and raises ValueError itself is one more rule
+    found = {f"{name}.{check.partition(':')[2]}"
+             for name, path in sorted(layered_modules().items())
+             for check in own_array_checks(path.read_text())}
+    assert found == {"hilbert._array"}, f"arrays checked outside the rule: {sorted(found)}"
+
+
 def module_constant(path: Path, name: str):
     """The literal a module assigns to ``name``, read without importing the module."""
     for node in ast.parse(path.read_text()).body:

@@ -7,14 +7,17 @@ value that is not a number and a one-entry array with a message naming the
 parameter. A second table does the same for the count parameters, which
 must be integers >= 1, a third for the times, noise levels and a bounds
 hook's values, which must be nonnegative and finite, a fourth for the
-scalars of either sign, which must be finite, and a fifth for the arrays a
+scalars of either sign, which must be finite, a fifth for the arrays a
 caller's function returns, which must have the expected shape and finite
-entries. The step grid that turns a horizon into a step count is shared by
-the integrator and the Gronwall check.
+entries, and a sixth for every array a caller passes or a caller's
+function returns, which must hold real numbers and, if it is an operator,
+at least one entry. The step grid that turns a horizon into a step count is
+shared by the integrator and the Gronwall check.
 """
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -56,6 +59,11 @@ class _Schedule:
 
     def b_constant(self):
         return self.b
+
+
+def _shown(value) -> str:
+    """A bad value as a rule's message shows it: a string by its repr."""
+    return repr(value) if isinstance(value, str) else str(value)
 
 
 def _bounds(N1=1.0, N2=1.0):
@@ -159,7 +167,7 @@ COUNT_SITES = [
 @pytest.mark.parametrize("name, call", COUNT_SITES)
 def test_count_site_rejects_non_integer(name, call, value):
     # a float or bool once escaped numpy as TypeError, past callers catching ValueError
-    with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value}$"):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}$"):
         call(value)
 
 
@@ -199,9 +207,27 @@ NONNEGATIVE_IDS = ["SolverState", "PowerSchedule", "riccati-t", "riccati-v",
                          ids=repr)
 @pytest.mark.parametrize("name, call, exc", NONNEGATIVE_SITES, ids=NONNEGATIVE_IDS)
 def test_nonnegative_site_rejects_bad_value(name, call, exc, value):
-    message = f"{name} must be nonnegative and finite, got {value}"
+    message = f"{name} must be nonnegative and finite, got {_shown(value)}"
+    if name in ("N1", "N2") and not (isinstance(value, float) and value < 0):
+        # the hook's pair passes hilbert.returned before each value passes the rule
+        message = ("analytic_bounds returned entries that are not real numbers"
+                   if not isinstance(value, float) else
+                   f"analytic_bounds returned a non-finite entry at index ({int(name == 'N2')},)")
     with pytest.raises(exc, match=f"^{re.escape(message)}$"):
         call(value)
+
+
+@pytest.mark.parametrize("value, words", [
+    (None, "entries that are not real numbers"),
+    (1.0, r"shape \(\), expected \(2,\)"),
+    ((1.0, 2.0, 3.0), r"shape \(3,\), expected \(2,\)"),
+], ids=repr)
+def test_bounds_hook_returns_a_pair(value, words):
+    # each was an unnamed TypeError or unpacking error in estimate_bounds
+    jac = analytic_bounds(lambda center, radius: value)(lambda x: np.eye(2))
+    p = NonlinearProblem(dim=2, f=lambda x: x - XHAT, jac=jac, known_solution=XHAT)
+    with pytest.raises(ValueError, match=f"^analytic_bounds returned {words}$"):
+        estimate_bounds(p, XHAT, 1.0)
 
 
 #: (name, call taking the bad value, exception type): a scalar of either sign,
@@ -220,14 +246,14 @@ FINITE_SITES = [
 def test_finite_site_rejects_bad_value(name, call, exc, value):
     # the run's x0_scale let a value that is not a number escape math.isfinite
     # as TypeError
-    with pytest.raises(exc, match=f"^{re.escape(f'{name} must be finite, got {value}')}$"):
+    with pytest.raises(exc, match=f"^{re.escape(f'{name} must be finite, got {_shown(value)}')}$"):
         call(value)
 
 
 @pytest.mark.parametrize("seed", [1.5, True, "3", None, np.array([3])], ids=repr)
 def test_run_seed_must_be_a_nonnegative_integer(seed):
     # 1.5 passed a test of the sign alone and failed in numpy's SeedSequence
-    message = f"seed must be a nonnegative integer, got {seed}"
+    message = f"seed must be a nonnegative integer, got {_shown(seed)}"
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
         execute_run(RunConfig(problem="identity-8", seed=seed, noise=0.01))
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
@@ -326,6 +352,77 @@ def test_returned_site_rejects_bad_array(name, call, kind):
         call(_spoil(kind))
 
 
+_SHORT = IntegratorConfig(step_h=0.1, horizon_T=0.2)
+
+#: (subject of the message, a good array, call taking the bad array): every
+#: array a caller passes or a caller's function returns goes through one rule
+ARRAY_SITES = [
+    pytest.param("vector has", np.ones(2), lambda v: SolverState(t=0.0, x=v), id="SolverState-x"),
+    pytest.param("operator has", B0, lambda v: SolverState(t=0.0, x=XHAT, B=v), id="SolverState-B"),
+    pytest.param("vector has", XHAT, lambda v: integrate(PROBLEM, SCHEDULE, SolverState(0.0, XHAT),
+                                                     _SHORT, xhat=v), id="integrate-xhat"),
+    pytest.param("vector has", XHAT, lambda v: theory.certify(PROBLEM, XHAT, v, SCHEDULE, B0,
+                                                          _bounds(), 1.0), id="certify-x0"),
+    pytest.param("operator has", B0, lambda v: theory.certify(PROBLEM, XHAT, XHAT, SCHEDULE, v,
+                                                          _bounds(), 1.0), id="certify-B0"),
+    pytest.param("vector has", XHAT, lambda v: estimate_bounds(PROBLEM, v, 1.0),
+                 id="estimate_bounds-center"),
+    pytest.param("F returned", XHAT,
+                 lambda v: eval_F(NonlinearProblem(dim=2, f=lambda x: v), XHAT), id="eval_F"),
+    pytest.param("jacobian returned", B0, lambda v: jacobian(
+        NonlinearProblem(dim=2, f=lambda x: x, jac=lambda x: v), XHAT), id="jacobian"),
+    pytest.param("operator has", B0, lambda v: hilbert.solve_regularized(v, 0.1, XHAT),
+                 id="solve_regularized-A"),
+    pytest.param("right-hand side has", XHAT, lambda v: hilbert.solve_regularized(B0, 0.1, v),
+                 id="solve_regularized-rhs"),
+    pytest.param("operator stack has", B0[None], hilbert.op_norms, id="op_norms"),
+    pytest.param("operator has", B0, lambda v: theory.gronwall_check(
+        lambda t: np.eye(2), lambda t: np.zeros((2, 2)), v, gamma=lambda t: 1.0, T=0.2, h=0.1),
+                 id="gronwall_check-V0"),
+]
+
+
+def _ragged(good: np.ndarray) -> list:
+    """``good`` as nested lists whose very last number is doubled into a list."""
+    value = good.tolist()
+    last = value
+    while isinstance(last[-1], list):
+        last = last[-1]
+    last[-1] = [last[-1], last[-1]]
+    return value
+
+
+#: (kind, what turns a good array into a bad one of that kind, or None for the
+#: bad array itself): values that are not an array of real numbers
+BAD_ARRAYS = {
+    "complex-array": lambda good: good + 0.5j,
+    "complex-list": lambda good: (good + 0.5j).tolist(),
+    "string": lambda good: good.astype(str),
+    "ragged": _ragged,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BAD_ARRAYS))
+@pytest.mark.parametrize("subject, good, call", ARRAY_SITES)
+def test_array_site_rejects_values_that_are_not_real(subject, good, call, kind):
+    # a complex array lost its imaginary part with a ComplexWarning, numeric
+    # strings converted, and the rest escaped as TypeError or numpy's own error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{subject} entries that are not real numbers$"):
+            call(BAD_ARRAYS[kind](good))
+
+
+@pytest.mark.parametrize("subject, good, call", [
+    site for site in ARRAY_SITES if site.values[0] == "operator has"] + [
+    pytest.param("operator stack has", np.zeros((1, 0, 0)), hilbert.op_norms, id="op_norms")])
+def test_array_site_rejects_an_empty_operator(subject, good, call):
+    # a 0 x 0 operator passed as_operator, and a (1, 0, 0) stack raised IndexError
+    empty = re.escape(str(good.shape if good.ndim == 3 else (0, 0)))
+    with pytest.raises(ValueError, match=f"^{subject} shape {empty}, expected"):
+        call(np.zeros((0, 0)) if good.ndim == 2 else good)
+
+
 class TestCount:
     def test_returns_a_python_int(self):
         assert hilbert.count("n", 3) == 3
@@ -411,8 +508,9 @@ class TestReturned:
                                              r"\(0,\) at item 3$"):
             hilbert.returned("F", values[:1] * 3 + values[3:], (2,), at=lambda i: f"item {i}")
 
-    def test_values_that_are_not_numbers_keep_numpy_error(self):
-        with pytest.raises(ValueError, match="could not convert"):
+    def test_values_that_are_not_numbers_are_named(self):
+        with pytest.raises(ValueError, match=r"^F returned entries that are not real numbers "
+                                             r"at 0$"):
             hilbert.returned("F", [["a", "b"]], (2,), at=str)
 
 
@@ -433,7 +531,7 @@ class TestStepGrid:
     @pytest.mark.parametrize("value", [math.inf, "0.1", None], ids=repr)
     def test_horizon_not_finite_rejected(self, value):
         # a value that is not a number escaped math.isfinite as TypeError
-        with pytest.raises(ValueError, match=f"^horizon_T must be finite, got {value}$"):
+        with pytest.raises(ValueError, match=f"^horizon_T must be finite, got {_shown(value)}$"):
             IntegratorConfig(horizon_T=value)
 
     def test_step_count_overflow_rejected(self):

@@ -279,7 +279,7 @@ class TestCertify:
                           "^bounds do not cover the certified ball"),
             # one entry would broadcast against xhat as a point on the diagonal
             "short-centre": (dataclasses.replace(bounds, center=entry.xhat[:1].copy()),
-                             "^vector has length 1, expected 8$"),
+                             r"^vector has shape \(1,\), expected \(8,\)$"),
         }[ball]
         with pytest.raises(ValueError, match=message):
             theory.certify(*args, bad, cert.R)
